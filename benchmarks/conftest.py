@@ -2,8 +2,10 @@
 
 Every benchmark regenerates one figure/table of the paper's Section VI
 at laptop scale (see DESIGN.md's experiment index).  Rendered tables are
-printed to stdout and written under ``benchmarks/results/`` so that
-EXPERIMENTS.md can quote them.
+printed to stdout and written under pytest's session temp directory;
+``pytest benchmarks/ --update-results`` rewrites the committed copies
+under ``benchmarks/results/`` instead, so that a plain test run leaves
+the working tree as it found it.
 
 The scales here keep the full suite in the minutes range on pure
 Python.  Increase ``stream_edges``/``queries_per_cell``/sizes for
@@ -12,7 +14,6 @@ closer-to-paper settings.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -22,12 +23,31 @@ from repro.bench import ExperimentConfig
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def write_result(name: str, text: str) -> None:
-    """Persist a rendered table under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(text + "\n")
-    print()
-    print(text)
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--update-results", action="store_true", default=False,
+        help="rewrite the committed tables under benchmarks/results/")
+
+
+@pytest.fixture(scope="session")
+def write_result(request, tmp_path_factory):
+    """``write_result(name, text)``: print a rendered table and persist
+    it — under the session temp directory, or over the committed copy
+    with ``--update-results``.  The option is only registered when
+    ``benchmarks/`` is on the command line (pytest reads options from
+    the conftest files of its arguments), hence the default."""
+    if request.config.getoption("--update-results", default=False):
+        folder = RESULTS_DIR
+        folder.mkdir(exist_ok=True)
+    else:
+        folder = tmp_path_factory.mktemp("results")
+
+    def write(name: str, text: str) -> None:
+        (folder / name).write_text(text + "\n")
+        print()
+        print(text)
+
+    return write
 
 
 @pytest.fixture(scope="session")

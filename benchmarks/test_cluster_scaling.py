@@ -30,13 +30,11 @@ from repro.bench import (
     MultiQueryConfig, format_scaling, multi_query_scaling,
 )
 
-from benchmarks.conftest import write_result
-
 WORKER_COUNTS = (1, 2, 4)
 QUERY_COUNTS = (8,)
 
 
-def test_cluster_scaling():
+def test_cluster_scaling(write_result):
     config = MultiQueryConfig(
         dataset="superuser",
         stream_edges=600,

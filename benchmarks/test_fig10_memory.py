@@ -10,12 +10,11 @@ platform-independent proxy for the paper's `ps` peak-memory readings.
 import pytest
 
 from repro.bench import format_cells, memory_sweep
-from benchmarks.conftest import write_result
 
 SIZES = (3, 4, 5, 6)
 
 
-def test_fig10_regenerate(benchmark, quick_config):
+def test_fig10_regenerate(benchmark, quick_config, write_result):
     cells = benchmark.pedantic(
         lambda: memory_sweep(("tcm", "timing"), quick_config, SIZES),
         rounds=1, iterations=1)

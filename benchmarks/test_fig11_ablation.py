@@ -10,12 +10,11 @@ dependent).
 import pytest
 
 from repro.bench import ablation_sweep, format_cells
-from benchmarks.conftest import write_result
 
 SIZES = (4, 5, 6)
 
 
-def test_fig11_regenerate(benchmark, quick_config):
+def test_fig11_regenerate(benchmark, quick_config, write_result):
     cells = benchmark.pedantic(
         lambda: ablation_sweep(quick_config, SIZES),
         rounds=1, iterations=1)

@@ -8,12 +8,11 @@ query size grows.
 import pytest
 
 from repro.bench import engine_names, format_cells, query_size_sweep
-from benchmarks.conftest import write_result
 
 SIZES = (4, 5, 6)
 
 
-def test_fig7_regenerate(benchmark, quick_config):
+def test_fig7_regenerate(benchmark, quick_config, write_result):
     """Regenerates both panels of Figure 7 (elapsed time + solved)."""
     cells = benchmark.pedantic(
         lambda: query_size_sweep(engine_names(), quick_config, SIZES),
@@ -35,7 +34,7 @@ def test_fig7_regenerate(benchmark, quick_config):
             at[e].solved for e in ("symbi", "rapidflow", "timing"))
 
 
-def test_fig7_heavy_datasets(benchmark, heavy_config):
+def test_fig7_heavy_datasets(benchmark, heavy_config, write_result):
     """The netflow/stackoverflow/wikitalk panel."""
     cells = benchmark.pedantic(
         lambda: query_size_sweep(engine_names(), heavy_config, (4, 5)),

@@ -12,12 +12,11 @@ Paper shapes to reproduce:
 import pytest
 
 from repro.bench import density_sweep, engine_names, format_cells
-from benchmarks.conftest import write_result
 
 DENSITIES = (0.0, 0.5, 1.0)
 
 
-def test_fig8_regenerate(benchmark, quick_config):
+def test_fig8_regenerate(benchmark, quick_config, write_result):
     cells = benchmark.pedantic(
         lambda: density_sweep(engine_names(), quick_config, DENSITIES),
         rounds=1, iterations=1)

@@ -8,12 +8,11 @@ most queries at the largest windows.
 import pytest
 
 from repro.bench import engine_names, format_cells, window_sweep
-from benchmarks.conftest import write_result
 
 FRACTIONS = (0.1, 0.3, 0.5)
 
 
-def test_fig9_regenerate(benchmark, quick_config):
+def test_fig9_regenerate(benchmark, quick_config, write_result):
     cells = benchmark.pedantic(
         lambda: window_sweep(engine_names(), quick_config, FRACTIONS),
         rounds=1, iterations=1)

@@ -26,14 +26,12 @@ from repro.bench import (
 )
 from repro.bench.multi import dataset_workload
 
-from benchmarks.conftest import write_result
-
 QUERY_COUNTS = (1, 2, 4, 8)
 ENGINES = ("tcm", "symbi", "timing")
 OVERLAPS = (0.125, 0.25, 0.5, 1.0)
 
 
-def test_multi_query_scaling():
+def test_multi_query_scaling(write_result):
     config = MultiQueryConfig(
         dataset="superuser",
         stream_edges=600,
@@ -84,7 +82,7 @@ def test_multi_query_scaling():
     write_result("multi_query_scaling.txt", table)
 
 
-def test_selectivity_sweep_routed_vs_broadcast():
+def test_selectivity_sweep_routed_vs_broadcast(write_result):
     reports = selectivity_sweep(
         ThroughputConfig(stream_edges=1000, repeats=3),
         num_queries=32, overlaps=OVERLAPS)

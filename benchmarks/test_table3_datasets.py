@@ -9,10 +9,9 @@ density.
 import pytest
 
 from repro.bench import dataset_table, format_table3
-from benchmarks.conftest import write_result
 
 
-def test_table3_regenerate(benchmark):
+def test_table3_regenerate(benchmark, write_result):
     rows = benchmark.pedantic(lambda: dataset_table(stream_edges=3000),
                               rounds=1, iterations=1)
     write_result("table3_datasets.txt", format_table3(rows))

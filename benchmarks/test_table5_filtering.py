@@ -11,12 +11,11 @@ import math
 import pytest
 
 from repro.bench import filtering_power_table, format_table5
-from benchmarks.conftest import write_result
 
 SIZES = (3, 4, 5, 6)
 
 
-def test_table5_regenerate(benchmark, quick_config):
+def test_table5_regenerate(benchmark, quick_config, write_result):
     rows = benchmark.pedantic(
         lambda: filtering_power_table(quick_config, SIZES),
         rounds=1, iterations=1)

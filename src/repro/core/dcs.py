@@ -67,6 +67,25 @@ class DCS:
         # (size, Table V measures) are O(1) instead of table scans.
         self._table_entries = 0     # pairs present (same keys in both)
         self._d2_true = 0           # pairs with D2 true
+        # The D1/D2 recurrences and their worklist, resolved once per
+        # DAG edge.  A gate is what one DAG edge at u reads: (the vertex
+        # across it, that vertex's label, its D1 (D2) table, the edge's
+        # candidate lists, are those keyed (image of u, image of the
+        # other vertex), i.e. is u the edge's canonical endpoint qe.u?).
+        # D1 of u reads the gates to u's parents, D2 those to its
+        # children; a flipped D1 flows to the children, a flipped D2 to
+        # the parents.
+        query = self.query
+        n = query.num_vertices
+        self._labels = query.labels
+        self._d1_gates = tuple(
+            tuple((up, self._labels[up], self._d1[up], self._pairs[e],
+                   u == query.edges[e].u) for up, e in dag.parents_of[u])
+            for u in range(n))
+        self._d2_gates = tuple(
+            tuple((uc, self._labels[uc], self._d2[uc], self._pairs[e],
+                   u == query.edges[e].u) for uc, e in dag.children_of[u])
+            for u in range(n))
 
     # ------------------------------------------------------------------
     # Edge set
@@ -242,79 +261,64 @@ class DCS:
                     self._d2_true -= 1
 
     def _run_worklist(self, seeds: List[Tuple[int, int]]) -> None:
+        graph = self.graph
+        has_vertex, glabel, neighbors = (graph.has_vertex, graph.label,
+                                         graph.neighbors)
+        d1, d2 = self._d1, self._d2
         queue: Deque[Tuple[int, int]] = deque()
         queued: Set[Tuple[int, int]] = set()
-
-        def enqueue(u: int, v: int) -> None:
-            if (u, v) not in queued:
-                queued.add((u, v))
-                queue.append((u, v))
-
-        graph = self.graph
-        qlabel = self.query.label
-        for u, v in seeds:
-            enqueue(u, v)
+        for key in seeds:
+            if key not in queued:
+                queued.add(key)
+                queue.append(key)
         while queue:
-            u, v = queue.popleft()
-            queued.discard((u, v))
-            if not graph.has_vertex(v):
+            key = queue.popleft()
+            queued.discard(key)
+            u, v = key
+            if not has_vertex(v):
                 continue
             d1_new = self._compute_d1(u, v)
             d2_new = self._compute_d2(u, v, d1_new)
-            d1_old = self._d1[u].get(v)
-            d2_old = self._d2[u].get(v)
-            self._d1[u][v] = d1_new
-            self._d2[u][v] = d2_new
+            d1_old = d1[u].get(v)
+            d2_old = d2[u].get(v)
+            d1[u][v] = d1_new
+            d2[u][v] = d2_new
             if d1_old is None:
                 self._table_entries += 1
             if d2_new != bool(d2_old):
                 self._d2_true += 1 if d2_new else -1
-            if d1_new != d1_old:
-                # D1 flows to children; D2 of this pair already redone.
-                for uc, _e in self.dag.children_of[u]:
-                    label = qlabel(uc)
-                    for vc in graph.neighbors(v):
-                        if graph.label(vc) == label:
-                            enqueue(uc, vc)
-            if d2_new != d2_old:
-                for up, _e in self.dag.parents_of[u]:
-                    label = qlabel(up)
-                    for vp in graph.neighbors(v):
-                        if graph.label(vp) == label:
-                            enqueue(up, vp)
+            # D1 flows to children (D2 of this pair is already redone),
+            # D2 to parents.
+            for flipped, gates in ((d1_new != d1_old, self._d2_gates[u]),
+                                   (d2_new != d2_old, self._d1_gates[u])):
+                if not flipped:
+                    continue
+                for uw, label, _table, _pairs, _v_first in gates:
+                    for w in neighbors(v):
+                        if glabel(w) == label:
+                            key = (uw, w)
+                            if key not in queued:
+                                queued.add(key)
+                                queue.append(key)
 
-    def _edge_images(self, e: int, u_side: int, v: int, w: int) -> List[int]:
-        """Surviving timestamps for query edge ``e`` when endpoint
-        ``u_side`` maps to ``v`` and the other endpoint maps to ``w``."""
-        qe = self.query.edges[e]
-        if u_side == qe.u:
-            return self.timestamps(e, v, w)
-        return self.timestamps(e, w, v)
+    def _gates_open(self, gates, v: int) -> bool:
+        """Does every DAG edge of ``gates`` have a neighbour of ``v``
+        with the right label, a true table value and surviving candidate
+        edges to ``v``?"""
+        graph = self.graph
+        glabel = graph.label
+        for _uw, label, table, pairs, v_first in gates:
+            for w in graph.neighbors(v):
+                if (glabel(w) == label and table.get(w, False)
+                        and pairs.get((v, w) if v_first else (w, v))):
+                    break
+            else:
+                return False
+        return True
 
     def _compute_d1(self, u: int, v: int) -> bool:
-        graph = self.graph
-        if self.query.label(u) != graph.label(v):
-            return False
-        for up, e in self.dag.parents_of[u]:
-            label = self.query.label(up)
-            table = self._d1[up]
-            if not any(graph.label(vp) == label
-                       and table.get(vp, False)
-                       and self._edge_images(e, u, v, vp)
-                       for vp in graph.neighbors(v)):
-                return False
-        return True
+        return (self._labels[u] == self.graph.label(v)
+                and self._gates_open(self._d1_gates[u], v))
 
     def _compute_d2(self, u: int, v: int, d1_value: bool) -> bool:
-        if not d1_value:
-            return False
-        graph = self.graph
-        for uc, e in self.dag.children_of[u]:
-            label = self.query.label(uc)
-            table = self._d2[uc]
-            if not any(graph.label(vc) == label
-                       and table.get(vc, False)
-                       and self._edge_images(e, u, v, vc)
-                       for vc in graph.neighbors(v)):
-                return False
-        return True
+        return d1_value and self._gates_open(self._d2_gates[u], v)

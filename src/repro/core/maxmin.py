@@ -9,35 +9,74 @@ The paper presents the case ``e < e'`` (temporal descendants that must be
 *later* than e's image) and notes the case ``e' < e`` is symmetric.  We
 implement both:
 
-* ``gt[e]`` — largest over weak embeddings of the minimum timestamp among
-  images of temporal descendants ``e'`` with ``e < e'``; the candidate
-  timestamp must be strictly below it.
-* ``lt[e]`` — smallest over weak embeddings of the maximum timestamp among
-  images of temporal descendants ``e'`` with ``e' < e``; the candidate
-  timestamp must be strictly above it.
+* the *gt* bound of ``e`` — largest over weak embeddings of the minimum
+  timestamp among images of temporal descendants ``e'`` with ``e < e'``;
+  the candidate timestamp must be strictly below it.
+* the *lt* bound of ``e`` — smallest over weak embeddings of the maximum
+  timestamp among images of temporal descendants ``e'`` with ``e' < e``;
+  the candidate timestamp must be strictly above it.
 
 Both use the same dynamic program, Equation (1), maintained incrementally
 by a worklist that recomputes only entries whose inputs changed
 (TCMInsertion / TCMDeletion, Algorithm 3).  Existence of *any* weak
-embedding of ``q̂_u`` at ``v`` (the ``ok`` flag) rides along in the same
-recurrence; a missing weak embedding means the edge is filtered outright.
+embedding of ``q̂_u`` at ``v`` rides along in the same recurrence; a
+missing weak embedding means the edge is filtered outright.
+
+Layout: what is resolved once per DAG, what is read per event
+------------------------------------------------------------
+Everything that depends only on the query DAG is compiled in
+``MaxMinIndex.__init__``; the per-event code reads the window graph and
+the entry tables and nothing else.
+
+*Slots.*  Query vertex ``u`` stores a bound for the edges of
+``dag.rel_gt[u]`` and ``dag.rel_lt[u]``.  Their order is fixed as
+``sorted(rel_gt[u])`` followed by ``sorted(rel_lt[u])``, so the entry of
+``(u, v)`` is one flat tuple with the gt bounds first and the lt bounds
+after them, and "no weak embedding of ``q̂_u`` at ``v``" is the sentinel
+:data:`ABSENT`.  Two entries are equal iff their tuples are.
+
+*Transfer plans.*  For every DAG edge ``(u -> uc, eps)`` Equation (1)
+carries each bound of ``u`` over from the entry of a child image
+``(uc, vc)``: the bound starts from the child's bound for the same query
+edge — or from "unbounded" when the child stores none — and is clipped by
+the newest (gt) or oldest (lt) ``eps`` image between ``v`` and ``vc`` when
+``eps`` itself is a temporal descendant.  The plan lists, per slot of
+``u``, the child slot (or -1) and that clip flag
+(``precedes(e, eps)`` / ``precedes(eps, e)``).  It also fixes where the
+``eps`` images are read: out- or in-rows of ``v`` (by which endpoint of
+``eps`` is ``u``) and the edge label, which go to
+:meth:`TemporalGraph.neighbor_items` so that one evaluation is a single
+loop over ``(neighbour, timestamp row)`` pairs.
+
+*Worklist tables.*  A changed data pair with labels ``(la, lb)`` seeds the
+query vertices in ``_seeds[(la, lb)]``; a changed entry of ``u`` reaches
+the ``(parent, parent label)`` pairs of ``_parents[u]``.
+
+*Per event* the index reads: the timestamp rows around the recomputed
+vertices, the labels of their neighbours, and the children's entries.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.dag import QueryDag
 from repro.graph.temporal_graph import TemporalGraph
 
 INF = float("inf")
 
-# An entry is (ok, gt, lt): ok = a weak embedding of q̂_u at v exists;
-# gt / lt map relevant query-edge indices to their bounds.
-Entry = Tuple[bool, Dict[int, float], Dict[int, float]]
+#: The entry of a ``(u, v)`` without a weak embedding of ``q̂_u`` at ``v``
+#: (a falsy singleton that survives pickling; test with ``is``, since the
+#: entry of a leaf is the equally falsy empty tuple).
+ABSENT = False
 
-_ABSENT: Entry = (False, {}, {})
+# A present entry: the gt bounds of the vertex's slots, then the lt ones.
+Entry = Union[Tuple[float, ...], bool]
+
+# One slot's transfer along a DAG edge: (slot of u, slot of the child
+# entry or -1 for "unbounded", clip by the DAG edge's own image?).
+Transfer = Tuple[int, int, bool]
 
 
 class MaxMinIndex:
@@ -57,61 +96,106 @@ class MaxMinIndex:
 
     def __init__(self, dag: QueryDag, graph: TemporalGraph):
         self.dag = dag
-        self.query = dag.query
+        self.query = query = dag.query
         self.graph = graph
-        self._entries: List[Dict[int, Entry]] = [
-            {} for _ in range(self.query.num_vertices)]
-        # Entry (u, v) always stores 1 + |rel_gt[u]| + |rel_lt[u]|
-        # scalars, so the total size is maintainable as a counter.
-        self._entry_cost = [1 + len(dag.rel_gt[u]) + len(dag.rel_lt[u])
-                            for u in range(self.query.num_vertices)]
+        n = query.num_vertices
+        self._labels = query.labels
+        self._entries: List[Dict[int, Entry]] = [{} for _ in range(n)]
+
+        gt_slot: List[Dict[int, int]] = []
+        lt_slot: List[Dict[int, int]] = []
+        for u in range(n):
+            gts, lts = sorted(dag.rel_gt[u]), sorted(dag.rel_lt[u])
+            gt_slot.append({e: i for i, e in enumerate(gts)})
+            lt_slot.append({e: len(gts) + i for i, e in enumerate(lts)})
+        # Bounds along one DAG edge before any child image was seen
+        # (the identities of max, for gt, and min, for lt).
+        self._unreached = [(-INF,) * len(gt_slot[u]) + (INF,) * len(lt_slot[u])
+                           for u in range(n)]
+        # An entry always stores 1 + |slots of u| scalars, so the total
+        # size is maintainable as a counter.
+        self._entry_cost = [1 + len(self._unreached[u]) for u in range(n)]
         self._size = 0
-        # Worklist seeding rules, resolved once: a changed data pair
-        # (a, b) seeds the parent-side entry (up, a) of every DAG edge
-        # whose endpoint labels match (label(a), label(b)).
-        self._seed_rules: Tuple[Tuple[object, object, int], ...] = tuple({
-            (self.query.label(dag.edge_parent[e]),
-             self.query.label(dag.edge_child[e]),
-             dag.edge_parent[e])
-            for e in range(self.query.num_edges)})
-        # Per-child-loop constants of the Equation (1) recurrence,
-        # resolved once per DAG edge: (child label, canonical endpoint
-        # qe.u, query edge label).
-        self._edge_consts = [
-            (self.query.label(dag.edge_child[e]), self.query.edges[e].u,
-             self.query.edge_label(e))
-            for e in range(self.query.num_edges)]
+
+        # Transfer plans, one per DAG edge, grouped by parent vertex.
+        precedes = query.precedes
+        self._plans: List[Tuple[tuple, ...]] = []
+        for u in range(n):
+            plans = []
+            for uc, eps in dag.children_of[u]:
+                gt_plan: Tuple[Transfer, ...] = tuple(
+                    (i, gt_slot[uc].get(e, -1), precedes(e, eps))
+                    for e, i in gt_slot[u].items())
+                lt_plan: Tuple[Transfer, ...] = tuple(
+                    (i, lt_slot[uc].get(e, -1), precedes(eps, e))
+                    for e, i in lt_slot[u].items())
+                plans.append((uc, self._labels[uc], self._entries[uc],
+                              u != query.edges[eps].u,
+                              query.edge_label(eps), gt_plan, lt_plan))
+            self._plans.append(tuple(plans))
+
+        # Lemma IV.3 reads, per query edge: (child vertex, gt slot, lt
+        # slot), a slot being -1 where the edge has no such bound.
+        self._edge_slots = tuple(
+            (uc, gt_slot[uc].get(e, -1), lt_slot[uc].get(e, -1))
+            for e, uc in enumerate(dag.edge_child))
+
+        # Worklist tables: a changed data pair (a, b) seeds the
+        # parent-side entry (up, a) of every DAG edge whose endpoint
+        # labels are (label(a), label(b)); a changed entry of u reaches
+        # u's DAG parents at the neighbours carrying the parent's label.
+        rules = {(self._labels[dag.edge_parent[e]],
+                  self._labels[dag.edge_child[e]], dag.edge_parent[e])
+                 for e in range(query.num_edges)}
+        self._seeds: Dict[Tuple[object, object], List[int]] = {}
+        for lp, lc, up in rules:
+            self._seeds.setdefault((lp, lc), []).append(up)
+        self._parents = tuple(
+            tuple((up, self._labels[up]) for up, _e in dag.parents_of[u])
+            for u in range(n))
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def entry(self, u: int, v: int) -> Entry:
-        """The entry for ``(u, v)``, computing and caching it on demand.
+        """The entry for ``(u, v)`` — the flat bound tuple in slot order
+        or :data:`ABSENT` — computing and caching it on demand.
 
-        Returns the absent entry when ``v`` is outside the window or the
+        :data:`ABSENT` also when ``v`` is outside the window or the
         labels differ.
         """
-        if not self.graph.has_vertex(v):
-            return _ABSENT
-        if self.query.label(u) != self.graph.label(v):
-            return _ABSENT
         table = self._entries[u]
         cached = table.get(v)
         if cached is None:
+            # Stored entries are live and label-compatible by
+            # construction, so only a miss pays for the checks.
+            if (not self.graph.has_vertex(v)
+                    or self._labels[u] != self.graph.label(v)):
+                return ABSENT
             cached = self._compute(u, v)
             table[v] = cached
             self._size += self._entry_cost[u]
         return cached
 
+    def window(self, e: int, child_image: int
+               ) -> Optional[Tuple[float, float]]:
+        """The open interval ``(lo, hi)`` a timestamp must lie in for
+        query edge ``e`` to be TC-matchable (w.r.t. this DAG) at a data
+        edge whose child-side endpoint maps to ``child_image``
+        (Lemma IV.3); ``None`` when no timestamp can be."""
+        u, gt_at, lt_at = self._edge_slots[e]
+        entry = self.entry(u, child_image)
+        if entry is ABSENT:
+            return None
+        return (entry[lt_at] if lt_at >= 0 else -INF,
+                entry[gt_at] if gt_at >= 0 else INF)
+
     def edge_passes(self, e: int, child_vertex_image: int, t: int) -> bool:
         """Lemma IV.3 test: is query edge ``e`` TC-matchable (w.r.t. this
         DAG) at a data edge with timestamp ``t`` whose child-side endpoint
         maps to ``child_vertex_image``?"""
-        u2 = self.dag.edge_child[e]
-        ok, gt, lt = self.entry(u2, child_vertex_image)
-        if not ok:
-            return False
-        return t < gt.get(e, INF) and t > lt.get(e, -INF)
+        bounds = self.window(e, child_vertex_image)
+        return bounds is not None and bounds[0] < t < bounds[1]
 
     def size(self) -> int:
         """Number of stored scalar values (memory accounting)."""
@@ -135,58 +219,51 @@ class MaxMinIndex:
         the current graph, not patched from deltas), so seeding one
         worklist with every changed pair of a batch reaches the same
         fixed point as running the propagation per event — shared pairs
-        are recomputed once.  Returns all ``(u, v)`` pairs whose entry
-        changed.
+        are recomputed once.  ``pairs`` is read once.  Returns all
+        ``(u, v)`` pairs whose entry changed.
         """
         graph = self.graph
-        qlabel = self.query.label
+        has_vertex = graph.has_vertex
+        glabel = graph.label
+        seeds_of = self._seeds.get
         changed: Set[Tuple[int, int]] = set()
-        dead: Set[int] = set()
-        for v1, v2 in pairs:
-            for v in (v1, v2):
-                if v not in dead and not graph.has_vertex(v):
-                    dead.add(v)
-                    changed.update(self._purge_vertex(v))
-
         queue: Deque[Tuple[int, int]] = deque()
         queued: Set[Tuple[int, int]] = set()
-
-        def enqueue(u: int, v: int) -> None:
-            if (u, v) not in queued:
-                queued.add((u, v))
-                queue.append((u, v))
-
-        seed_rules = self._seed_rules
         for v1, v2 in pairs:
             for a, b in ((v1, v2), (v2, v1)):
-                if a in dead or not graph.has_vertex(a):
+                if not has_vertex(a):
+                    changed.update(self._purge_vertex(a))
                     continue
-                la, lb = graph.label(a), graph.label(b)
-                for lp, lc, up in seed_rules:
-                    if lp == la and lc == lb:
-                        enqueue(up, a)
+                for up in seeds_of((glabel(a), glabel(b)), ()):
+                    key = (up, a)
+                    if key not in queued:
+                        queued.add(key)
+                        queue.append(key)
 
+        entries, entry_cost = self._entries, self._entry_cost
+        parents, compute = self._parents, self._compute
         while queue:
-            u, v = queue.popleft()
-            queued.discard((u, v))
-            if not graph.has_vertex(v):
+            key = queue.popleft()
+            queued.discard(key)
+            u, v = key
+            if not has_vertex(v):
                 continue
-            table = self._entries[u]
+            table = entries[u]
             old = table.get(v)
-            new = self._compute(u, v)
+            new = compute(u, v)
             if old is None:
-                self._size += self._entry_cost[u]
-            if old == new:
-                if old is None:
-                    table[v] = new
+                self._size += entry_cost[u]
+            elif old == new:
                 continue
             table[v] = new
-            changed.add((u, v))
-            for up, _e in self.dag.parents_of[u]:
-                up_label = qlabel(up)
+            changed.add(key)
+            for up, up_label in parents[u]:
                 for vp in graph.neighbors(v):
-                    if graph.label(vp) == up_label:
-                        enqueue(up, vp)
+                    if glabel(vp) == up_label:
+                        key = (up, vp)
+                        if key not in queued:
+                            queued.add(key)
+                            queue.append(key)
         return changed
 
     def purge_vertex(self, v: int) -> Set[Tuple[int, int]]:
@@ -212,64 +289,51 @@ class MaxMinIndex:
     # The dynamic program (Equation (1))
     # ------------------------------------------------------------------
     def _compute(self, u: int, v: int) -> Entry:
-        """Evaluate Equation (1) for ``(u, v)`` from the children entries."""
-        query, dag, graph = self.query, self.dag, self.graph
-        if query.label(u) != graph.label(v):
-            return _ABSENT
-        rel_gt = dag.rel_gt[u]
-        rel_lt = dag.rel_lt[u]
-        gt: Dict[int, float] = {e: INF for e in rel_gt}
-        lt: Dict[int, float] = {e: -INF for e in rel_lt}
-        ok = True
-        edge_consts = self._edge_consts
-        entries = self._entries
+        """Evaluate Equation (1) for ``(u, v)`` from the children entries:
+        per DAG edge the best bound over its child images (max for gt,
+        min for lt), then the tightest of those across the DAG edges.
+        Callers have matched the labels of ``u`` and ``v``."""
+        graph = self.graph
         glabel = graph.label
-        precedes = query.precedes
-        for uc, eps in dag.children_of[u]:
-            uc_label, eps_u, eps_label = edge_consts[eps]
-            child_entries = entries[uc]
-            child_found = False
-            best_gt: Dict[int, float] = {e: -INF for e in rel_gt}
-            best_lt: Dict[int, float] = {e: INF for e in rel_lt}
-            for vc in graph.neighbors(v):
+        neighbor_items = graph.neighbor_items
+        unreached = self._unreached[u]
+        bounds = None
+        for (uc, uc_label, child_entries, incoming, eps_label,
+             gt_plan, lt_plan) in self._plans[u]:
+            best = None
+            for vc, ts in neighbor_items(v, incoming, eps_label):
                 if glabel(vc) != uc_label:
                     continue
-                # Direction / edge-label aware parallel-edge candidates
-                # for the DAG edge (u -> uc) with u -> v, uc -> vc.
-                a, b = (v, vc) if u == eps_u else (vc, v)
-                if eps_label is None:
-                    ts = graph.timestamps_between(a, b)
-                else:
-                    ts = graph.timestamps_with_label(a, b, eps_label)
-                if not ts:
-                    continue
-                # Stored entries are live and label-compatible by
-                # construction, so probe the table before paying the
-                # full checked lookup of entry().
                 child = child_entries.get(vc)
-                if child is None:
+                if child is None:  # entry()'s probe, minus the call
                     child = self.entry(uc, vc)
-                c_ok, c_gt, c_lt = child
-                if not c_ok:
+                if child is ABSENT:
                     continue
-                child_found = True
+                if best is None:
+                    best = list(unreached)
                 t_max, t_min = ts[-1], ts[0]
-                for e in rel_gt:
-                    base = c_gt.get(e, INF)
-                    val = min(t_max, base) if precedes(e, eps) else base
-                    if val > best_gt[e]:
-                        best_gt[e] = val
-                for e in rel_lt:
-                    base = c_lt.get(e, -INF)
-                    val = max(t_min, base) if precedes(eps, e) else base
-                    if val < best_lt[e]:
-                        best_lt[e] = val
-            if not child_found:
-                return _ABSENT
-            for e in rel_gt:
-                if best_gt[e] < gt[e]:
-                    gt[e] = best_gt[e]
-            for e in rel_lt:
-                if best_lt[e] > lt[e]:
-                    lt[e] = best_lt[e]
-        return (ok, gt, lt)
+                for i, at, clip in gt_plan:
+                    val = child[at] if at >= 0 else INF
+                    if clip and t_max < val:
+                        val = t_max
+                    if val > best[i]:
+                        best[i] = val
+                for i, at, clip in lt_plan:
+                    val = child[at] if at >= 0 else -INF
+                    if clip and t_min > val:
+                        val = t_min
+                    if val < best[i]:
+                        best[i] = val
+            if best is None:
+                return ABSENT
+            if bounds is None:
+                bounds = best
+                continue
+            n_gt = len(gt_plan)
+            for i in range(n_gt):
+                if best[i] < bounds[i]:
+                    bounds[i] = best[i]
+            for i in range(n_gt, len(best)):
+                if best[i] > bounds[i]:
+                    bounds[i] = best[i]
+        return tuple(bounds) if bounds is not None else ()

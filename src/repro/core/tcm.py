@@ -53,7 +53,7 @@ from repro.core.dag import QueryDag, build_best_dag
 from repro.core.dcs import DCS
 from repro.core.maxmin import MaxMinIndex
 from repro.graph.temporal_graph import Edge, TemporalGraph
-from repro.query.matching import candidate_timestamps, orientations_of
+from repro.query.matching import orientations_of
 from repro.query.temporal_query import TemporalQuery
 from repro.streaming.engine import MatchEngine
 from repro.streaming.events import Event
@@ -88,8 +88,16 @@ class TCMEngine(MatchEngine):
         self.dcs = DCS(self.dag, self.graph)
         self.backtracker = Backtracker(
             query, self.dcs, self.graph, self.stats, use_pruning=use_pruning)
-        self._edges_by_child_fwd = self._index_edges_by_child(self.dag)
-        self._edges_by_child_rev = self._index_edges_by_child(self.rdag)
+        # Per-query-edge constants of the candidate diff, resolved once:
+        # (label of qe.u, label of qe.v, edge label, is the forward
+        # DAG's child endpoint qe.u?).  The reverse DAG's child endpoint
+        # is the other one.
+        self._edge_consts = tuple(
+            (meta.label_u, meta.label_v, meta.edge_label,
+             self.dag.edge_child[meta.index] == meta.u)
+            for meta in query.edge_meta())
+        self._indexes = ((self.fwd, self._edges_at_child(self.dag)),
+                         (self.rev, self._edges_at_child(self.rdag)))
         # An event edge whose endpoint labels match no query edge can
         # neither hold candidate entries nor shift any max-min value or
         # D1/D2 bit (the DP only reads timestamps of label-compatible
@@ -99,11 +107,16 @@ class TCMEngine(MatchEngine):
         self.stats.extra.update(
             events=0, dcs_edges_sum=0, dcs_vertices_sum=0)
 
-    @staticmethod
-    def _index_edges_by_child(dag: QueryDag) -> Dict[int, List[int]]:
-        by_child: Dict[int, List[int]] = {}
+    def _edges_at_child(self, dag: QueryDag
+                        ) -> Dict[int, List[Tuple[int, object, bool]]]:
+        """Per query vertex, the query edges whose DAG child it is, as
+        ``(edge, label of the parent endpoint, is the child qe.u?)`` —
+        what turns a changed max-min entry into candidate pairs."""
+        by_child: Dict[int, List[Tuple[int, object, bool]]] = {}
         for e, child in enumerate(dag.edge_child):
-            by_child.setdefault(child, []).append(e)
+            by_child.setdefault(child, []).append(
+                (e, self.query.label(dag.edge_parent[e]),
+                 child == self.query.edges[e].u))
         return by_child
 
     # ------------------------------------------------------------------
@@ -212,13 +225,9 @@ class TCMEngine(MatchEngine):
         max-min propagation over all accumulated data pairs, one
         candidate diff, one D1/D2 worklist run."""
         if self.use_tc_filter and pairs:
-            for index, by_child in ((self.fwd, self._edges_by_child_fwd),
-                                    (self.rev, self._edges_by_child_rev)):
-                changed = index.on_graph_changes(pairs)
-                for u, v in changed:
-                    for e in by_child.get(u, ()):
-                        affected.update(
-                            self._pairs_at_child(index.dag, e, v))
+            for index, by_child in self._indexes:
+                self._add_pairs_at(index.on_graph_changes(pairs), by_child,
+                                   affected)
         adds, removes = self._diff_candidates(affected)
         self.dcs.stage(adds, removes, seeds, vertices)
         if seeds or vertices:
@@ -255,15 +264,26 @@ class TCMEngine(MatchEngine):
         whose TC-matchable status may have changed (``cands`` are the
         event edge's own label-compatible pairs)."""
         affected: Set[CandidatePair] = set(cands)
-        if not self.use_tc_filter:
-            return affected
-        for index, by_child in ((self.fwd, self._edges_by_child_fwd),
-                                (self.rev, self._edges_by_child_rev)):
-            changed = index.on_graph_change(edge.u, edge.v)
-            for u, v in changed:
-                for e in by_child.get(u, ()):
-                    affected.update(self._pairs_at_child(index.dag, e, v))
+        if self.use_tc_filter:
+            for index, by_child in self._indexes:
+                self._add_pairs_at(index.on_graph_change(edge.u, edge.v),
+                                   by_child, affected)
         return affected
+
+    def _add_pairs_at(self, changed: Iterable[Tuple[int, int]],
+                      by_child: Dict[int, List[Tuple[int, object, bool]]],
+                      affected: Set[CandidatePair]) -> None:
+        """Add to ``affected`` every adjacent vertex pair a query edge
+        could match with its child-side endpoint on one of the
+        ``changed`` max-min entries ``(u, v)``."""
+        graph = self.graph
+        glabel = graph.label
+        for u, v in changed:
+            for e, parent_label, child_is_u in by_child.get(u, ()):
+                for w in graph.neighbors(v):
+                    if glabel(w) == parent_label:
+                        affected.add((e, v, w) if child_is_u
+                                     else (e, w, v))
 
     def _event_edge_candidates(self, edge: Edge
                                ) -> Iterable[CandidatePair]:
@@ -281,21 +301,6 @@ class TCMEngine(MatchEngine):
                     out.append((meta.index, a, b))
         return out
 
-    def _pairs_at_child(self, dag: QueryDag, e: int,
-                        v: int) -> Iterable[CandidatePair]:
-        """All adjacent vertex pairs query edge ``e`` could match with
-        its child-side endpoint mapped to ``v``."""
-        qe = self.query.edges[e]
-        parent_label = self.query.label(dag.edge_parent[e])
-        child_is_u = dag.edge_child[e] == qe.u
-        glabel = self.graph.label
-        out: List[CandidatePair] = []
-        for w in self.graph.neighbors(v):
-            if glabel(w) != parent_label:
-                continue
-            out.append((e, v, w) if child_is_u else (e, w, v))
-        return out
-
     def _diff_candidates(self, affected: Iterable[CandidatePair]
                          ) -> Tuple[list, list]:
         """Compute DCS additions/removals for the affected pairs.
@@ -306,15 +311,22 @@ class TCMEngine(MatchEngine):
         adds: list = []
         removes: list = []
         timestamps = self.dcs.timestamps
+        valid_timestamps = self._valid_timestamps
         for e, a, b in affected:
-            valid = self._valid_timestamps(e, a, b)
+            valid = valid_timestamps(e, a, b)
             stored = timestamps(e, a, b)
             if valid == stored:
                 continue
-            valid_set = set(valid)
-            stored_set = set(stored)
-            adds.extend((e, a, b, t) for t in valid_set - stored_set)
-            removes.extend((e, a, b, t) for t in stored_set - valid_set)
+            if not stored:
+                adds.extend((e, a, b, t) for t in valid)
+            elif not valid:
+                removes.extend((e, a, b, t) for t in stored)
+            else:
+                valid_set = set(valid)
+                stored_set = set(stored)
+                adds.extend((e, a, b, t) for t in valid_set - stored_set)
+                removes.extend((e, a, b, t)
+                               for t in stored_set - valid_set)
         return adds, removes
 
     def _valid_timestamps(self, e: int, a: int, b: int) -> List[int]:
@@ -323,27 +335,28 @@ class TCMEngine(MatchEngine):
         qe.u): live, label/direction compatible and — when the TC filter
         is on — inside the (lt, gt) window of Lemma IV.3 in both the
         query DAG and its reverse."""
-        qe = self.query.edges[e]
+        label_u, label_v, edge_label, fwd_child_is_u = self._edge_consts[e]
         graph = self.graph
         if (not graph.has_vertex(a) or not graph.has_vertex(b)
-                or self.query.labels[qe.u] != graph.label(a)
-                or self.query.labels[qe.v] != graph.label(b)):
+                or label_u != graph.label(a) or label_v != graph.label(b)):
             return []
-        ts = candidate_timestamps(self.query, graph, e, a, b)
+        if edge_label is None:
+            ts = graph.timestamps_between(a, b)
+        else:
+            ts = graph.timestamps_with_label(a, b, edge_label)
         if not ts or not self.use_tc_filter:
             return list(ts)
-        lo, hi = float("-inf"), float("inf")
-        for dag, index in ((self.dag, self.fwd), (self.rdag, self.rev)):
-            child_image = a if dag.edge_child[e] == qe.u else b
-            ok, gt, lt = index.entry(dag.edge_child[e], child_image)
-            if not ok:
-                return []
-            bound_hi = gt.get(e, float("inf"))
-            bound_lo = lt.get(e, float("-inf"))
-            if bound_hi < hi:
-                hi = bound_hi
-            if bound_lo > lo:
-                lo = bound_lo
+        fwd_image, rev_image = (a, b) if fwd_child_is_u else (b, a)
+        fwd = self.fwd.window(e, fwd_image)
+        if fwd is None:
+            return []
+        rev = self.rev.window(e, rev_image)
+        if rev is None:
+            return []
+        lo = fwd[0] if fwd[0] > rev[0] else rev[0]
+        hi = fwd[1] if fwd[1] < rev[1] else rev[1]
+        if lo < ts[0] and ts[-1] < hi:
+            return list(ts)
         return [t for t in ts if lo < t < hi]
 
     # ------------------------------------------------------------------

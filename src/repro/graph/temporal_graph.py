@@ -308,26 +308,27 @@ class TemporalGraph:
             return self._adj.get(v, {}).keys()
         return self._adj.get(v, {}).keys() | self._radj.get(v, {}).keys()
 
-    def out_neighbors(self, v: int) -> Iterable[int]:
-        """Distinct successors of ``v`` (equals neighbors when
-        undirected)."""
-        return self._adj.get(v, {}).keys()
-
-    def in_neighbors(self, v: int) -> Iterable[int]:
-        """Distinct predecessors of ``v`` (equals neighbors when
-        undirected)."""
-        if not self.directed:
-            return self._adj.get(v, {}).keys()
-        return self._radj.get(v, {}).keys()
-
-    def neighbor_items(self, v: int) -> Iterable[Tuple[int, array]]:
-        """Iterate ``(out-neighbor, sorted timestamps)`` pairs for ``v``.
+    def neighbor_items(self, v: int, incoming: bool = False,
+                       label: object = None) -> List[Tuple[int, array]]:
+        """``(neighbour, sorted timestamps)`` of the parallel-edge rows
+        at ``v``: the rows ``v -> w`` or, with ``incoming``, ``w -> v``
+        (the same rows when undirected).  With ``label`` only the
+        parallel edges carrying that edge label, and only neighbours
+        that have one.  No row is empty.
 
         The timestamp rows are internal state: callers must not mutate
         them.
         """
-        ts = self._ts
-        return ((w, ts[pid]) for w, pid in self._adj.get(v, {}).items())
+        nbrs = (self._radj if incoming and self.directed
+                else self._adj).get(v)
+        if nbrs is None:
+            return []
+        if label is None:
+            ts = self._ts
+            return [(w, ts[pid]) for w, pid in nbrs.items()]
+        labeled = self._labeled
+        return [(w, labeled[pid][label]) for w, pid in nbrs.items()
+                if pid in labeled and label in labeled[pid]]
 
     def edge_label(self, edge: Edge) -> object:
         """The label attached to ``edge`` at insertion, or None."""

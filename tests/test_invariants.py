@@ -13,8 +13,10 @@ from repro.core.dag import build_best_dag
 from repro.core.dcs import DCS
 from repro.core.maxmin import MaxMinIndex
 from repro.core.tcm import TCMEngine
-from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.temporal_graph import Edge, TemporalGraph
+from repro.query.temporal_query import TemporalQuery
 from repro.streaming.events import build_event_list
+from tests.test_directed_and_edge_labels import directed_labeled_instances
 from tests.test_property_engines import streams, temporal_queries
 
 
@@ -30,23 +32,60 @@ def apply_events(query, stream_labels, edges, delta):
         yield engine
 
 
+def assert_maxmin_matches_scratch(index, graph):
+    fresh = MaxMinIndex(index.dag, graph)
+    for u in range(index.query.num_vertices):
+        for v in graph.vertices():
+            assert index.entry(u, v) == fresh.entry(u, v), (u, v)
+
+
+def check_maxmin_against_scratch(query, labels, edges, delta,
+                                 edge_label=lambda edge: None):
+    """Drive the query DAG's and the reverse DAG's index over the stream
+    twice — refreshed per event, and refreshed the way
+    ``TCMEngine.on_batch`` does it (expirations only purge dead
+    endpoints and accumulate their pair, the next arrival refreshes all
+    accumulated pairs in one call) — comparing with a fresh index after
+    every refresh."""
+    events = build_event_list(edges, delta)
+    best = build_best_dag(query)
+    for dag in (best, best.reverse()):
+        for deferred in (False, True):
+            graph = TemporalGraph(label_fn=labels.__getitem__,
+                                  directed=query.directed)
+            index = MaxMinIndex(dag, graph)
+            pairs = set()
+            for event in events:
+                edge = event.edge
+                pairs.add((edge.u, edge.v))
+                if event.is_arrival:
+                    graph.insert_edge(edge, label=edge_label(edge))
+                else:
+                    graph.remove_edge(edge)
+                    if deferred:
+                        for v in (edge.u, edge.v):
+                            if not graph.has_vertex(v):
+                                index.purge_vertex(v)
+                        continue
+                index.on_graph_changes(pairs)
+                pairs.clear()
+                assert_maxmin_matches_scratch(index, graph)
+            index.on_graph_changes(pairs)
+            assert_maxmin_matches_scratch(index, graph)
+
+
 @settings(max_examples=40, deadline=None)
 @given(query=temporal_queries(), stream=streams())
 def test_maxmin_always_matches_scratch(query, stream):
     labels, edges, delta = stream
-    dag = build_best_dag(query)
-    graph = TemporalGraph(label_fn=labels.__getitem__)
-    index = MaxMinIndex(dag, graph)
-    for event in build_event_list(edges, delta):
-        if event.is_arrival:
-            graph.insert_edge(event.edge)
-        else:
-            graph.remove_edge(event.edge)
-        index.on_graph_change(event.edge.u, event.edge.v)
-        fresh = MaxMinIndex(dag, graph)
-        for u in range(query.num_vertices):
-            for v in graph.vertices():
-                assert index.entry(u, v) == fresh.entry(u, v), (u, v)
+    check_maxmin_against_scratch(query, labels, edges, delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=directed_labeled_instances())
+def test_maxmin_always_matches_scratch_directed_labeled(instance):
+    query, labels, elabels, edges, delta = instance
+    check_maxmin_against_scratch(query, labels, edges, delta, elabels.get)
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,3 +163,39 @@ def test_pruned_and_unpruned_counts_agree(query, stream):
             a = pruned.on_edge_expire(event.edge)
             b = plain.on_edge_expire(event.edge)
         assert sorted(a) == sorted(b), event
+
+
+def test_structure_sizes_pinned():
+    """Memory accounting (Fig 10, ``tcm.peak_structure_entries``) counts
+    1 + |slots| scalars per stored max-min entry whatever the entry's
+    representation: the numbers below were produced by the
+    ``(ok, gt dict, lt dict)`` entries this layout replaced."""
+    x = 1
+    edges = []
+    for t in range(1, 601):
+        x = (x * 1103515245 + 12345) % 2 ** 31
+        u = (x >> 8) % 24
+        x = (x * 1103515245 + 12345) % 2 ** 31
+        v = (x >> 8) % 24
+        edges.append(Edge.make(u, v if v != u else (v + 1) % 24, t))
+    labels = {v: "ABC"[v % 3] for v in range(24)}
+    query = TemporalQuery(["A", "B", "C", "A"],
+                          [(0, 1), (1, 2), (2, 3), (0, 2)],
+                          [(0, 1), (1, 2), (0, 3)])
+    # Up to the last arrival: the window is still full.
+    events = [event for event in build_event_list(edges, 150)
+              if event.time <= edges[-1].t]
+    per_event = TCMEngine(query, labels)
+    matches = sum(len(per_event.on_edge_insert(event.edge)
+                      if event.is_arrival
+                      else per_event.on_edge_expire(event.edge))
+                  for event in events)
+    batched = TCMEngine(query, labels)
+    assert matches == sum(
+        len(found) for lo in range(0, len(events), 32)
+        for found in batched.on_batch(events[lo:lo + 32])) == 1338
+    for engine in (per_event, batched):
+        assert (engine.fwd.size(), engine.rev.size()) == (56, 56)
+        assert engine.stats.peak_structure_entries == 317
+        assert engine.dcs.num_edges() == 121
+        assert engine.dcs.num_d2_vertices() == 31

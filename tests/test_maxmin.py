@@ -1,9 +1,9 @@
 """Tests for the max-min timestamp index against the paper's examples."""
 
-from repro.core.maxmin import MaxMinIndex
+from repro.core.maxmin import INF, MaxMinIndex
 from repro.graph.temporal_graph import TemporalGraph
 from tests.paper_example import (
-    DATA_LABELS, EPS2, EPS6, SIGMA, U3, U5, V4, V7,
+    DATA_LABELS, EPS2, EPS5, EPS6, SIGMA, U3, V4, V7,
     make_paper_dag, make_query,
 )
 
@@ -25,16 +25,12 @@ class TestPaperValues:
     def test_example_iv3_t_u3_v4_eps2(self):
         """Example IV.3: T[u3, v4, eps2] = 10 on the full graph."""
         _, _, _, index = build_index(14)
-        ok, gt, _lt = index.entry(U3, V4)
-        assert ok
-        assert gt[EPS2] == 10
+        assert index.window(EPS2, V4) == (-INF, 10)
 
     def test_example_iv4_before_sigma14(self):
         """Example IV.4: before sigma_14 arrives, T[u3, v4, eps2] = 7."""
         _, _, _, index = build_index(13)
-        ok, gt, _lt = index.entry(U3, V4)
-        assert ok
-        assert gt[EPS2] == 7
+        assert index.window(EPS2, V4) == (-INF, 7)
 
     def test_example_iv4_tc_matchable_flip(self):
         """Example IV.4: after sigma_14, eps2 becomes TC-matchable of
@@ -56,16 +52,29 @@ class TestPaperValues:
         assert index.edge_passes(EPS2, V4, 4)
 
     def test_leaf_entries_trivial(self):
+        """Both query edges into the leaf u5 are unbounded at v7."""
         _, _, _, index = build_index(14)
-        ok, gt, lt = index.entry(U5, V7)
-        assert ok
-        assert gt == {}
-        assert lt == {}
+        assert index.window(EPS5, V7) == (-INF, INF)
+        assert index.window(EPS6, V7) == (-INF, INF)
 
     def test_label_mismatch_absent(self):
+        """u5 (label E) has no weak embedding at v4 (label C)."""
         _, _, _, index = build_index(14)
-        ok, _, _ = index.entry(U5, V4)
-        assert not ok
+        assert index.window(EPS6, V4) is None
+        assert not index.edge_passes(EPS6, V4, 14)
+
+    def test_changed_pairs_read_once(self):
+        """``on_graph_changes`` takes any iterable: a generator must
+        refresh the cached entries exactly like a tuple (Example IV.4's
+        7 -> 10 flip on sigma_14), not purge and then seed nothing."""
+        _, _, graph, index = build_index(13)
+        assert index.window(EPS2, V4) == (-INF, 7)
+        edge = SIGMA[14]
+        graph.insert_edge(edge)
+        changed = index.on_graph_changes(
+            pair for pair in [(edge.u, edge.v)])
+        assert (U3, V4) in changed
+        assert index.window(EPS2, V4) == (-INF, 10)
 
     def test_eps6_always_matchable_at_leaf(self):
         """Example IV.4: eps6 is TC-matchable of sigma_14 because
@@ -82,9 +91,9 @@ class TestIncrementalConsistency:
         return MaxMinIndex(dag, graph)
 
     def assert_same(self, incremental, fresh, graph, dag):
-        for u in range(dag.query.num_vertices):
+        for e in range(dag.query.num_edges):
             for v in graph.vertices():
-                assert incremental.entry(u, v) == fresh.entry(u, v), (u, v)
+                assert incremental.window(e, v) == fresh.window(e, v), (e, v)
 
     def test_insertions_match_scratch(self):
         query = make_query()
