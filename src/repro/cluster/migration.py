@@ -105,8 +105,8 @@ class _Pending:
     max_tail: int
     started: float
     #: One-query interest index deciding which routed events join the
-    #: tail; ``None`` buffers everything (broadcast mode / custom
-    #: factories — the conservative always-interested cases).
+    #: tail; ``None`` buffers everything (a custom factory is always
+    #: interested).
     interest: Optional[QueryInterestIndex]
     tail: List[Tuple[Edge, int]] = field(default_factory=list)
     drained: bool = False
@@ -209,7 +209,7 @@ class MigrationManager:
             target = svc._placement.select_target(
                 query_pattern_keys(info.query), exclude={source})
         interest: Optional[QueryInterestIndex] = None
-        if svc.routed and not info.custom_factory:
+        if not info.custom_factory:
             interest = QueryInterestIndex()
             interest.add(query_id, info.query, info.labels,
                          info.edge_label_fn)
@@ -461,13 +461,8 @@ class MigrationManager:
                         f"{info.query_id!r}") from None
             try:
                 svc._sync_code(target, info.query_id)
-                if svc.binary:
-                    message = wire.encode_migrate_in(ticket, trace=ctx)
-                elif ctx is not None:
-                    message = (protocol.MIGRATE_IN, ticket, ctx)
-                else:
-                    message = (protocol.MIGRATE_IN, ticket)
-                reply = svc._request(target, message)
+                reply = svc._request(
+                    target, wire.encode_migrate_in(ticket, trace=ctx))
             except WorkerCrashError:
                 banned.add(target)
                 target = None

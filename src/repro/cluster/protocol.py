@@ -29,10 +29,10 @@ single-process value — the remainder is what the coordinator's own
 ``events_unshipped`` counter measures, as (event, shard) shipments
 rather than (event, query) skips.
 
-On the ingest hot path the pickled tuples are replaced by packed binary
-frames (:mod:`repro.cluster.wire`); the verbs below remain the
-canonical protocol — a binary frame decodes to exactly one of them —
-and every control verb stays pickled.
+Edges never travel pickled: ingest sub-batches and migration tickets
+are packed binary frames (:mod:`repro.cluster.wire`).  The verbs below
+remain the canonical protocol — a binary frame decodes to exactly one
+of them — and every control verb stays pickled.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ CURSOR = "cursor"            # payload: (now, seq) — checkpoint restore
 INTERN = "intern"            # payload: tuple of (code, string) pairs
 MIGRATE_OUT = "migrate_out"  # payload: query_id -> MigrationSource
 MIGRATE_IN = "migrate_in"    # payload: MigrationTicket
-INGEST = "ingest"            # payload: list of edges (validated prefix)
-INGEST_BATCH = "ingest_batch"  # payload: edges; engines see on_batch
+INGEST_BATCH = "ingest_batch"  # payload: edges (see wire.encode_ingest)
 INGEST_ROUTED = "ingest_routed"  # payload: RoutedBatch (interest-routed)
 ADVANCE = "advance"          # payload: timestamp
 DRAIN = "drain"              # payload: None
@@ -82,7 +81,6 @@ class RoutedBatch:
     pairs: Tuple[Tuple[Edge, int], ...]
     final_now: int
     final_seq: int
-    batched: bool = True
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ that path is integers — edges are ``(u, v, t)`` triples, matches map
 query indices to vertices and edges, event kinds are one bit — so both
 directions are packed into flat ``array('q')`` frames instead:
 
-* **requests** (:func:`encode_ingest` / :func:`encode_routed`) carry a
-  batch of edges, optionally paired with global sequence numbers and
-  the batch's closing cursor (the routed form);
+* **requests** (:func:`encode_routed`) carry one shard's interest-routed
+  share of a batch: edges paired with global sequence numbers, plus the
+  batch's closing cursor; :func:`encode_migrate_in` packs a migration
+  ticket's window and tail the same way;
 * **replies** (:func:`encode_reply`) carry the notification stream with
   query ids replaced by interned integer codes.
+
+Packed frames are the only way edges reach a worker, so the
+coordinator calls :func:`require_packable` on every batch before it
+routes anything: an edge with a non-int64 field raises
+:class:`UnpackableEdgeError` while the service is still untouched.
 
 Distributed tracing rides the same frames: a traced request sets a
 flag bit on the mode byte and prepends the ``(trace id, parent span
@@ -29,12 +35,12 @@ queries by code.
 
 Frames are sniffed by a 4-byte magic prefix that cannot collide with a
 pickle stream (protocol 2+ pickles start with ``\\x80``), so binary and
-pickled messages interleave freely on one connection: checkpoints,
-control verbs and the ``routed=False`` broadcast mode keep working
-unchanged, and a reply that cannot be packed (request failures,
-piggybacked error lists, non-integer payloads) silently falls back to
-pickle.  Frames use machine-native ``array('q')`` byte order — both
-ends of a ``multiprocessing.Pipe`` live on the same host.
+pickled messages interleave freely on one connection: checkpoints and
+control verbs stay pickled, and a reply that cannot be packed (request
+failures, piggybacked error lists, interest summaries, non-integer
+payloads) silently falls back to pickle.  Frames use machine-native
+``array('q')`` byte order — both ends of a ``multiprocessing.Pipe``
+live on the same host.
 """
 
 from __future__ import annotations
@@ -56,10 +62,9 @@ from repro.streaming.match import Match
 MAGIC_REQUEST = b"RWQ1"
 MAGIC_REPLY = b"RWR1"
 
-#: Request frame modes.
-_MODE_INGEST = 0
+#: Request frame modes.  0 and 2 were the per-event forms of 1 and 3;
+#: they are retired and decode as unknown, never as a live mode.
 _MODE_INGEST_BATCH = 1
-_MODE_ROUTED = 2
 _MODE_ROUTED_BATCH = 3
 _MODE_MIGRATE_IN = 4
 
@@ -69,6 +74,32 @@ _MODE_MIGRATE_IN = 4
 #: with tracing off every frame is byte-identical to the pre-tracing
 #: wire.
 _FLAG_TRACED = 0x80
+
+
+class UnpackableEdgeError(TypeError):
+    """An edge field is not a signed 64-bit integer.
+
+    The in-process :class:`~repro.service.MatchService` accepts any
+    hashable vertex id; the cluster packs edges into ``array('q')``
+    frames and therefore does not.
+    """
+
+
+def require_packable(edges: Sequence[Edge]) -> None:
+    """Raise :class:`UnpackableEdgeError` unless every ``(u, v, t)`` of
+    ``edges`` fits an ``array('q')`` slot."""
+    try:
+        array("q", chain.from_iterable(edges))
+    except (TypeError, OverflowError):
+        for index, edge in enumerate(edges):
+            try:
+                array("q", edge)
+            except (TypeError, OverflowError):
+                raise UnpackableEdgeError(
+                    f"edge {index} of the batch, {edge!r}, cannot "
+                    f"be shipped to a shard: vertex ids and timestamps "
+                    f"must be signed 64-bit integers") from None
+        raise
 
 
 def is_request_frame(data: bytes) -> bool:
@@ -84,15 +115,21 @@ def is_reply_frame(data: bytes) -> bool:
 # ----------------------------------------------------------------------
 # Requests (coordinator -> worker)
 # ----------------------------------------------------------------------
-def encode_ingest(edges: Sequence[Edge], *, batched: bool,
+def encode_ingest(edges: Sequence[Edge], *,
                   trace: Optional[Tuple[int, int]] = None) -> bytes:
-    """A broadcast ingest frame: ``[n, u, v, t, ...]``.
+    """A whole-batch ingest frame: ``[n, u, v, t, ...]``.
+
+    Nothing under ``src/`` sends this frame any more.  It, its decode
+    branch and the worker's ``INGEST_BATCH`` dispatch survive only
+    because ``ledger/trace.py`` patches ``wire.encode_ingest`` by name
+    and ``ledger/`` is frozen in the PR that removed the broadcast
+    mode; the next benchmark PR should delete all three.
 
     ``trace`` optionally prepends a ``(trace id, parent span id)``
     context (flagged on the mode byte); ``None`` produces the exact
     pre-tracing frame bytes.
     """
-    mode = _MODE_INGEST_BATCH if batched else _MODE_INGEST
+    mode = _MODE_INGEST_BATCH
     head: Tuple[int, ...] = (len(edges),)
     if trace is not None:
         mode |= _FLAG_TRACED
@@ -102,13 +139,13 @@ def encode_ingest(edges: Sequence[Edge], *, batched: bool,
 
 
 def encode_routed(pairs: Sequence[Tuple[Edge, int]], final_now: int,
-                  final_seq: int, *, batched: bool,
+                  final_seq: int, *,
                   trace: Optional[Tuple[int, int]] = None) -> bytes:
     """A routed sub-batch frame: the closing cursor, then
     ``[n, u, v, t, seq, ...]`` (``n`` may be zero for a pure
     clock-advance frame that only flushes due expirations).  ``trace``
     as in :func:`encode_ingest`."""
-    mode = _MODE_ROUTED_BATCH if batched else _MODE_ROUTED
+    mode = _MODE_ROUTED_BATCH
     head: Tuple[int, ...] = (final_now, final_seq, len(pairs))
     if trace is not None:
         mode |= _FLAG_TRACED
@@ -194,22 +231,20 @@ def decode_request(data: bytes) -> Tuple[str, object,
         mode &= ~_FLAG_TRACED
         trace = (values[0], values[1])
         base = 2
-    if mode in (_MODE_INGEST, _MODE_INGEST_BATCH):
+    if mode == _MODE_INGEST_BATCH:
         n = values[base]
         edges = [Edge(values[i], values[i + 1], values[i + 2])
                  for i in range(base + 1, base + 1 + 3 * n, 3)]
-        verb = (protocol.INGEST_BATCH if mode == _MODE_INGEST_BATCH
-                else protocol.INGEST)
-        return verb, edges, trace
-    if mode in (_MODE_ROUTED, _MODE_ROUTED_BATCH):
+        return protocol.INGEST_BATCH, edges, trace
+    if mode == _MODE_ROUTED_BATCH:
         final_now, final_seq, n = (values[base], values[base + 1],
                                    values[base + 2])
         pairs = [(Edge(values[i], values[i + 1], values[i + 2]),
                   values[i + 3])
                  for i in range(base + 3, base + 3 + 4 * n, 4)]
         return protocol.INGEST_ROUTED, RoutedBatch(
-            pairs=tuple(pairs), final_now=final_now, final_seq=final_seq,
-            batched=mode == _MODE_ROUTED_BATCH), trace
+            pairs=tuple(pairs), final_now=final_now,
+            final_seq=final_seq), trace
     raise ValueError(f"unknown request frame mode {mode}")
 
 
@@ -283,7 +318,8 @@ def decode_reply(data: bytes, names: List[str]) -> Reply:
 
 
 __all__ = [
-    "MAGIC_REPLY", "MAGIC_REQUEST", "decode_reply", "decode_request",
-    "encode_ingest", "encode_migrate_in", "encode_reply",
-    "encode_routed", "is_reply_frame", "is_request_frame",
+    "MAGIC_REPLY", "MAGIC_REQUEST", "UnpackableEdgeError", "decode_reply",
+    "decode_request", "encode_ingest", "encode_migrate_in",
+    "encode_reply", "encode_routed", "is_reply_frame",
+    "is_request_frame", "require_packable",
 ]

@@ -2,8 +2,7 @@
 
 Every worker owns the complete service machinery — engines, per-query
 quarantine, stats, checkpointing — over its *shard* of the registered
-queries.  Under broadcast mode it receives the whole event stream; by
-default the coordinator interest-routes, so the worker sees only the
+queries.  The coordinator interest-routes, so the worker sees only the
 sub-batches some hosted query may care about, each edge tagged with its
 global arrival sequence number plus the batch's closing cursor
 (:meth:`MatchService.ingest_routed` keeps the local window and stream
@@ -41,7 +40,6 @@ from repro.service.stats import QueryStats
 #: span is parented on the request's piggybacked trace context and
 #: ships back inside the reply's metrics tuple).
 _TRACED_VERBS = {
-    protocol.INGEST: "shard_ingest",
     protocol.INGEST_BATCH: "shard_ingest",
     protocol.INGEST_ROUTED: "shard_ingest",
     protocol.ADVANCE: "shard_advance",
@@ -63,8 +61,8 @@ class ShardWorker:
     stay current without new IPC verbs.
     """
 
-    def __init__(self, delta: int, routed: bool = True,
-                 metrics: bool = False, tracing: bool = False):
+    def __init__(self, delta: int, metrics: bool = False,
+                 tracing: bool = False):
         self.metrics = None
         if metrics:
             from repro.obs import MetricsRegistry
@@ -72,8 +70,7 @@ class ShardWorker:
         # A worker tracer only ever holds the spans of the request in
         # flight (they drain onto every reply), so a small buffer does.
         self.tracer = Tracer(max_finished=64) if tracing else None
-        self.service = MatchService(delta, routed=routed,
-                                    metrics=self.metrics)
+        self.service = MatchService(delta, metrics=self.metrics)
         # Quarantines already reported (or initiated by the
         # coordinator): only *new* errors ride back on replies.
         self._reported: set = set()
@@ -91,12 +88,10 @@ class ShardWorker:
         service = self.service
         if verb == protocol.INGEST_ROUTED:
             return service.ingest_routed(
-                payload.pairs, payload.final_now, payload.final_seq,
-                batched=payload.batched)
+                payload.pairs, payload.final_now, payload.final_seq)
         if verb == protocol.INGEST_BATCH:
+            # Unsent by the coordinator; see wire.encode_ingest.
             return service.process_batch(payload)
-        if verb == protocol.INGEST:
-            return service.ingest(payload)
         if verb == protocol.ADVANCE:
             return service.advance_to(payload)
         if verb == protocol.DRAIN:
@@ -257,21 +252,19 @@ class ShardWorker:
         return None
 
 
-def shard_worker_main(conn, delta: int, routed: bool = True,
-                      metrics: bool = False,
+def shard_worker_main(conn, delta: int, metrics: bool = False,
                       tracing: bool = False) -> None:
     """Worker process entry point: strict request/reply loop.
 
     Requests arrive either as pickle streams (control verbs) or as
-    packed binary frames (the ingest hot path, sniffed by magic
-    prefix); binary requests get binary replies whenever the reply is
-    packable, with pickle as the transparent fallback.  With
+    packed binary frames (everything that carries edges, sniffed by
+    magic prefix); binary requests get binary replies whenever the
+    reply is packable, with pickle as the transparent fallback.  With
     ``tracing`` on, ingest-path requests carrying a trace context get
     a shard-side span whose packed form rides back on the reply's
     metrics tuple.
     """
-    worker = ShardWorker(delta, routed=routed, metrics=metrics,
-                         tracing=tracing)
+    worker = ShardWorker(delta, metrics=metrics, tracing=tracing)
     tracer = worker.tracer
     while True:
         try:

@@ -1,11 +1,9 @@
 """Host metadata and process self-metrics.
 
-BENCH_*.json files pin the performance trajectory across PRs, but an
-events/sec number is only comparable when you know what machine
+An edges/s number is only comparable when you know what machine
 produced it.  :func:`host_metadata` captures the stable facts — Python
 version and implementation, platform string, CPU count — as a small
-JSON-ready dict embedded in every benchmark report and metrics
-artifact.
+JSON-ready dict embedded in every ledger result and metrics artifact.
 
 :func:`register_process_collectors` adds the standard process
 self-metrics (resident memory, user/system CPU seconds, open file

@@ -43,6 +43,11 @@ from typing import Callable, Dict, Optional
 
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: How often ``serve_forever`` checks for shutdown.  ``stop()`` blocks
+#: for up to one interval, and the stdlib's 0.5 s default made every
+#: ``--admin-port`` run exit half a second late.
+_POLL_SECONDS = 0.02
+
 _ENDPOINTS = {
     "/metrics": "Prometheus text exposition",
     "/healthz": "liveness (200 ok, 503 degraded)",
@@ -102,7 +107,7 @@ class AdminServer:
         self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-admin",
-            daemon=True)
+            kwargs={"poll_interval": _POLL_SECONDS}, daemon=True)
         self._thread.start()
         return self.port
 

@@ -37,14 +37,14 @@ once per domain, not once per query.  In the common case — every query
 registered with the same stream labels — there is exactly one domain
 and a lookup is a couple of dict probes.
 
-Conservative fallbacks (each reproduces broadcast behaviour exactly):
+Conservative fallbacks (each behaves exactly as dispatching the event
+to every engine would):
 
 * custom-factory queries are *always interested* — a duck-typed engine
   may not interpret the query's labels the way the stock engines do;
 * an event endpoint missing from a domain's label mapping routes to all
   of that domain's queries (the engines raise ``KeyError`` exactly as
-  they would under broadcast fan-out, keeping quarantine behaviour
-  identical);
+  they would without pruning, and are quarantined the same way);
 * a query edge with no edge label matches any data edge, so its pattern
   lives in a wildcard table keyed by the endpoint-label pair alone;
 * a raising ``edge_label_fn`` routes the event to its whole domain, so
@@ -54,8 +54,8 @@ Conservative fallbacks (each reproduces broadcast behaviour exactly):
 One behavioural nuance of pruning: an engine that is never dispatched
 cannot fail, so a query whose engine (or ``edge_label_fn``) raises only
 on certain events is quarantined at its first *interesting* such event
-— a broadcast service may quarantine it earlier, on an event the index
-would have skipped.  The match output is unaffected either way.
+— a service without the index would quarantine it earlier, on an event
+the index skips.  The match output is unaffected either way.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class _Domain:
         src = labels.get(edge.u, _MISSING)
         dst = labels.get(edge.v, _MISSING)
         if src is _MISSING or dst is _MISSING:
-            # Unknown endpoint: broadcast within the domain so engines
+            # Unknown endpoint: offer it to the whole domain so engines
             # fail (KeyError -> quarantine) exactly as without routing.
             return [self.members]
         out: List[Dict[str, None]] = []
@@ -161,8 +161,7 @@ class _Domain:
                     # A raising edge_label_fn must not abort the whole
                     # ingest: route to the domain so each engine hits
                     # the same exception inside the per-query isolation
-                    # boundary, quarantining only itself (broadcast
-                    # behaviour).
+                    # boundary, quarantining only itself.
                     return [self.members]
             if elabel is not None:
                 bucket = self.exact.get((src, dst, elabel))

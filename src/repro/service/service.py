@@ -19,7 +19,16 @@ Semantics, matching Algorithm 1's event list exactly:
   window copy stays consistent;
 * a failing engine (or subscriber) quarantines only its own query: the
   error is recorded on the registry entry and the remaining queries
-  keep matching.
+  keep matching;
+* every event is fanned out only to the engines whose query could
+  possibly match it, as decided by the registry's
+  :class:`~repro.service.interest.QueryInterestIndex`; the rest is
+  counted as skipped without an engine dispatch.  The index only prunes
+  dispatches that were guaranteed to return nothing, and it decides
+  per query from the registration itself: a query registered with a
+  callable engine factory is never indexed (it sees every event), and
+  an edge touching a vertex with no label is offered to every query of
+  its label domain.
 
 Because engines own their within-window graph copy, the service itself
 only tracks the live-edge FIFO and the high-water mark; that pair (plus
@@ -95,6 +104,19 @@ def _run_batch(engine, events: List[Event]) -> List[List[Match]]:
             else engine.on_edge_expire(ev.edge) for ev in events]
 
 
+def validated_prefix(edges: List[Edge], now: Optional[int]
+                     ) -> Tuple[List[Edge], Optional[str]]:
+    """Split a batch at its first out-of-order edge: the accepted prefix
+    and the rejection message (``None`` when the whole batch is in
+    order).  ``now`` is the stream high-water mark before the batch."""
+    for index, edge in enumerate(edges):
+        if now is not None and edge.t < now:
+            return edges[:index], (
+                f"out-of-order arrival: t={edge.t} after now={now}")
+        now = edge.t
+    return edges, None
+
+
 class MatchService:
     """Hosts N continuous queries over one shared windowed edge stream.
 
@@ -108,21 +130,11 @@ class MatchService:
         restore); a fresh one is created by default.
     engine_factories:
         Optional engine-kind registry overriding the benchmark default.
-    routed:
-        When True (the default), events are fanned out only to the
-        engines whose query could possibly match them, as decided by
-        the registry's :class:`~repro.service.interest.
-        QueryInterestIndex`; everything else is counted as skipped
-        without an engine dispatch.  ``routed=False`` restores the
-        broadcast fan-out (every event to every engine).  Matches and
-        notifications are identical either way — the index only prunes
-        dispatches that were guaranteed to return nothing.
     """
 
     def __init__(self, delta: int, *,
                  registry: Optional[QueryRegistry] = None,
                  engine_factories: Optional[Dict[str, EngineFactory]] = None,
-                 routed: bool = True,
                  metrics=None, tracer=None):
         if delta <= 0:
             raise ValueError("window size delta must be positive")
@@ -132,7 +144,6 @@ class MatchService:
         #: hot path nothing beyond per-batch ``is None`` checks.
         self.tracer = tracer
         self.delta = delta
-        self.routed = routed
         self.registry = registry or QueryRegistry(engine_factories)
         self.stats = ServiceStats()
         self._live: Deque[Tuple[Edge, int]] = deque()  # (edge, arrival seq)
@@ -291,7 +302,7 @@ class MatchService:
         root = maybe_span(self.tracer, "service_batch",
                           events=len(edges)).__enter__()
         try:
-            prefix, failure = self._validated_prefix(edges)
+            prefix, failure = validated_prefix(edges, self._now)
             events: List[Tuple[Event, int]] = []
             for edge in prefix:
                 self._collect_expirations(edge.t, events)
@@ -315,16 +326,6 @@ class MatchService:
             raise OutOfOrderError(failure, notifications)
         return notifications
 
-    def _validated_prefix(self, edges: List[Edge]):
-        """Split a batch at the first out-of-order edge (if any)."""
-        now = self._now
-        for index, edge in enumerate(edges):
-            if now is not None and edge.t < now:
-                return edges[:index], (
-                    f"out-of-order arrival: t={edge.t} after now={now}")
-            now = edge.t
-        return edges, None
-
     def _collect_expirations(self, t: int,
                              out: List[Tuple[Event, int]]) -> None:
         """Pop live edges whose window closes at or before ``t`` and
@@ -342,10 +343,10 @@ class MatchService:
         """Run every eligible engine over the batch, then route the
         per-event results in global event order.
 
-        With interest routing, the label triple of every event is
-        resolved once per batch (not once per engine) and each engine
-        only receives the sub-batch it is interested in; the remainder
-        is tallied as skipped without touching the engine.
+        The label triple of every event is resolved once per batch
+        (not once per engine) and each engine only receives the
+        sub-batch it is interested in; the remainder is tallied as
+        skipped without touching the engine.
         ``trace_parent`` (a live span) nests route/dispatch/notify
         stage spans under the caller's batch root.
         """
@@ -353,38 +354,31 @@ class MatchService:
         obs = self._obs
         tracer = self.tracer if trace_parent is not None else None
         entries = [entry for entry in registry.entries() if entry.active]
-        interest_sets = None
-        if self.routed:
-            route_start = time.perf_counter() if obs is not None else 0.0
-            with maybe_span(tracer, "route", parent=trace_parent):
-                lookup = registry.interest.lookup_ids
-                interest_sets = [lookup(ev.edge) for ev, _ in events]
-            if obs is not None:
-                self._h_route.observe(time.perf_counter() - route_start)
+        route_start = time.perf_counter() if obs is not None else 0.0
+        with maybe_span(tracer, "route", parent=trace_parent):
+            lookup = registry.interest.lookup_ids
+            interest_sets = [lookup(ev.edge) for ev, _ in events]
         if obs is not None:
+            self._h_route.observe(time.perf_counter() - route_start)
             self._h_batch_events.observe(len(events))
         per_entry: Dict[str, Dict[int, List[Match]]] = {}
         dispatch = maybe_span(tracer, "dispatch", parent=trace_parent,
                               queries=len(entries)).__enter__()
         for entry in entries:
             joined = entry.joined_seq
-            if interest_sets is None:
-                eligible = [(ev, seq) for ev, seq in events
-                            if seq >= joined]
-            else:
-                query_id = entry.query_id
-                eligible = []
-                skipped = 0
-                for pair, interested in zip(events, interest_sets):
-                    if pair[1] < joined:
-                        continue
-                    if query_id in interested:
-                        eligible.append(pair)
-                    else:
-                        skipped += 1
-                if skipped:
-                    entry.stats.events_skipped += skipped
-                    self.stats.events_skipped += skipped
+            query_id = entry.query_id
+            eligible = []
+            skipped = 0
+            for pair, interested in zip(events, interest_sets):
+                if pair[1] < joined:
+                    continue
+                if query_id in interested:
+                    eligible.append(pair)
+                else:
+                    skipped += 1
+            if skipped:
+                entry.stats.events_skipped += skipped
+                self.stats.events_skipped += skipped
             if not eligible:
                 continue
             self.stats.events_routed += len(eligible)
@@ -464,8 +458,8 @@ class MatchService:
             self._h_notify.observe(time.perf_counter() - notify_start)
 
     def ingest_routed(self, pairs: List[Tuple[Edge, int]],
-                      final_now: int, final_seq: int, *,
-                      batched: bool = True) -> List[MatchNotification]:
+                      final_now: int, final_seq: int
+                      ) -> List[MatchNotification]:
         """Ingest a routed *subset* of a globally ordered stream.
 
         This is the shard-worker entry point of the interest-routed
@@ -480,10 +474,8 @@ class MatchService:
         join at the global stream position.
 
         The caller (the cluster coordinator) has already validated
-        stream order across the full batch; a ``batched=True`` call
-        feeds engines through ``on_batch`` exactly like
-        :meth:`process_batch`, ``batched=False`` keeps the per-event
-        dispatch.
+        stream order across the full batch; engines are fed through
+        ``on_batch`` exactly like :meth:`process_batch`.
         """
         notifications: List[MatchNotification] = []
         start = time.perf_counter()
@@ -493,27 +485,16 @@ class MatchService:
                 raise OutOfOrderError(
                     f"out-of-order routed batch: t={pairs[0][0].t} after "
                     f"now={self._now}", notifications)
-            if batched:
-                events: List[Tuple[Event, int]] = []
-                for edge, seq in pairs:
-                    self._collect_expirations(edge.t, events)
-                    self._now = edge.t
-                    events.append(
-                        (Event(edge, edge.t, EventKind.ARRIVAL), seq))
-                    self._live.append((edge, seq))
-                    self.stats.edges_ingested += 1
-                self._collect_expirations(final_now, events)
-                if events:
-                    self._fanout_batch(events, notifications)
-            else:
-                for edge, seq in pairs:
-                    self._expire_until(edge.t, notifications)
-                    self._now = edge.t
-                    event = Event(edge, edge.t, EventKind.ARRIVAL)
-                    self._fanout(event, seq, notifications)
-                    self._live.append((edge, seq))
-                    self.stats.edges_ingested += 1
-                self._expire_until(final_now, notifications)
+            events: List[Tuple[Event, int]] = []
+            for edge, seq in pairs:
+                self._collect_expirations(edge.t, events)
+                self._now = edge.t
+                events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
+                self._live.append((edge, seq))
+                self.stats.edges_ingested += 1
+            self._collect_expirations(final_now, events)
+            if events:
+                self._fanout_batch(events, notifications)
             if self._now is None or final_now > self._now:
                 self._now = final_now
             self._seq = final_seq
@@ -563,18 +544,14 @@ class MatchService:
 
         This is the subset of the service's live deque the query was
         eligible for: arrivals at or after its join cursor that the
-        interest index routed to it (all of them under broadcast
-        fan-out).  Interest decisions depend only on the query's own
-        registration data, so re-evaluating them here reproduces exactly
-        the arrivals the engine saw.  Call *before* unregistering — the
+        interest index routed to it.  Interest decisions depend only on
+        the query's own registration data, so re-evaluating them here
+        reproduces exactly the arrivals the engine saw.  Call *before* unregistering — the
         lookup needs the query still indexed.
         """
         if not entry.active:
             return ()
         joined = entry.joined_seq
-        if not self.routed:
-            return tuple((edge, seq) for edge, seq in self._live
-                         if seq >= joined)
         query_id = entry.query_id
         lookup = self.registry.interest.lookup_ids
         return tuple((edge, seq) for edge, seq in self._live
@@ -621,15 +598,13 @@ class MatchService:
                 entry.mark_errored(exc)
                 self.stats.errored_queries += 1
         if entry.active:
-            lookup = (self.registry.interest.lookup_ids if self.routed
-                      else None)
+            lookup = self.registry.interest.lookup_ids
             for edge, seq in tail:
                 self._replay_expirations(entry, qwindow, edge.t,
                                          notifications)
                 if not entry.active:
                     break
-                if (lookup is not None
-                        and entry.query_id not in lookup(edge)):
+                if entry.query_id not in lookup(edge):
                     entry.stats.events_skipped += 1
                     self.stats.events_skipped += 1
                     continue
@@ -737,8 +712,7 @@ class MatchService:
         arrival = event.is_arrival
         registry = self.registry
         obs = self._obs
-        interested = (registry.interest.lookup_ids(event.edge)
-                      if self.routed else None)
+        interested = registry.interest.lookup_ids(event.edge)
         service_stats = self.stats
         for entry in registry.entries():
             if (not entry.active or entry.joined_seq > seq
@@ -749,7 +723,7 @@ class MatchService:
                 # unregistered from a callback mid-fan-out (it is still
                 # in the cached snapshot) gets nothing further.
                 continue
-            if interested is not None and entry.query_id not in interested:
+            if entry.query_id not in interested:
                 # Interest-index skip: the engine is not dispatched, so
                 # neither its timer nor the error-isolation bookkeeping
                 # below runs — skipped is a distinct outcome from

@@ -18,8 +18,8 @@ hold that overlap constant, so this module builds one that can:
 An event therefore interests either the shared-group queries or exactly
 one private query, making the expected fan-out per event
 ``(k^2 + (n - k)) / (1 + n - k)`` for ``n`` queries of which ``k``
-share — e.g. ~1.2 of 16 queries at 25% overlap — while a broadcast
-service still dispatches all ``n`` engines per event.
+share — e.g. ~1.2 of 16 queries at 25% overlap — where dispatching
+without the interest index would cost all ``n`` engines per event.
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ subscriber isolation, and placement routing around dead shards.
 """
 
 import json
+from dataclasses import astuple
 
 import pytest
 
-from repro.cluster import ShardedMatchService, WorkerCrashError
+from repro.cluster import (
+    ShardedMatchService, UnpackableEdgeError, WorkerCrashError,
+)
 from repro.cluster import checkpoint as cluster_checkpoint
 from repro.cluster.placement import ShardPlacement
 from repro.datasets import DATASET_SPECS, generate_stream
@@ -108,22 +111,6 @@ class TestEquivalence:
         assert retired.stats.occurred == expected_retired.stats.occurred
         assert retired.stats.expired == expected_retired.stats.expired
 
-    def test_batched_and_per_event_wire_paths_identical(self, workload,
-                                                        single_outcome):
-        """The coordinator defaults to the workers' on_batch fast path
-        (``batched=True``, exercised by every other test here);
-        ``batched=False`` keeps the per-event dispatch.  Both must emit
-        the in-process service's notification stream byte-for-byte."""
-        stream, instances = workload
-        expected_notes, expected_stats, _ = single_outcome
-        for batched in (True, False):
-            with ShardedMatchService(DELTA, workers=2,
-                                     batched=batched) as service:
-                notes, stats, _ = drive_scenario(service, stream,
-                                                 instances)
-            assert notes == expected_notes, f"batched={batched}"
-            assert stats == expected_stats, f"batched={batched}"
-
     def test_service_counters_match_single(self, workload,
                                            single_outcome):
         stream, instances = workload
@@ -160,6 +147,34 @@ class TestEquivalence:
             assert (service.ingest([Edge.make(0, 1, 12)])
                     == single.ingest([Edge.make(0, 1, 12)]))
 
+    def test_non_int64_edge_rejected_before_anything_moves(self):
+        """Edges reach workers only as packed int64 frames, so a batch
+        holding anything else is refused as a whole, up front: nothing
+        counted, scheduled or sent, and the next valid batch behaves as
+        if the bad one had never been offered."""
+        single = MatchService(5)
+        single.register(AB_QUERY, AB_LABELS, query_id="q")
+        good = [Edge.make(0, 1, 1), Edge.make(0, 1, 2)]
+        with ShardedMatchService(5, workers=2) as service:
+            service.register(AB_QUERY, AB_LABELS, query_id="q")
+
+            def state():
+                return (service.seq, service.now, astuple(service.stats),
+                        service.events_unshipped,
+                        list(service.shard_shipped),
+                        list(service.shard_unshipped),
+                        [list(due) for due in service._shard_expiries])
+
+            before = state()
+            for bad in (Edge("a", "b", 2), Edge(0, 1, 2.5),
+                        Edge(0, 1 << 63, 2)):
+                with pytest.raises(UnpackableEdgeError, match="edge 1 "):
+                    service.ingest([good[0], bad])
+                assert state() == before
+            assert service.ingest(good) == single.ingest(good)
+            assert service.drain() == single.drain()
+            assert service.shard_shipped == [2, 0]
+
     def test_advance_to_matches_single(self):
         single = MatchService(3)
         single.register(AB_QUERY, AB_LABELS, query_id="q")
@@ -170,48 +185,9 @@ class TestEquivalence:
             assert service.now == single.now == 10
 
 
-class TestRoutingModes:
-    """Routed (default), broadcast, pickle-wire and interest-placement
-    clusters must all reproduce the single-process output exactly."""
-
-    def test_broadcast_cluster_identical_to_broadcast_single(
-            self, workload):
-        """``routed=False`` restores the PR-2 broadcast contract: its
-        counters match a broadcast (``routed=False``) in-process
-        service, and its notifications match every other mode."""
-        stream, instances = workload
-        single = MatchService(DELTA, routed=False)
-        expected = drive_scenario(single, stream, instances)
-        with ShardedMatchService(DELTA, workers=2,
-                                 routed=False) as service:
-            notes, stats, retired = drive_scenario(service, stream,
-                                                   instances)
-            assert service.events_unshipped == 0
-            assert (service.stats.events_routed
-                    == single.stats.events_routed)
-            assert service.stats.events_skipped == 0
-        assert (notes, stats) == (expected[0], expected[1])
-
-    def test_routed_notifications_equal_broadcast_notifications(
-            self, workload, single_outcome):
-        """Interest routing only prunes dispatches that return nothing,
-        so the notification stream is mode-independent."""
-        stream, instances = workload
-        with ShardedMatchService(DELTA, workers=2,
-                                 routed=False) as service:
-            notes, _, _ = drive_scenario(service, stream, instances)
-        assert notes == single_outcome[0]
-
-    def test_pickle_wire_identical(self, workload, single_outcome):
-        """``binary=False`` keeps the whole exchange pickled; output
-        and counters must not change."""
-        stream, instances = workload
-        expected_notes, expected_stats, _ = single_outcome
-        with ShardedMatchService(DELTA, workers=2,
-                                 binary=False) as service:
-            notes, stats, _ = drive_scenario(service, stream, instances)
-        assert notes == expected_notes
-        assert stats == expected_stats
+class TestRouting:
+    """Shard routing under each placement policy, disjoint interests
+    and label-function failures reproduces the single-process output."""
 
     def test_interest_placement_identical(self, workload,
                                           single_outcome):

@@ -52,7 +52,7 @@ class TestIndex:
 
     def test_unknown_vertex_is_conservative(self):
         """Endpoints without labels route to the whole domain, so the
-        engines fail exactly as they would under broadcast."""
+        engines fail exactly as they would without pruning."""
         index = QueryInterestIndex()
         index.add("ab", AB_QUERY, LABELS)
         index.add("cd", CD_QUERY, LABELS)
@@ -137,33 +137,6 @@ class TestRoutedService:
         assert service.stats.events_routed == 10
         assert service.stats.events_skipped == 10
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_routed_output_identical_to_broadcast(self, batched):
-        edges = sorted(ab_edges(20) + cd_edges(20), key=lambda e: e.t)
-        outcomes = []
-        for routed in (True, False):
-            service = MatchService(7, routed=routed)
-            service.register(AB_QUERY, LABELS, query_id="ab")
-            service.register(CD_QUERY, LABELS, query_id="cd")
-            notes = []
-            for lo in range(0, len(edges), 6):
-                chunk = edges[lo:lo + 6]
-                notes += (service.process_batch(chunk) if batched
-                          else service.ingest(chunk))
-            notes += service.drain()
-            outcomes.append((notes,
-                             service.query_stats("ab").occurred,
-                             service.query_stats("cd").occurred))
-        assert outcomes[0] == outcomes[1]
-
-    def test_broadcast_mode_never_skips(self):
-        service = MatchService(50, routed=False)
-        cd = service.register(CD_QUERY, LABELS)
-        service.ingest(ab_edges(3))
-        assert service.query_stats(cd).events_skipped == 0
-        assert service.query_stats(cd).events_processed == 3
-        assert service.stats.events_skipped == 0
-
     def test_errored_query_neither_routed_nor_skipped(self):
         def boom(notification):
             raise ValueError("subscriber crashed")
@@ -180,7 +153,7 @@ class TestRoutedService:
 
     def test_raising_edge_label_fn_quarantines_only_its_query(self):
         """A throwing edge_label_fn must fail inside the per-query
-        isolation boundary (broadcast contract), never abort the whole
+        isolation boundary, never abort the whole
         ingest from inside the interest lookup."""
         labeled = TemporalQuery(labels=["A", "B"], edges=[(0, 1)],
                                 edge_labels=["x"])
@@ -234,8 +207,7 @@ class TestIngestRouted:
         assert routed.seq == plain.seq
         assert routed.now == plain.now
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_subset_stream_matches_full(self, batched):
+    def test_subset_stream_matches_full(self):
         """Feeding only the interesting subset (with global seqs and
         the batch cursor) produces the same notifications as the full
         stream — the skipped edges never matched anything."""
@@ -252,7 +224,7 @@ class TestIngestRouted:
             pairs = [(edge, lo + i) for i, edge in enumerate(chunk)
                      if edge.u == 0]          # A-B edges only
             notes += service.ingest_routed(
-                pairs, chunk[-1].t, lo + len(chunk), batched=batched)
+                pairs, chunk[-1].t, lo + len(chunk))
         notes += service.drain()
         assert notes == expected
         assert service.seq == plain.seq

@@ -465,6 +465,22 @@ class TestIntegration:
         assert series["value"] > 1e6
         assert series["labels"] == {"engine": engine.name}
 
+    @pytest.mark.parametrize("batch_size", [None, 8])
+    def test_driver_run_counters(self, batch_size):
+        from repro.bench.runner import make_engine
+        from repro.streaming.driver import StreamDriver
+
+        reg = MetricsRegistry(process_metrics=False)
+        engine = make_engine("tcm", AB_QUERY, AB_LABELS)
+        driver = StreamDriver(engine, batch_size=batch_size, metrics=reg)
+        result = driver.run_edges(ab_edges(20), delta=10)
+        snap = reg.snapshot()
+        assert validate_snapshot(snap) == []
+        (events,) = snap["driver_events_total"]["series"]
+        assert events["value"] == result.events_processed == 40
+        (runs,) = snap["driver_run_seconds"]["series"]
+        assert runs["count"] == 1
+
     def test_host_metadata_fields(self):
         meta = host_metadata()
         for key in ("python_version", "platform", "machine", "cpu_count"):
@@ -500,33 +516,6 @@ class TestCliMetrics:
         status = main(["multi", "--scaling", "2", "4", "--metrics"])
         assert status == 2
         assert "--metrics" in capsys.readouterr().err
-
-    def test_bench_metrics_writes_valid_artifacts(self, tmp_path, capsys):
-        from repro.cli import main
-        status = main(["bench", "--mode", "single", "--datasets",
-                       "superuser", "--stream-edges", "120", "--queries",
-                       "1", "--sizes", "3", "--engines", "tcm",
-                       "--repeats", "1", "--output-dir", str(tmp_path),
-                       "--metrics"])
-        assert status == 0
-        assert "metrics.json" in capsys.readouterr().out
-        assert validate_metrics_file(
-            str(tmp_path / "metrics.json"),
-            require=["driver_run_seconds", "driver_events_total"]) == []
-        with open(tmp_path / "metrics.json") as handle:
-            snapshot = json.load(handle)["metrics"]
-        assert validate_promtext_file(
-            str(tmp_path / "metrics.prom"), snapshot) == []
-
-    def test_bench_reports_carry_host_metadata(self):
-        from repro.bench import ThroughputConfig, measure_single
-        config = ThroughputConfig(datasets=("superuser",),
-                                  stream_edges=120, query_sizes=(3,),
-                                  queries=1, engines=("tcm",),
-                                  repeats=1)
-        report = measure_single(config)
-        assert report["host"]["python_version"]
-        assert "cpu_count" in report["host"]
 
 
 # ----------------------------------------------------------------------

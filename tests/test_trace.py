@@ -249,9 +249,8 @@ def run_service_scenario(tracer):
     return [(n.query_id, n.event, n.match, n.seq) for n in notes]
 
 
-def run_cluster_scenario(tracer, **kwargs):
-    with ShardedMatchService(10, workers=2, tracer=tracer,
-                             **kwargs) as service:
+def run_cluster_scenario(tracer):
+    with ShardedMatchService(10, workers=2, tracer=tracer) as service:
         service.register(AB_QUERY, AB_LABELS, "tcm", query_id="q0")
         service.register(AB_QUERY, AB_LABELS, "symbi", query_id="q1")
         notes = []
@@ -311,21 +310,6 @@ class TestPipelineTracing:
         drain_spans = by_name["shard_drain"]
         assert {s.parent_id for s in drain_spans} <= \
             {r.span_id for r in by_name["cluster_drain"]}
-
-    def test_cluster_tracing_works_in_broadcast_mode(self):
-        tracer = Tracer()
-        run_cluster_scenario(tracer, routed=False)
-        by_name = spans_by_name(tracer)
-        assert len(by_name["cluster_ingest"]) == 3
-        assert by_name["shard_ingest"]
-
-    def test_cluster_tracing_works_without_binary_frames(self):
-        tracer = Tracer()
-        run_cluster_scenario(tracer, binary=False)
-        by_name = spans_by_name(tracer)
-        shard_spans = by_name["shard_ingest"]
-        assert {s.trace_id for s in shard_spans} <= \
-            {r.trace_id for r in by_name["cluster_ingest"]}
 
     def test_chrome_export_of_clustered_run(self):
         tracer = Tracer()

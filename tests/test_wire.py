@@ -29,32 +29,28 @@ def sample_note(query_id="q0", seq=7, arrival=True):
 
 
 class TestRequestFrames:
-    @pytest.mark.parametrize("batched,verb", [
-        (False, protocol.INGEST), (True, protocol.INGEST_BATCH)])
-    def test_ingest_round_trip(self, batched, verb):
+    def test_ingest_round_trip(self):
         edges = sample_edges()
-        frame = wire.encode_ingest(edges, batched=batched)
+        frame = wire.encode_ingest(edges)
         assert wire.is_request_frame(frame)
-        decoded_verb, payload, ctx = wire.decode_request(frame)
-        assert decoded_verb == verb
+        verb, payload, ctx = wire.decode_request(frame)
+        assert verb == protocol.INGEST_BATCH
         assert payload == edges
         assert ctx is None
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_routed_round_trip(self, batched):
+    def test_routed_round_trip(self):
         pairs = [(edge, 100 + i) for i, edge in enumerate(sample_edges())]
-        frame = wire.encode_routed(pairs, 55, 105, batched=batched)
+        frame = wire.encode_routed(pairs, 55, 105)
         verb, payload, ctx = wire.decode_request(frame)
         assert verb == protocol.INGEST_ROUTED
         assert isinstance(payload, RoutedBatch)
         assert list(payload.pairs) == pairs
         assert payload.final_now == 55
         assert payload.final_seq == 105
-        assert payload.batched is batched
         assert ctx is None
 
     def test_empty_routed_frame_is_clock_advance(self):
-        frame = wire.encode_routed([], 99, 42, batched=True)
+        frame = wire.encode_routed([], 99, 42)
         verb, payload, ctx = wire.decode_request(frame)
         assert verb == protocol.INGEST_ROUTED
         assert payload.pairs == ()
@@ -62,9 +58,29 @@ class TestRequestFrames:
         assert ctx is None
 
     def test_pickle_streams_are_not_frames(self):
-        data = pickle.dumps((protocol.INGEST, sample_edges()))
+        data = pickle.dumps((protocol.ADVANCE, 7))
         assert not wire.is_request_frame(data)
         assert not wire.is_reply_frame(data)
+
+    @pytest.mark.parametrize("mode", [0, 2, 0x80, 0x82, 5])
+    def test_retired_and_unknown_modes_are_rejected(self, mode):
+        """Modes 0 and 2 were the per-event ingest frames.  A stale
+        frame must fail to decode exactly like any unknown mode, traced
+        or not — never be taken for the batch form it sat next to."""
+        from array import array
+        body = array("q", [1, 2, 3, 8, 1, 1, 2, 3, 7]).tobytes()
+        frame = wire.MAGIC_REQUEST + bytes((mode,)) + body
+        with pytest.raises(ValueError, match="unknown request frame mode"):
+            wire.decode_request(frame)
+
+    def test_require_packable(self):
+        wire.require_packable(sample_edges())
+        wire.require_packable([])
+        for bad in (Edge("a", 2, 3), Edge(1, 2.0, 3), Edge(1, 2, 1 << 63),
+                    Edge(1, None, 3)):
+            with pytest.raises(wire.UnpackableEdgeError, match="edge 2 "):
+                wire.require_packable([*sample_edges(2), bad])
+        assert issubclass(wire.UnpackableEdgeError, TypeError)
 
 
 class TestTracedRequestFrames:
@@ -72,7 +88,7 @@ class TestTracedRequestFrames:
 
     def test_traced_ingest_round_trip(self):
         edges = sample_edges()
-        frame = wire.encode_ingest(edges, batched=True, trace=self.CTX)
+        frame = wire.encode_ingest(edges, trace=self.CTX)
         assert wire.is_request_frame(frame)
         verb, payload, ctx = wire.decode_request(frame)
         assert verb == protocol.INGEST_BATCH
@@ -84,8 +100,7 @@ class TestTracedRequestFrames:
         if pairs is None:
             pairs = [(edge, 100 + i)
                      for i, edge in enumerate(sample_edges())]
-        frame = wire.encode_routed(pairs, 55, 105, batched=True,
-                                   trace=self.CTX)
+        frame = wire.encode_routed(pairs, 55, 105, trace=self.CTX)
         verb, payload, ctx = wire.decode_request(frame)
         assert verb == protocol.INGEST_ROUTED
         assert list(payload.pairs) == pairs
@@ -95,30 +110,40 @@ class TestTracedRequestFrames:
         """``trace=None`` must leave the wire format untouched — the
         tracing-off frames are pinned to the pre-tracing layout."""
         edges = sample_edges()
-        assert (wire.encode_ingest(edges, batched=True)
-                == wire.encode_ingest(edges, batched=True, trace=None))
+        assert (wire.encode_ingest(edges)
+                == wire.encode_ingest(edges, trace=None))
         pairs = [(edge, 100 + i) for i, edge in enumerate(edges)]
-        assert (wire.encode_routed(pairs, 55, 105, batched=False)
-                == wire.encode_routed(pairs, 55, 105, batched=False,
-                                      trace=None))
+        assert (wire.encode_routed(pairs, 55, 105)
+                == wire.encode_routed(pairs, 55, 105, trace=None))
 
     def test_untraced_layout_is_pinned(self):
         """Golden frames: the untraced wire layout must never change
         (a coordinator and worker from different builds share a pipe
         only while these bytes stay stable)."""
         from array import array
-        frame = wire.encode_ingest([Edge.make(1, 2, 3)], batched=True)
+        frame = wire.encode_ingest([Edge.make(1, 2, 3)])
         assert frame == (wire.MAGIC_REQUEST + b"\x01"
                          + array("q", [1, 1, 2, 3]).tobytes())
-        frame = wire.encode_routed([(Edge.make(1, 2, 3), 7)], 3, 8,
-                                   batched=True)
+        frame = wire.encode_routed([(Edge.make(1, 2, 3), 7)], 3, 8)
         assert frame == (wire.MAGIC_REQUEST + b"\x03"
                          + array("q", [3, 8, 1, 1, 2, 3, 7]).tobytes())
 
+    def test_traced_layout_is_pinned(self):
+        """Golden traced frames: the flag bit on the mode byte, then
+        the context ahead of the untraced values."""
+        from array import array
+        frame = wire.encode_ingest([Edge.make(1, 2, 3)], trace=self.CTX)
+        assert frame == (wire.MAGIC_REQUEST + b"\x81"
+                         + array("q", [*self.CTX, 1, 1, 2, 3]).tobytes())
+        frame = wire.encode_routed([(Edge.make(1, 2, 3), 7)], 3, 8,
+                                   trace=self.CTX)
+        assert frame == (wire.MAGIC_REQUEST + b"\x83" + array(
+            "q", [*self.CTX, 3, 8, 1, 1, 2, 3, 7]).tobytes())
+
     def test_traced_frame_differs_only_by_flag_and_prefix(self):
         edges = sample_edges()
-        plain = wire.encode_ingest(edges, batched=True)
-        traced = wire.encode_ingest(edges, batched=True, trace=self.CTX)
+        plain = wire.encode_ingest(edges)
+        traced = wire.encode_ingest(edges, trace=self.CTX)
         assert len(traced) == len(plain) + 16  # two extra int64 slots
         assert plain != traced
 
