@@ -1,18 +1,20 @@
-"""Time-constrained backtracking (Section V, Algorithm 4).
+"""Time-constrained backtracking (Section V, Algorithm 4), compiled.
 
 ``FindMatches`` enumerates every time-constrained embedding containing a
 given event edge.  Unlike non-temporal continuous matching, the mapping of
 *edges* matters because parallel data edges differ only in timestamp, so
-the search interleaves two extension steps:
+the search interleaves two kinds of node:
 
-* whenever an unmapped query edge has both endpoints mapped, the edge is
-  mapped next, choosing among the candidate set ``ECM(e)`` (Def. V.2);
-* otherwise an extendable query vertex is mapped, choosing the vertex
-  with the fewest candidates as in SymBi [23].
+* an **edge node**: some unmapped query edge has both endpoints mapped;
+  the lowest-index such edge ``e`` is mapped next, choosing among the
+  candidate set ``ECM(e)`` (Definition V.2);
+* a **vertex node**: otherwise the extendable query vertex with the
+  fewest candidates is mapped, as in SymBi [23].
 
-Three time-constrained pruning rules cut parallel-edge candidates
-(Section V), driven by the split of the temporally related edges of ``e``
-into the already-mapped ``R+`` and the not-yet-mapped ``R-``:
+Three time-constrained pruning rules cut the parallel candidates of an
+edge node (Section V), driven by the split of the temporally related
+edges of ``e`` into the already-mapped ``R+`` and the not-yet-mapped
+``R-``:
 
 1. ``R- = {}``: all parallel candidates lead to isomorphic subtrees, so
    only one is explored and the embeddings found are cloned onto the
@@ -28,24 +30,77 @@ into the already-mapped ``R+`` and the not-yet-mapped ``R-``:
 Vertex-extension failures are timestamp-independent (candidate vertex
 sets never read timestamps), so they contribute an empty failing set —
 the strongest possible signal for rule 3.
+
+The plan
+--------
+Which node follows a partial embedding, and everything the node needs
+apart from the data, depends only on *which* query vertices and edges
+are mapped — on the query, not on the stream.  The search state is
+therefore one int, ``mapped-vertex mask << num_edges | mapped-edge
+mask``, next to the two image lists, and per state there is one plan
+tuple, compiled on first visit from the per-edge rows built at
+construction and kept for the engine's life (the reachable states are
+the connected vertex sets grown from an edge, each with the few edge
+masks the "edges first" rule allows):
+
+* edge node — the edge, its endpoints, its DCS candidate table, the
+  mapped predecessors and successors (whose timestamps bound ``ECM``),
+  ``R+`` as a mask, which of the rules applies, and the child state;
+* vertex node — per extendable vertex its D2 table, its child state and
+  its *anchors*: ``(mapped neighbour, candidate table of the joining
+  edge, is the vertex that edge's canonical endpoint?)``.
+
+Temporal failing sets are edge masks (``|`` for union, ``&`` for
+"contains ``e``"), and ``ECM`` is a ``bisect`` slice of the DCS's sorted
+row between the bounds instead of a filtered scan.
+
+Why there is no used-edge set
+-----------------------------
+An embedding must be injective on edges, yet the search only keeps the
+*vertex* map injective.  That is enough: a query is simple, so two
+distinct query edges differ in their endpoint pair — as unordered pairs
+when the query is undirected, as ordered pairs when it is directed,
+where ``u -> v`` and ``v -> u`` may both be present.  An injective vertex
+map sends different (un)ordered pairs to different (un)ordered pairs,
+and a data :class:`Edge` carries its endpoints — normalised when
+undirected, source first when directed — so the two images differ before
+their timestamps are even compared.
 """
 
 from __future__ import annotations
 
-from typing import (
-    FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.dcs import DCS
 from repro.graph.temporal_graph import Edge, TemporalGraph
-from repro.query.matching import make_image, orientations_of
-from repro.query.temporal_query import QueryEdge, TemporalQuery
+from repro.query.matching import orientations_of
+from repro.query.temporal_query import TemporalQuery
 from repro.streaming.engine import EngineStats
 from repro.streaming.match import Match
 
-INF = float("inf")
+#: How an edge node treats its parallel candidates: try them all (the
+#: ``TCM-Pruning`` ablation), rule 1, rule 2 in either direction, rule 3.
+_SCAN, _CLONE, _FORWARD, _REVERSE, _FAILING = range(5)
 
-_EMPTY: FrozenSet[int] = frozenset()
+#: ``Match`` and ``Edge`` are tuples: building one through the type's own
+#: ``tuple.__new__`` skips the Python-level ``__new__`` a ``NamedTuple``
+#: generates, which the search would otherwise call per node.
+_new = tuple.__new__
+
+#: ``(count, failing set)`` of a node that completed the embedding.
+_ONE = (1, 0)
+
+
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class Backtracker:
@@ -59,12 +114,27 @@ class Backtracker:
         self.stats = stats
         self.use_pruning = use_pruning
         n, m = query.num_vertices, query.num_edges
-        self._vmap: List[Optional[int]] = [None] * n
-        self._emap: List[Optional[Edge]] = [None] * m
-        self._used_v: Set[int] = set()
-        self._used_e: Set[Edge] = set()
+        self._m = m
+        self._undirected = not query.directed
+        order = query.order
+        # Per query edge: endpoints, predecessor / successor masks in
+        # the closed partial order, and the DCS candidate table.
+        self._edges = tuple(
+            (qe.u, qe.v, _mask(order.predecessors(qe.index)),
+             _mask(order.successors(qe.index)),
+             dcs.candidate_table(qe.index))
+            for qe in query.edges)
+        self._seeds = tuple((1 << qe.u | 1 << qe.v) << m | 1 << qe.index
+                            for qe in query.edges)
+        self._neighbour_masks = tuple(_mask(query.neighbors(u))
+                                      for u in range(n))
+        self._complete = (1 << n + m) - 1
+        self._plans: Dict[int, tuple] = {}
+        self._vmap: List[Optional[int]] = []
+        self._emap: List[Optional[Edge]] = []
+        self._used: set = set()
         self._out: List[Match] = []
-        self._cm_cache: List[int] = []
+        self._nodes = self._pruned = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -84,10 +154,16 @@ class Backtracker:
         path deliberately lets go stale between flushes, so a canonical
         output order is what makes the two paths byte-identical.
         """
-        self._out = []
+        query = self.query
+        # Fresh state per call, not whatever the last call's unwinding
+        # left: a call that raised part-way must not poison the next.
+        self._vmap = vmap = [None] * query.num_vertices
+        self._emap = emap = [None] * query.num_edges
+        self._used = used = set()
+        self._out = out = []
+        self._nodes = self._pruned = 0
         t = event_edge.t
         dcs = self.dcs
-        query = self.query
         if pairs is None:
             orients = orientations_of(query, event_edge)
             pairs = [(qe.index, va, vb)
@@ -97,235 +173,182 @@ class Backtracker:
                 continue
             if not dcs.has_edge(e, va, vb, t):
                 continue
-            qe = query.edges[e]
-            if not (dcs.d2(qe.u, va) and dcs.d2(qe.v, vb)):
+            u, v = self._edges[e][:2]
+            if not (dcs.d2(u, va) and dcs.d2(v, vb)):
                 continue
-            self._vmap[qe.u], self._vmap[qe.v] = va, vb
-            self._used_v.update((va, vb))
-            self._emap[e] = event_edge
-            self._used_e.add(event_edge)
-            self._explore()
-            self._used_e.discard(event_edge)
-            self._emap[e] = None
-            self._used_v.difference_update((va, vb))
-            self._vmap[qe.u] = self._vmap[qe.v] = None
-        self.stats.matches_emitted += len(self._out)
-        self._out.sort()
-        return self._out
+            vmap[u], vmap[v] = va, vb
+            used.add(va)
+            used.add(vb)
+            emap[e] = event_edge
+            self._explore(self._seeds[e])
+            used.clear()
+        stats = self.stats
+        stats.backtrack_nodes += self._nodes
+        stats.candidates_pruned += self._pruned
+        stats.matches_emitted += len(out)
+        out.sort()
+        return out
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _explore(self) -> Tuple[int, FrozenSet[int]]:
-        """Explore all completions of the current partial embedding.
+    def _explore(self, state: int) -> Tuple[int, int]:
+        """Explore all completions of the partial embedding ``state``.
 
-        Returns ``(count, failing_set)``; the failing set is meaningful
+        Returns ``(count, failing set)``; the failing set is meaningful
         only when ``count`` is zero and covers the temporal dependencies
         of every failure in the subtree (edges mapped strictly below the
         current node contribute their ``R+`` sets, Definition V.3).
         """
-        self.stats.backtrack_nodes += 1
-        pending = self._next_pending_edge()
-        if pending is not None:
-            return self._extend_edge(pending)
-        u = self._pick_vertex()
-        if u is None:
-            self._report()
-            return 1, _EMPTY
-        return self._extend_vertex(u)
+        self._nodes += 1
+        if state == self._complete:
+            self._out.append(_new(Match, (tuple(self._vmap),
+                                          tuple(self._emap))))
+            return _ONE
+        plan = self._plans.get(state) or self._compile(state)
+        if plan[0] is None:
+            return self._extend_vertex(plan[1])
+        return self._extend_edge(*plan)
 
-    def _next_pending_edge(self) -> Optional[QueryEdge]:
-        """The lowest-index unmapped query edge with both endpoints
-        mapped, or None."""
-        for qe in self.query.edges:
-            if (self._emap[qe.index] is None
-                    and self._vmap[qe.u] is not None
-                    and self._vmap[qe.v] is not None):
-                return qe
-        return None
+    def _compile(self, state: int) -> tuple:
+        """The plan of ``state`` (see the module docstring)."""
+        m = self._m
+        vmask, emask = state >> m, state & (1 << m) - 1
+        for e, (u, v, before, after, table) in enumerate(self._edges):
+            if emask >> e & 1 or not vmask >> u & vmask >> v & 1:
+                continue
+            unmapped = (before | after) & ~emask
+            if not self.use_pruning:
+                rule = _SCAN
+            elif not unmapped:
+                rule = _CLONE
+            elif not unmapped & ~after:
+                rule = _FORWARD
+            elif not unmapped & ~before:
+                rule = _REVERSE
+            else:
+                rule = _FAILING
+            plan = (e, u, v, table.get, _bits(before & emask),
+                    _bits(after & emask), (before | after) & emask, rule,
+                    state | 1 << e)
+            break
+        else:
+            d2_table = self.dcs.d2_table
+            plan = (None, tuple(
+                (u, d2_table(u).get, state | 1 << m + u,
+                 tuple((w, self._edges[e][4].get, u_first)
+                       for e, w, u_first in self.query.incident_meta(u)
+                       if vmask >> w & 1))
+                for u, adjacent in enumerate(self._neighbour_masks)
+                if not vmask >> u & 1 and adjacent & vmask))
+        self._plans[state] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Edge extension (Section V pruning rules)
     # ------------------------------------------------------------------
-    def _extend_edge(self, qe: QueryEdge) -> Tuple[int, FrozenSet[int]]:
-        e = qe.index
-        related = self.query.related_to(e)
-        r_plus = frozenset(f for f in related if self._emap[f] is not None)
-        cands = self._ecm(qe, r_plus)
+    def _extend_edge(self, e: int, u: int, v: int, row_of,
+                     mapped_before: Tuple[int, ...],
+                     mapped_after: Tuple[int, ...], r_plus: int,
+                     rule: int, child: int) -> Tuple[int, int]:
+        emap = self._emap
+        a, b = self._vmap[u], self._vmap[v]
+        cands = row_of((a, b))
+        if cands and r_plus:
+            # ECM: strictly between the latest mapped predecessor and
+            # the earliest mapped successor.
+            lo, hi = 0, len(cands)
+            for f in mapped_before:
+                lo = bisect_right(cands, emap[f][2], lo, hi)
+            for f in mapped_after:
+                hi = bisect_left(cands, emap[f][2], lo, hi)
+            cands = cands[lo:hi]
         if not cands:
             return 0, r_plus
-        if not self.use_pruning:
-            return self._scan_all(qe, cands, r_plus, prune=False)
-
-        r_minus = [f for f in related if self._emap[f] is None]
-        if not r_minus:
-            return self._rule1_clone(qe, cands, r_plus)
-        if all(self.query.precedes(e, f) for f in r_minus):
-            return self._rule2_monotone(qe, cands, r_plus)
-        if all(self.query.precedes(f, e) for f in r_minus):
-            return self._rule2_monotone(qe, list(reversed(cands)), r_plus)
-        return self._scan_all(qe, cands, r_plus, prune=True)
-
-    def _ecm(self, qe: QueryEdge, r_plus: FrozenSet[int]) -> List[int]:
-        """Candidate timestamps for ``qe`` between its mapped endpoints,
-        filtered by the temporal order against mapped related edges
-        (Definition V.2), ascending."""
-        e = qe.index
-        a, b = self._vmap[qe.u], self._vmap[qe.v]
-        lo, hi = -INF, INF
-        for f in r_plus:
-            t_f = self._emap[f].t
-            if self.query.precedes(f, e):
-                if t_f > lo:
-                    lo = t_f
-            elif t_f < hi:
-                hi = t_f
-        na, nb = (b, a) if not self.query.directed and a > b else (a, b)
-        used = self._used_e
-        out = []
-        for t in self.dcs.timestamps(e, a, b):
-            if t <= lo:
-                continue
-            if t >= hi:
-                break
-            if Edge(na, nb, t) not in used:
-                out.append(t)
-        return out
-
-    def _with_edge(self, qe: QueryEdge, t: int) -> Tuple[int, FrozenSet[int]]:
-        """Map ``qe`` to the candidate timestamp ``t`` and recurse."""
-        image = make_image(self.query, self._vmap[qe.u], self._vmap[qe.v], t)
-        self._emap[qe.index] = image
-        self._used_e.add(image)
-        result = self._explore()
-        self._used_e.discard(image)
-        self._emap[qe.index] = None
-        return result
-
-    def _rule1_clone(self, qe: QueryEdge, cands: List[int],
-                     r_plus: FrozenSet[int]) -> Tuple[int, FrozenSet[int]]:
-        """Rule 1: no unmapped related edges — explore one candidate and
-        clone its embeddings onto the other parallel candidates."""
-        start = len(self._out)
-        count, tf = self._with_edge(qe, cands[0])
-        if count == 0:
-            self.stats.candidates_pruned += len(cands) - 1
-            return 0, tf | r_plus
-        found = self._out[start:]
-        a, b = self._vmap[qe.u], self._vmap[qe.v]
-        for t in cands[1:]:
-            replacement = make_image(self.query, a, b, t)
-            for match in found:
-                edge_map = list(match.edge_map)
-                edge_map[qe.index] = replacement
-                self._out.append(Match(match.vertex_map, tuple(edge_map)))
-        return len(cands) * count, _EMPTY
-
-    def _rule2_monotone(self, qe: QueryEdge, ordered: Sequence[int],
-                        r_plus: FrozenSet[int]) -> Tuple[int, FrozenSet[int]]:
-        """Rule 2: uniformly-directed ``R-`` — stop at the first failure."""
-        total = 0
-        for i, t in enumerate(ordered):
-            count, tf = self._with_edge(qe, t)
+        if a > b and self._undirected:
+            a, b = b, a     # Edge.make's endpoint order
+        explore = self._explore
+        if rule == _CLONE:
+            # Rule 1: explore one candidate, clone what it found onto
+            # the other parallel candidates.
+            out = self._out
+            start = len(out)
+            emap[e] = _new(Edge, (a, b, cands[0]))
+            count, below = explore(child)
             if count == 0:
-                self.stats.candidates_pruned += len(ordered) - i - 1
-                if total == 0:
-                    return 0, tf | r_plus
-                return total, _EMPTY
-            total += count
-        return total, _EMPTY
-
-    def _scan_all(self, qe: QueryEdge, cands: Sequence[int],
-                  r_plus: FrozenSet[int], prune: bool
-                  ) -> Tuple[int, FrozenSet[int]]:
-        """Full candidate scan, with rule-3 failing-set pruning if asked."""
-        e = qe.index
+                self._pruned += len(cands) - 1
+                return 0, below | r_plus
+            if len(cands) > 1:
+                images = [_new(Edge, (a, b, t)) for t in cands[1:]]
+                append = out.append
+                for vertex_map, edge_map in out[start:]:
+                    edge_map = list(edge_map)
+                    for image in images:
+                        edge_map[e] = image
+                        append(_new(Match, (vertex_map, tuple(edge_map))))
+            return len(cands) * count, 0
+        if rule == _REVERSE:
+            cands = cands[::-1]
+        monotone = rule == _FORWARD or rule == _REVERSE
         total = 0
-        union_tf: Set[int] = set()
+        failing = r_plus
         for i, t in enumerate(cands):
-            count, tf = self._with_edge(qe, t)
+            emap[e] = _new(Edge, (a, b, t))
+            count, below = explore(child)
             if count:
                 total += count
                 continue
-            tf_full = tf | r_plus
-            if prune and e not in tf_full:
-                self.stats.candidates_pruned += len(cands) - i - 1
-                if total == 0:
-                    return 0, tf_full
-                return total, _EMPTY
-            union_tf |= tf_full
-        if total == 0:
-            return 0, frozenset(union_tf)
-        return total, _EMPTY
+            below |= r_plus
+            if monotone or rule == _FAILING and not below >> e & 1:
+                self._pruned += len(cands) - i - 1
+                return (total, 0) if total else (0, below)
+            failing |= below
+        return (total, 0) if total else (0, failing)
 
     # ------------------------------------------------------------------
     # Vertex extension
     # ------------------------------------------------------------------
-    def _pick_vertex(self) -> Optional[int]:
-        """The extendable vertex with the fewest candidates (SymBi's
-        adaptive matching order), or None when all vertices are mapped."""
-        vmap = self._vmap
-        best_u, best_cm = None, None
-        for u in range(self.query.num_vertices):
-            if vmap[u] is not None:
-                continue
-            if all(vmap[w] is None for w in self.query.neighbors(u)):
-                continue
-            cm = self._cm(u)
-            if best_cm is None or len(cm) < len(best_cm):
-                best_u, best_cm = u, cm
+    def _extend_vertex(self, extendable: tuple) -> Tuple[int, int]:
+        """Map the extendable vertex with the fewest candidates (SymBi's
+        adaptive matching order) to each of them in turn."""
+        vmap, used = self._vmap, self._used
+        neighbors = self.graph.neighbors
+        best = None
+        for u, d2, child, anchors in extendable:
+            w, row_of, u_first = anchors[0]
+            w = vmap[w]
+            if len(anchors) == 1:
+                if u_first:
+                    cm = [x for x in neighbors(w)
+                          if x not in used and d2(x) and row_of((x, w))]
+                else:
+                    cm = [x for x in neighbors(w)
+                          if x not in used and d2(x) and row_of((w, x))]
+            else:
+                images = [(vmap[y], row_of, u_first)
+                          for y, row_of, u_first in anchors]
+                cm = []
+                for x in neighbors(w):
+                    if x in used or not d2(x):
+                        continue
+                    for y, row_of, u_first in images:
+                        if not row_of((x, y) if u_first else (y, x)):
+                            break
+                    else:
+                        cm.append(x)
+            if best is None or len(cm) < len(best):
+                best, best_u, best_child = cm, u, child
                 if not cm:
                     break
-        if best_u is None:
-            return None
-        self._cm_cache = best_cm
-        return best_u
-
-    def _cm(self, u: int) -> List[int]:
-        """Candidate data vertices for ``u`` (label/DCS/adjacency filter)."""
-        vmap = self._vmap
-        anchors = [(e, vmap[other], u_is_u)
-                   for e, other, u_is_u in self.query.incident_meta(u)
-                   if vmap[other] is not None]
-        pool = self.graph.neighbors(anchors[0][1])
-        d2_table = self.dcs.d2_table(u)
-        used = self._used_v
-        timestamps = self.dcs.timestamps
-        out = []
-        for v in pool:
-            if v in used or not d2_table.get(v, False):
-                continue
-            for e, w, u_is_u in anchors:
-                if not (timestamps(e, v, w) if u_is_u
-                        else timestamps(e, w, v)):
-                    break
-            else:
-                out.append(v)
-        return out
-
-    def _extend_vertex(self, u: int) -> Tuple[int, FrozenSet[int]]:
-        cm = self._cm_cache
-        total = 0
-        union_tf: Set[int] = set()
-        for v in cm:
-            self._vmap[u] = v
-            self._used_v.add(v)
-            count, tf = self._explore()
-            self._used_v.discard(v)
-            self._vmap[u] = None
+        explore = self._explore
+        total = failing = 0
+        for x in best:
+            vmap[best_u] = x
+            used.add(x)
+            count, below = explore(best_child)
+            used.discard(x)
             if count:
                 total += count
             else:
-                union_tf |= tf
-        if total == 0:
-            return 0, frozenset(union_tf)
-        return total, _EMPTY
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def _report(self) -> None:
-        self._out.append(Match(
-            vertex_map=tuple(self._vmap),          # type: ignore[arg-type]
-            edge_map=tuple(self._emap),            # type: ignore[arg-type]
-        ))
+                failing |= below
+        return (total, 0) if total else (0, failing)

@@ -207,6 +207,12 @@ class DCS:
         mutate)."""
         return self._pairs[e].get((a, b), _EMPTY)
 
+    def candidate_table(self, e: int) -> Dict[Tuple[int, int], List[int]]:
+        """The candidate lists of query edge ``e`` keyed by the images
+        of its canonical endpoints; absent means empty (read-only view
+        for the backtracking loops, like :meth:`d2_table`)."""
+        return self._pairs[e]
+
     def num_edges(self) -> int:
         """Total number of stored candidate edges (Table V, top)."""
         return self._num_edges

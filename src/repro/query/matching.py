@@ -25,14 +25,6 @@ from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query.temporal_query import QueryEdge, TemporalQuery
 
 
-def make_image(query: TemporalQuery, a: int, b: int, t: int) -> Edge:
-    """The data edge object for timestamp ``t`` with ``qe.u -> a``,
-    ``qe.v -> b`` (direction preserved for directed queries)."""
-    if query.directed:
-        return Edge.make_directed(a, b, t)
-    return Edge.make(a, b, t)
-
-
 def candidate_timestamps(query: TemporalQuery, graph: TemporalGraph,
                          e: int, a: int, b: int) -> List[int]:
     """Sorted timestamps of data edges query edge ``e`` can match with

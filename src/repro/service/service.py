@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
@@ -68,8 +69,7 @@ class OutOfOrderError(ValueError):
         self.notifications = notifications
 
 
-@dataclass(frozen=True)
-class MatchNotification:
+class MatchNotification(NamedTuple):
     """One routed result: ``query_id`` matched (or unmatched) on ``event``.
 
     ``seq`` is the arrival sequence number of the event's edge — for an
@@ -78,6 +78,9 @@ class MatchNotification:
     which is what lets the sharded service (:mod:`repro.cluster`) merge
     per-shard notification streams back into exactly the order a
     single-process service would have emitted.
+
+    A ``NamedTuple`` like :class:`Match`: one is built per reported
+    embedding per query, here and again in ``wire.decode_reply``.
     """
 
     query_id: str

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, List, Optional, Tuple
 
 from repro.graph.temporal_graph import Edge
@@ -31,6 +32,12 @@ class StreamResult:
     elapsed_seconds: float = 0.0
     timed_out: bool = False
     events_processed: int = 0
+
+    def add(self, event: Event, matches: List[Match]) -> None:
+        """File what the engine reported for ``event``."""
+        if matches:
+            (self.occurred if event.is_arrival
+             else self.expired).extend(zip(repeat(event), matches))
 
     def occurrence_multiset(self) -> List[Match]:
         """All occurring matches, for cross-engine comparisons."""
@@ -95,12 +102,9 @@ class StreamDriver:
         start = time.perf_counter()
         if limit is None:
             for event in events:
-                if event.is_arrival:
-                    matches = engine.on_edge_insert(event.edge)
-                    result.occurred.extend((event, m) for m in matches)
-                else:
-                    matches = engine.on_edge_expire(event.edge)
-                    result.expired.extend((event, m) for m in matches)
+                result.add(event, engine.on_edge_insert(event.edge)
+                           if event.is_arrival
+                           else engine.on_edge_expire(event.edge))
                 result.events_processed += 1
         else:
             budget_checks = 0
@@ -110,12 +114,9 @@ class StreamDriver:
                     if time.perf_counter() - start > limit:
                         result.timed_out = True
                         break
-                if event.is_arrival:
-                    matches = engine.on_edge_insert(event.edge)
-                    result.occurred.extend((event, m) for m in matches)
-                else:
-                    matches = engine.on_edge_expire(event.edge)
-                    result.expired.extend((event, m) for m in matches)
+                result.add(event, engine.on_edge_insert(event.edge)
+                           if event.is_arrival
+                           else engine.on_edge_expire(event.edge))
                 result.events_processed += 1
         result.elapsed_seconds = time.perf_counter() - start
         root.__exit__(None, None, None)
@@ -164,10 +165,7 @@ class StreamDriver:
                               events=len(chunk)).__enter__()
             matches_lists = engine.on_batch(chunk)
             for event, matches in zip(chunk, matches_lists):
-                if event.is_arrival:
-                    result.occurred.extend((event, m) for m in matches)
-                else:
-                    result.expired.extend((event, m) for m in matches)
+                result.add(event, matches)
             result.events_processed += len(chunk)
             span.__exit__(None, None, None)
             if obs is not None:

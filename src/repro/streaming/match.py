@@ -8,16 +8,20 @@ collect into sets for the oracle cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query.temporal_query import TemporalQuery
 
 
-@dataclass(frozen=True, order=True)
-class Match:
-    """An embedding: ``vertex_map[u]`` and ``edge_map[e]`` by query index."""
+class Match(NamedTuple):
+    """An embedding: ``vertex_map[u]`` and ``edge_map[e]`` by query index.
+
+    A ``NamedTuple`` for the reason :class:`Edge` is one: a dense event
+    reports tens of thousands of embeddings, each built, sorted into the
+    canonical ``(vertex_map, edge_map)`` order and hashed by the checks,
+    and tuples do all three in C.
+    """
 
     vertex_map: Tuple[int, ...]
     edge_map: Tuple[Edge, ...]

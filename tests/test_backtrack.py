@@ -1,13 +1,21 @@
 """Targeted tests for the three time-constrained pruning rules
 (Section V).  Each scenario is crafted so a specific rule must fire;
 correctness is asserted by comparing against the pruning-free variant,
-savings by comparing search-tree node counts.
+savings by comparing search-tree node counts.  Below them: the search
+tree pinned node for node on seeded streams, edge injectivity without a
+used-edge set, and recovery from a call that raised part-way.
 """
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge
+from repro.oracle import OracleEngine
 from repro.query import TemporalQuery
-from repro.streaming import StreamDriver
+from repro.streaming import StreamDriver, build_event_list
 
 
 def run_both(query, labels, edges, delta):
@@ -144,3 +152,180 @@ class TestPruningNeverChangesResults:
             u, v = rng.choice(pairs)
             edges.append(Edge.make(u, v, t))
         run_both(query, labels, edges, delta=15)
+
+
+# ----------------------------------------------------------------------
+# The search tree, node for node
+# ----------------------------------------------------------------------
+def multigraph_stream(seed, vertices, vertex_labels, num_edges,
+                      directed=False, edge_labels=None):
+    """A seeded stream over a small vertex pool, one edge per tick:
+    parallel edges everywhere.  Returns (labels, edges, edge-label map)."""
+    rng = random.Random(seed)
+    labels = {v: vertex_labels[v % len(vertex_labels)]
+              for v in range(vertices)}
+    make = Edge.make_directed if directed else Edge.make
+    edges, elabels = [], {}
+    for t in range(1, num_edges + 1):
+        u, v = rng.sample(range(vertices), 2)
+        edge = make(u, v, t)
+        edges.append(edge)
+        if edge_labels:
+            elabels[edge] = rng.choice(edge_labels)
+    return labels, edges, elabels
+
+
+PATH5_MIXED = dict(
+    query=TemporalQuery(["A"] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                        [(2, 0), (0, 3)]),
+    stream=dict(seed=24, vertices=5, vertex_labels="A", num_edges=60),
+    delta=20)
+
+#: name -> (case, engine arguments, (backtrack_nodes, candidates_pruned,
+#: matches_emitted)).  The counts were recorded at commit dbd7ab8, the
+#: last one with the interpreted search (where a per-rule tally of the
+#: same runs showed rule 1 pruning in the first case, rule 2 in both
+#: directions in the second and fifth/sixth, rule 3 in the third): a
+#: rewrite of the search has to walk the same tree.
+GOLDEN = {
+    "rule 1, no order": (dict(
+        query=TemporalQuery(["A", "B", "A", "B"],
+                            [(0, 1), (1, 2), (2, 3)]),
+        stream=dict(seed=11, vertices=6, vertex_labels="AB",
+                    num_edges=120),
+        delta=30), {}, (4636, 25, 6524)),
+    "rule 2, chain order": (dict(
+        query=TemporalQuery(["A", "B", "A", "B"],
+                            [(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2)]),
+        stream=dict(seed=12, vertices=6, vertex_labels="AB",
+                    num_edges=160),
+        delta=40), {}, (4243, 25, 2576)),
+    "rule 3, mixed order": (PATH5_MIXED, {}, (10761, 1007, 3870)),
+    "no pruning": (PATH5_MIXED, dict(use_pruning=False),
+                   (18458, 0, 3870)),
+    "directed, anti-parallel pair": (dict(
+        query=TemporalQuery(["A", "B", "A"], [(0, 1), (1, 0), (1, 2)],
+                            [(0, 2)], directed=True),
+        stream=dict(seed=14, vertices=5, vertex_labels="AB",
+                    num_edges=200, directed=True),
+        delta=50), {}, (1651, 14, 1626)),
+    "edge labels": (dict(
+        query=TemporalQuery(["A", "B", "A"], [(0, 1), (1, 2), (0, 2)],
+                            [(1, 0)], edge_labels=["p", None, "q"]),
+        stream=dict(seed=15, vertices=6, vertex_labels="AB",
+                    num_edges=200, edge_labels="pq"),
+        delta=50), {}, (1326, 6, 1344)),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_search_tree_counts_are_pinned(name):
+    case, engine_args, expected = GOLDEN[name]
+    labels, edges, elabels = multigraph_stream(**case["stream"])
+    engine = TCMEngine(case["query"], labels,
+                       edge_label_fn=elabels.get if elabels else None,
+                       **engine_args)
+    StreamDriver(engine).run_edges(edges, case["delta"])
+    stats = engine.stats
+    assert (stats.backtrack_nodes, stats.candidates_pruned,
+            stats.matches_emitted) == expected
+
+
+# ----------------------------------------------------------------------
+# Edge injectivity follows from vertex injectivity
+# ----------------------------------------------------------------------
+@st.composite
+def multigraph_instances(draw):
+    """A random simple query — undirected, or directed with
+    anti-parallel pairs allowed — and a stream over at most four
+    vertices, so that every adjacent pair carries parallel edges."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(min_value=2, max_value=4))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges.append((v, u) if directed and draw(st.booleans())
+                     else (u, v))
+    pool = [(u, v) for u in range(n) for v in range(n)
+            if u != v and (directed or u < v) and (u, v) not in edges
+            and (directed or (v, u) not in edges)]
+    if pool:
+        edges.extend(draw(st.lists(st.sampled_from(pool), unique=True,
+                                   max_size=3)))
+    m = len(edges)
+    rank = draw(st.permutations(list(range(m))))
+    pairs = [(i, j) for i in range(m) for j in range(m)
+             if rank[i] < rank[j] and draw(st.booleans())]
+    query = TemporalQuery(["X"] * n, edges, pairs, directed=directed)
+    labels, stream, _ = multigraph_stream(
+        seed=draw(st.integers(min_value=0, max_value=10 ** 6)),
+        vertices=draw(st.integers(min_value=2, max_value=4)),
+        vertex_labels="X",
+        num_edges=draw(st.integers(min_value=1, max_value=14)),
+        directed=directed)
+    return query, labels, stream, draw(st.integers(min_value=2,
+                                                   max_value=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=multigraph_instances())
+def test_reported_edge_maps_are_injective_and_equal_the_oracle(instance):
+    """The search keeps no used-edge set (see the module docstring of
+    ``core/backtrack.py``); the oracle checks edge injectivity
+    explicitly, so equal per-event lists pin the argument."""
+    query, labels, stream, delta = instance
+    engine = TCMEngine(query, labels)
+    oracle = OracleEngine(query, labels)
+    for event in build_event_list(stream, delta):
+        if event.is_arrival:
+            got = engine.on_edge_insert(event.edge)
+            want = oracle.on_edge_insert(event.edge)
+        else:
+            got = engine.on_edge_expire(event.edge)
+            want = oracle.on_edge_expire(event.edge)
+        for match in got:
+            assert len(set(match.edge_map)) == query.num_edges
+        assert got == want
+
+
+# ----------------------------------------------------------------------
+# A call that raised must not poison the next
+# ----------------------------------------------------------------------
+def test_engine_recovers_from_a_search_that_raised_partway():
+    """``StreamDriver`` and library users keep an engine after an
+    exception (``KeyboardInterrupt``, ``MemoryError`` on a huge event);
+    the search state the aborted call left behind must not leak into
+    later embeddings."""
+    case, _, _ = GOLDEN["rule 1, no order"]
+    labels, edges, _ = multigraph_stream(**case["stream"])
+    events = build_event_list(edges, case["delta"])
+
+    def feed(engine, event):
+        return (engine.on_edge_insert(event.edge) if event.is_arrival
+                else engine.on_edge_expire(event.edge))
+
+    fresh = TCMEngine(case["query"], labels)
+    expected = [feed(fresh, event) for event in events]
+    # The first expiration with many embeddings: backtracking runs
+    # before the engine mutates anything, so the call can be repeated.
+    victim = next(i for i, event in enumerate(events)
+                  if not event.is_arrival and len(expected[i]) > 20)
+
+    engine = TCMEngine(case["query"], labels)
+    for event in events[:victim]:
+        feed(engine, event)
+    neighbors = engine.graph.neighbors
+    calls = []
+
+    def failing_once(v):
+        calls.append(v)
+        if len(calls) == 3:     # two vertex extensions deep
+            raise MemoryError("simulated")
+        return neighbors(v)
+
+    engine.graph.neighbors = failing_once
+    with pytest.raises(MemoryError):
+        feed(engine, events[victim])
+    del engine.graph.neighbors
+    assert [feed(engine, event) for event in events[victim:]] \
+        == expected[victim:]

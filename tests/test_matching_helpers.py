@@ -6,7 +6,7 @@ from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query import TemporalQuery
 from repro.query.matching import (
     candidate_images, candidate_timestamps, edge_orientations,
-    image_compatible, make_image,
+    image_compatible,
 )
 
 
@@ -28,17 +28,6 @@ def directed_labeled():
     graph.insert_edge(Edge.make_directed(1, 2, 6), label="q")
     graph.insert_edge(Edge.make_directed(2, 1, 7), label="p")
     return query, graph
-
-
-class TestMakeImage:
-    def test_undirected_normalizes(self, undirected):
-        query, _ = undirected
-        assert make_image(query, 9, 3, 1) == Edge.make(3, 9, 1)
-
-    def test_directed_preserves(self, directed_labeled):
-        query, _ = directed_labeled
-        image = make_image(query, 9, 3, 1)
-        assert (image.u, image.v) == (9, 3)
 
 
 class TestCandidateTimestamps:

@@ -541,8 +541,13 @@ class TestOverhead:
             return time.perf_counter() - start
 
         for attempt in range(3):
-            off = min(run_once(None) for _ in range(3))
-            on = min(run_once(MetricsRegistry()) for _ in range(3))
+            # Alternate the two arms inside each round: a host-speed
+            # swing then lands on both, not on whichever block of
+            # three it happened to overlap.
+            off = on = float("inf")
+            for _ in range(3):
+                off = min(off, run_once(None))
+                on = min(on, run_once(MetricsRegistry()))
             if off <= on * 1.05:
                 return
         assert off <= on * 1.05, (

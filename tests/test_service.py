@@ -86,6 +86,17 @@ class TestServiceBasics:
         assert service.stats.batches == 1
         assert service.query_stats(qid).occurred == 1
 
+    def test_notification_is_one_tuple(self):
+        service = MatchService(5)
+        qid = service.register(AB_QUERY, AB_LABELS)
+        occurred, = service.ingest([Edge.make(0, 1, 10)])
+        expired, = service.drain()
+        assert isinstance(occurred, tuple)
+        assert occurred._fields == ("query_id", "event", "match", "seq")
+        assert occurred == (qid, occurred.event, occurred.match, 0)
+        assert occurred.occurred and not expired.occurred
+        assert type(occurred)(qid, occurred.event, occurred.match).seq == -1
+
     def test_out_of_order_error_carries_prefix_notifications(self):
         """Engines and subscribers already saw the accepted prefix, so
         the exception must hand its notifications to the caller."""

@@ -1,5 +1,7 @@
 """Tests for events, the stream driver, and the Match representation."""
 
+import pickle
+
 import pytest
 
 from repro.graph.temporal_graph import Edge, TemporalGraph
@@ -126,3 +128,21 @@ class TestMatch:
             {e: img for e, img in enumerate(match.edge_map)},
         )
         assert rebuilt == match
+
+    def test_is_one_tuple_ordered_and_hashed_by_its_fields(self):
+        """What the engines and the checks rely on: a Match *is* the
+        pair ``(vertex_map, edge_map)``."""
+        _, _, match = self.make_valid()
+        assert isinstance(match, tuple)
+        assert match._fields == ("vertex_map", "edge_map")
+        assert match == Match(match.vertex_map, match.edge_map)
+        assert hash(match) == hash((match.vertex_map, match.edge_map))
+        assert pickle.loads(pickle.dumps(match)) == match
+        others = [
+            Match((1, 2, 4, 5, 7), match.edge_map[:5] + (SIGMA[7],)),
+            Match((1, 2, 4, 5, 6), match.edge_map),
+            Match((0, 9), ()),
+            match,
+        ]
+        assert sorted(others) == sorted(
+            others, key=lambda m: (m.vertex_map, m.edge_map))
