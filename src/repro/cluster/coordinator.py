@@ -109,6 +109,13 @@ class WorkerCrashError(RuntimeError):
     """A shard worker died while handling a request."""
 
 
+#: What losing a shard looks like from :meth:`ShardedMatchService.
+#: _receive`: a dead pipe, or a reply that cannot be decoded.  Either
+#: way nothing more can be trusted from that worker, and the caller
+#: quarantines it and goes on reading the other shards' replies.
+_SHARD_LOST = (EOFError, OSError, wire.FrameError, pickle.UnpicklingError)
+
+
 @dataclass
 class _QueryInfo:
     """Coordinator-side mirror of one registered query."""
@@ -812,8 +819,10 @@ class ShardedMatchService:
             try:
                 handle.conn.send((protocol.STOP, None))
                 if handle.conn.poll(timeout=5):
-                    handle.conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
+                    # The ack says nothing; whatever is in the pipe is
+                    # read and dropped, never unpickled.
+                    handle.conn.recv_bytes()
+            except (OSError, EOFError):
                 pass
         handle.process.join(timeout=5)
         if handle.process.is_alive():
@@ -1146,8 +1155,7 @@ class ShardedMatchService:
         try:
             self._post(handle, message)
             reply = self._receive(handle)
-        except (EOFError, OSError, BrokenPipeError,
-                ConnectionResetError) as exc:
+        except _SHARD_LOST as exc:
             self._quarantine_shard(shard, exc)
             raise WorkerCrashError(
                 f"shard {shard} worker died mid-request "
@@ -1162,8 +1170,11 @@ class ShardedMatchService:
         """Send per-shard messages, then collect the replies.
 
         Sends complete before the first receive, so workers process
-        their batches concurrently; a worker that dies at either step
-        is quarantined and simply missing from the result.  ``parent``
+        their batches concurrently; a worker that dies at either step,
+        or whose reply cannot be decoded, is quarantined and simply
+        missing from the result — every other shard that was sent to
+        is still read, so no reply is left in a pipe for the next
+        exchange to mistake for its own.  ``parent``
         (a live span) nests an ``exchange`` span with a ``ship`` child
         around the send-all phase; control exchanges pass no parent and
         produce no spans.
@@ -1193,7 +1204,7 @@ class ShardedMatchService:
         for handle in sent:
             try:
                 reply = self._receive(handle)
-            except (EOFError, OSError, ConnectionResetError) as exc:
+            except _SHARD_LOST as exc:
                 self._quarantine_shard(handle.index, exc)
                 continue
             self._account(reply, handle.index)

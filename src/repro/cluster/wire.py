@@ -13,8 +13,10 @@ directions are packed into flat ``array('q')`` frames instead:
   share of a batch: edges paired with global sequence numbers, plus the
   batch's closing cursor; :func:`encode_migrate_in` packs a migration
   ticket's window and tail the same way;
-* **replies** (:func:`encode_reply`) carry the notification stream with
-  query ids replaced by interned integer codes.
+* **replies** (:func:`encode_reply`) carry the notification stream,
+  each fact once: the distinct edges in a table, query ids as interned
+  integer codes, and one header per run of embeddings that one event
+  reported for one query (layout below).
 
 Packed frames are the only way edges reach a worker, so the
 coordinator calls :func:`require_packable` on every batch before it
@@ -33,6 +35,35 @@ the owning worker via the :data:`~repro.cluster.protocol.INTERN` verb
 *before* the query's ``REGISTER``, so every later reply can refer to
 queries by code.
 
+Reply layout.  One event reports many embeddings that differ in a
+single image (the paper's pruning rules exist because parallel edges do
+exactly that), so a reply mentions few distinct edges many times.  After
+the magic, as int64 values::
+
+    head        routed, skipped, m, metric * m
+    edge table  n, (u, v, t) * n          distinct edges, first use first
+    runs        r, then r times:
+      header    query code, kind (1 arrival / 0 expiration),
+                table index of the event's edge, event time, seq,
+                num_vertices, num_edges, count
+      rows      count * (num_vertices vertex images,
+                         num_edges table indices)
+
+A run is a maximal stretch of consecutive notifications with the same
+event object, query, seq and map sizes; the encoder opens a new one
+whenever any of those changes, so every notification order round-trips
+and only the frame's size depends on the event-major order
+``MatchService`` emits.  The decoder builds each table edge once and
+one ``Event`` per run, so a decoded reply's notifications share those
+objects (the in-process service's share one ``Event`` per event too):
+about three objects tracked by the cyclic collector per notification
+instead of ten.  Request layouts are in the encoders' docstrings.
+
+Decoders trust nothing they can check: a frame whose length is not
+whole values, whose declared counts do not end exactly at its last
+value, or that names an edge index or query code out of range raises
+:class:`FrameError` instead of decoding to something else.
+
 Frames are sniffed by a 4-byte magic prefix that cannot collide with a
 pickle stream (protocol 2+ pickles start with ``\\x80``), so binary and
 pickled messages interleave freely on one connection: checkpoints and
@@ -48,8 +79,9 @@ from __future__ import annotations
 import pickle
 from array import array
 from dataclasses import replace
+from functools import partial
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster import protocol
 from repro.cluster.protocol import Reply, RoutedBatch
@@ -60,7 +92,7 @@ from repro.streaming.match import Match
 
 #: Magic prefixes (first byte deliberately outside pickle's opcodes).
 MAGIC_REQUEST = b"RWQ1"
-MAGIC_REPLY = b"RWR1"
+MAGIC_REPLY = b"RWR2"
 
 #: Request frame modes.  0 and 2 were the per-event forms of 1 and 3;
 #: they are retired and decode as unknown, never as a live mode.
@@ -74,6 +106,13 @@ _MODE_MIGRATE_IN = 4
 #: with tracing off every frame is byte-identical to the pre-tracing
 #: wire.
 _FLAG_TRACED = 0x80
+
+
+class FrameError(ValueError):
+    """A binary frame is not one this module's encoders could have
+    written: its length is not whole values, a declared count disagrees
+    with that length, or an edge index or query code is out of range.
+    """
 
 
 class UnpackableEdgeError(TypeError):
@@ -189,29 +228,56 @@ def encode_migrate_in(ticket, *,
             + len(body).to_bytes(8, "little") + body + blob)
 
 
-def _decode_migrate_in(data: bytes, traced: bool
-                       ) -> Tuple[str, object, Optional[Tuple[int, int]]]:
-    body_len = int.from_bytes(data[5:13], "little")
+def _frame_values(data: bytes, offset: int) -> List[int]:
+    """The int64 values of ``data[offset:]`` as a list."""
+    if (len(data) - offset) % 8:
+        raise FrameError(
+            f"{len(data) - offset} value bytes: not a multiple of 8")
     values = array("q")
-    values.frombytes(data[13:13 + body_len])
-    blob = data[13 + body_len:]
-    trace: Optional[Tuple[int, int]] = None
-    base = 0
-    if traced:
-        trace = (values[0], values[1])
-        base = 2
+    values.frombytes(memoryview(data)[offset:])
+    return values.tolist()
 
-    def pairs_at(start: int):
-        n = values[start]
-        pairs = tuple(
-            (Edge(values[i], values[i + 1], values[i + 2]), values[i + 3])
-            for i in range(start + 1, start + 1 + 4 * n, 4))
-        return pairs, start + 1 + 4 * n
 
-    window, base = pairs_at(base)
-    tail, base = pairs_at(base)
-    ticket = replace(pickle.loads(blob), window=window, tail=tail)
-    return protocol.MIGRATE_IN, ticket, trace
+def _span_end(values: List[int], start: int, count: int,
+              width: int) -> int:
+    """Where ``count`` records of ``width`` values starting at
+    ``start`` end.  Slices truncate silently, so every declared count
+    is checked against the frame here before anything is sliced."""
+    end = start + count * width
+    if count < 0 or end > len(values):
+        raise FrameError(
+            f"{count} records of {width} values declared at {start}, "
+            f"frame holds {len(values)} values")
+    return end
+
+
+def _require_end(values: List[int], pos: int) -> None:
+    if pos != len(values):
+        raise FrameError(
+            f"{len(values) - pos} values after the frame's last record")
+
+
+_edge_of = partial(tuple.__new__, Edge)
+
+
+def _edges(values: List[int], start: int, end: int,
+           width: int = 3) -> Iterator[Edge]:
+    """One :class:`Edge` per ``width``-value record of
+    ``values[start:end]``, from the ``(u, v, t)`` each record opens
+    with."""
+    return map(_edge_of, zip(values[start:end:width],
+                             values[start + 1:end:width],
+                             values[start + 2:end:width]))
+
+
+def _pairs(values: List[int], at: int
+           ) -> Tuple[Tuple[Tuple[Edge, int], ...], int]:
+    """The ``(edge, seq)`` pairs of ``[n, u, v, t, seq, ...]`` at
+    ``values[at]``, and where they end."""
+    start = at + 1
+    end = _span_end(values, start, values[at], 4)
+    return tuple(zip(_edges(values, start, end, 4),
+                     values[start + 3:end:4])), end
 
 
 def decode_request(data: bytes) -> Tuple[str, object,
@@ -219,33 +285,53 @@ def decode_request(data: bytes) -> Tuple[str, object,
     """Decode a request frame to ``(verb, payload, trace_ctx)`` with
     the exact payload shapes the pickled protocol uses; ``trace_ctx``
     is the ``(trace id, parent span id)`` pair of a traced frame, else
-    ``None``."""
+    ``None``.  A frame none of the encoders above could have written
+    raises :class:`FrameError`."""
+    try:
+        return _decode_request(data)
+    except FrameError:
+        raise
+    except (IndexError, ValueError) as exc:   # a read past a short frame
+        raise FrameError(f"malformed request frame: {exc!r}") from exc
+
+
+def _decode_request(data: bytes):
     mode = data[4]
-    if mode & ~_FLAG_TRACED == _MODE_MIGRATE_IN:
-        return _decode_migrate_in(data, bool(mode & _FLAG_TRACED))
-    values = array("q")
-    values.frombytes(data[5:])
+    traced = bool(mode & _FLAG_TRACED)
+    mode &= ~_FLAG_TRACED
+    blob = b""
+    if mode == _MODE_MIGRATE_IN:
+        body_end = 13 + int.from_bytes(data[5:13], "little")
+        if body_end > len(data):
+            raise FrameError(f"migrate-in body declared to end at byte "
+                             f"{body_end} of {len(data)}")
+        values = _frame_values(data[13:body_end], 0)
+        blob = data[body_end:]
+    else:
+        values = _frame_values(data, 5)
     trace: Optional[Tuple[int, int]] = None
     base = 0
-    if mode & _FLAG_TRACED:
-        mode &= ~_FLAG_TRACED
+    if traced:
         trace = (values[0], values[1])
         base = 2
     if mode == _MODE_INGEST_BATCH:
-        n = values[base]
-        edges = [Edge(values[i], values[i + 1], values[i + 2])
-                 for i in range(base + 1, base + 1 + 3 * n, 3)]
+        end = _span_end(values, base + 1, values[base], 3)
+        edges = list(_edges(values, base + 1, end))
+        _require_end(values, end)
         return protocol.INGEST_BATCH, edges, trace
     if mode == _MODE_ROUTED_BATCH:
-        final_now, final_seq, n = (values[base], values[base + 1],
-                                   values[base + 2])
-        pairs = [(Edge(values[i], values[i + 1], values[i + 2]),
-                  values[i + 3])
-                 for i in range(base + 3, base + 3 + 4 * n, 4)]
+        final_now, final_seq = values[base:base + 2]
+        pairs, end = _pairs(values, base + 2)
+        _require_end(values, end)
         return protocol.INGEST_ROUTED, RoutedBatch(
-            pairs=tuple(pairs), final_now=final_now,
-            final_seq=final_seq), trace
-    raise ValueError(f"unknown request frame mode {mode}")
+            pairs=pairs, final_now=final_now, final_seq=final_seq), trace
+    if mode == _MODE_MIGRATE_IN:
+        window, end = _pairs(values, base)
+        tail, end = _pairs(values, end)
+        _require_end(values, end)
+        ticket = replace(pickle.loads(blob), window=window, tail=tail)
+        return protocol.MIGRATE_IN, ticket, trace
+    raise FrameError(f"unknown request frame mode {mode}")
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +343,15 @@ def encode_reply(reply: Reply,
 
     Encodable replies have no failure, no piggybacked error list, no
     interest summary, and a payload that is a list of integer-valued
-    :class:`MatchNotification` objects whose query ids are all interned
-    in ``codes``.
+    :class:`MatchNotification` objects with non-empty maps whose query
+    ids are all interned in ``codes``.
+
+    Every distinct edge is written once, in first-use order, and every
+    other mention of it is its index in that table.  A run is opened
+    whenever the event object, the query, the seq or a map size
+    differs from the previous notification's, so any notification order
+    round-trips; the frame is compact when a reply is event-major, as
+    :class:`~repro.service.MatchService` emits it.
     """
     if (reply.failure is not None or reply.errors
             or reply.interest is not None):
@@ -266,60 +359,111 @@ def encode_reply(reply: Reply,
     notes = reply.payload
     if type(notes) is not list:
         return None
+    table: Dict[Edge, int] = {}
+    index_of = table.setdefault
+    runs = array("q")
+    num_runs = 0
+    count_at = 0    # slot of the open run's count
+    run_event = run_query = run_seq = None
+    num_vertices = num_edges = -1
     try:
+        for query_id, event, (vertex_map, edge_map), seq in notes:
+            if not (event is run_event and query_id == run_query
+                    and seq == run_seq
+                    and len(vertex_map) == num_vertices
+                    and len(edge_map) == num_edges):
+                run_event, run_query, run_seq = event, query_id, seq
+                num_vertices, num_edges = len(vertex_map), len(edge_map)
+                if not (num_vertices and num_edges):
+                    return None
+                edge, time, kind = event
+                runs.extend((codes[query_id],
+                             1 if kind is EventKind.ARRIVAL else 0,
+                             index_of(edge, len(table)), time, seq,
+                             num_vertices, num_edges, 0))
+                count_at = len(runs) - 1
+                num_runs += 1
+            runs.extend(vertex_map)
+            runs.extend([index_of(image, len(table))
+                         for image in edge_map])
+            runs[count_at] += 1
         values = array("q", (reply.routed, reply.skipped,
                              len(reply.metrics)))
         values.extend(reply.metrics)
-        values.append(len(notes))
-        for note in notes:
-            event = note.event
-            edge = event.edge
-            match = note.match
-            vertex_map = match.vertex_map
-            edge_map = match.edge_map
-            values.extend((codes[note.query_id],
-                           1 if event.kind is EventKind.ARRIVAL else 0,
-                           edge.u, edge.v, edge.t, event.time, note.seq,
-                           len(vertex_map), len(edge_map)))
-            values.extend(vertex_map)
-            for image in edge_map:
-                values.extend(image)
-    except (KeyError, TypeError, AttributeError, OverflowError):
+        values.append(len(table))
+        values.extend(chain.from_iterable(table))
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError):
         return None
+    values.append(num_runs)
+    values.extend(runs)
     return MAGIC_REPLY + values.tobytes()
 
 
 def decode_reply(data: bytes, names: List[str]) -> Reply:
-    """Unpack a binary reply frame (``names`` maps codes to ids)."""
-    values = array("q")
-    values.frombytes(data[4:])
-    routed, skipped, n_metrics = values[0], values[1], values[2]
-    metrics = tuple(values[3:3 + n_metrics])
-    count = values[3 + n_metrics]
+    """Unpack a binary reply frame (``names`` maps codes to ids).
+
+    The notifications of one run share their :class:`Event`, and every
+    mention of an edge anywhere in the reply is the same :class:`Edge`
+    object.  A frame :func:`encode_reply` could not have written raises
+    :class:`FrameError`.
+    """
+    values = _frame_values(data, 4)
+    try:
+        return _decode_reply(values, names)
+    except FrameError:
+        raise
+    except (IndexError, KeyError, ValueError) as exc:
+        # A read past a short frame, or an edge index off the table.
+        raise FrameError(f"malformed reply frame: {exc!r}") from exc
+
+
+def _decode_reply(values: List[int], names: List[str]) -> Reply:
+    routed, skipped, num_metrics = values[:3]
+    pos = _span_end(values, 3, num_metrics, 1)
+    metrics = tuple(values[3:pos])
+    end = _span_end(values, pos + 1, values[pos], 3)
+    # Looked up through a dict, not the list: an index outside the
+    # table has to fail, and a negative one would count from the end.
+    edge_at = dict(enumerate(_edges(values, pos + 1, end))).__getitem__
+    num_runs = values[end]
+    pos = end + 1
+    new = tuple.__new__
     notes: List[MatchNotification] = []
-    i = 4 + n_metrics
-    for _ in range(count):
-        (code, arrival, u, v, t, time, seq,
-         num_vertices, num_edges) = values[i:i + 9]
-        i += 9
-        vertex_map = tuple(values[i:i + num_vertices])
-        i += num_vertices
-        edge_map = tuple(Edge(values[j], values[j + 1], values[j + 2])
-                         for j in range(i, i + 3 * num_edges, 3))
-        i += 3 * num_edges
-        notes.append(MatchNotification(
-            names[code],
-            Event(Edge(u, v, t), time,
-                  EventKind.ARRIVAL if arrival else EventKind.EXPIRATION),
-            Match(vertex_map=vertex_map, edge_map=edge_map),
-            seq))
+    for _ in range(num_runs):
+        (code, arrival, event_edge, time, seq,
+         num_vertices, num_edges, count) = values[pos:pos + 8]
+        if not 0 <= code < len(names):
+            raise FrameError(f"query code {code} is not interned")
+        if min(num_vertices, num_edges, count) < 1:
+            # No encoder writes such a run, and only a positive count
+            # ties the map sizes to the frame's length below.
+            raise FrameError(f"a run of {count} embeddings of "
+                             f"{num_vertices} vertices, {num_edges} edges")
+        query_id = names[code]
+        event = Event(edge_at(event_edge), time,
+                      EventKind.ARRIVAL if arrival
+                      else EventKind.EXPIRATION)
+        width = num_vertices + num_edges
+        start = pos + 8
+        pos = _span_end(values, start, count, width)
+        rows = values[start:pos]
+        # Column slices zipped back into rows: each map is assembled
+        # in C, the edge maps by table lookups.
+        vertex_maps = zip(*[rows[j::width] for j in range(num_vertices)])
+        edge_maps = zip(*[map(edge_at, rows[j::width])
+                          for j in range(num_vertices, width)])
+        notes.extend([
+            new(MatchNotification, (query_id, event, new(Match, maps), seq))
+            for maps in zip(vertex_maps, edge_maps)])
+    _require_end(values, pos)
     return Reply(payload=notes, routed=routed, skipped=skipped,
                  metrics=metrics)
 
 
 __all__ = [
-    "MAGIC_REPLY", "MAGIC_REQUEST", "UnpackableEdgeError", "decode_reply",
-    "decode_request", "encode_ingest", "encode_migrate_in",
-    "encode_reply", "encode_routed", "is_reply_frame",
-    "is_request_frame", "require_packable",
+    "FrameError", "MAGIC_REPLY", "MAGIC_REQUEST", "UnpackableEdgeError",
+    "decode_reply", "decode_request", "encode_ingest",
+    "encode_migrate_in", "encode_reply", "encode_routed",
+    "is_reply_frame", "is_request_frame", "require_packable",
 ]

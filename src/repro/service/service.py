@@ -80,7 +80,15 @@ class MatchNotification(NamedTuple):
     single-process service would have emitted.
 
     A ``NamedTuple`` like :class:`Match`: one is built per reported
-    embedding per query, here and again in ``wire.decode_reply``.
+    embedding per query, here and again in ``wire.decode_reply``.  The
+    notifications one event produces share its :class:`Event`, and
+    embeddings found below one search node share that node's
+    :class:`Edge`; the reply frame names every edge once, so decoded
+    notifications share one ``Edge`` per distinct edge of the reply.
+    A decoded notification therefore costs 3.4 objects the cyclic
+    collector tracks (itself, its match, its edge map, its share of the
+    reply's events and edges) where rebuilding all of them per
+    notification cost 9.7 (``cluster_2w``, seed 0).
     """
 
     query_id: str

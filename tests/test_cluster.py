@@ -19,6 +19,7 @@ from repro.cluster import (
     ShardedMatchService, UnpackableEdgeError, WorkerCrashError,
 )
 from repro.cluster import checkpoint as cluster_checkpoint
+from repro.cluster import wire
 from repro.cluster.placement import ShardPlacement
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import Edge, TemporalGraph
@@ -460,6 +461,93 @@ class TestWorkerCrash:
             assert service.ingest(ab_edges(2)) == []
         finally:
             service.close()
+
+
+class TestUndecodableReply:
+    """A reply that cannot be decoded costs its shard, nothing else."""
+
+    def test_corrupt_frame_quarantines_its_shard_and_pipes_stay_in_step(
+            self, monkeypatch):
+        first, second = ab_edges(20), ab_edges(20, start=21)
+        single = MatchService(100)
+        service = ShardedMatchService(100, workers=2)
+        try:
+            for target in (single, service):
+                for i in range(4):
+                    target.register(AB_QUERY, AB_LABELS, query_id=f"q{i}")
+            live = {q for q in service.registered_ids()
+                    if service.shard_of(q) == 1}
+            assert len(live) == 2
+            expected = [[n for n in single.ingest(batch)
+                         if n.query_id in live]
+                        for batch in (first, second)]
+            assert [n.seq for n in expected[1]][::2] == list(range(20, 40))
+
+            decode = wire.decode_reply
+            frames = []
+
+            def truncate_first(data, names):
+                """Shard 0 is read first: its frame loses a value."""
+                frames.append(data)
+                return decode(data[:-8] if len(frames) == 1 else data,
+                              names)
+
+            monkeypatch.setattr(wire, "decode_reply", truncate_first)
+            # Shard 1's reply to the same batch is still read ...
+            assert service.ingest(first) == expected[0]
+            assert len(frames) == 2
+            assert service.live_workers == 1
+            for query_id in set(service.registered_ids()) - live:
+                entry = service.get(query_id)
+                assert entry.status is QueryStatus.ERRORED
+                assert "FrameError" in entry.error
+            # ... so the next batch's answer is the next batch's.
+            assert service.ingest(second) == expected[1]
+        finally:
+            service.close()
+        assert not any(handle.process.is_alive()
+                       for handle in service._workers)
+
+    def test_unpicklable_control_reply_is_a_lost_shard(self, monkeypatch):
+        """Same rule on the one-shard request path, for the pickled
+        replies no frame check covers."""
+        with ShardedMatchService(100, workers=2) as service:
+            query_id = service.register(AB_QUERY, AB_LABELS)
+            shard = service.shard_of(query_id)
+            conn = service._workers[shard].conn
+            monkeypatch.setattr(conn, "recv_bytes", lambda: b"not a pickle")
+            assert service.query_stats(query_id).errors == 1
+            assert service.live_workers == 1
+            entry = service.get(query_id)
+            assert entry.status is QueryStatus.ERRORED
+            assert "UnpicklingError" in entry.error
+
+
+class TestTracerSeam:
+    def test_codec_is_called_through_the_wire_module(self, monkeypatch):
+        """``ledger/trace.py`` times the codec by replacing
+        ``wire.encode_routed`` / ``wire.decode_reply`` as module
+        attributes.  A ``from repro.cluster.wire import decode_reply``
+        in the coordinator would keep working and silently zero
+        ``wire.decode_s`` in every ``--trace 1`` run; here it fails."""
+        calls = {"encode_routed": 0, "decode_reply": 0}
+
+        def counting(name):
+            original = getattr(wire, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        with ShardedMatchService(100, workers=2) as service:
+            for _ in range(2):
+                service.register(AB_QUERY, AB_LABELS)
+            for name in calls:
+                monkeypatch.setattr(wire, name, counting(name))
+            assert len(service.ingest(ab_edges(4))) == 8
+            assert service.events_unshipped == 0    # both shards contacted
+        assert calls == {"encode_routed": 2, "decode_reply": 2}
 
 
 class TestSubscribers:
