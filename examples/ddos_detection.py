@@ -111,6 +111,7 @@ print(f"\nsame topology without temporal order: "
       f"{unordered.occurred} occurrence(s) "
       f"(includes benign victim-initiated contacts)")
 
+assert alerts, "the attack must raise an alert"
 assert ordered.occurred == len(alerts), "every occurrence must alert"
 assert ordered.occurred < unordered.occurred, (
     "the temporal order should rule out benign matches")

@@ -15,7 +15,7 @@ The typical workflow:
 1
 """
 
-from repro.graph import Edge, TemporalGraph, WindowBuffer
+from repro.graph import Edge, TemporalGraph
 from repro.query import PartialOrder, PartialOrderError, TemporalQuery
 from repro.streaming import (
     Event, EventKind, Match, MatchEngine, StreamDriver, StreamResult,
@@ -32,7 +32,7 @@ from repro.cluster import ShardedMatchService
 __version__ = "1.0.0"
 
 __all__ = [
-    "Edge", "TemporalGraph", "WindowBuffer",
+    "Edge", "TemporalGraph",
     "PartialOrder", "PartialOrderError", "TemporalQuery",
     "Event", "EventKind", "Match", "MatchEngine",
     "StreamDriver", "StreamResult", "build_event_list",

@@ -44,12 +44,11 @@ Isolation layers
   service (exact single-process contract), surfaced on the next reply;
 * subscriber failure: subscribers run coordinator-side; a failing
   callback quarantines its query here *and* in the owning worker.
-  Because delivery happens after a batch's replies are merged, this
-  isolation is batch-granular (the single-process service stops
-  mid-batch) — and for the same reason, a register/unregister issued
-  from *inside* a subscriber callback takes effect at the batch
-  boundary, where the single-process service applies it mid-fan-out
-  (a callback-registered query first sees the *next* batch here);
+  Delivery happens after a batch's replies are merged, so this
+  isolation is batch-granular, and a register/unregister issued from
+  *inside* a subscriber callback takes effect at the batch boundary
+  (a callback-registered query first sees the *next* batch) — the
+  single-process service's rule too;
 * worker crash: a broken pipe quarantines the whole shard — its
   queries flip to errored with a crash message, the remaining shards
   keep serving, and new registrations route around the dead worker.

@@ -15,8 +15,9 @@ Failure layers, innermost first:
   rest of the shard keeps matching) and reported in the reply's
   ``errors`` field;
 * an exception escaping the dispatcher (unknown query id, unknown
-  engine kind) becomes a ``Reply.failure`` and the worker keeps
-  serving;
+  engine kind) or the request decoder (a frame that fails its length
+  checks, a pickle that does not load) becomes a ``Reply.failure``
+  and the worker keeps serving;
 * a ``BaseException`` (``SystemExit``, a segfaulting C extension, an
   OOM kill) takes the whole process down, which the coordinator
   observes as a broken pipe and answers by quarantining the shard.
@@ -272,19 +273,20 @@ def shard_worker_main(conn, delta: int, metrics: bool = False,
         except (EOFError, KeyboardInterrupt):
             break
         binary = wire.is_request_frame(data)
-        ctx = None
-        if binary:
-            verb, payload, ctx = wire.decode_request(data)
-        else:
-            message = pickle.loads(data)
-            verb, payload = message[0], message[1]
-            if len(message) > 2:
-                ctx = message[2]
-        name = _TRACED_VERBS.get(verb) if tracer is not None else None
-        span = (tracer.span(name, remote=ctx).__enter__()
-                if name is not None and ctx is not None else None)
+        verb = span = None
         dispatch_start = time.perf_counter_ns()
         try:
+            # Decoding is inside the boundary: a request this worker
+            # cannot read is answered like one it cannot serve, and
+            # the pipe stays in step.
+            if binary:
+                verb, payload, ctx = wire.decode_request(data)
+            else:
+                verb, payload, *rest = pickle.loads(data)
+                ctx = rest[0] if rest else None
+            name = _TRACED_VERBS.get(verb) if tracer is not None else None
+            if name is not None and ctx is not None:
+                span = tracer.span(name, remote=ctx).__enter__()
             result = worker.dispatch(verb, payload)
             failure = None
         except Exception as exc:  # noqa: BLE001 - request-level boundary

@@ -1,11 +1,11 @@
 """Temporal multigraph substrate.
 
 This package implements the data-graph side of the paper: an undirected,
-vertex-labeled multigraph whose edges carry integer timestamps, together
-with the sliding-window bookkeeping that the streaming algorithms rely on.
+vertex-labeled multigraph whose edges carry integer timestamps.  The
+sliding window over it is an event list
+(:func:`repro.streaming.build_event_list`) or a service's live deque.
 """
 
 from repro.graph.temporal_graph import Edge, TemporalGraph
-from repro.graph.window import WindowBuffer
 
-__all__ = ["Edge", "TemporalGraph", "WindowBuffer"]
+__all__ = ["Edge", "TemporalGraph"]

@@ -7,6 +7,12 @@ the standard deployment model of continuous subgraph matching: many
 long-lived detection queries over one stream, registered and retired at
 runtime.
 
+Every entry point — ``ingest`` (alias ``process_batch``),
+``ingest_routed``, ``advance_to``, ``drain`` and the migration replay of
+``adopt_query`` — builds one event list and hands it to one fan-out
+(``_fanout_batch``); how fine-grained the service runs is how many
+edges the caller passes, not which method it calls.
+
 Semantics, matching Algorithm 1's event list exactly:
 
 * an edge ``(u, v, t)`` arrives at ``t`` and expires at ``t + delta``;
@@ -19,7 +25,16 @@ Semantics, matching Algorithm 1's event list exactly:
   window copy stays consistent;
 * a failing engine (or subscriber) quarantines only its own query: the
   error is recorded on the registry entry and the remaining queries
-  keep matching;
+  keep matching; an engine that fails on a batch contributes nothing
+  for that batch;
+* delivery is batch-granular, the same rule as the sharded service: the
+  engines run over the whole event list first, then results are
+  recorded and subscribers fire in event order (registry order within
+  an event).  What a callback does therefore takes effect at the batch
+  boundary: a query it registers first sees the next call's events, a
+  query it unregisters (or a subscriber that raises) only stops that
+  query's remaining callbacks — the returned list and the query's
+  counters still hold the whole batch;
 * every event is fanned out only to the engines whose query could
   possibly match it, as decided by the registry's
   :class:`~repro.service.interest.QueryInterestIndex`; the rest is
@@ -40,7 +55,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from typing import (
-    Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+    Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro.graph.temporal_graph import Edge
@@ -115,6 +131,17 @@ def _run_batch(engine, events: List[Event]) -> List[List[Match]]:
             else engine.on_edge_expire(ev.edge) for ev in events]
 
 
+def _collect_expirations(live: Deque[Tuple[Edge, int]], delta: int, t: int,
+                         out: List[Tuple[Event, int]]) -> None:
+    """Pop the ``(edge, arrival seq)`` pairs of ``live`` whose window
+    closes at or before ``t`` and append their expiration events (an
+    edge with timestamp ``<= t - delta`` is outside ``(t - delta, t]``,
+    so its expiration precedes an arrival at ``t``)."""
+    while live and live[0][0].t + delta <= t:
+        edge, seq = live.popleft()
+        out.append((Event(edge, edge.t + delta, EventKind.EXPIRATION), seq))
+
+
 def validated_prefix(edges: List[Edge], now: Optional[int]
                      ) -> Tuple[List[Edge], Optional[str]]:
     """Split a batch at its first out-of-order edge: the accepted prefix
@@ -149,10 +176,11 @@ class MatchService:
                  metrics=None, tracer=None):
         if delta <= 0:
             raise ValueError("window size delta must be positive")
-        #: Optional :class:`~repro.obs.Tracer`.  When set, every batch
-        #: call opens a ``service_batch`` root span with route/
-        #: dispatch/notify children; ``None`` (the default) costs the
-        #: hot path nothing beyond per-batch ``is None`` checks.
+        #: Optional :class:`~repro.obs.Tracer`.  When set, every
+        #: ingest / advance_to / drain call opens a ``service_batch``
+        #: root span with route/dispatch/notify children; ``None`` (the
+        #: default) costs the hot path nothing beyond per-batch ``is
+        #: None`` checks.
         self.tracer = tracer
         self.delta = delta
         self.registry = registry or QueryRegistry(engine_factories)
@@ -256,115 +284,142 @@ class MatchService:
         batches (the streaming contract); a violation raises
         :class:`OutOfOrderError`, whose ``notifications`` attribute
         carries the results of the batch's accepted prefix.  Returns
-        every notification routed during the batch, in event order.
-        """
-        notifications: List[MatchNotification] = []
-        start = time.perf_counter()
-        root = maybe_span(self.tracer, "service_batch").__enter__()
-        # Counters update per edge inside try/finally: a mid-batch
-        # rejection (out-of-order edge) must leave the stats consistent
-        # with the events that were already fanned out.
-        try:
-            for edge in edges:
-                if self._now is not None and edge.t < self._now:
-                    raise OutOfOrderError(
-                        f"out-of-order arrival: t={edge.t} after "
-                        f"now={self._now}", notifications)
-                self._expire_until(edge.t, notifications)
-                self._now = edge.t
-                # Advance the join cursor before fanning out: a query
-                # registered from inside a subscriber callback missed
-                # this arrival (it is not in the entry snapshot being
-                # iterated), so it must not be routed its expiration.
-                seq = self._seq
-                self._seq += 1
-                event = Event(edge, edge.t, EventKind.ARRIVAL)
-                self._fanout(event, seq, notifications)
-                self._live.append((edge, seq))
-                self.stats.edges_ingested += 1
-        finally:
-            root.__exit__(None, None, None)
-            self.stats.batches += 1
-            spent = time.perf_counter() - start
-            self.stats.elapsed_seconds += spent
-            if self._obs is not None:
-                self._h_ingest.observe(spent)
-        return notifications
+        every notification of the batch in event order, registry order
+        within an event.
 
-    def process_batch(self, edges: Iterable[Edge]
-                      ) -> List[MatchNotification]:
-        """Batched ingestion: like :meth:`ingest`, but each engine sees
-        the batch's whole event list through one
-        :meth:`~repro.streaming.engine.MatchEngine.on_batch` call.
-
-        Notifications are identical to :meth:`ingest` — same events,
-        same matches, same order (event order, registry order within an
-        event) — but delivery is *batch-granular*: engines run first,
-        then results are recorded and subscribers fire in event order.
-        A query registered from inside a subscriber callback therefore
-        joins at the batch boundary (first sees the next batch), where
-        :meth:`ingest` applies it mid-fan-out — the same batch-boundary
-        semantics the sharded service documents.  A failing engine
-        quarantines its query and contributes nothing for the batch.
+        Delivery is *batch-granular* (see the module docstring): each
+        engine sees its share of the batch's event list through one
+        :meth:`~repro.streaming.engine.MatchEngine.on_batch` call, then
+        results are recorded and subscribers fire in event order.  A
+        query registered from inside a subscriber callback joins at the
+        batch boundary, and a failing engine quarantines its query and
+        contributes nothing for the batch.  How fine-grained delivery
+        is depends only on how many edges the caller passes.
         """
         edges = list(edges)
-        notifications: List[MatchNotification] = []
-        start = time.perf_counter()
-        root = maybe_span(self.tracer, "service_batch",
-                          events=len(edges)).__enter__()
-        try:
-            prefix, failure = validated_prefix(edges, self._now)
-            events: List[Tuple[Event, int]] = []
-            for edge in prefix:
-                self._collect_expirations(edge.t, events)
-                self._now = edge.t
-                seq = self._seq
-                self._seq += 1
-                events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
-                self._live.append((edge, seq))
-                self.stats.edges_ingested += 1
-            if events:
-                self._fanout_batch(events, notifications,
-                                   trace_parent=root)
-        finally:
-            root.__exit__(None, None, None)
-            self.stats.batches += 1
-            spent = time.perf_counter() - start
-            self.stats.elapsed_seconds += spent
-            if self._obs is not None:
-                self._h_ingest.observe(spent)
+        prefix, failure = validated_prefix(edges, self._now)
+        # A full batch is a routed batch numbered from the cursor.  The
+        # cursor moves before the fan-out: a query registered from a
+        # callback missed these arrivals, so it must join after them
+        # and never be routed their expirations.
+        seq = self._seq
+        self._seq += len(prefix)
+        notifications = self._serve(
+            list(zip(prefix, range(seq, self._seq))), None)
         if failure is not None:
             raise OutOfOrderError(failure, notifications)
         return notifications
 
-    def _collect_expirations(self, t: int,
-                             out: List[Tuple[Event, int]]) -> None:
-        """Pop live edges whose window closes at or before ``t`` and
-        append their expiration events (see :meth:`_expire_until`)."""
-        delta = self.delta
+    #: The same method under the name the sharded API's callers and the
+    #: ledger use; there is no per-event variant to tell it from.
+    process_batch = ingest
+
+    def ingest_routed(self, pairs: List[Tuple[Edge, int]],
+                      final_now: int, final_seq: int
+                      ) -> List[MatchNotification]:
+        """Ingest a routed *subset* of a globally ordered stream.
+
+        This is the shard-worker entry point of the interest-routed
+        cluster: ``pairs`` carries only the edges some hosted query is
+        interested in, each paired with its **global** arrival sequence
+        number, while ``final_now``/``final_seq`` are the whole batch's
+        closing cursor.  After the subset is processed, the clock is
+        advanced to ``final_now`` so that live edges whose window closed
+        during the unseen remainder of the batch expire *now* — in the
+        same call a full-stream service would have expired them — and
+        the sequence cursor adopts ``final_seq`` so later registrations
+        join at the global stream position.
+
+        The caller (the cluster coordinator) has already validated
+        stream order across the full batch; a subset that starts before
+        the clock is refused whole, with nothing touched.
+        """
+        if pairs and self._now is not None and pairs[0][0].t < self._now:
+            raise OutOfOrderError(
+                f"out-of-order routed batch: t={pairs[0][0].t} after "
+                f"now={self._now}", [])
+        self._seq = final_seq
+        notifications = self._serve(pairs, final_now)
+        if self._now is None or final_now > self._now:
+            self._now = final_now
+        return notifications
+
+    def advance_to(self, t: int) -> List[MatchNotification]:
+        """Advance the clock to ``t`` without ingesting edges, expiring
+        every edge whose window has closed."""
+        if self._now is None or t > self._now:
+            self._now = t
+        return self._serve((), self._now, is_batch=False)
+
+    def drain(self) -> List[MatchNotification]:
+        """Expire every remaining live edge (end of stream).
+
+        The arrival cursor (``now``) is deliberately left at the last
+        arrival timestamp: draining flushes the window, it does not
+        fast-forward the stream, so a checkpoint taken after a drain
+        still resumes from the last edge actually ingested.
+        """
         live = self._live
-        while live and live[0][0].t + delta <= t:
-            edge, seq = live.popleft()
-            out.append((Event(edge, edge.t + delta, EventKind.EXPIRATION),
-                        seq))
+        return self._serve((), live[-1][0].t + self.delta if live else None,
+                           is_batch=False)
+
+    def _serve(self, pairs: Sequence[Tuple[Edge, int]],
+               horizon: Optional[int], is_batch: bool = True
+               ) -> List[MatchNotification]:
+        """What every entry point does: build Algorithm 1's event list
+        — the ``(edge, arrival seq)`` ``pairs``, each preceded by the
+        expirations due at its timestamp, then the expirations due at
+        or before ``horizon`` — fan it out as one batch, and account
+        the call (``service_batch`` span, elapsed time, the
+        ``service_ingest_seconds`` histogram; ``is_batch`` is the
+        ``ServiceStats.batches`` rule)."""
+        notifications: List[MatchNotification] = []
+        start = time.perf_counter()
+        with maybe_span(self.tracer, "service_batch",
+                        events=len(pairs)) as root:
+            events: List[Tuple[Event, int]] = []
+            live, delta = self._live, self.delta
+            for edge, seq in pairs:
+                _collect_expirations(live, delta, edge.t, events)
+                self._now = edge.t
+                events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
+                live.append((edge, seq))
+            self.stats.edges_ingested += len(pairs)
+            if horizon is not None:
+                _collect_expirations(live, delta, horizon, events)
+            if events:
+                self._fanout_batch(events, notifications,
+                                   trace_parent=root)
+        if is_batch:
+            self.stats.batches += 1
+        spent = time.perf_counter() - start
+        self.stats.elapsed_seconds += spent
+        if self._obs is not None:
+            self._h_ingest.observe(spent)
+        return notifications
 
     def _fanout_batch(self, events: List[Tuple[Event, int]],
-                      out: List[MatchNotification],
-                      trace_parent=None) -> None:
+                      out: List[MatchNotification], trace_parent=None,
+                      entries: Optional[List[RegisteredQuery]] = None
+                      ) -> None:
         """Run every eligible engine over the batch, then route the
         per-event results in global event order.
 
         The label triple of every event is resolved once per batch
         (not once per engine) and each engine only receives the
         sub-batch it is interested in; the remainder is tallied as
-        skipped without touching the engine.
+        skipped without touching the engine.  The fan-out covers the
+        registry's active queries unless ``entries`` names them (a
+        migration replay is private to the adopted query).
         ``trace_parent`` (a live span) nests route/dispatch/notify
         stage spans under the caller's batch root.
         """
         registry = self.registry
         obs = self._obs
         tracer = self.tracer if trace_parent is not None else None
-        entries = [entry for entry in registry.entries() if entry.active]
+        if entries is None:
+            entries = [entry for entry in registry.entries()
+                       if entry.active]
         route_start = time.perf_counter() if obs is not None else 0.0
         with maybe_span(tracer, "route", parent=trace_parent):
             lookup = registry.interest.lookup_ids
@@ -381,6 +436,8 @@ class MatchService:
             eligible = []
             skipped = 0
             for pair, interested in zip(events, interest_sets):
+                # A query that joined after an edge arrived never saw
+                # the arrival, so it must not see its expiration.
                 if pair[1] < joined:
                     continue
                 if query_id in interested:
@@ -424,126 +481,51 @@ class MatchService:
         notify_start = time.perf_counter() if obs is not None else 0.0
         notify = maybe_span(tracer, "notify",
                             parent=trace_parent).__enter__()
-        # Route in global event order, registry order within an event —
-        # exactly the order the per-event path emits.
+        # Global event order, registry order within an event.  What the
+        # engines reported is the batch's output whatever a callback
+        # does: one that unregisters or fails a query only stops that
+        # query's remaining callbacks.
+        reported = [(entry, per_entry[entry.query_id]) for entry in entries
+                    if entry.query_id in per_entry]
         for ev, seq in events:
             arrival = ev.is_arrival
             key = (seq, ev.kind)
-            for entry in entries:
-                by_event = per_entry.get(entry.query_id)
-                if (by_event is None or not entry.active
-                        or entry.query_id not in registry):
-                    continue
+            for entry, by_event in reported:
                 matches = by_event.get(key)
                 if not matches:
                     continue
+                query_id = entry.query_id
                 stats = entry.stats
+                notes = [MatchNotification(query_id, ev, match, seq)
+                         for match in matches]
+                out += notes
                 if arrival:
                     stats.occurred += len(matches)
                 else:
                     stats.expired += len(matches)
+                if entry.result is not None:
+                    (entry.result.occurred if arrival
+                     else entry.result.expired).extend(
+                         (ev, match) for match in matches)
+                if not (entry.subscribers and entry.active
+                        and query_id in registry):
+                    continue
                 began = time.perf_counter()
                 try:
-                    for match in matches:
-                        notification = MatchNotification(
-                            entry.query_id, ev, match, seq)
-                        if entry.result is not None:
-                            if arrival:
-                                entry.result.occurred.append((ev, match))
-                            else:
-                                entry.result.expired.append((ev, match))
+                    for notification in notes:
                         for callback in entry.subscribers:
                             callback(notification)
-                        out.append(notification)
                 except Exception as exc:  # noqa: BLE001 - isolation
                     entry.mark_errored(exc)
                     self.stats.errored_queries += 1
                 finally:
                     stats.elapsed_seconds += time.perf_counter() - began
-        for entry in entries:
-            if entry.result is not None and entry.query_id in per_entry:
-                entry.result.events_processed += len(per_entry[
-                    entry.query_id])
+        for entry, by_event in reported:
+            if entry.result is not None:
+                entry.result.events_processed += len(by_event)
         notify.__exit__(None, None, None)
         if obs is not None:
             self._h_notify.observe(time.perf_counter() - notify_start)
-
-    def ingest_routed(self, pairs: List[Tuple[Edge, int]],
-                      final_now: int, final_seq: int
-                      ) -> List[MatchNotification]:
-        """Ingest a routed *subset* of a globally ordered stream.
-
-        This is the shard-worker entry point of the interest-routed
-        cluster: ``pairs`` carries only the edges some hosted query is
-        interested in, each paired with its **global** arrival sequence
-        number, while ``final_now``/``final_seq`` are the whole batch's
-        closing cursor.  After the subset is processed, the clock is
-        advanced to ``final_now`` so that live edges whose window closed
-        during the unseen remainder of the batch expire *now* — in the
-        same call a full-stream service would have expired them — and
-        the sequence cursor adopts ``final_seq`` so later registrations
-        join at the global stream position.
-
-        The caller (the cluster coordinator) has already validated
-        stream order across the full batch; engines are fed through
-        ``on_batch`` exactly like :meth:`process_batch`.
-        """
-        notifications: List[MatchNotification] = []
-        start = time.perf_counter()
-        try:
-            if (pairs and self._now is not None
-                    and pairs[0][0].t < self._now):
-                raise OutOfOrderError(
-                    f"out-of-order routed batch: t={pairs[0][0].t} after "
-                    f"now={self._now}", notifications)
-            events: List[Tuple[Event, int]] = []
-            for edge, seq in pairs:
-                self._collect_expirations(edge.t, events)
-                self._now = edge.t
-                events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
-                self._live.append((edge, seq))
-                self.stats.edges_ingested += 1
-            self._collect_expirations(final_now, events)
-            if events:
-                self._fanout_batch(events, notifications)
-            if self._now is None or final_now > self._now:
-                self._now = final_now
-            self._seq = final_seq
-        finally:
-            self.stats.batches += 1
-            spent = time.perf_counter() - start
-            self.stats.elapsed_seconds += spent
-            if self._obs is not None:
-                self._h_ingest.observe(spent)
-        return notifications
-
-    def advance_to(self, t: int) -> List[MatchNotification]:
-        """Advance the clock to ``t`` without ingesting edges, expiring
-        every edge whose window has closed."""
-        notifications: List[MatchNotification] = []
-        start = time.perf_counter()
-        if self._now is None or t > self._now:
-            self._now = t
-        self._expire_until(self._now, notifications)
-        self.stats.elapsed_seconds += time.perf_counter() - start
-        return notifications
-
-    def drain(self) -> List[MatchNotification]:
-        """Expire every remaining live edge (end of stream).
-
-        The arrival cursor (``now``) is deliberately left at the last
-        arrival timestamp: draining flushes the window, it does not
-        fast-forward the stream, so a checkpoint taken after a drain
-        still resumes from the last edge actually ingested.
-        """
-        notifications: List[MatchNotification] = []
-        start = time.perf_counter()
-        while self._live:
-            edge, seq = self._live.popleft()
-            event = Event(edge, edge.t + self.delta, EventKind.EXPIRATION)
-            self._fanout(event, seq, notifications)
-        self.stats.elapsed_seconds += time.perf_counter() - start
-        return notifications
 
     # ------------------------------------------------------------------
     # Live migration hooks (used by repro.cluster)
@@ -557,8 +539,8 @@ class MatchService:
         eligible for: arrivals at or after its join cursor that the
         interest index routed to it.  Interest decisions depend only on
         the query's own registration data, so re-evaluating them here
-        reproduces exactly the arrivals the engine saw.  Call *before* unregistering — the
-        lookup needs the query still indexed.
+        reproduces exactly the arrivals the engine saw.  Call *before*
+        unregistering — the lookup needs the query still indexed.
         """
         if not entry.active:
             return ()
@@ -580,12 +562,15 @@ class MatchService:
         ``window`` is replayed *silently* — the source already
         dispatched those arrivals, accounted them in the stats shipped
         with the query, and emitted their notifications, so here they
-        only rebuild derived engine state.  ``tail`` events (arrivals
-        buffered while the query was detached) are replayed *live*
-        against a private window copy: interleaved expirations and
-        arrivals are dispatched, counted and notified exactly as the
-        normal fan-out would have.  ``final_now`` then privately expires
-        whatever fell due during the hop, and the remaining pairs are
+        only rebuild derived engine state.  ``tail`` (arrivals buffered
+        while the query was detached) becomes one private event list
+        over a private copy of the window — each arrival preceded by
+        the expirations due at its timestamp, then whatever fell due by
+        ``final_now`` (everything, with ``drain_tail``) — and goes
+        through the same batch fan-out as any other event list,
+        restricted to ``entry``: dispatched, counted and notified the
+        same way, and an engine that fails on it quarantines the query
+        with nothing emitted for the tail.  The remaining pairs are
         merged seq-ordered into the live deque, skipping seqs the deque
         already holds (edges this service received for its other
         queries) so no edge ever expires twice.
@@ -598,39 +583,35 @@ class MatchService:
         intersect.
         """
         notifications: List[MatchNotification] = []
-        qwindow: Deque[Tuple[Edge, int]] = deque()
-        if entry.active and window:
+        if not entry.active:
+            return notifications
+        if window:
             try:
                 _run_batch(entry.engine,
                            [Event(edge, edge.t, EventKind.ARRIVAL)
                             for edge, _ in window])
-                qwindow.extend(window)
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 entry.mark_errored(exc)
                 self.stats.errored_queries += 1
-        if entry.active:
-            lookup = self.registry.interest.lookup_ids
-            for edge, seq in tail:
-                self._replay_expirations(entry, qwindow, edge.t,
-                                         notifications)
-                if not entry.active:
-                    break
-                if entry.query_id not in lookup(edge):
-                    entry.stats.events_skipped += 1
-                    self.stats.events_skipped += 1
-                    continue
-                event = Event(edge, edge.t, EventKind.ARRIVAL)
-                self._replay_event(entry, event, seq, notifications)
+                return notifications
+        qwindow: Deque[Tuple[Edge, int]] = deque(window)
+        events: List[Tuple[Event, int]] = []
+        delta = self.delta
+        lookup = self.registry.interest.lookup_ids
+        for edge, seq in tail:
+            _collect_expirations(qwindow, delta, edge.t, events)
+            events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
+            # Every tail arrival is offered (the fan-out counts the
+            # uninteresting ones as skipped); only the ones the engine
+            # is given enter its window.
+            if entry.query_id in lookup(edge):
                 qwindow.append((edge, seq))
-            if entry.active and drain_tail:
-                while qwindow and entry.active:
-                    edge, seq = qwindow.popleft()
-                    event = Event(edge, edge.t + self.delta,
-                                  EventKind.EXPIRATION)
-                    self._replay_event(entry, event, seq, notifications)
-            elif entry.active and final_now is not None:
-                self._replay_expirations(entry, qwindow, final_now,
-                                         notifications)
+        horizon = (qwindow[-1][0].t + delta if drain_tail and qwindow
+                   else final_now)
+        if horizon is not None:
+            _collect_expirations(qwindow, delta, horizon, events)
+        if events:
+            self._fanout_batch(events, notifications, entries=[entry])
         if drain_tail or not entry.active:
             return notifications
         # Merge the surviving window into the shared live deque.
@@ -645,147 +626,6 @@ class MatchService:
                                       or final_now > self._now):
             self._now = final_now
         return notifications
-
-    def _replay_expirations(self, entry: RegisteredQuery,
-                            qwindow: Deque[Tuple[Edge, int]], t: int,
-                            out: List[MatchNotification]) -> None:
-        """Expire the private window up to ``t`` (same closing rule as
-        :meth:`_expire_until`), dispatching to ``entry`` only."""
-        delta = self.delta
-        while qwindow and entry.active and qwindow[0][0].t + delta <= t:
-            edge, seq = qwindow.popleft()
-            event = Event(edge, edge.t + delta, EventKind.EXPIRATION)
-            self._replay_event(entry, event, seq, out)
-
-    def _replay_event(self, entry: RegisteredQuery, event: Event,
-                      seq: int, out: List[MatchNotification]) -> None:
-        """Dispatch one replayed event to one entry — the per-entry body
-        of :meth:`_fanout`, with identical accounting and isolation."""
-        arrival = event.is_arrival
-        self.stats.events_routed += 1
-        stats = entry.stats
-        matches = None
-        began = time.perf_counter()
-        try:
-            if arrival:
-                matches = entry.engine.on_edge_insert(event.edge)
-            else:
-                matches = entry.engine.on_edge_expire(event.edge)
-            stats.events_processed += 1
-            if arrival:
-                stats.occurred += len(matches)
-            else:
-                stats.expired += len(matches)
-            stats.note_structure_size(
-                entry.engine.stats.peak_structure_entries)
-            for match in matches:
-                notification = MatchNotification(
-                    entry.query_id, event, match, seq)
-                if entry.result is not None:
-                    if arrival:
-                        entry.result.occurred.append((event, match))
-                    else:
-                        entry.result.expired.append((event, match))
-                for callback in entry.subscribers:
-                    callback(notification)
-                out.append(notification)
-            if entry.result is not None:
-                entry.result.events_processed += 1
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            entry.mark_errored(exc)
-            self.stats.errored_queries += 1
-        finally:
-            spent = time.perf_counter() - began
-            stats.elapsed_seconds += spent
-            if self._obs is not None:
-                engine_hist, delta_hist = self._query_observers(
-                    entry.query_id)
-                engine_hist.observe(spent)
-                if matches is not None:
-                    delta_hist.observe(len(matches))
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _expire_until(self, t: int,
-                      out: List[MatchNotification]) -> None:
-        """Expire live edges whose window closes at or before time ``t``
-        (an edge with timestamp ``<= t - delta`` is outside ``(t -
-        delta, t]``, so its expiration precedes the arrival at ``t``)."""
-        while self._live and self._live[0][0].t + self.delta <= t:
-            edge, seq = self._live.popleft()
-            event = Event(edge, edge.t + self.delta, EventKind.EXPIRATION)
-            self._fanout(event, seq, out)
-
-    def _fanout(self, event: Event, seq: int,
-                out: List[MatchNotification]) -> None:
-        """Route one event to every eligible query, isolating failures."""
-        arrival = event.is_arrival
-        registry = self.registry
-        obs = self._obs
-        interested = registry.interest.lookup_ids(event.edge)
-        service_stats = self.stats
-        for entry in registry.entries():
-            if (not entry.active or entry.joined_seq > seq
-                    or entry.query_id not in registry):
-                # Errored queries are quarantined; a query that joined
-                # after this edge arrived never saw the arrival, so it
-                # must not see the event either; and a query
-                # unregistered from a callback mid-fan-out (it is still
-                # in the cached snapshot) gets nothing further.
-                continue
-            if entry.query_id not in interested:
-                # Interest-index skip: the engine is not dispatched, so
-                # neither its timer nor the error-isolation bookkeeping
-                # below runs — skipped is a distinct outcome from
-                # failed, and the counters keep them apart.
-                entry.stats.events_skipped += 1
-                service_stats.events_skipped += 1
-                continue
-            self.stats.events_routed += 1
-            stats = entry.stats
-            matches = None
-            began = time.perf_counter()
-            try:
-                if arrival:
-                    matches = entry.engine.on_edge_insert(event.edge)
-                else:
-                    matches = entry.engine.on_edge_expire(event.edge)
-                stats.events_processed += 1
-                if arrival:
-                    stats.occurred += len(matches)
-                else:
-                    stats.expired += len(matches)
-                # Engines note their own peak per event; reading the
-                # recorded high-water mark avoids a second O(entries)
-                # scan per event (matches the single-query runner).
-                stats.note_structure_size(
-                    entry.engine.stats.peak_structure_entries)
-                for match in matches:
-                    notification = MatchNotification(
-                        entry.query_id, event, match, seq)
-                    if entry.result is not None:
-                        if arrival:
-                            entry.result.occurred.append((event, match))
-                        else:
-                            entry.result.expired.append((event, match))
-                    for callback in entry.subscribers:
-                        callback(notification)
-                    out.append(notification)
-                if entry.result is not None:
-                    entry.result.events_processed += 1
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                entry.mark_errored(exc)
-                self.stats.errored_queries += 1
-            finally:
-                spent = time.perf_counter() - began
-                stats.elapsed_seconds += spent
-                if obs is not None:
-                    engine_hist, delta_hist = self._query_observers(
-                        entry.query_id)
-                    engine_hist.observe(spent)
-                    if matches is not None:
-                        delta_hist.observe(len(matches))
 
     # ------------------------------------------------------------------
     # Metrics export

@@ -54,7 +54,14 @@ class QueryStats:
 
 @dataclass
 class ServiceStats:
-    """Service-level counters across the lifetime of one service."""
+    """Service-level counters across the lifetime of one service.
+
+    ``batches`` counts the calls that offer edges — ``ingest`` /
+    ``process_batch`` / ``ingest_routed``, an empty or partly rejected
+    batch included — in both services.  ``advance_to`` and ``drain``
+    move the clock, not the stream: they add to ``elapsed_seconds`` and
+    to the ``service_ingest_seconds`` histogram, not to ``batches``.
+    """
 
     edges_ingested: int = 0
     batches: int = 0

@@ -3,8 +3,8 @@
 The tentpole contract of the batched hot path: for every engine, every
 batch size, and every stream — including expirations straddling batch
 boundaries and duplicate (u, v, t) arrivals — ``on_batch`` produces
-exactly the per-event output, and ``MatchService.process_batch``
-produces exactly the ``ingest`` notifications.
+exactly the per-event output, and ``MatchService`` reports the same
+notifications however the stream is split into batches.
 """
 
 import pytest
@@ -120,6 +120,44 @@ def test_driver_rejects_bad_batch_size():
         StreamDriver(engine, batch_size=0)
 
 
+def _service_notes(labels, delta, script):
+    """Play ``script`` — edge lists to ingest, ints to ``advance_to`` —
+    against a two-query service, then drain."""
+    service = MatchService(delta)
+    service.register(PATH, labels, "tcm")
+    service.register(TRIANGLE, labels, "symbi")
+    notes = []
+    for step in script:
+        notes += (service.advance_to(step) if isinstance(step, int)
+                  else service.ingest(step))
+    notes += service.drain()
+    assert service.stats.errored_queries == 0
+    return [(n.query_id, n.event, n.match, n.seq) for n in notes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=small_streams(), data=st.data())
+def test_any_split_into_batches_gives_the_same_notifications(instance,
+                                                             data):
+    """Granularity is how many edges the caller passes: one edge per
+    call, the whole stream in one call and any split in between, with
+    ``advance_to`` calls in the gaps (anywhere from the clock to the
+    next arrival, so some expire edges early), report the same
+    notifications in the same order."""
+    labels, edges, delta = instance
+    script, lo = [], 0
+    while lo < len(edges):
+        hi = data.draw(st.integers(lo + 1, len(edges)))
+        script.append(edges[lo:hi])
+        if hi < len(edges) and data.draw(st.booleans()):
+            script.append(data.draw(
+                st.integers(edges[hi - 1].t, edges[hi].t)))
+        lo = hi
+    whole = _service_notes(labels, delta, [edges])
+    assert _service_notes(labels, delta, script) == whole
+    assert _service_notes(labels, delta, [[e] for e in edges]) == whole
+
+
 class TestServiceProcessBatch:
     LABELS = {0: "A", 1: "B", 2: "A", 3: "B", 4: "A"}
 
@@ -133,30 +171,22 @@ class TestServiceProcessBatch:
         out.sort(key=lambda e: e.t)
         return out
 
-    def _drive(self, batched, step):
+    def _drive(self, step):
         service = MatchService(delta=5)
         q1 = service.register(PATH, self.LABELS, "tcm")
         q2 = service.register(TRIANGLE, self.LABELS, "symbi")
         notes = []
         edges = self._edges()
         for lo in range(0, len(edges), step):
-            chunk = edges[lo:lo + step]
-            notes.extend(service.process_batch(chunk) if batched
-                         else service.ingest(chunk))
+            notes.extend(service.process_batch(edges[lo:lo + step]))
         notes.extend(service.drain())
         return service, (q1, q2), notes
 
-    @pytest.mark.parametrize("step", [1, 4, 9, 100])
-    def test_notifications_identical(self, step):
-        """process_batch emits exactly the ingest notification stream:
-        same events, same matches, same global order."""
-        _, _, base = self._drive(False, step)
-        _, _, batched = self._drive(True, step)
-        assert [(n.query_id, n.event, n.match, n.seq) for n in base] == \
-            [(n.query_id, n.event, n.match, n.seq) for n in batched]
+    def test_is_ingest_under_its_other_name(self):
+        assert MatchService.process_batch is MatchService.ingest
 
     def test_stats_track_batches(self):
-        service, (q1, _), _ = self._drive(True, 9)
+        service, (q1, _), _ = self._drive(9)
         stats = service.query_stats(q1)
         assert stats.batches_processed >= 1
         assert stats.events_processed > 0

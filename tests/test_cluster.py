@@ -523,6 +523,34 @@ class TestUndecodableReply:
             assert "UnpicklingError" in entry.error
 
 
+class TestUndecodableRequest:
+    """A request the worker cannot read is refused, not fatal."""
+
+    @pytest.mark.parametrize("bad", ["truncated frame", "broken pickle"])
+    def test_worker_answers_with_a_failure_and_stays_in_step(self, bad):
+        first, second = ab_edges(6), ab_edges(6, start=7)
+        single = MatchService(100)
+        with ShardedMatchService(100, workers=2) as service:
+            for target in (single, service):
+                for i in range(4):
+                    target.register(AB_QUERY, AB_LABELS, query_id=f"q{i}")
+            assert service.ingest(first) == single.ingest(first)
+            frame = wire.encode_routed(
+                [(edge, 6 + i) for i, edge in enumerate(second)],
+                second[-1].t, 12)
+            request = frame[:-8] if bad == "truncated frame" else b"\x80junk"
+            # The worker's FrameError / pickle error, by name.
+            with pytest.raises((RuntimeError, ValueError)) as refused:
+                service._request(0, request)
+            assert not isinstance(refused.value, WorkerCrashError)
+            assert service._workers[0].process.is_alive()
+            assert service.live_workers == 2
+            assert service.stats.errored_queries == 0
+            # The refused request touched nothing on the shard.
+            assert service.ingest(second) == single.ingest(second)
+            assert service.drain() == single.drain()
+
+
 class TestTracerSeam:
     def test_codec_is_called_through_the_wire_module(self, monkeypatch):
         """``ledger/trace.py`` times the codec by replacing
@@ -580,26 +608,6 @@ class TestSubscribers:
             assert service.get(bad).stats.events_processed == frozen
             assert service.query_stats(good).occurred == 6
             assert service.stats.errored_queries == 1
-
-    def test_register_from_subscriber_callback(self):
-        with ShardedMatchService(100, workers=2) as service:
-            follow_ups = []
-
-            def register_follow_up(notification):
-                if not follow_ups:
-                    follow_ups.append(
-                        service.register(AB_QUERY, AB_LABELS))
-
-            service.register(AB_QUERY, AB_LABELS,
-                             subscriber=register_follow_up)
-            service.ingest(ab_edges(3))          # delivery after batch 1
-            service.ingest(ab_edges(3, start=4))
-            service.drain()
-            follow_up = service.get(follow_ups[0])
-            assert follow_up.status is QueryStatus.ACTIVE
-            # Joined after batch 1 was merged: sees batch 2 only.
-            assert follow_up.stats.occurred == 3
-            assert follow_up.stats.expired == 3
 
 
 class _FailingEngine:

@@ -1,8 +1,8 @@
-"""Unit tests for the temporal multigraph and the sliding window."""
+"""Unit tests for the temporal multigraph."""
 
 import pytest
 
-from repro.graph import Edge, TemporalGraph, WindowBuffer
+from repro.graph import Edge, TemporalGraph
 
 
 def make_graph():
@@ -140,48 +140,3 @@ class TestTemporalGraph:
         clone.insert_edge(Edge.make(1, 2, 2))
         assert g.num_edges() == 1
         assert clone.num_edges() == 2
-
-
-class TestWindowBuffer:
-    def test_expiry_on_advance(self):
-        buf = WindowBuffer(delta=10, labels={1: "A", 2: "B", 3: "A"})
-        buf.insert(Edge.make(1, 2, 1))
-        expired = buf.insert(Edge.make(2, 3, 11))
-        assert expired == [Edge.make(1, 2, 1)]
-        assert not buf.graph.has_edge(Edge.make(1, 2, 1))
-        assert buf.graph.has_edge(Edge.make(2, 3, 11))
-
-    def test_edge_alive_within_window(self):
-        buf = WindowBuffer(delta=10, labels={1: "A", 2: "B", 3: "A"})
-        buf.insert(Edge.make(1, 2, 1))
-        expired = buf.insert(Edge.make(2, 3, 10))
-        assert expired == []
-        assert len(buf) == 2
-
-    def test_out_of_order_rejected(self):
-        buf = WindowBuffer(delta=5, labels={1: "A", 2: "B"})
-        buf.insert(Edge.make(1, 2, 10))
-        with pytest.raises(ValueError):
-            buf.insert(Edge.make(1, 2, 9))
-
-    def test_drain(self):
-        buf = WindowBuffer(delta=100, labels={1: "A", 2: "B"})
-        buf.insert(Edge.make(1, 2, 1))
-        buf.insert(Edge.make(1, 2, 2))
-        drained = buf.drain()
-        assert len(drained) == 2
-        assert buf.graph.num_edges() == 0
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            WindowBuffer(delta=0)
-
-    def test_paper_example_window(self):
-        """Example II.2: at t=14 with delta=10, sigma_4 expires."""
-        from tests.paper_example import DATA_LABELS, all_edges
-        buf = WindowBuffer(delta=10, labels=DATA_LABELS)
-        expired = []
-        for edge in all_edges(14):
-            expired.extend(buf.insert(edge))
-        assert [e.t for e in expired] == [1, 2, 3, 4]
-        assert buf.graph.num_edges() == 10

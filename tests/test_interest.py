@@ -241,3 +241,6 @@ class TestIngestRouted:
         service.ingest(ab_edges(1, start=10))
         with pytest.raises(ValueError, match="out-of-order"):
             service.ingest_routed([(Edge.make(0, 1, 3), 1)], 3, 2)
+        # Refused whole: no cursor, counter or window moved.
+        assert (service.now, service.seq) == (10, 1)
+        assert service.stats.batches == service.stats.edges_ingested == 1

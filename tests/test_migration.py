@@ -17,10 +17,12 @@ from repro.cluster import (
     MigrationError, ShardedMatchService,
 )
 from repro.cluster.placement import ShardPlacement
+from repro.core.tcm import TCMEngine
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query import TemporalQuery
 from repro.service import MatchService
+from repro.streaming.engine import MatchEngine
 from repro.workloads import make_mixed_query_set
 
 AB_QUERY = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
@@ -35,6 +37,30 @@ BATCH = 40
 
 def ab_edges(n, start=1):
     return [Edge.make(0, 1, t) for t in range(start, start + n)]
+
+
+class PoisonedEngine(MatchEngine):
+    """A per-event TCM that raises on the arrival stamped ``POISON``."""
+
+    name = "poisoned"
+    POISON = 16
+
+    def __init__(self, query, labels, edge_label_fn=None):
+        super().__init__(query, labels, edge_label_fn)
+        self.inner = TCMEngine(query, labels, edge_label_fn=edge_label_fn)
+
+    def on_edge_insert(self, edge):
+        if edge.t == self.POISON:
+            raise RuntimeError("poisoned edge")
+        return self.inner.on_edge_insert(edge)
+
+    def on_edge_expire(self, edge):
+        return self.inner.on_edge_expire(edge)
+
+
+def poisoned_factory(query, labels, edge_label_fn=None):
+    """Module-level so it pickles by reference across the worker pipe."""
+    return PoisonedEngine(query, labels, edge_label_fn)
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +288,39 @@ class TestStagedMigration:
             == (expected_stats.occurred, expected_stats.expired,
                 expected_stats.events_processed)
 
+    def test_engine_failing_mid_tail_quarantines_only_its_query(self):
+        """The replayed tail is one batch like any other: an engine
+        that raises part-way through it quarantines its query with
+        nothing emitted for the tail — not the tail's first half — and
+        the target shard's other queries report what they would have
+        reported had nothing migrated."""
+        edges = ab_edges(30)
+        single = MatchService(5)
+        single.register(AB_QUERY, AB_LABELS, query_id="good")
+        expected = [single.ingest(edges[lo:lo + 10])
+                    for lo in range(0, 30, 10)] + [single.drain()]
+        with ShardedMatchService(5, workers=2) as service:
+            service.register(AB_QUERY, AB_LABELS, query_id="good")
+            service.register(AB_QUERY, AB_LABELS, poisoned_factory,
+                             query_id="bad")
+            assert service.shard_of("good") != service.shard_of("bad")
+            first = service.ingest(edges[:10])
+            assert sum(n.query_id == "bad" for n in first) == 10 + 5
+            service.begin_migrate("bad", service.shard_of("good"))
+            # The tail: arrivals 11..20, the poisoned one in the middle.
+            second = service.ingest(edges[10:20])
+            replayed = service.finish_migrate("bad")
+            assert replayed == []
+            entry = service.get("bad")
+            assert entry.status.value == "errored"
+            assert "poisoned edge" in entry.error
+            assert entry.stats.occurred == 10
+            assert service.live_workers == 2
+            rest = [service.ingest(edges[20:]), service.drain()]
+        assert [n for n in first if n.query_id == "good"] == expected[0]
+        # Paused, then quarantined: nothing of "bad" after batch one.
+        assert [second, *rest] == expected[1:]
+
     def test_unregister_lands_pending_migration(self):
         with ShardedMatchService(5, workers=2) as service:
             service.register(AB_QUERY, AB_LABELS, query_id="q")
@@ -279,6 +338,94 @@ class TestStagedMigration:
             with pytest.raises(MigrationError, match="already"):
                 service.begin_migrate("q")
                 service.begin_migrate("q")
+
+
+class TestAdoptQuery:
+    """``MatchService``'s migration hooks, driven directly: in a cluster
+    they only ever run inside worker processes."""
+
+    AC_QUERY = TemporalQuery(labels=["A", "C"], edges=[(0, 1)])
+    LABELS = {0: "A", 1: "B", 2: "C"}
+    DELTA = 5
+    #: A-B on odd ticks, A-C on even ones: half of any tail is of no
+    #: interest to the A-B query.
+    EDGES = [Edge.make(0, 1 + (t + 1) % 2, t) for t in range(1, 25)]
+
+    def batch(self, number):
+        """Routed pairs of the ``number``-th six edges."""
+        lo = 6 * number
+        return list(zip(self.EDGES[lo:lo + 6], range(lo, lo + 6)))
+
+    def reference(self):
+        single = MatchService(self.DELTA)
+        single.register(AB_QUERY, self.LABELS, query_id="ab")
+        single.register(self.AC_QUERY, self.LABELS, query_id="ac")
+        notes = single.ingest(self.EDGES) + single.drain()
+        return ([n for n in notes if n.query_id == "ab"],
+                single.query_stats("ab"))
+
+    def detach_after_first_batch(self):
+        """Source side: serve batch 0, export, unregister."""
+        source = MatchService(self.DELTA)
+        source.register(AB_QUERY, self.LABELS, query_id="ab")
+        source.register(self.AC_QUERY, self.LABELS, query_id="ac")
+        notes = source.ingest_routed(self.batch(0), 6, 6)
+        entry = source.registry.get("ab")
+        window = source.export_query_window(entry)
+        assert [edge.t for edge, _ in window] == [3, 5]
+        source.registry.unregister("ab")
+        return [n for n in notes if n.query_id == "ab"], entry, window
+
+    def attach(self, target, old, engine="tcm"):
+        entry = target.registry.register(
+            AB_QUERY, self.LABELS, engine, query_id="ab",
+            joined_seq=old.joined_seq)
+        entry.stats = old.stats
+        return entry
+
+    def test_tail_replay_equals_never_migrating(self):
+        expected, expected_stats = self.reference()
+        notes, old, window = self.detach_after_first_batch()
+        tail = tuple(self.batch(1) + self.batch(2))
+        target = MatchService(self.DELTA)
+        target.ingest_routed([], 18, 18)    # a shard with nothing routed
+        entry = self.attach(target, old)
+        before = entry.stats.batches_processed
+        notes += target.adopt_query(entry, window, tail, final_now=18)
+        assert entry.stats.batches_processed == before + 1
+        assert entry.stats.events_skipped >= 6      # the A-C arrivals
+        # Survivors joined the shared deque once each.
+        assert [edge.t for edge, _ in target._live] == [15, 17]
+        notes += target.ingest_routed(self.batch(3), 24, 24)
+        notes += target.drain()
+        assert notes == expected
+        stats = target.query_stats("ab")
+        assert (stats.occurred, stats.expired, stats.events_processed) \
+            == (expected_stats.occurred, expected_stats.expired,
+                expected_stats.events_processed)
+
+    def test_drain_tail_flushes_the_private_window_only(self):
+        expected, _ = self.reference()
+        upto_18 = [n for n in expected if n.seq < 18]
+        notes, old, window = self.detach_after_first_batch()
+        target = MatchService(self.DELTA)
+        entry = self.attach(target, old)
+        notes += target.adopt_query(
+            entry, window, tuple(self.batch(1) + self.batch(2)),
+            drain_tail=True)
+        assert notes == upto_18
+        assert not target._live and target.now is None
+
+    def test_failing_window_rebuild_is_silent(self):
+        _, old, _ = self.detach_after_first_batch()
+        target = MatchService(self.DELTA)
+        entry = self.attach(target, old, poisoned_factory)
+        poisoned = Edge.make(0, 1, PoisonedEngine.POISON)
+        assert target.adopt_query(entry, ((poisoned, 15),),
+                                  self.batch(3), final_now=24) == []
+        assert not entry.active and "poisoned edge" in entry.error
+        assert target.stats.errored_queries == 1
+        assert not target._live and target.stats.events_routed == 0
 
 
 class TestCrashRecovery:

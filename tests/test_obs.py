@@ -319,6 +319,7 @@ def run_service_scenario(metrics):
     notes = []
     for lo in range(1, 41, 10):
         notes += service.process_batch(ab_edges(10, start=lo))
+    notes += service.advance_to(45)       # idle gap: t=31..35 expire
     notes += service.drain()
     return [(n.query_id, n.event, n.match, n.seq) for n in notes]
 
@@ -341,6 +342,13 @@ class TestIntegration:
         engine_series = snap["service_engine_seconds"]["series"]
         assert {s["labels"]["query"] for s in engine_series} == \
             {"q0", "q1"}
+        # Every entry point is observed, not only the ones that carry
+        # edges: 4 batches, the advance and the drain.  Only the four
+        # count as batches (ServiceStats.batches).
+        for name in ("service_ingest_seconds", "service_route_seconds",
+                     "service_notify_seconds"):
+            assert snap[name]["series"][0]["count"] == 6, name
+        assert snap["service_batches_total"]["series"][0]["value"] == 4
 
     def test_cluster_output_identical_with_metrics(self):
         def run(metrics):

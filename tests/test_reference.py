@@ -5,9 +5,9 @@ run per event (``StreamDriver``, Algorithm 1's loop) over *every* edge
 that arrived while the query was registered — no interest index, no
 batching, no wire.  Merging those per-query results by ``(event time,
 kind, arrival seq, registration order)`` gives the notification stream a
-correct service must emit; ``MatchService.process_batch`` (and its
-per-event ``ingest``) and ``ShardedMatchService.ingest`` with 1, 2 and
-4 workers must equal it notification for notification.
+correct service must emit; ``MatchService.ingest`` (under both its
+names) and ``ShardedMatchService.ingest`` with 1, 2 and 4 workers must
+equal it notification for notification.
 
 The workload covers what the one data path has to get right: queries
 over disjoint label groups (sub-batches split per shard, some shards see
@@ -15,7 +15,9 @@ only clock advances), a directed edge-labelled query (interest keys
 refine on direction and edge label), a query behind a callable engine
 factory (never indexed, so it receives every event) and a register and
 an unregister in mid-stream (interest tables change while edges are
-live in the window).
+live in the window), and an idle gap longer than the window that the
+script crosses with ``advance_to`` (the whole window expires with no
+arrival to carry the clock).
 """
 
 import random
@@ -36,6 +38,9 @@ from repro.streaming.events import build_event_list
 DELTA = 30
 BATCH = 20
 NUM_BATCHES = 9
+#: The stream is silent for ``IDLE`` ticks before batch ``IDLE_BEFORE``.
+IDLE = DELTA + 12
+IDLE_BEFORE = 5
 
 #: Three label groups on disjoint vertex sets: A/B/C, D/E/F and X/Y.
 LABELS = dict(enumerate("ABCABC" "DEFDEF" "XYXY"))
@@ -52,13 +57,16 @@ def tcm_factory(query, labels, edge_label_fn=None):
 
 
 def make_stream():
-    """One edge per tick, both endpoints from one group.  Every edge is
-    normalized (an undirected engine accepts nothing else), so the
-    directed query reads ``u -> v`` with ``u < v``."""
+    """One edge per tick but for the idle gap, both endpoints from one
+    group.  Every edge is normalized (an undirected engine accepts
+    nothing else), so the directed query reads ``u -> v`` with
+    ``u < v``."""
     rng = random.Random(11)
     edges = []
     for t in range(1, NUM_BATCHES * BATCH + 1):
         group = GROUPS[rng.randrange(len(GROUPS))]
+        if t > IDLE_BEFORE * BATCH:
+            t += IDLE
         edges.append(Edge.make(*rng.sample(group, 2), t))
     return edges
 
@@ -132,6 +140,11 @@ def drive(service, ingest):
                 service.register(spec.query, LABELS, spec.engine,
                                  query_id=spec.query_id,
                                  edge_label_fn=spec.edge_label_fn)
+        if number == IDLE_BEFORE:
+            # Into the gap, past every live edge's window.
+            flushed = service.advance_to(batch[0].t - 5)
+            assert flushed and not any(n.occurred for n in flushed)
+            notes += flushed
         notes += ingest(batch)
     notes += service.drain()
     assert service.stats.errored_queries == 0

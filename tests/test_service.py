@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bench import make_engine
+from repro.cluster import ShardedMatchService
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query import TemporalQuery
@@ -23,6 +24,23 @@ AB_LABELS = {0: "A", 1: "B"}
 def ab_edges(n, start=1):
     """n parallel A-B edges at timestamps start, start+1, ..."""
     return [Edge.make(0, 1, t) for t in range(start, start + n)]
+
+
+@pytest.fixture(params=[MatchService, ShardedMatchService],
+                ids=["in-process", "sharded"])
+def open_service(request):
+    """``open_service(delta)`` builds the parametrized service; a
+    sharded one is closed after the test."""
+    opened = []
+
+    def build(delta):
+        opened.append(request.param(delta))
+        return opened[-1]
+
+    yield build
+    for service in opened:
+        if isinstance(service, ShardedMatchService):
+            service.close()
 
 
 class TestRegistry:
@@ -139,14 +157,17 @@ class TestServiceBasics:
         assert service.stats.edges_ingested == 5
         assert service.stats.events_routed == 10
 
-    def test_advance_to_expires(self):
-        service = MatchService(3)
+    def test_advance_to_expires(self, open_service):
+        service = open_service(3)
         qid = service.register(AB_QUERY, AB_LABELS)
         service.ingest(ab_edges(2))          # t = 1, 2
         notifications = service.advance_to(10)
-        assert all(not n.occurred for n in notifications)
+        assert [n.occurred for n in notifications] == [False, False]
         assert service.query_stats(qid).expired == 2
         assert service.now == 10
+        # Batches are the calls that offer edges (ServiceStats).
+        assert service.ingest([]) == service.drain() == []
+        assert service.stats.batches == 2
 
 
 class TestAgreementWithStreamDriver:
@@ -217,11 +238,13 @@ class TestMidStreamLifecycle:
         occurred = service.registry.get(late).result.occurred
         assert min(event.edge.t for event, _ in occurred) == 6
 
-    def test_register_from_subscriber_callback_is_safe(self):
-        """A follow-up query registered from inside a subscriber
-        callback missed the in-flight arrival, so it must not receive
-        that edge's expiration (which would corrupt its engine)."""
-        service = MatchService(3)
+    def test_register_from_subscriber_callback_joins_at_batch_boundary(
+            self, open_service):
+        """The engines have run the whole batch when its first callback
+        fires, so a follow-up query registered there joins after the
+        batch: it sees the next batch, and none of the expirations of
+        arrivals it missed (which would corrupt its engine)."""
+        service = open_service(3)
         follow_ups = []
 
         def register_follow_up(notification):
@@ -229,37 +252,46 @@ class TestMidStreamLifecycle:
                 follow_ups.append(
                     service.register(AB_QUERY, AB_LABELS))
 
-        service.register(AB_QUERY, AB_LABELS,
-                         subscriber=register_follow_up)
-        service.ingest(ab_edges(5))       # callback fires at t=1
+        first = service.register(AB_QUERY, AB_LABELS,
+                                 subscriber=register_follow_up)
+        # delta = 3: t=1,2 expire inside batch 1, t=3..5 inside batch 2.
+        notes = service.ingest(ab_edges(5))
+        assert {n.query_id for n in notes} == {first}
+        notes = service.ingest(ab_edges(5, start=6))
+        assert [n.event.edge.t for n in notes
+                if n.query_id == follow_ups[0] and not n.occurred] == [6, 7]
         service.drain()
-        follow_up = service.registry.get(follow_ups[0])
-        assert follow_up.status is QueryStatus.ACTIVE
-        assert follow_up.stats.errors == 0
-        # Saw t=2..5 only — and exactly their expirations.
-        assert follow_up.stats.occurred == 4
-        assert follow_up.stats.expired == 4
+        stats = service.query_stats(follow_ups[0])
+        assert stats.errors == 0
+        assert (stats.occurred, stats.expired) == (5, 5)
 
-    def test_unregister_from_subscriber_callback_stops_delivery(self):
-        """Symmetric to register-from-callback: a query unregistered by
-        an earlier subscriber mid-fan-out must not receive the in-flight
-        event — its returned stats are final."""
-        service = MatchService(100)
-        retired = []
+    def test_unregister_from_subscriber_callback_ends_callbacks_at_once(
+            self, open_service):
+        """Symmetric: the batch's output is fixed before its first
+        callback fires, so a query unregistered there keeps its place
+        in the returned list and in its final stats, but none of its
+        subscribers is called again."""
+        service = open_service(100)
+        retired, victim_seen = [], []
 
         def retire(notification):
-            if victim_id in service.registry:
+            if not retired:
                 retired.append(service.unregister(victim_id))
 
         service.register(AB_QUERY, AB_LABELS, subscriber=retire)
-        victim_id = service.register(AB_QUERY, AB_LABELS)
-        service.ingest(ab_edges(3))
-        service.drain()
-        assert victim_id not in service.registry
-        # The first subscriber fired on t=1's arrival before fan-out
-        # reached the victim, so the victim never saw any event.
-        assert retired[0].stats.events_processed == 0
-        assert retired[0].stats.occurred == 0
+        victim_id = service.register(AB_QUERY, AB_LABELS,
+                                     subscriber=victim_seen.append)
+        notes = service.ingest(ab_edges(3))
+        assert sum(n.query_id == victim_id for n in notes) == 3
+        notes = service.ingest(ab_edges(3, start=4)) + service.drain()
+        assert all(n.query_id != victim_id for n in notes)
+        # The first query's subscriber fired on t=1's arrival, ahead of
+        # the victim's in registry order.
+        assert victim_seen == []
+        assert retired[0].stats.events_processed == 3
+        assert retired[0].stats.occurred == 3
+        with pytest.raises(KeyError):
+            service.query_stats(victim_id)
 
     def test_unregister_stops_delivery(self):
         service = MatchService(100)
@@ -321,30 +353,43 @@ class TestErrorIsolation:
                                engine=lambda q, lb, elf=None:
                                FailingEngine(q, lb, elf))
         good = service.register(AB_QUERY, AB_LABELS)
-        service.ingest(ab_edges(6))
+        service.ingest(ab_edges(2))
+        service.ingest(ab_edges(4, start=3))   # the third insert raises
         service.drain()
         bad_entry = service.registry.get(bad)
         assert bad_entry.status is QueryStatus.ERRORED
         assert "RuntimeError: engine blew up" in bad_entry.error
         assert bad_entry.stats.errors == 1
-        # Routing to the errored query stopped at the failure...
+        # Routing to the errored query stopped with the failing batch...
         assert bad_entry.stats.events_processed == 2
         # ...while the healthy query saw the full stream.
         assert service.query_stats(good).occurred == 6
         assert service.query_stats(good).expired == 6
         assert service.stats.errored_queries == 1
 
-    def test_failing_subscriber_quarantines_only_its_query(self):
+    def test_failing_subscriber_quarantines_only_its_query(
+            self, open_service):
+        """The batch-boundary rule again: the failure ends the query's
+        callbacks at once and its matching from the next batch on; the
+        batch it happened in is reported whole."""
+        seen = []
+
         def boom(notification):
+            seen.append(notification)
             raise ValueError("subscriber crashed")
 
-        service = MatchService(100)
+        service = open_service(100)
         bad = service.register(AB_QUERY, AB_LABELS, subscriber=boom)
         good = service.register(AB_QUERY, AB_LABELS)
-        service.ingest(ab_edges(3))
-        service.drain()
-        assert service.registry.get(bad).status is QueryStatus.ERRORED
-        assert service.query_stats(good).occurred == 3
+        notes = service.ingest(ab_edges(3))
+        assert len(seen) == 1
+        assert sum(n.query_id == bad for n in notes) == 3
+        stats = service.query_stats(bad)
+        assert (stats.occurred, stats.errors) == (3, 1)
+        assert service.stats.errored_queries == 1
+        notes = service.ingest(ab_edges(3, start=4)) + service.drain()
+        assert {n.query_id for n in notes} == {good}
+        assert service.query_stats(good).occurred == 6
 
 
 class TestCheckpoint:

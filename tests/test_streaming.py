@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.oracle import OracleEngine
+from repro.service import MatchService
 from repro.streaming import (
     Event, EventKind, Match, StreamDriver, build_event_list,
 )
@@ -35,6 +36,13 @@ class TestEventList:
         assert at_14[0].edge == SIGMA[4]
         assert at_14[-1].kind is EventKind.ARRIVAL
         assert at_14[-1].edge == SIGMA[14]
+        # Example II.2: so when sigma_14 arrives the edges stamped 1-4
+        # have expired and ten remain, in the list and in a service.
+        earlier = events[:events.index(at_14[-1])]
+        assert [e.edge.t for e in earlier if not e.is_arrival] == [1, 2, 3, 4]
+        service = MatchService(10)
+        service.ingest(all_edges(14))
+        assert service.health()["live_edges"] == 10
 
     def test_chronological(self):
         events = build_event_list(all_edges(14), delta=3)

@@ -245,6 +245,7 @@ def run_service_scenario(tracer):
     notes = []
     for lo in range(1, 31, 10):
         notes += service.process_batch(ab_edges(10, start=lo))
+    notes += service.advance_to(35)       # idle gap: t=21..25 expire
     notes += service.drain()
     return [(n.query_id, n.event, n.match, n.seq) for n in notes]
 
@@ -269,12 +270,15 @@ class TestPipelineTracing:
         tracer = Tracer()
         run_service_scenario(tracer)
         by_name = spans_by_name(tracer)
+        # Three batches, then the advance and the drain: an expiry
+        # storm with no arrival opens the same tree as a batch.
         roots = by_name["service_batch"]
-        assert len(roots) == 3
+        assert len(roots) == 5
         assert all(r.is_root for r in roots)
+        assert [r.args["events"] for r in roots] == [10, 10, 10, 0, 0]
         for stage in ("route", "dispatch", "notify"):
             stage_spans = by_name[stage]
-            assert len(stage_spans) == 3, stage
+            assert len(stage_spans) == 5, stage
             assert {s.parent_id for s in stage_spans} == \
                 {r.span_id for r in roots}
 
