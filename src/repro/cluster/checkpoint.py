@@ -32,7 +32,6 @@ import json
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.coordinator import ShardedMatchService
-from repro.cluster.protocol import CURSOR as protocol_cursor
 from repro.cluster.protocol import RegisterSpec
 from repro.service import checkpoint as service_checkpoint
 from repro.service.stats import QueryStats, ServiceStats
@@ -55,8 +54,8 @@ def snapshot(service: ShardedMatchService) -> Dict[str, object]:
             by_query[spec["query_id"]] = spec
     queries: List[Dict[str, object]] = []
     placement: Dict[str, int] = {}
-    for info in service._infos_in_order():
-        placement[info.query_id] = info.shard
+    for info in service._queries.values():
+        placement[info.query_id] = service.shard_of(info.query_id)
         spec = by_query.get(info.query_id)
         if spec is None:
             # Stranded on a crashed shard: rebuild the record from the
@@ -73,7 +72,7 @@ def snapshot(service: ShardedMatchService) -> Dict[str, object]:
                 engine_kind=info.engine_kind,
                 status=info.status.value,
                 error=info.error,
-                has_edge_label_fn=info.has_edge_label_fn,
+                has_edge_label_fn=info.edge_label_fn is not None,
                 has_subscribers=bool(info.subscribers),
                 collect_results=info.collect_results,
                 stats=service._lost_stats(info).to_dict(),
@@ -129,14 +128,12 @@ def restore(data: Dict[str, object], *,
     service = ShardedMatchService(int(svc["delta"]), workers=count,
                                   start_method=start_method)
     try:
+        # The coordinator's cursor is the only one: every ticket below
+        # carries it as its query's join cursor, so join cursors and
+        # notification sequence numbers continue where the checkpointed
+        # service stopped (matching a single-process restore exactly).
         service._now = svc["now"]
         service._seq = int(svc["seq"])
-        # Workers adopt the same cursor before any query registers, so
-        # join cursors and notification sequence numbers continue where
-        # the checkpointed service stopped (matching a single-process
-        # restore exactly).
-        service._broadcast((protocol_cursor, (svc["now"],
-                                              int(svc["seq"]))))
         fns = edge_label_fns or {}
         for spec in svc["queries"]:
             query_id = spec["query_id"]
@@ -147,17 +144,16 @@ def restore(data: Dict[str, object], *,
                     f"edge_label_fn; pass a replacement via "
                     f"edge_label_fns={{{query_id!r}: fn}}")
             query, data_labels = service_checkpoint.decode_query_spec(spec)
-            service._register_spec(RegisterSpec(
-                query_id=query_id,
-                query=query,
-                labels=data_labels,
-                engine=spec["engine"],
-                edge_label_fn=edge_label_fn,
-                collect_results=spec["collect_results"],
-                status=spec["status"],
-                error=spec["error"],
-                stats=spec["stats"],
-            ))
+            service._register_spec(
+                RegisterSpec(
+                    query_id=query_id,
+                    query=query,
+                    labels=data_labels,
+                    engine=spec["engine"],
+                    edge_label_fn=edge_label_fn,
+                    collect_results=spec["collect_results"]),
+                status=spec["status"], error=spec["error"],
+                stats=QueryStats(**spec["stats"]))
         service.stats = ServiceStats(**svc["stats"])
     except Exception:
         service.close()

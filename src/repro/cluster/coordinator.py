@@ -8,30 +8,33 @@ full ``MatchService`` over a shard of the registered queries; the
 coordinator ships each chronological event batch to the workers that
 need it and merges the per-shard results back into global event order.
 
-There is one data path.  Shipping is *interest-routed*: workers
-piggyback their shard's :class:`~repro.service.interest.
-InterestSummary` on register/unregister acks, and the coordinator
-splits each batch per shard — an edge travels only to the shards
+There is one data path.  Shipping is *interest-routed*: the coordinator
+keeps one :class:`~repro.service.interest.QueryInterestIndex` over the
+registrations it holds — the class, and so the decision, every worker's
+service fans out with — and splits each batch per shard through the
+placement: an edge travels only to the shards
 hosting a query whose label patterns could match it, a shard with
 pending expirations but no interesting arrivals gets a bare
 clock-advance frame, and a fully disinterested shard is not contacted
 at all (counted in ``events_unshipped``).  Sub-batches carry explicit
 global sequence numbers and the batch's closing cursor, which is what
 keeps the arrival-order merge exact even though workers see different
-subsets of the stream.  Sub-batches, migration tickets and packable
-replies travel as the packed binary frames of :mod:`repro.cluster.wire`
-(edge fields must therefore be int64: :class:`~repro.cluster.wire.
-UnpackableEdgeError`); control verbs and unpackable replies are
-pickled.  Workers feed each sub-batch to their engines through
-``on_batch``.
+subsets of the stream.  Sub-batches, the tickets queries reach workers
+by and packable replies travel as the packed binary frames of
+:mod:`repro.cluster.wire` (edge fields must therefore be int64:
+:class:`~repro.cluster.wire.UnpackableEdgeError`); control verbs and
+unpackable replies are pickled.  Workers feed each sub-batch to their
+engines through ``on_batch``.
 
 Consistency model
 -----------------
-Every sub-batch closes on the full batch's cursor, so the workers'
-window cursors (``now``, ``seq``) advance in lockstep with the
-coordinator's own mirror; a query registered mid-stream joins at the
-same global sequence number it would have joined in a single-process
-service.  Per-query occurrence and
+The stream cursor (``now``, ``seq``) is the coordinator's.  Every
+frame says what it needs of it: a routed pair carries its global
+sequence number, a sub-batch the full batch's closing cursor, a ticket
+the join cursor of its query — so a query registered mid-stream joins
+at the same global sequence number it would have joined in a
+single-process service, on whichever worker, however far that worker's
+own position lags.  Per-query occurrence and
 expiration multisets are therefore *identical* to the in-process
 service, and merged notifications are re-ordered exactly as a single
 service would have emitted them, using the total event order
@@ -95,7 +98,7 @@ from repro.cluster.worker import shard_worker_main
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span, unpack_spans
 from repro.query.temporal_query import TemporalQuery
-from repro.service.interest import InterestSummary, query_pattern_keys
+from repro.service.interest import QueryInterestIndex, query_pattern_keys
 from repro.service.registry import QueryStatus
 from repro.service.service import (
     MatchNotification, OutOfOrderError, validated_prefix,
@@ -117,17 +120,15 @@ _SHARD_LOST = (EOFError, OSError, wire.FrameError, pickle.UnpicklingError)
 
 @dataclass
 class _QueryInfo:
-    """Coordinator-side mirror of one registered query."""
+    """Coordinator-side mirror of one registered query.  Its shard is
+    the placement's to know, its registration order ``_queries``'."""
 
     query_id: str
     query: TemporalQuery
     labels: Dict[int, object]
     engine_kind: str
     custom_factory: bool
-    shard: int
-    reg_index: int
     collect_results: bool
-    has_edge_label_fn: bool
     #: The registration-time engine argument (kind string or callable
     #: factory) and label fn, kept so a migration ticket can carry the
     #: full re-registration spec to the target worker.
@@ -246,25 +247,17 @@ class ShardedMatchService:
         self._queries: Dict[str, _QueryInfo] = {}
         self._placement = ShardPlacement(workers, policy=placement)
         self._ids = itertools.count()
-        self._reg_counter = itertools.count()
         self._now: Optional[int] = None
         self._seq = 0
         self._closed = False
-        #: Interned query-id table (codes index _intern_names); synced
-        #: to owning workers via the INTERN verb before REGISTER.
+        #: Interned query-id table (codes index _intern_names); a
+        #: query's code reaches its worker on the query's ticket.
         self._intern_codes: Dict[str, int] = {}
         self._intern_names: List[str] = []
-        #: Codes each worker has been sent (a re-registered query may
-        #: land on a shard that never saw its code).
-        self._synced_codes: List[set] = [set() for _ in range(workers)]
-        #: Latest per-shard interest summary (piggybacked on
-        #: register/unregister acks), plus a routing table derived from
-        #: it lazily: content-equal domains across shards are merged so
-        #: each edge's label triple is resolved once per *unique*
-        #: domain, not once per shard (rebuilt only when a summary or
-        #: the live-shard set changes).
-        self._shard_interest: Dict[int, InterestSummary] = {}
-        self._routing_cache: Optional[Tuple] = None
+        #: Which registered queries an edge could match, decided from
+        #: the registrations in ``_queries``; the placement turns the
+        #: answer into shards.
+        self._interest = QueryInterestIndex()
         #: Expiry times of the edges shipped to each shard (monotone,
         #: so a deque): a shard with no interest in a batch still needs
         #: a clock-advance frame while expirations are due.
@@ -336,7 +329,7 @@ class ShardedMatchService:
 
     def registered_ids(self) -> List[str]:
         """All registered query ids in registration order."""
-        return [info.query_id for info in self._infos_in_order()]
+        return list(self._queries)
 
     def __contains__(self, query_id: str) -> bool:
         return query_id in self._queries
@@ -355,9 +348,10 @@ class ShardedMatchService:
                  collect_results: bool = True) -> str:
         """Register a continuous query on the least-loaded live shard.
 
-        Safe mid-stream: the owning worker assigns the join cursor from
-        its own stream position, which equals the global one.  Returns
-        the query id.
+        Safe mid-stream: the query's ticket carries the global stream
+        position as its join cursor (the owning worker's own position
+        lags when the router has had nothing to send it).  Returns the
+        query id.
         """
         self._ensure_open()
         spec = RegisterSpec(
@@ -380,16 +374,13 @@ class ShardedMatchService:
         except KeyError:
             raise KeyError(f"no registered query {query_id!r}") from None
         shard = self._placement.remove(query_id)
+        self._interest.remove(query_id)
         self.stats.unregistered_total += 1
-        if not self._workers[shard].alive:
-            return self._lost_entry(info, shard)
         try:
             reply = self._request(shard, (protocol.UNREGISTER, query_id))
-        except WorkerCrashError:
-            return self._lost_entry(info, shard)
-        except KeyError:
-            # The worker no longer hosts the query (it was lost in a
-            # failed migration); answer from the coordinator mirror.
+        except (WorkerCrashError, KeyError):
+            # The worker is dead, or no longer hosts the query (it was
+            # lost in a failed migration): answer from the mirror.
             return self._lost_entry(info, shard)
         final: QueryFinalState = reply.payload
         return ShardedQueryEntry(
@@ -411,20 +402,17 @@ class ShardedMatchService:
         if self._migrations.is_pending(query_id):
             self._migrations.finish(query_id)
         info = self._get_info(query_id)
-        if self._workers[info.shard].alive:
-            try:
-                reply = self._request(info.shard,
-                                      (protocol.DESCRIBE, query_id))
-            except WorkerCrashError:
-                reply = None
-            if reply is not None:
-                final: QueryFinalState = reply.payload
-                info.last_stats = final.stats
-                return ShardedQueryEntry(
-                    query_id, info.query, info.labels, info.engine_kind,
-                    info.shard, QueryStatus(final.status), final.error,
-                    final.stats, final.result)
-        return self._lost_entry(info, info.shard)
+        shard = self._placement.shard_of(query_id)
+        try:
+            reply = self._request(shard, (protocol.DESCRIBE, query_id))
+        except WorkerCrashError:
+            return self._lost_entry(info, shard)
+        final: QueryFinalState = reply.payload
+        info.last_stats = final.stats
+        return ShardedQueryEntry(
+            query_id, info.query, info.labels, info.engine_kind, shard,
+            QueryStatus(final.status), final.error, final.stats,
+            final.result)
 
     def query_stats(self, query_id: str) -> QueryStats:
         """The :class:`QueryStats` of one registered query.
@@ -446,15 +434,13 @@ class ShardedMatchService:
         if self._migrations.is_pending(query_id):
             self._migrations.finish(query_id)
         info = self._get_info(query_id)
-        if self._workers[info.shard].alive:
-            try:
-                reply = self._request(info.shard,
-                                      (protocol.QUERY_STATS, query_id))
-            except WorkerCrashError:
-                return self._lost_stats(info)
-            info.last_stats = reply.payload
-            return reply.payload
-        return self._lost_stats(info)
+        try:
+            reply = self._request(self._placement.shard_of(query_id),
+                                  (protocol.QUERY_STATS, query_id))
+        except WorkerCrashError:
+            return self._lost_stats(info)
+        info.last_stats = reply.payload
+        return reply.payload
 
     def all_query_stats(self) -> List[QueryStats]:
         """Per-query stats for every registered query, in registration
@@ -465,7 +451,7 @@ class ShardedMatchService:
             per_query = reply.payload[1]
             by_query.update(per_query)
         out = []
-        for info in self._infos_in_order():
+        for info in self._queries.values():
             stats = by_query.get(info.query_id)
             if stats is None:
                 stats = self._lost_stats(info)
@@ -481,7 +467,7 @@ class ShardedMatchService:
         """Ship one chronological batch to the shards that need it.
 
         The batch is split per shard on the coordinator's interest
-        table: each interested shard receives only its sub-batch (plus
+        index: each interested shard receives only its sub-batch (plus
         the batch's closing cursor), shards with expirations due get an
         empty clock-advance frame, and fully disinterested shards are
         not contacted at all.
@@ -517,7 +503,8 @@ class ShardedMatchService:
                 self._migrations.buffer(prefix, self._seq)
                 route_start = time.perf_counter() if obs is not None else 0.0
                 with maybe_span(tracer, "route", parent=root):
-                    messages = self._route_batch(prefix, ctx)
+                    messages = self._route_batch(prefix, prefix[-1].t,
+                                                 ctx)
                 if obs is not None:
                     self._h_route.observe(time.perf_counter() - route_start)
                 replies = self._exchange(messages, parent=root)
@@ -538,33 +525,37 @@ class ShardedMatchService:
             raise OutOfOrderError(failure, notifications)
         return notifications
 
-    def _route_batch(self, prefix: List[Edge],
+    def _route_batch(self, prefix: List[Edge], final_now: int,
                      ctx: Optional[Tuple[int, int]] = None
                      ) -> Dict[int, bytes]:
-        """Split ``prefix`` into per-shard frames by interest.
+        """Split ``prefix`` into per-shard frames by interest, each
+        closing on the clock ``final_now``.
 
-        Every edge is offered to each live shard's interest summary;
-        uninterested (edge, shard) pairs are counted in
-        ``events_unshipped`` and never serialized.  A shard whose
-        sub-batch is empty still gets a clock-advance frame when edges
-        previously shipped to it expire inside this batch — that keeps
-        its expirations inside the same coordinator call (and therefore
-        at the same position in the merged stream) as a single-process
-        service would emit them.
+        An edge goes to the live shards the placement gives for the
+        queries the interest index names — leaving out a query detached
+        by a staged migration, whose share is buffered in the
+        migration's tail instead; uninterested (edge, shard) pairs are
+        counted in ``events_unshipped`` and never serialized.  A shard
+        whose sub-batch is empty still gets a clock-advance frame when
+        edges previously shipped to it expire by ``final_now`` — that
+        keeps its expirations inside the same coordinator call (and
+        therefore at the same position in the merged stream) as a
+        single-process service would emit them.  An empty ``prefix`` is
+        a pure clock advance (:meth:`advance_to`): only shards with
+        expirations due are contacted.
         """
         base_seq = self._seq
-        final_now = prefix[-1].t
         final_seq = base_seq + len(prefix)
         delta = self.delta
         live = [handle.index for handle in self._workers if handle.alive]
         pairs: Dict[int, List[Tuple[Edge, int]]] = {s: [] for s in live}
-        always, domains = self._routing_table()
+        lookup = self._interest.lookup_ids
+        shard_of = self._placement.shard_of
+        detached = self._migrations.is_pending
         for offset, edge in enumerate(prefix):
             seq = base_seq + offset
-            interested = set(always)
-            for domain, shards in domains:
-                if not shards <= interested and domain.matches(edge):
-                    interested |= shards
+            interested = {shard_of(query_id) for query_id in lookup(edge)
+                          if not detached(query_id)}
             for shard in live:
                 if shard in interested:
                     pairs[shard].append((edge, seq))
@@ -585,39 +576,6 @@ class ShardedMatchService:
                 sub_batch, final_now, final_seq, trace=ctx)
         return messages
 
-    def _routing_table(self):
-        """``(always_shards, [(domain, shards)])`` over live shards,
-        with content-equal domains merged across shards.
-
-        Every query typically registers with the same stream labels, so
-        all shards' summaries collapse to one unique domain and the
-        per-edge routing decision costs one label-triple resolution
-        regardless of the worker count.  Rebuilt lazily whenever a
-        summary or the live-shard set changes (register/unregister/
-        crash — all rare next to ingest).
-        """
-        cached = self._routing_cache
-        if cached is None:
-            always: set = set()
-            domains: List[Tuple[object, set]] = []
-            for handle in self._workers:
-                if not handle.alive:
-                    continue
-                summary = self._shard_interest.get(handle.index)
-                if summary is None:
-                    continue
-                if summary.always:
-                    always.add(handle.index)
-                for domain in summary.domains:
-                    for existing, shards in domains:
-                        if existing == domain:
-                            shards.add(handle.index)
-                            break
-                    else:
-                        domains.append((domain, {handle.index}))
-            cached = self._routing_cache = (frozenset(always), domains)
-        return cached
-
     def process_batch(self, edges: Iterable[Edge]
                       ) -> List[MatchNotification]:
         """API parity with :meth:`MatchService.process_batch`: the
@@ -627,18 +585,18 @@ class ShardedMatchService:
 
     def advance_to(self, t: int) -> List[MatchNotification]:
         """Advance the clock to ``t`` without ingesting edges, expiring
-        every edge whose window has closed."""
+        every edge whose window has closed: an empty batch with a later
+        clock, so only shards with expirations due are contacted."""
         self._ensure_open()
         start = time.perf_counter()
         if self._now is None or t > self._now:
             self._now = t
-        for due in self._shard_expiries:
-            while due and due[0] <= t:
-                due.popleft()
         with maybe_span(self.tracer, "cluster_advance") as root:
-            message = self._control_message(protocol.ADVANCE, t, root)
+            ctx = ((root.trace_id, root.span_id)
+                   if self.tracer is not None else None)
             notifications = self._collect(
-                self._broadcast(message, parent=root), parent=root)
+                self._exchange(self._route_batch([], self._now, ctx),
+                               parent=root), parent=root)
         self._deliver(notifications)
         self.stats.elapsed_seconds += time.perf_counter() - start
         return notifications
@@ -714,9 +672,11 @@ class ShardedMatchService:
 
     def add_worker(self) -> int:
         """Grow the cluster by one empty live worker (shard split);
-        returns the new shard index.  The worker joins at the global
-        stream cursor, immediately becomes the least-loaded placement
-        target, and :meth:`rebalance` will start moving load onto it."""
+        returns the new shard index.  The worker immediately becomes
+        the least-loaded placement target, and :meth:`rebalance` will
+        start moving load onto it; it learns the stream cursor from the
+        first frame it is sent (a ticket's join cursor, a sub-batch's
+        closing one)."""
         self._ensure_open()
         index = len(self._workers)
         self._spawn_worker(index)
@@ -724,16 +684,9 @@ class ShardedMatchService:
         self.shard_unshipped.append(0)
         self.shard_routed.append(0)
         self.shard_skipped.append(0)
-        self._synced_codes.append(set())
         self._shard_expiries.append(deque())
         self._shard_obs.append(None)
         self._placement.add_shard()
-        self._routing_cache = None
-        if self._now is not None or self._seq:
-            # Adopt the global cursor so queries registered or migrated
-            # here join at the same seq as everywhere else.
-            self._request(index, (protocol.CURSOR,
-                                  (self._now, self._seq)))
         return index
 
     def drain_worker(self, shard: int) -> List[MigrationRecord]:
@@ -762,8 +715,6 @@ class ShardedMatchService:
         self._stop_worker(handle)
         handle.retired = True
         self._placement.retire(shard)
-        self._shard_interest.pop(shard, None)
-        self._routing_cache = None
         self._shard_expiries[shard].clear()
         return records
 
@@ -793,8 +744,8 @@ class ShardedMatchService:
         return {
             "policy": placement.policy,
             "workers": len(self._workers),
-            "assignments": {info.query_id: info.shard
-                            for info in self._infos_in_order()},
+            "assignments": {query_id: placement.shard_of(query_id)
+                            for query_id in self._queries},
             "shards": shards,
         }
 
@@ -876,19 +827,17 @@ class ShardedMatchService:
         non-retired shard worker is alive, else ``"degraded"`` — a
         gracefully drained worker is planned downsizing, not an
         incident."""
-        infos = list(self._queries.values())
         shards = []
         for handle in self._workers:
-            queries = sum(1 for info in infos
-                          if info.shard == handle.index)
-            errored = sum(1 for info in infos
-                          if info.shard == handle.index
-                          and not info.active)
+            hosted = [self._queries.get(query_id) for query_id
+                      in self._placement.members(handle.index)]
             shards.append({"shard": handle.index,
                            "alive": handle.alive,
                            "retired": handle.retired,
-                           "queries": queries,
-                           "errored_queries": errored})
+                           "queries": len(hosted),
+                           "errored_queries": sum(
+                               1 for info in hosted
+                               if info is not None and not info.active)})
         live = sum(1 for s in shards if s["alive"])
         retired = sum(1 for s in shards if s["retired"])
         degraded = any(not s["alive"] and not s["retired"]
@@ -960,38 +909,44 @@ class ShardedMatchService:
         replies = self._broadcast((protocol.SNAPSHOT, None))
         return {shard: reply.payload for shard, reply in replies.items()}
 
-    def _infos_in_order(self) -> List[_QueryInfo]:
-        return sorted(self._queries.values(), key=lambda i: i.reg_index)
-
     def _register_spec(self, spec: RegisterSpec,
-                       subscriber: Optional[Callable] = None) -> _QueryInfo:
-        """Place and register one spec; shared by live registration and
-        checkpoint restore (which carries status/stats extras)."""
+                       subscriber: Optional[Callable] = None,
+                       status: str = "active", error: Optional[str] = None,
+                       stats: Optional[QueryStats] = None) -> _QueryInfo:
+        """Place one spec and send it to its shard as a ticket with an
+        empty window, joining at the global cursor; shared by live
+        registration (active, fresh counters) and checkpoint restore
+        (the record's ``status`` / ``error`` / ``stats``)."""
+        query_id = spec.query_id
         custom = callable(spec.engine) and not isinstance(spec.engine, str)
         kind = (getattr(spec.engine, "__name__", "custom") if custom
                 else str(spec.engine))
-        shard = self._placement.place(
-            spec.query_id, interest=query_pattern_keys(spec.query))
-        try:
-            self._sync_code(shard, spec.query_id)
-            self._request(shard, (protocol.REGISTER, spec))
-        except Exception:
-            self._placement.remove(spec.query_id)
-            raise
         info = _QueryInfo(
-            query_id=spec.query_id, query=spec.query,
+            query_id=query_id, query=spec.query,
             labels=dict(spec.labels), engine_kind=kind,
-            custom_factory=custom, shard=shard,
-            reg_index=next(self._reg_counter),
-            collect_results=spec.collect_results,
-            has_edge_label_fn=spec.edge_label_fn is not None,
-            engine_obj=spec.engine, edge_label_fn=spec.edge_label_fn)
-        if spec.status is not None:
-            info.status = QueryStatus(spec.status)
-            info.error = spec.error
+            custom_factory=custom, collect_results=spec.collect_results,
+            engine_obj=spec.engine, edge_label_fn=spec.edge_label_fn,
+            status=QueryStatus(status), error=error)
         if subscriber is not None:
             info.subscribers.append(subscriber)
-        self._queries[spec.query_id] = info
+        if query_id not in self._intern_codes:
+            self._intern_codes[query_id] = len(self._intern_names)
+            self._intern_names.append(query_id)
+        ticket = self._migrations.ticket(
+            info, status, error,
+            stats or QueryStats(query_id=query_id, engine=kind))
+        shard = self._placement.place(
+            query_id, interest=query_pattern_keys(spec.query))
+        try:
+            self._request(shard, wire.encode_migrate_in(ticket))
+        except Exception:
+            self._placement.remove(query_id)
+            raise
+        # Indexed only once hosted: a refused registration leaves no
+        # interest behind, as it leaves no placement.
+        self._interest.add(query_id, spec.query, info.labels,
+                           spec.edge_label_fn, indexable=not custom)
+        self._queries[query_id] = info
         return info
 
     # ------------------------------------------------------------------
@@ -1019,18 +974,6 @@ class ShardedMatchService:
         process.start()
         child_conn.close()
         self._workers.append(_WorkerHandle(index, process, parent_conn))
-
-    def _sync_code(self, shard: int, query_id: str) -> None:
-        """Ensure ``shard`` knows the query id's interned code before
-        any binary reply could need it."""
-        code = self._intern_codes.get(query_id)
-        if code is None:
-            code = len(self._intern_names)
-            self._intern_codes[query_id] = code
-            self._intern_names.append(query_id)
-        if code not in self._synced_codes[shard]:
-            self._request(shard, (protocol.INTERN, ((code, query_id),)))
-            self._synced_codes[shard].add(code)
 
     def _new_query_id(self, query_id: Optional[str]) -> str:
         if query_id is None:
@@ -1120,12 +1063,6 @@ class ShardedMatchService:
     def _account(self, reply: Reply, shard: int) -> None:
         """Fold a reply's piggybacked bookkeeping into the mirror."""
         self._apply_errors(reply.errors)
-        if reply.interest is not None:
-            # Register/unregister/migrate acks carry the shard's fresh
-            # interest summary; adopting it here keeps routing correct
-            # no matter which path moved a query.
-            self._shard_interest[shard] = reply.interest
-            self._routing_cache = None
         self.stats.events_routed += reply.routed
         self.stats.events_skipped += reply.skipped
         self.shard_routed[shard] += reply.routed
@@ -1228,8 +1165,9 @@ class ShardedMatchService:
     def _control_message(self, verb: str, payload: object, root):
         """The pickled control tuple for ``verb``: a traced 3-tuple
         carrying ``(trace id, span id)`` only when ``root`` is a live
-        span, so untraced control messages pickle byte-identically."""
-        if self.tracer is not None and root.span_id:
+        span (not ``None``), so untraced control messages pickle
+        byte-identically."""
+        if self.tracer is not None and root is not None and root.span_id:
             return (verb, payload, (root.trace_id, root.span_id))
         return (verb, payload)
 
@@ -1239,7 +1177,6 @@ class ShardedMatchService:
         if not handle.alive:
             return
         handle.alive = False
-        self._routing_cache = None
         if self.metrics is not None:
             self.metrics.counter(
                 "cluster_worker_crashes_total",
@@ -1290,8 +1227,8 @@ class ShardedMatchService:
             # order may disagree with global registration order, so the
             # sort can no longer be skipped even for one reply.
             if len(replies) > 1 or self._migrations.permuted:
-                reg_index = {query_id: info.reg_index
-                             for query_id, info in self._queries.items()}
+                reg_index = {query_id: index for index, query_id
+                             in enumerate(self._queries)}
                 notifications.sort(key=lambda n: (
                     n.event.time, n.event.is_arrival, n.seq,
                     reg_index.get(n.query_id, -1)))
@@ -1324,9 +1261,11 @@ class ShardedMatchService:
         info.status = QueryStatus.ERRORED
         info.error = f"{type(exc).__name__}: {exc}"
         self.stats.errored_queries += 1
-        if self._workers[info.shard].alive:
-            try:
-                self._request(info.shard, (protocol.QUARANTINE,
-                                           (info.query_id, info.error)))
-            except (WorkerCrashError, KeyError):
-                pass
+        try:
+            self._request(self._placement.shard_of(info.query_id),
+                          (protocol.QUARANTINE,
+                           (info.query_id, info.error)))
+        except (WorkerCrashError, KeyError):
+            # Its worker is gone, or (unregistered from the failing
+            # callback) the query is.
+            pass

@@ -15,9 +15,16 @@ single-query **migration**:
    target worker (``MIGRATE_IN``), which rebuilds the engine by
    silently replaying the window, live-replays the tail, and merges the
    surviving pairs into its own live deque;
-4. the routing entry flips: placement, the coordinator mirror and the
-   per-shard interest summaries (piggybacked on both migration acks)
-   all agree before the next batch is routed.
+4. the routing entry flips: the placement moves, and the router — which
+   reads the placement — ships the query's edges to the target from the
+   next batch on.
+
+The ticket is how *every* query reaches a worker, not only a migrating
+one: a live registration is a ticket with an empty window and fresh
+counters, a checkpoint restore one with the record's status and
+counters, a crash recovery one with the coordinator's cached counters —
+all three joining at the current global cursor — and
+:meth:`MigrationManager.ticket` builds them all.
 
 Run at a batch boundary with an empty tail — :meth:`MigrationManager.
 migrate` — the hop is invisible: the merged notification stream is
@@ -57,7 +64,7 @@ from repro.cluster.protocol import (
 )
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
-from repro.service.interest import QueryInterestIndex, query_pattern_keys
+from repro.service.interest import query_pattern_keys
 from repro.service.registry import QueryStatus
 
 #: Default bound on a staged migration's event tail; reaching it forces
@@ -104,10 +111,6 @@ class _Pending:
     reason: str
     max_tail: int
     started: float
-    #: One-query interest index deciding which routed events join the
-    #: tail; ``None`` buffers everything (a custom factory is always
-    #: interested).
-    interest: Optional[QueryInterestIndex]
     tail: List[Tuple[Edge, int]] = field(default_factory=list)
     drained: bool = False
 
@@ -182,9 +185,8 @@ class MigrationManager:
                         reason=reason) as root:
             ctx = ((root.trace_id, root.span_id)
                    if svc.tracer is not None else None)
-            src = self._detach(info, ctx)
-            ticket = self._ticket(info, src, tail=(),
-                                  final_now=svc._now, drained=False)
+            src = self._detach(info, root)
+            ticket = self._moved(info, src)
             target, notes = self._restore(info, ticket, target, ctx)
         record = self._completed(info, source, target, reason,
                                  len(src.window), 0, started)
@@ -208,16 +210,11 @@ class MigrationManager:
         if target is None:
             target = svc._placement.select_target(
                 query_pattern_keys(info.query), exclude={source})
-        interest: Optional[QueryInterestIndex] = None
-        if not info.custom_factory:
-            interest = QueryInterestIndex()
-            interest.add(query_id, info.query, info.labels,
-                         info.edge_label_fn)
         src = self._detach(info, None)
         self._pending[query_id] = _Pending(
             query_id=query_id, source=source, target=target, src=src,
             reason=reason, max_tail=max_tail,
-            started=time.perf_counter(), interest=interest)
+            started=time.perf_counter())
         self._set_pending_gauge()
         return target
 
@@ -238,10 +235,9 @@ class MigrationManager:
                         tail=len(pending.tail)) as root:
             ctx = ((root.trace_id, root.span_id)
                    if svc.tracer is not None else None)
-            ticket = self._ticket(info, pending.src,
-                                  tail=tuple(pending.tail),
-                                  final_now=svc._now,
-                                  drained=pending.drained)
+            ticket = self._moved(info, pending.src,
+                                 tail=tuple(pending.tail),
+                                 drained=pending.drained)
             target, notes = self._restore(info, ticket, pending.target,
                                           ctx, exclude={pending.source})
         self._completed(info, pending.source, target, pending.reason,
@@ -277,23 +273,18 @@ class MigrationManager:
                 self.finish(query_id)
 
     def buffer(self, prefix: List[Edge], base_seq: int) -> None:
-        """Append this batch's events to every pending tail (interest
-        filtered, exactly as the detached query would have been
-        routed)."""
+        """Append this batch's events to the pending tails, by the
+        coordinator's interest index: exactly the edges the router
+        would have shipped for the detached query (and leaves out
+        while it is detached)."""
         if not self._pending:
             return
-        for pending in self._pending.values():
-            index = pending.interest
-            if index is None:
-                pending.tail.extend(
-                    (edge, base_seq + offset)
-                    for offset, edge in enumerate(prefix))
-            else:
-                query_id = pending.query_id
-                pending.tail.extend(
-                    (edge, base_seq + offset)
-                    for offset, edge in enumerate(prefix)
-                    if query_id in index.lookup_ids(edge))
+        lookup = self._svc._interest.lookup_ids
+        for offset, edge in enumerate(prefix):
+            for query_id in lookup(edge):
+                pending = self._pending.get(query_id)
+                if pending is not None:
+                    pending.tail.append((edge, base_seq + offset))
 
     def note_drain(self) -> None:
         """The stream was drained while migrations were staged: their
@@ -325,7 +316,7 @@ class MigrationManager:
         by_id = {stats.query_id: stats
                  for stats in svc.all_query_stats()}
         load: Dict[str, float] = {}
-        for info in svc._infos_in_order():
+        for info in svc._queries.values():
             if not info.active or info.query_id in self._pending:
                 continue
             stats = by_id.get(info.query_id)
@@ -354,8 +345,8 @@ class MigrationManager:
         """
         svc = self._svc
         records: List[MigrationRecord] = []
-        for info in svc._infos_in_order():
-            source = info.shard
+        for info in svc._queries.values():
+            source = svc._placement.shard_of(info.query_id)
             if shard is not None and source != shard:
                 continue
             if svc._workers[source].alive:
@@ -370,12 +361,9 @@ class MigrationManager:
                             query=info.query_id, reason="recover") as root:
                 ctx = ((root.trace_id, root.span_id)
                        if svc.tracer is not None else None)
-                ticket = MigrationTicket(
-                    spec=self._spec(info), joined_seq=svc._seq,
-                    status=("active" if crashed
-                            else info.status.value),
-                    error=None if crashed else info.error,
-                    stats=stats, result=None, final_now=svc._now)
+                ticket = self.ticket(
+                    info, "active" if crashed else info.status.value,
+                    None if crashed else info.error, stats)
                 target, _ = self._restore(info, ticket, None, ctx)
             if crashed:
                 info.status = QueryStatus.ACTIVE
@@ -395,7 +383,7 @@ class MigrationManager:
         if query_id in self._pending:
             raise MigrationError(
                 f"query {query_id!r} is already migrating")
-        source = info.shard
+        source = svc._placement.shard_of(query_id)
         if not svc._workers[source].alive:
             raise MigrationError(
                 f"query {query_id!r} is stranded on dead shard "
@@ -411,43 +399,57 @@ class MigrationManager:
                 raise ValueError(f"target shard {target} is not live")
         return info, source
 
-    def _detach(self, info, ctx) -> MigrationSource:
-        """MIGRATE_OUT round trip (the interest summary on its ack
-        stops the router shipping the query's events to the source)."""
+    def _detach(self, info, root) -> MigrationSource:
+        """MIGRATE_OUT round trip, traced under ``root`` when it is a
+        live span."""
         svc = self._svc
-        message = ((protocol.MIGRATE_OUT, info.query_id, ctx)
-                   if ctx is not None
-                   else (protocol.MIGRATE_OUT, info.query_id))
-        return svc._request(info.shard, message).payload
+        return svc._request(
+            svc._placement.shard_of(info.query_id),
+            svc._control_message(protocol.MIGRATE_OUT, info.query_id,
+                                 root)).payload
 
-    def _spec(self, info) -> RegisterSpec:
-        return RegisterSpec(
-            query_id=info.query_id, query=info.query,
-            labels=dict(info.labels), engine=info.engine_obj,
-            edge_label_fn=info.edge_label_fn,
-            collect_results=info.collect_results)
-
-    def _ticket(self, info, src: MigrationSource,
-                tail: Tuple[Tuple[Edge, int], ...],
-                final_now: Optional[int],
-                drained: bool) -> MigrationTicket:
+    def ticket(self, info, status: str, error: Optional[str], stats, *,
+               joined_seq: Optional[int] = None, result=None,
+               window: Tuple[Tuple[Edge, int], ...] = (),
+               tail: Tuple[Tuple[Edge, int], ...] = (),
+               drained: bool = False) -> MigrationTicket:
+        """The ticket that puts ``info``'s query on a worker — the one
+        place one is built.  ``status`` / ``error`` / ``stats`` are what
+        the query's previous host knew (for a live registration:
+        active, fresh counters).  With those alone it is a fresh join:
+        empty window, the current global cursor as the join cursor."""
+        svc = self._svc
         return MigrationTicket(
-            spec=self._spec(info), joined_seq=src.joined_seq,
-            status=src.status, error=src.error, stats=src.stats,
-            result=src.result, window=src.window, tail=tail,
-            final_now=final_now, drained=drained)
+            spec=RegisterSpec(
+                query_id=info.query_id, query=info.query,
+                labels=info.labels, engine=info.engine_obj,
+                edge_label_fn=info.edge_label_fn,
+                collect_results=info.collect_results),
+            code=svc._intern_codes[info.query_id],
+            joined_seq=svc._seq if joined_seq is None else joined_seq,
+            status=status, error=error, stats=stats, result=result,
+            window=window, tail=tail, final_now=svc._now, drained=drained)
+
+    def _moved(self, info, src: MigrationSource,
+               tail: Tuple[Tuple[Edge, int], ...] = (),
+               drained: bool = False) -> MigrationTicket:
+        """The ticket of a query detached as ``src``: it keeps its join
+        cursor, results and window."""
+        return self.ticket(info, src.status, src.error, src.stats,
+                           joined_seq=src.joined_seq, result=src.result,
+                           window=src.window, tail=tail, drained=drained)
 
     def _restore(self, info, ticket: MigrationTicket,
                  target: Optional[int], ctx,
                  exclude: Tuple[int, ...] = ()) -> Tuple[int, List]:
         """MIGRATE_IN with crash retry: the ticket is self-contained,
         so if the chosen target dies mid-restore the same ticket is
-        re-sent to the next healthy policy pick.  Updates placement,
-        the coordinator mirror and the target's expiry schedule on
-        success."""
+        re-sent to the next healthy policy pick.  Updates placement
+        (which is what the router reads) and the target's expiry
+        schedule on success."""
         from repro.cluster.coordinator import WorkerCrashError
         svc = self._svc
-        banned = {info.shard, *exclude}
+        banned = {svc._placement.shard_of(info.query_id), *exclude}
         while True:
             if target is None or not svc._workers[target].alive:
                 try:
@@ -460,7 +462,6 @@ class MigrationManager:
                         f"no live worker left to host "
                         f"{info.query_id!r}") from None
             try:
-                svc._sync_code(target, info.query_id)
                 reply = svc._request(
                     target, wire.encode_migrate_in(ticket, trace=ctx))
             except WorkerCrashError:
@@ -468,7 +469,6 @@ class MigrationManager:
                 target = None
                 continue
             svc._placement.move(info.query_id, target)
-            info.shard = target
             self.permuted = True
             self._adopt_expiries(target, ticket)
             return target, (reply.payload or [])
@@ -493,7 +493,8 @@ class MigrationManager:
 
     def _lost(self, info) -> None:
         """Every candidate target died mid-restore: the query's state
-        is gone; quarantine it coordinator-side."""
+        is gone; quarantine it coordinator-side.  It stays placed (and
+        routed for) where it was until it is unregistered or recovered."""
         svc = self._svc
         if info.active:
             info.status = QueryStatus.ERRORED

@@ -13,26 +13,36 @@ one :class:`Reply`.  The strict request/reply lockstep is what makes
 the coordinator's crash detection sound: a worker that dies leaves a
 broken pipe where its reply should be, never a half-processed queue.
 
-Replies piggyback bookkeeping fields so the coordinator's mirror stays
-current without extra round trips: ``errors`` lists queries newly
-quarantined by the worker's inner service during the operation,
-``routed``/``skipped`` are the numbers of (event, query) routings the
-worker performed and interest-pruned, and ``interest`` (on
-register/unregister acks) is the shard's refreshed
-:class:`~repro.service.interest.InterestSummary`, from which the
-coordinator decides which shards each ingest batch must visit at all.
-``routed`` keeps the coordinator's ``events_routed`` counter in
-lockstep with a single-process :class:`~repro.service.MatchService`;
-``skipped`` only covers events the worker actually received, so under
-shard routing the coordinator's ``events_skipped`` runs *below* the
-single-process value — the remainder is what the coordinator's own
-``events_unshipped`` counter measures, as (event, shard) shipments
-rather than (event, query) skips.
+There are twelve verbs.  Edges travel on two of them, ``INGEST_ROUTED``
+(data: one shard's share of a batch, or a bare clock advance) and
+``MIGRATE_IN`` (the one way a query reaches a worker — registration,
+checkpoint restore, crash recovery and migration all send a
+:class:`MigrationTicket`), both as packed binary frames
+(:mod:`repro.cluster.wire`); a binary frame decodes to exactly one of
+the verbs below, and every other verb stays pickled.  Nothing is synced
+ahead of a query: its wire code and its join cursor ride its ticket,
+and every routed frame carries the stream cursor it closes on.
 
-Edges never travel pickled: ingest sub-batches and migration tickets
-are packed binary frames (:mod:`repro.cluster.wire`).  The verbs below
-remain the canonical protocol — a binary frame decodes to exactly one
-of them — and every control verb stays pickled.
+Replies piggyback only what the coordinator cannot work out from the
+registrations, the placement and the stream it already holds:
+
+* ``errors`` — queries newly quarantined by the worker's inner service
+  during the operation: an engine raises inside the worker process;
+* ``routed`` / ``skipped`` — the (event, query) routings the worker
+  performed and interest-pruned.  They count expirations too, and which
+  expirations fall due, for which queries, depends on the worker's live
+  deque and each hosted query's join cursor and quarantine state.
+  ``routed`` keeps the coordinator's ``events_routed`` in lockstep with
+  a single-process :class:`~repro.service.MatchService`; ``skipped``
+  only covers events the worker actually received, so the coordinator's
+  ``events_skipped`` runs *below* the single-process value — the
+  remainder is what ``events_unshipped`` measures, as (event, shard)
+  shipments rather than (event, query) skips;
+* ``metrics`` — the worker's own clock (busy nanoseconds, packed spans).
+
+Which shards a batch must visit is *not* piggybacked: the coordinator
+decides it from its own :class:`~repro.service.interest.
+QueryInterestIndex` over the registrations it holds.
 """
 
 from __future__ import annotations
@@ -42,23 +52,18 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.graph.temporal_graph import Edge
 from repro.query.temporal_query import TemporalQuery
-from repro.service.interest import InterestSummary
 from repro.service.stats import QueryStats
 from repro.streaming.driver import StreamResult
 
 # Request verbs -------------------------------------------------------
-REGISTER = "register"        # payload: RegisterSpec
 UNREGISTER = "unregister"    # payload: query_id
 DESCRIBE = "describe"        # payload: query_id (non-destructive)
 QUERY_STATS = "query_stats"  # payload: query_id
 QUARANTINE = "quarantine"    # payload: (query_id, error message)
-CURSOR = "cursor"            # payload: (now, seq) — checkpoint restore
-INTERN = "intern"            # payload: tuple of (code, string) pairs
 MIGRATE_OUT = "migrate_out"  # payload: query_id -> MigrationSource
 MIGRATE_IN = "migrate_in"    # payload: MigrationTicket
 INGEST_BATCH = "ingest_batch"  # payload: edges (see wire.encode_ingest)
 INGEST_ROUTED = "ingest_routed"  # payload: RoutedBatch (interest-routed)
-ADVANCE = "advance"          # payload: timestamp
 DRAIN = "drain"              # payload: None
 STATS = "stats"              # payload: None
 SNAPSHOT = "snapshot"        # payload: None
@@ -85,12 +90,9 @@ class RoutedBatch:
 
 @dataclass(frozen=True)
 class RegisterSpec:
-    """Everything a worker needs to host one query.
-
-    The restore-time extras (``status``/``error``/``stats``) let a
-    checkpoint rebuild a query in its quarantined state with its
-    historical counters; they are ``None`` for live registrations.
-    """
+    """The registration a caller made: what a worker needs, besides
+    the rest of the :class:`MigrationTicket` it rides in, to build one
+    query's engine."""
 
     query_id: str
     query: TemporalQuery
@@ -98,9 +100,6 @@ class RegisterSpec:
     engine: object                       # kind name or picklable factory
     edge_label_fn: Optional[Callable] = None
     collect_results: bool = True
-    status: Optional[str] = None
-    error: Optional[str] = None
-    stats: Optional[Dict[str, object]] = None
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,19 @@ class MigrationSource:
 
 @dataclass(frozen=True)
 class MigrationTicket:
-    """MIGRATE_IN payload: one query's portable state, target-bound.
+    """MIGRATE_IN payload: one query's portable state, target-bound —
+    how every query reaches a worker.
 
-    Assembled by the coordinator from a :class:`MigrationSource` plus
-    the registration spec it already mirrors.  ``tail`` carries the
+    Assembled by the coordinator from the registration spec it mirrors
+    plus what the query's previous host knew: a :class:`MigrationSource`
+    for a migration, the checkpoint record for a restore, the cached
+    counters for a crash recovery, nothing (active, fresh counters) for
+    a live registration — the last three with an empty window.  ``code``
+    is the query id's interned code on the reply wire.  ``joined_seq``
+    is the query's **global** join cursor: the stream position it first
+    registered at (kept across migrations) or re-joined at (restore,
+    recovery), never the target worker's own position, which lags on a
+    shard the router has not contacted.  ``tail`` carries the
     events that arrived (and matched the query's interest) while the
     query was detached — empty on the atomic migration path, where the
     hop completes inside one batch boundary.  ``final_now`` is the
@@ -145,6 +153,7 @@ class MigrationTicket:
     """
 
     spec: RegisterSpec
+    code: int
     joined_seq: int
     status: str
     error: Optional[str]
@@ -182,7 +191,6 @@ class Reply:
     errors: Tuple[Tuple[str, str], ...] = ()
     routed: int = 0
     skipped: int = 0
-    interest: Optional[InterestSummary] = None
     failure: Optional[Tuple[str, str]] = None
     #: Positional integer metric deltas piggybacked on every reply so
     #: the coordinator's observability layer sees worker-side cost

@@ -11,8 +11,8 @@ directions are packed into flat ``array('q')`` frames instead:
 
 * **requests** (:func:`encode_routed`) carry one shard's interest-routed
   share of a batch: edges paired with global sequence numbers, plus the
-  batch's closing cursor; :func:`encode_migrate_in` packs a migration
-  ticket's window and tail the same way;
+  batch's closing cursor; :func:`encode_migrate_in` packs the window
+  and tail of the ticket every query reaches a worker by;
 * **replies** (:func:`encode_reply`) carry the notification stream,
   each fact once: the distinct edges in a table, query ids as interned
   integer codes, and one header per run of embeddings that one event
@@ -30,10 +30,9 @@ spans packed inside the reply's generic metrics tuple — no new frame
 kinds, and untraced frames are byte-identical to the pre-tracing wire.
 
 The only strings of the exchange — query ids — are interned: the
-coordinator assigns each id a code at registration time and syncs it to
-the owning worker via the :data:`~repro.cluster.protocol.INTERN` verb
-*before* the query's ``REGISTER``, so every later reply can refer to
-queries by code.
+coordinator assigns each id a code at registration time, and the code
+rides the query's ticket to whichever worker hosts it, so every reply
+can refer to queries by code.
 
 Reply layout.  One event reports many embeddings that differ in a
 single image (the paper's pruning rules exist because parallel edges do
@@ -68,8 +67,8 @@ Frames are sniffed by a 4-byte magic prefix that cannot collide with a
 pickle stream (protocol 2+ pickles start with ``\\x80``), so binary and
 pickled messages interleave freely on one connection: checkpoints and
 control verbs stay pickled, and a reply that cannot be packed (request
-failures, piggybacked error lists, interest summaries, non-integer
-payloads) silently falls back to pickle.  Frames use machine-native
+failures, piggybacked error lists, payloads that are not notification
+lists) silently falls back to pickle.  Frames use machine-native
 ``array('q')`` byte order — both ends of a ``multiprocessing.Pipe``
 live on the same host.
 """
@@ -198,15 +197,16 @@ def encode_routed(pairs: Sequence[Tuple[Edge, int]], final_now: int,
 
 def encode_migrate_in(ticket, *,
                       trace: Optional[Tuple[int, int]] = None) -> bytes:
-    """A live-migration restore frame.
+    """The frame a query reaches a worker by (registration, restore,
+    recovery, migration: see :class:`~repro.cluster.protocol.
+    MigrationTicket`).
 
-    The bulk of a :class:`~repro.cluster.protocol.MigrationTicket` is
-    its window/tail — thousands of all-integer ``(edge, seq)`` pairs —
-    so those travel packed exactly like routed sub-batches, while the
-    control remainder of the ticket (spec, counters, collected results)
-    rides as an embedded pickle blob after the value array.  Existing
-    frame modes are untouched, so every pre-migration frame stays
-    byte-identical.
+    The bulk of a migrating query's ticket is its window/tail —
+    thousands of all-integer ``(edge, seq)`` pairs — so those travel
+    packed exactly like routed sub-batches (both empty for a fresh
+    join), while the control remainder of the ticket (spec, code, join
+    cursor, counters, collected results) rides as an embedded pickle
+    blob after the value array.
     """
     mode = _MODE_MIGRATE_IN
     head: Tuple[int, ...] = ()
@@ -339,12 +339,12 @@ def _decode_request(data: bytes):
 # ----------------------------------------------------------------------
 def encode_reply(reply: Reply,
                  codes: Dict[str, int]) -> Optional[bytes]:
-    """Pack an ingest reply, or return None when it must stay pickled.
+    """Pack a reply, or return None when it must stay pickled.
 
-    Encodable replies have no failure, no piggybacked error list, no
-    interest summary, and a payload that is a list of integer-valued
-    :class:`MatchNotification` objects with non-empty maps whose query
-    ids are all interned in ``codes``.
+    Encodable replies — to whatever request — have no failure, no
+    piggybacked error list, and a payload that is a list of
+    integer-valued :class:`MatchNotification` objects with non-empty
+    maps whose query ids are all interned in ``codes``.
 
     Every distinct edge is written once, in first-use order, and every
     other mention of it is its index in that table.  A run is opened
@@ -353,8 +353,7 @@ def encode_reply(reply: Reply,
     round-trips; the frame is compact when a reply is event-major, as
     :class:`~repro.service.MatchService` emits it.
     """
-    if (reply.failure is not None or reply.errors
-            or reply.interest is not None):
+    if reply.failure is not None or reply.errors:
         return None
     notes = reply.payload
     if type(notes) is not list:

@@ -6,7 +6,11 @@ queries.  The coordinator interest-routes, so the worker sees only the
 sub-batches some hosted query may care about, each edge tagged with its
 global arrival sequence number plus the batch's closing cursor
 (:meth:`MatchService.ingest_routed` keeps the local window and stream
-position consistent with the global stream).
+position consistent with the global stream).  A query arrives as a
+ticket (``MIGRATE_IN``: a registration, a restore, a recovery or a
+migration) carrying its reply-wire code and its global join cursor;
+nothing is synced ahead of it, and nothing depends on the worker's own
+stream position being current between the frames it is sent.
 
 Failure layers, innermost first:
 
@@ -30,12 +34,11 @@ import time
 from typing import Dict, Tuple
 
 from repro.cluster import protocol, wire
-from repro.cluster.protocol import QueryFinalState, RegisterSpec, Reply
+from repro.cluster.protocol import QueryFinalState, Reply
 from repro.obs.trace import Tracer, pack_spans
 from repro.service import checkpoint as service_checkpoint
 from repro.service.registry import QueryStatus
 from repro.service.service import MatchService
-from repro.service.stats import QueryStats
 
 #: Ingest-path verbs a worker wraps in a span when tracing is on (the
 #: span is parented on the request's piggybacked trace context and
@@ -43,7 +46,6 @@ from repro.service.stats import QueryStats
 _TRACED_VERBS = {
     protocol.INGEST_BATCH: "shard_ingest",
     protocol.INGEST_ROUTED: "shard_ingest",
-    protocol.ADVANCE: "shard_advance",
     protocol.DRAIN: "shard_drain",
     protocol.MIGRATE_OUT: "migrate_out",
     protocol.MIGRATE_IN: "migrate_in",
@@ -78,8 +80,8 @@ class ShardWorker:
         self._routed_seen = 0
         self._skipped_seen = 0
         self._edges_seen = 0
-        #: Interned query-id codes (synced by the coordinator's INTERN
-        #: verb) used to pack binary ingest replies.
+        #: Interned query-id codes (each arrives on its query's
+        #: ticket) used to pack binary replies.
         self.codes: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -93,12 +95,8 @@ class ShardWorker:
         if verb == protocol.INGEST_BATCH:
             # Unsent by the coordinator; see wire.encode_ingest.
             return service.process_batch(payload)
-        if verb == protocol.ADVANCE:
-            return service.advance_to(payload)
         if verb == protocol.DRAIN:
             return service.drain()
-        if verb == protocol.REGISTER:
-            return self._register(payload)
         if verb == protocol.UNREGISTER:
             entry = service.unregister(payload)
             return QueryFinalState(entry.status.value, entry.error,
@@ -115,16 +113,6 @@ class ShardWorker:
             return self._migrate_out(payload)
         if verb == protocol.MIGRATE_IN:
             return self._migrate_in(payload)
-        if verb == protocol.CURSOR:
-            # Checkpoint restore: adopt the snapshot's stream cursor so
-            # sequence numbers (and hence notification ordering keys)
-            # continue exactly where the checkpointed service stopped.
-            service._now, service._seq = payload[0], int(payload[1])
-            return None
-        if verb == protocol.INTERN:
-            for code, name in payload:
-                self.codes[name] = code
-            return None
         if verb == protocol.STATS:
             return (service.stats,
                     {e.query_id: e.stats for e in service.registry.list()},
@@ -134,23 +122,6 @@ class ShardWorker:
         if verb == protocol.STOP:
             return None
         raise ValueError(f"unknown request verb {verb!r}")
-
-    def _register(self, spec: RegisterSpec) -> str:
-        query_id = self.service.register(
-            spec.query, spec.labels, spec.engine,
-            query_id=spec.query_id, edge_label_fn=spec.edge_label_fn,
-            collect_results=spec.collect_results)
-        if spec.stats is not None or spec.status is not None:
-            # Checkpoint restore: rehydrate historical counters/status.
-            entry = self.service.registry.get(query_id)
-            if spec.stats is not None:
-                entry.stats = QueryStats(**spec.stats)
-            if spec.status is not None:
-                entry.status = QueryStatus(spec.status)
-                entry.error = spec.error
-                if not entry.active:
-                    self._reported.add(query_id)
-        return query_id
 
     def _migrate_out(self, query_id: str) -> protocol.MigrationSource:
         """Detach one query: export its engine window, drop it from the
@@ -170,13 +141,16 @@ class ShardWorker:
             joined_seq=entry.joined_seq, window=window)
 
     def _migrate_in(self, ticket: protocol.MigrationTicket):
-        """Restore a migrated query from its ticket and adopt its
-        window/tail; returns the tail-replay notifications (empty on
-        the atomic path).  Registry-level registration preserves the
-        query's original global join cursor and keeps the service's
-        registration counters untouched."""
+        """Host a query from its ticket (a registration, restore,
+        recovery or migration: they differ only in what it holds) and
+        adopt its window/tail; returns the tail-replay notifications
+        (empty unless a staged migration buffered any).  Registry-level
+        registration takes the ticket's global join cursor — this
+        worker's own position lags when the router has not contacted
+        it — and keeps the service's registration counters untouched."""
         service = self.service
         spec = ticket.spec
+        self.codes[spec.query_id] = ticket.code
         entry = service.registry.register(
             spec.query, spec.labels, spec.engine,
             query_id=spec.query_id, joined_seq=ticket.joined_seq,
@@ -244,14 +218,6 @@ class ShardWorker:
         edges, self._edges_seen = current - self._edges_seen, current
         return (busy_ns, edges)
 
-    def interest_for(self, verb: str):
-        """The refreshed shard interest summary to piggyback, for verbs
-        that change query membership (None otherwise)."""
-        if verb in (protocol.REGISTER, protocol.UNREGISTER,
-                    protocol.MIGRATE_OUT, protocol.MIGRATE_IN):
-            return self.service.registry.interest.summary()
-        return None
-
 
 def shard_worker_main(conn, delta: int, metrics: bool = False,
                       tracing: bool = False) -> None:
@@ -259,8 +225,9 @@ def shard_worker_main(conn, delta: int, metrics: bool = False,
 
     Requests arrive either as pickle streams (control verbs) or as
     packed binary frames (everything that carries edges, sniffed by
-    magic prefix); binary requests get binary replies whenever the
-    reply is packable, with pickle as the transparent fallback.  With
+    magic prefix); whichever it was, the reply is a binary frame
+    whenever it is packable — a notification list with no failure or
+    piggybacked errors — with pickle as the transparent fallback.  With
     ``tracing`` on, ingest-path requests carrying a trace context get
     a shard-side span whose packed form rides back on the reply's
     metrics tuple.
@@ -272,14 +239,13 @@ def shard_worker_main(conn, delta: int, metrics: bool = False,
             data = conn.recv_bytes()
         except (EOFError, KeyboardInterrupt):
             break
-        binary = wire.is_request_frame(data)
         verb = span = None
         dispatch_start = time.perf_counter_ns()
         try:
             # Decoding is inside the boundary: a request this worker
             # cannot read is answered like one it cannot serve, and
             # the pipe stays in step.
-            if binary:
+            if wire.is_request_frame(data):
                 verb, payload, ctx = wire.decode_request(data)
             else:
                 verb, payload, *rest = pickle.loads(data)
@@ -297,18 +263,11 @@ def shard_worker_main(conn, delta: int, metrics: bool = False,
         extra = (pack_spans(tracer.take_finished())
                  if tracer is not None else ())
         deltas = worker.metric_deltas(busy_ns, force=bool(extra)) + extra
-        if failure is None:
-            reply = Reply(payload=result, errors=worker.new_errors(),
-                          routed=worker.routed_delta(),
-                          skipped=worker.skipped_delta(),
-                          interest=worker.interest_for(verb),
-                          metrics=deltas)
-        else:
-            reply = Reply(errors=worker.new_errors(),
-                          routed=worker.routed_delta(),
-                          skipped=worker.skipped_delta(),
-                          failure=failure, metrics=deltas)
-        frame = wire.encode_reply(reply, worker.codes) if binary else None
+        reply = Reply(payload=result, errors=worker.new_errors(),
+                      routed=worker.routed_delta(),
+                      skipped=worker.skipped_delta(),
+                      failure=failure, metrics=deltas)
+        frame = wire.encode_reply(reply, worker.codes)
         try:
             if frame is not None:
                 conn.send_bytes(frame)

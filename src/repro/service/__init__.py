@@ -14,9 +14,7 @@ checkpoint composed from the per-shard snapshots defined here.
 """
 
 from repro.service.stats import QueryStats, ServiceStats
-from repro.service.interest import (
-    InterestSummary, QueryInterestIndex, query_pattern_keys,
-)
+from repro.service.interest import QueryInterestIndex, query_pattern_keys
 from repro.service.registry import (
     EngineFactory, QueryRegistry, QueryStatus, RegisteredQuery,
 )
@@ -29,7 +27,7 @@ from repro.service.checkpoint import (
 
 __all__ = [
     "QueryStats", "ServiceStats",
-    "InterestSummary", "QueryInterestIndex", "query_pattern_keys",
+    "QueryInterestIndex", "query_pattern_keys",
     "EngineFactory", "QueryRegistry", "QueryStatus", "RegisteredQuery",
     "MatchNotification", "MatchService", "OutOfOrderError",
     "load_checkpoint", "restore", "resume_edges", "save_checkpoint",

@@ -24,8 +24,9 @@ it replaces was guaranteed to return no matches.  The skip decision for
 a query depends only on that query's own registration data (its query
 graph, its data labels, its ``edge_label_fn``), never on the other
 registered queries — which is what lets the sharded service reuse the
-exact same decisions inside every worker regardless of how queries are
-placed.
+exact same decisions, from the same index class, in its coordinator
+(which shards get an edge) and inside every worker (which engines do),
+regardless of how queries are placed.
 
 Label domains
 -------------
@@ -60,7 +61,6 @@ the index skips.  The match output is unaffected either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
 )
@@ -255,80 +255,5 @@ class QueryInterestIndex:
             merged.update(bucket)
         return merged
 
-    # ------------------------------------------------------------------
-    # Summaries (shipped to the cluster coordinator)
-    # ------------------------------------------------------------------
-    def summary(self) -> "InterestSummary":
-        """A picklable snapshot of this index's interests, evaluable
-        without the queries themselves (used by the cluster coordinator
-        to route batches only to interested shards)."""
-        return InterestSummary(
-            domains=tuple(
-                DomainSummary(
-                    labels=dict(domain.labels),
-                    edge_label_fn=domain.edge_label_fn,
-                    exact=frozenset(domain.exact),
-                    wild=frozenset(domain.wild),
-                )
-                for domain in self._domains),
-            always=bool(self._always),
-        )
 
-
-@dataclass(frozen=True)
-class DomainSummary:
-    """One domain's interests, reduced to what routing needs."""
-
-    labels: Dict[int, object]
-    edge_label_fn: Optional[Callable]
-    exact: FrozenSet[Tuple]
-    wild: FrozenSet[Tuple]
-
-    def matches(self, edge: Edge) -> bool:
-        src = self.labels.get(edge.u, _MISSING)
-        dst = self.labels.get(edge.v, _MISSING)
-        if src is _MISSING or dst is _MISSING:
-            return True
-        if (src, dst) in self.wild:
-            return True
-        if self.exact:
-            fn = self.edge_label_fn
-            if fn is None:
-                return False
-            try:
-                elabel = fn(edge)
-            except Exception:  # noqa: BLE001 - user callable
-                # Ship conservatively; the owning worker's engines will
-                # hit the same exception inside per-query isolation.
-                return True
-            if elabel is not None and (src, dst, elabel) in self.exact:
-                return True
-        return False
-
-
-@dataclass(frozen=True)
-class InterestSummary:
-    """A shard's aggregate interest: the union over its hosted queries.
-
-    ``edge_label_fn`` callables inside domains must be picklable (the
-    same contract as :class:`~repro.cluster.protocol.RegisterSpec`,
-    which already ships them worker-ward).
-    """
-
-    domains: Tuple[DomainSummary, ...] = ()
-    always: bool = False
-
-    def matches(self, edge: Edge) -> bool:
-        """True when some hosted query may care about ``edge`` events."""
-        if self.always:
-            return True
-        for domain in self.domains:
-            if domain.matches(edge):
-                return True
-        return False
-
-
-__all__ = [
-    "DomainSummary", "InterestSummary", "QueryInterestIndex",
-    "query_pattern_keys",
-]
+__all__ = ["QueryInterestIndex", "query_pattern_keys"]

@@ -99,16 +99,6 @@ class TestIndex:
         # Unlabeled data edge cannot match a labeled query edge.
         assert set(index.lookup_ids(Edge.make(0, 1, 3))) == {"wild"}
 
-    def test_summary_matches_mirrors_lookup(self):
-        index = QueryInterestIndex()
-        index.add("ab", AB_QUERY, LABELS)
-        summary = index.summary()
-        assert summary.matches(Edge.make(0, 1, 1))
-        assert not summary.matches(Edge.make(2, 3, 1))
-        assert summary.matches(Edge.make(0, 99, 1))  # unknown endpoint
-        index.add("custom", CD_QUERY, LABELS, indexable=False)
-        assert index.summary().matches(Edge.make(4, 5, 1))  # always
-
     def test_registry_owns_index(self):
         registry = QueryRegistry()
         entry = registry.register(AB_QUERY, LABELS, "tcm")

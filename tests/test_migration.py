@@ -162,6 +162,35 @@ class TestByteIdenticalMigration:
                         service.stats.unregistered_total)
         assert migrated == baseline
 
+    def test_join_cursor_is_global_on_a_shard_the_router_never_contacted(
+            self):
+        """``q1`` registers on shard 1, which has hosted nothing and so
+        was never sent a frame: its own ``seq`` is still 0.  The join
+        cursor rides the ticket, so after the hop onto shard 0 — whose
+        live deque holds the ten edges ``q1`` never saw — ``q1`` is not
+        dispatched their expirations (it answered ``[]`` to them, so
+        only the counters could tell)."""
+
+        def scenario(service, hop):
+            service.register(AB_QUERY, AB_LABELS, query_id="q0")
+            notes = service.ingest(ab_edges(10))
+            service.register(AB_QUERY, AB_LABELS, query_id="q1")
+            hop(service)
+            notes += service.ingest(ab_edges(10, start=11))
+            notes += service.ingest(ab_edges(10, start=200))
+            notes += service.drain()
+            return (notes, service.stats.events_routed,
+                    service.query_stats("q1").events_processed)
+
+        def hop(service):
+            assert service.shard_of("q1") == 1
+            service.migrate("q1", 0)
+
+        expected = scenario(MatchService(50), lambda service: None)
+        assert expected[1:] == (100, 40)
+        with ShardedMatchService(50, workers=2) as service:
+            assert scenario(service, hop) == expected
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shard_split_identical(self, workload, single_outcome,
                                    workers):

@@ -11,7 +11,6 @@ from repro.cluster import protocol, wire
 from repro.cluster.protocol import Reply, RoutedBatch
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import Span, pack_spans
-from repro.service.interest import InterestSummary
 from repro.service.service import MatchNotification
 from repro.streaming.events import Event, EventKind
 from repro.streaming.match import Match
@@ -62,7 +61,7 @@ class TestRequestFrames:
         assert ctx is None
 
     def test_pickle_streams_are_not_frames(self):
-        data = pickle.dumps((protocol.ADVANCE, 7))
+        data = pickle.dumps((protocol.QUERY_STATS, "q7"))
         assert not wire.is_request_frame(data)
         assert not wire.is_reply_frame(data)
 
@@ -406,10 +405,6 @@ class TestReplyFrames:
 
     def test_piggybacked_errors_fall_back_to_pickle(self):
         reply = Reply(payload=[], errors=(("q0", "engine blew up"),))
-        assert wire.encode_reply(reply, CODES) is None
-
-    def test_interest_summary_falls_back_to_pickle(self):
-        reply = Reply(payload="q0", interest=InterestSummary())
         assert wire.encode_reply(reply, CODES) is None
 
     def test_unknown_query_id_falls_back_to_pickle(self):
