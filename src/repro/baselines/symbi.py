@@ -86,6 +86,7 @@ class SymBiEngine(MatchEngine):
             return []  # expiration of a deduplicated arrival: no-op
         if not self._is_relevant(edge):
             self.graph.remove_edge(edge)
+            self.dcs.purge_dead_vertices((edge.u, edge.v))
             self._note_event()
             return []
         # Candidates must be computed while the edge (and its edge label)
@@ -95,6 +96,7 @@ class SymBiEngine(MatchEngine):
         matches = self._find(edge, candidates)
         self.graph.remove_edge(edge)
         self.dcs.apply([], candidates)
+        self.dcs.purge_dead_vertices((edge.u, edge.v))
         self._note_event()
         return matches
 
@@ -135,6 +137,7 @@ class SymBiEngine(MatchEngine):
                     continue
                 if not self._is_relevant(edge):
                     self.graph.remove_edge(edge)
+                    self.dcs.purge_dead_vertices((edge.u, edge.v))
                     self._note_event()
                     out.append([])
                     continue
@@ -142,6 +145,7 @@ class SymBiEngine(MatchEngine):
                 matches = self._find(edge, candidates)
                 self.graph.remove_edge(edge)
                 self.dcs.stage([], candidates, seeds, vertices)
+                vertices.update((edge.u, edge.v))
                 self._note_event()
                 out.append(matches)
         if seeds or vertices:

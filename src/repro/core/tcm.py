@@ -24,18 +24,40 @@ maintenance and runs it once per flush point instead of once per event:
 * an **expiration** backtracks first (exactly as per-event), removes its
   edge from the graph and purges its own DCS entries, but leaves the
   max-min tables and D1/D2 untouched — between flushes those tables
-  describe a *superset* window, which keeps the filter sound (it may
-  admit extra exploration, never extra or missing matches: every match
-  is verified exactly by the backtracking itself, and a sound filter on
-  a superset graph still contains every true candidate);
-* an **arrival** needs the filter complete for its own backtracking
-  (a stale table could be missing candidates the new edge just made
-  TC-matchable), so it flushes: one max-min propagation seeded with all
-  accumulated data pairs, one candidate diff over the accumulated
-  affected pairs, one D1/D2 worklist run.
+  still count the edges that expired since the last one, a *superset*
+  window, which keeps the filter sound (it may admit extra
+  exploration, never extra or missing matches: every match is verified
+  exactly by the backtracking itself, and a sound filter on a superset
+  graph still contains every true candidate);
+* an **arrival** inserts its edge and records its pairs the same way,
+  and flushes — one max-min propagation seeded with all accumulated
+  data pairs, one candidate diff over the accumulated affected pairs,
+  one D1/D2 worklist run — only if it *may report*.  An arriving edge
+  is the newest edge of the window, so in an embedding it can only be
+  the image of a query edge with no successor in the order (an arrival
+  older than the newest edge inserted, from an engine driven out of
+  order, skips this test), and the labels of that query edge's other
+  neighbours must occur among the other live neighbours of its images
+  (set inclusion, O(degree); direction and edge labels ignored — a
+  weaker test is still necessary).  Any other arrival answers ``[]``
+  and its maintenance waits for the next flush; the batch ends with one,
+  so staleness never crosses a batch boundary.
 
-Output is byte-identical to the per-event path (both emit canonically
-sorted per-event match lists); only the maintenance *work* is deduped.
+Why the output is unchanged: the last-arrived edge ``L`` of an embedding
+``M`` in the window passes both tests (every other edge of ``M`` has
+``t <= t(L)``; ``M`` itself supplies the neighbours, distinct by
+injectivity), so it flushed, and a flush is state-based and seeded with
+every deferred pair: from then on every edge of ``M`` is in the DCS with
+D2 true at its vertices, until an exact flush after one of them left.
+Deferred arrivals withhold only edges that lie in no embedding, so every
+search runs on a filter containing all edges that are in some match —
+all that rules 1-3 and the exact per-match verification need.  Output
+is byte-identical to the per-event path (both emit canonically sorted
+per-event lists); only the maintenance *work* differs.  The per-event
+methods stay Algorithm 1 as printed: they are the reference the tests
+hold ``on_batch`` to and what Fig 7-11 / Table V run.  Table V's
+per-event sums are sampled at stale states on the batched path — for
+deferred arrivals now as for expirations before.
 
 Two switches produce the paper's ablations (Section VI-B): with
 ``use_pruning=False`` the engine is the paper's ``TCM-Pruning`` variant
@@ -53,7 +75,6 @@ from repro.core.dag import QueryDag, build_best_dag
 from repro.core.dcs import DCS
 from repro.core.maxmin import MaxMinIndex
 from repro.graph.temporal_graph import Edge, TemporalGraph
-from repro.query.matching import orientations_of
 from repro.query.temporal_query import TemporalQuery
 from repro.streaming.engine import MatchEngine
 from repro.streaming.events import Event
@@ -98,14 +119,42 @@ class TCMEngine(MatchEngine):
             for meta in query.edge_meta())
         self._indexes = ((self.fwd, self._edges_at_child(self.dag)),
                          (self.rev, self._edges_at_child(self.rdag)))
-        # An event edge whose endpoint labels match no query edge can
-        # neither hold candidate entries nor shift any max-min value or
-        # D1/D2 bit (the DP only reads timestamps of label-compatible
-        # pairs), so the engine skips all filter maintenance and
-        # backtracking for it.
-        self._relevant_pairs = query.relevant_label_pairs()
+        self._rows = self._event_rows()
+        # Newest timestamp inserted: an arrival at or after it is the
+        # newest edge of the window, which is what the order test of the
+        # flush gate assumes.
+        self._newest = float("-inf")
         self.stats.extra.update(
             events=0, dcs_edges_sum=0, dcs_vertices_sum=0)
+
+    def _event_rows(self) -> Dict[Tuple[object, object], list]:
+        """Which query edges a data edge can be the image of, keyed by
+        its endpoint labels ``(label(edge.u), label(edge.v))``: rows
+        ``(query edge, flipped?, need)``, flipped meaning ``qe.u`` maps
+        to ``edge.v``.  ``need`` is None for a query edge with a
+        successor in the order (it cannot be the newest edge of a
+        match); otherwise the labels the other query neighbours of its
+        endpoints require around ``edge.u`` and around ``edge.v``.
+
+        An edge whose labels have no row can neither hold candidate
+        entries nor shift any max-min value or D1/D2 bit (the DP only
+        reads timestamps of label-compatible pairs), so the engine
+        skips all filter maintenance and backtracking for it."""
+        query = self.query
+        rows: Dict[Tuple[object, object], list] = {}
+        for meta in query.edge_meta():
+            need = None
+            if not query.order.successors(meta.index):
+                need = tuple(
+                    frozenset(query.label(w) for w in query.neighbors(x)
+                              if w != y)
+                    for x, y in ((meta.u, meta.v), (meta.v, meta.u)))
+            rows.setdefault((meta.label_u, meta.label_v), []).append(
+                (meta.index, False, need))
+            if not query.directed:
+                rows.setdefault((meta.label_v, meta.label_u), []).append(
+                    (meta.index, True, need and need[::-1]))
+        return rows
 
     def _edges_at_child(self, dag: QueryDag
                         ) -> Dict[int, List[Tuple[int, object, bool]]]:
@@ -125,10 +174,12 @@ class TCMEngine(MatchEngine):
     def on_edge_insert(self, edge: Edge) -> List[Match]:
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
             return []  # duplicate (u, v, t): idempotent no-op
-        if not self._is_relevant(edge):
+        if edge.t > self._newest:
+            self._newest = edge.t
+        cands = self._event_edge_candidates(edge)
+        if not cands:
             self._note_event()
             return []
-        cands = self._event_edge_candidates(edge)
         affected = self._update_filter_indexes(edge, cands)
         adds, removes = self._diff_candidates(affected)
         self.dcs.apply(adds, removes)
@@ -138,89 +189,145 @@ class TCMEngine(MatchEngine):
     def on_edge_expire(self, edge: Edge) -> List[Match]:
         if not self.graph.has_edge(edge):
             return []  # expiration of a deduplicated arrival: no-op
-        if not self._is_relevant(edge):
+        cands = self._event_edge_candidates(edge)
+        if not cands:
             self.graph.remove_edge(edge)
             self._purge_dead_endpoints(edge)
             self._note_event()
             return []
-        cands = self._event_edge_candidates(edge)
         matches = self.backtracker.find_matches(edge, cands)
         self.graph.remove_edge(edge)
         affected = self._update_filter_indexes(edge, cands)
         adds, removes = self._diff_candidates(affected)
         self.dcs.apply(adds, removes)
+        # apply() purges only vertices its changes touched; an endpoint
+        # may die with this edge while holding no candidate of it.
+        self.dcs.purge_dead_vertices((edge.u, edge.v))
         self._note_event()
         return matches
 
-    def _is_relevant(self, edge: Edge) -> bool:
-        """True if some query edge is endpoint-label compatible with the
-        event edge; irrelevant events only mutate the window graph."""
-        glabel = self.graph.label
-        return (glabel(edge.u), glabel(edge.v)) in self._relevant_pairs
+    def _event_edge_candidates(self, edge: Edge, rows=None
+                               ) -> List[CandidatePair]:
+        """Candidate pairs the event edge touches, per query edge and
+        orientation; empty when the edge is irrelevant.
+        Label-compatible pairs only: an incompatible pair can never hold
+        DCS entries, so diffing it is a guaranteed no-op (vertex labels
+        are static)."""
+        u, v = edge.u, edge.v
+        if rows is None:
+            glabel = self.graph.label
+            rows = self._rows.get((glabel(u), glabel(v)), ())
+        return [(e, v, u) if flipped else (e, u, v)
+                for e, flipped, _ in rows]
 
     def _purge_dead_endpoints(self, edge: Edge) -> None:
-        """Evict max-min entries of endpoints that just left the window
-        (the full propagation was skipped for this event; a stale cached
-        entry must not survive into the vertex's next window life)."""
+        """Evict the max-min and D1/D2 entries of endpoints that just
+        left the window (no propagation visits a vertex without edges; a
+        stale entry must neither be counted nor survive into the
+        vertex's next window life)."""
         graph = self.graph
         for v in (edge.u, edge.v):
             if not graph.has_vertex(v):
                 self.fwd.purge_vertex(v)
                 self.rev.purge_vertex(v)
+                self.dcs.purge_dead_vertices((v,))
 
     def on_batch(self, events: Sequence[Event]) -> List[List[Match]]:
         """Batched ingestion: defer and dedupe the filter maintenance
-        across the batch (see the module docstring for why the output
-        stays byte-identical to the per-event path)."""
+        across the batch, flushing only before an arrival that may
+        report (see the module docstring for why the output stays
+        byte-identical to the per-event path)."""
         out: List[List[Match]] = []
         pairs: Set[Tuple[int, int]] = set()      # data pairs changed
         affected: Set[CandidatePair] = set()     # candidate pairs to diff
         seeds: Set[Tuple[int, int]] = set()      # D1/D2 worklist seeds
-        vertices: Set[int] = set()               # D1/D2 purge checks
+        graph, dcs, stats = self.graph, self.dcs, self.stats
+        glabel, rows_of = graph.label, self._rows.get
+        find_matches = self.backtracker.find_matches
+        noted = edges_sum = vertices_sum = 0     # Table V, folded below
         for event in events:
             edge = event.edge
+            u, v, t = edge
+            matches: List[Match] = []
             if event.is_arrival:
-                if not self.graph.insert_edge(
-                        edge, label=self._edge_label(edge)):
-                    out.append([])
+                if not graph.insert_edge(edge, label=self._edge_label(edge)):
+                    out.append(matches)
                     continue
-                if not self._is_relevant(edge):
-                    self._note_event()
-                    out.append([])
-                    continue
-                cands = self._event_edge_candidates(edge)
-                pairs.add((edge.u, edge.v))
-                affected.update(cands)
-                self._flush(pairs, affected, seeds, vertices)
-                self._note_event()
-                out.append(self.backtracker.find_matches(edge, cands))
+                in_order = t >= self._newest
+                if in_order:
+                    self._newest = t
+                rows = rows_of((glabel(u), glabel(v)))
+                if rows:
+                    cands = self._event_edge_candidates(edge, rows)
+                    pairs.add((u, v))
+                    affected.update(cands)
+                    if self._may_report(u, v, rows, in_order):
+                        self._flush(pairs, affected, seeds)
+                        matches = find_matches(edge, cands)
+                    else:
+                        stats.arrivals_deferred += 1
             else:
-                if not self.graph.has_edge(edge):
-                    out.append([])
+                rows = rows_of((glabel(u), glabel(v)))
+                if not (graph.has_edge(edge) if rows
+                        else graph.discard_edge(edge)):
+                    out.append(matches)
                     continue
-                if not self._is_relevant(edge):
-                    self.graph.remove_edge(edge)
-                    self._purge_dead_endpoints(edge)
-                    self._note_event()
-                    out.append([])
-                    continue
-                cands = self._event_edge_candidates(edge)
-                matches = self.backtracker.find_matches(edge, cands)
-                self.graph.remove_edge(edge)
-                self._purge_edge_entries(edge, seeds, vertices)
+                if rows:
+                    cands = self._event_edge_candidates(edge, rows)
+                    matches = find_matches(edge, cands)
+                    graph.remove_edge(edge)
+                    # The DCS must never admit a dead edge into
+                    # backtracking, even while the refresh is deferred;
+                    # only an emptied list is visible to D1/D2.
+                    for e, a, b in cands:
+                        if dcs.discard_edge(e, a, b, t) == 2:
+                            dcs.add_seeds(e, a, b, seeds)
+                    pairs.add((u, v))
+                    affected.update(cands)
                 self._purge_dead_endpoints(edge)
-                pairs.add((edge.u, edge.v))
-                affected.update(cands)
-                self._note_event()
-                out.append(matches)
-        if pairs or affected or seeds or vertices:
-            self._flush(pairs, affected, seeds, vertices)
-        self.stats.batches_processed += 1
+            noted += 1
+            edges_sum += dcs.num_edges()
+            vertices_sum += dcs.num_d2_vertices()
+            out.append(matches)
+        if pairs:   # whatever is pending came with its data pair
+            self._flush(pairs, affected, seeds)
+        stats.events_processed += noted
+        extra = stats.extra
+        extra["events"] += noted
+        extra["dcs_edges_sum"] += edges_sum
+        extra["dcs_vertices_sum"] += vertices_sum
+        stats.batches_processed += 1
         return out
+
+    def _may_report(self, u: int, v: int, rows, in_order: bool) -> bool:
+        """The flush gate: can the arriving edge ``(u, v)`` be the
+        newest edge of an embedding?  Necessary: it is the image of a
+        query edge without successor in the order (asked only of an
+        ``in_order`` arrival, the newest edge of the window), and the
+        labels that query edge's other neighbours need occur among the
+        other live neighbours of ``u`` and of ``v``."""
+        neighbors, glabel = self.graph.neighbors, self.graph.label
+        for _e, _flipped, need in rows:
+            if need is None:
+                if in_order:
+                    continue
+                return True
+            for a, b, labels in ((u, v, need[0]), (v, u, need[1])):
+                missing = set(labels)
+                for w in neighbors(a):
+                    if not missing:
+                        break
+                    if w != b:
+                        missing.discard(glabel(w))
+                if missing:
+                    break
+            else:
+                return True
+        return False
 
     def _flush(self, pairs: Set[Tuple[int, int]],
                affected: Set[CandidatePair],
-               seeds: Set[Tuple[int, int]], vertices: Set[int]) -> None:
+               seeds: Set[Tuple[int, int]]) -> None:
         """Bring every filter structure up to date with the graph: one
         max-min propagation over all accumulated data pairs, one
         candidate diff, one D1/D2 worklist run."""
@@ -229,30 +336,15 @@ class TCMEngine(MatchEngine):
                 self._add_pairs_at(index.on_graph_changes(pairs), by_child,
                                    affected)
         adds, removes = self._diff_candidates(affected)
+        vertices: Set[int] = set()               # D1/D2 purge checks
         self.dcs.stage(adds, removes, seeds, vertices)
         if seeds or vertices:
             self.dcs.refresh(seeds, vertices)
         pairs.clear()
         affected.clear()
         seeds.clear()
-        vertices.clear()
-
-    def _purge_edge_entries(self, edge: Edge, seeds: Set[Tuple[int, int]],
-                            vertices: Set[int]) -> None:
-        """Drop the DCS entries of an expired edge without refreshing
-        D1/D2 (the DCS must never admit dead edges into backtracking,
-        even while the refresh is deferred)."""
-        dcs = self.dcs
-        t = edge.t
-        orients = orientations_of(self.query, edge)
-        for meta in self.query.edge_meta():
-            for a, b in orients:
-                code = dcs.discard_edge(meta.index, a, b, t)
-                if code:
-                    if code == 2:  # emptied: the only D1/D2-visible case
-                        dcs.add_seeds(meta.index, a, b, seeds)
-                    vertices.add(a)
-                    vertices.add(b)
+        self.stats.filter_flushes += 1
+        self.stats.note_structure_size(self.structure_entries())
 
     # ------------------------------------------------------------------
     # Filtering bookkeeping
@@ -284,22 +376,6 @@ class TCMEngine(MatchEngine):
                     if glabel(w) == parent_label:
                         affected.add((e, v, w) if child_is_u
                                      else (e, w, v))
-
-    def _event_edge_candidates(self, edge: Edge
-                               ) -> Iterable[CandidatePair]:
-        """Candidate pairs the event edge touches, per query edge and
-        orientation.  Label-compatible pairs only: an incompatible pair
-        can never hold DCS entries, so diffing it is a guaranteed no-op
-        (vertex labels are static)."""
-        glabel = self.graph.label
-        orients = [(a, b, glabel(a), glabel(b))
-                   for a, b in orientations_of(self.query, edge)]
-        out: List[CandidatePair] = []
-        for meta in self.query.edge_meta():
-            for a, b, la, lb in orients:
-                if la == meta.label_u and lb == meta.label_v:
-                    out.append((meta.index, a, b))
-        return out
 
     def _diff_candidates(self, affected: Iterable[CandidatePair]
                          ) -> Tuple[list, list]:

@@ -716,6 +716,12 @@ class MatchService:
             obs.counter("engine_batches_processed_total",
                         "on_batch calls absorbed by the engine",
                         **labels).set_total(estats.batches_processed)
+            obs.counter("engine_filter_flushes_total",
+                        "times the engine brought its filter up to date",
+                        **labels).set_total(estats.filter_flushes)
+            obs.counter("engine_arrivals_deferred_total",
+                        "relevant arrivals answered without a flush",
+                        **labels).set_total(estats.arrivals_deferred)
             obs.gauge("engine_peak_structure_entries",
                       "high-water mark of stored index entries",
                       **labels).set(estats.peak_structure_entries)

@@ -35,7 +35,10 @@ class EngineStats:
     sizes feed the memory comparison (Figure 10) and the filtering-power
     table (Table V).  ``events_processed`` / ``batches_processed`` track
     how much stream the engine has absorbed and through which ingestion
-    path (a per-event call counts as an event with no batch).
+    path (a per-event call counts as an event with no batch);
+    ``filter_flushes`` / ``arrivals_deferred`` say how often a batched
+    engine brought its filter up to date and how many relevant arrivals
+    it answered without doing so (TCM's flush gate).
     """
 
     matches_emitted: int = 0
@@ -44,6 +47,8 @@ class EngineStats:
     peak_structure_entries: int = 0
     events_processed: int = 0
     batches_processed: int = 0
+    filter_flushes: int = 0
+    arrivals_deferred: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
     def note_structure_size(self, entries: int) -> None:

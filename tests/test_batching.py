@@ -7,16 +7,21 @@ exactly the per-event output, and ``MatchService`` reports the same
 notifications however the stream is split into batches.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.runner import engine_names, make_engine
+from repro.core.dcs import DCS
+from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge
+from repro.oracle import OracleEngine
 from repro.query.temporal_query import TemporalQuery
 from repro.service import MatchService
 from repro.streaming import StreamDriver
-from repro.streaming.events import build_event_list
+from repro.streaming.events import Event, EventKind, build_event_list
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -102,6 +107,260 @@ def test_duplicate_arrivals_are_idempotent(engine_name):
     # The duplicate contributed nothing: the window graph never holds
     # the triple twice.
     assert e1.graph.num_edges() == e2.graph.num_edges() == 0  # drained
+
+
+# ----------------------------------------------------------------------
+# The flush gate, held to the per-event path and to the oracle
+# ----------------------------------------------------------------------
+#: (vertex labels, edges) x order pairs: a total, a partial and the
+#: empty order per shape.
+SHAPES = [
+    (["A", "B", "C"], [(0, 1), (1, 2)], ([(0, 1)], [(1, 0)], [])),
+    (["A", "B", "C"], [(0, 1), (1, 2), (0, 2)],
+     ([(0, 1), (1, 2)], [(0, 1)], [])),
+    (["A", "B", "A", "B"], [(0, 1), (1, 2), (2, 3)],
+     ([(0, 1), (1, 2)], [(0, 2)], [])),
+]
+
+
+def _edge_label_of(edge):
+    return "x" if (edge.u + edge.v + edge.t) % 2 else "y"
+
+
+@st.composite
+def gated_instances(draw):
+    """A query (any shape and order of :data:`SHAPES`, directed or not,
+    edge-labelled or not) and an event list over a small labelled vertex
+    universe in which every expiration follows its arrival but arrival
+    timestamps are chronological only some of the time — equal
+    timestamps on different pairs, and arrivals older than edges already
+    inserted, are drawn constantly."""
+    vlabels, qedges, orders = draw(st.sampled_from(SHAPES))
+    directed = draw(st.booleans())
+    edge_labels = (["x"] + [None] * (len(qedges) - 1)
+                   if draw(st.booleans()) else None)
+    query = TemporalQuery(vlabels, qedges, draw(st.sampled_from(orders)),
+                          directed=directed, edge_labels=edge_labels)
+    num_vertices = draw(st.integers(min_value=3, max_value=7))
+    labels = {v: draw(st.sampled_from(["A", "B", "C", "Z"]))
+              for v in range(num_vertices)}
+    chronological = draw(st.booleans())
+    make = Edge.make_directed if directed else Edge.make
+    vertex = st.integers(min_value=0, max_value=num_vertices - 1)
+    t, edges = 0, []
+    for _ in range(draw(st.integers(min_value=4, max_value=24))):
+        t = (t + draw(st.integers(0, 2)) if chronological
+             else draw(st.integers(0, 12)))
+        u, v = draw(vertex), draw(vertex)
+        if u != v and make(u, v, t) not in edges:
+            edges.append(make(u, v, t))
+    # Window by count, oldest arrival first: an order of events that is
+    # valid whatever the timestamps are.
+    width = draw(st.integers(min_value=2, max_value=9))
+    events = []
+    for i, edge in enumerate(edges):
+        if i >= width:
+            events.append(Event(edges[i - width], edge.t,
+                                EventKind.EXPIRATION))
+        events.append(Event(edge, edge.t, EventKind.ARRIVAL))
+    events += [Event(edge, t + 1, EventKind.EXPIRATION)
+               for edge in edges[max(0, len(edges) - width):]]
+    return query, labels, events, _edge_label_of if edge_labels else None
+
+
+def _per_event(engine, events):
+    """Algorithm 1 as printed: one call per event."""
+    return [engine.on_edge_insert(ev.edge) if ev.is_arrival
+            else engine.on_edge_expire(ev.edge) for ev in events]
+
+
+@pytest.mark.parametrize("engine_name", ["tcm", "tcm-pruning"])
+@settings(max_examples=150, deadline=None)
+@given(instance=gated_instances())
+def test_gated_on_batch_agrees_with_per_event_and_oracle(engine_name,
+                                                         instance):
+    """Per event, ``on_batch`` at every batch size reports exactly what
+    Algorithm 1 as printed and the brute-force oracle report."""
+    query, labels, events, elf = instance
+    expected = _per_event(OracleEngine(query, labels, elf), events)
+    assert _per_event(make_engine(engine_name, query, labels, elf),
+                      events) == expected
+    for batch_size in BATCH_SIZES:
+        engine = make_engine(engine_name, query, labels, elf)
+        got = []
+        for lo in range(0, len(events), batch_size):
+            got += engine.on_batch(events[lo:lo + batch_size])
+        assert got == expected, batch_size
+        assert engine.structure_entries() == 0      # drained
+
+
+@pytest.mark.parametrize("first_per_event", [False, True])
+def test_order_test_applies_to_chronological_arrivals_only(first_per_event):
+    """The order test assumes the arrival is the newest edge of the
+    window.  ``(0, 1, t=3)`` arriving after ``(1, 2, t=5)`` matches only
+    the non-final query edge, yet completes the embedding: it must flush
+    (an engine that applied the order test to it answers ``[[], []]``),
+    whichever entry point inserted the newer edge."""
+    query = TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)])
+    engine = TCMEngine(query, {0: "A", 1: "B", 2: "C"})
+    first, second = Edge.make(1, 2, 5), Edge.make(0, 1, 3)
+    events = [Event(first, 5, EventKind.ARRIVAL),
+              Event(second, 5, EventKind.ARRIVAL)]
+    if first_per_event:
+        out = [engine.on_edge_insert(first)] + engine.on_batch(events[1:])
+    else:
+        out = engine.on_batch(events)
+    assert out[0] == []
+    assert [m.edge_map for m in out[1]] == [(second, first)]
+    assert engine.stats.arrivals_deferred == (not first_per_event)
+
+
+class _GateSpy(TCMEngine):
+    """Records what the gate answered for which arrival, and how often
+    the search ran."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = []
+        self.searches = 0
+        search = self.backtracker.find_matches
+
+        def counted(*a, **kw):
+            self.searches += 1
+            return search(*a, **kw)
+        self.backtracker.find_matches = counted
+
+    def _may_report(self, u, v, rows, in_order):
+        answer = super()._may_report(u, v, rows, in_order)
+        self.answers.append((self.labels[u], self.labels[v], answer))
+        return answer
+
+
+def _seeded_events(seed=7, n=400, num_vertices=16, delta=30):
+    rng = random.Random(seed)
+    labels = {v: "ABCZ"[v % 4] for v in range(num_vertices)}
+    t, edges = 0, []
+    for _ in range(n):
+        t += rng.randint(0, 2)
+        u, v = rng.sample(range(num_vertices), 2)
+        edges.append(Edge.make(u, v, t))
+    return labels, build_event_list(edges, delta)
+
+
+@pytest.mark.parametrize("order, flushes, deferred, searches", [
+    ([(0, 1), (1, 2)], 81, 128, 202),   # total
+    ([(0, 1)], 98, 107, 223),           # partial
+    ([], 127, 73, 257),                 # empty
+])
+def test_gate_decisions_are_pinned(order, flushes, deferred, searches):
+    """The decision, pinned the way ``test_search_tree_counts_are_pinned``
+    pins the tree: a change to what flushes shows up here first."""
+    query = TemporalQuery(["A", "B", "C", "A"], [(0, 1), (1, 2), (2, 3)],
+                          order)
+    labels, events = _seeded_events()
+    engine = _GateSpy(query, labels)
+    for lo in range(0, len(events), 16):
+        engine.on_batch(events[lo:lo + 16])
+    stats = engine.stats
+    assert (stats.filter_flushes, stats.arrivals_deferred,
+            engine.searches) == (flushes, deferred, searches)
+    assert stats.arrivals_deferred == sum(
+        not answer for _, _, answer in engine.answers)
+    if len(order) == 2:
+        # Total order: only the image of the final query edge (C-A) is
+        # ever let through.
+        assert {(a, b) for a, b, answer in engine.answers if answer} \
+            <= {("C", "A"), ("A", "C")}
+        assert any(answer for _, _, answer in engine.answers)
+
+
+class _TallyDCS(DCS):
+    """Folds Table V's sums after every event, from what the engine
+    reads per event."""
+
+    reads = edges_seen = vertices_seen = 0
+
+    def num_edges(self):
+        self.reads += 1
+        self.edges_seen += super().num_edges()
+        return super().num_edges()
+
+    def num_d2_vertices(self):
+        self.vertices_seen += super().num_d2_vertices()
+        return super().num_d2_vertices()
+
+
+@pytest.mark.parametrize("tail", [
+    [],
+    # Ends the last batch in a deferred arrival: an A-B edge on fresh
+    # vertices under a total order whose final edge is B-C.
+    [Event(Edge.make(100, 101, 10 ** 6), 10 ** 6, EventKind.ARRIVAL)],
+])
+def test_event_accounting_matches_per_event_path(tail):
+    """``events_processed`` / ``extra["events"]`` count what the
+    per-event path counts (no duplicates, no absent expirations), and
+    folding Table V's sums once per batch loses nothing."""
+    query = TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)])
+    labels, events = _seeded_events()
+    labels.update({100: "A", 101: "B"})
+    events = events[:200] + [events[0], events[5]] + events[200:] + tail
+    absent = Event(Edge.make(0, 1, 10 ** 5), 10 ** 5, EventKind.EXPIRATION)
+    events.insert(50, absent)
+
+    base = TCMEngine(query, labels)
+    _per_event(base, events)
+    batched = TCMEngine(query, labels)
+    batched.dcs.__class__ = _TallyDCS
+    for lo in range(0, len(events), 16):
+        batched.on_batch(events[lo:lo + 16])
+
+    assert base.stats.events_processed == batched.stats.events_processed \
+        == len(events) - 3
+    assert batched.stats.extra["events"] == base.stats.extra["events"] \
+        == batched.dcs.reads == len(events) - 3
+    assert batched.stats.extra["dcs_edges_sum"] == batched.dcs.edges_seen
+    assert batched.stats.extra["dcs_vertices_sum"] \
+        == batched.dcs.vertices_seen
+    if tail:
+        assert batched.stats.arrivals_deferred > 0
+        assert batched.on_batch([]) == []
+
+
+# ----------------------------------------------------------------------
+# Nothing outlives the window
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine_name", ["tcm", "tcm-pruning", "symbi"])
+@pytest.mark.parametrize("batch_size", [None, 1, 7])
+def test_drained_engine_holds_no_entries(engine_name, batch_size):
+    """Regression: D1/D2 entries used to outlive a vertex whose last
+    edge was label-irrelevant (or, for the per-event path and for
+    edge-labelled queries, simply held no candidate), and Fig 10's
+    accounting counted them for ever."""
+    queries = [
+        TemporalQuery(["A", "B", "A"], [(0, 1), (1, 2)], [(0, 1)]),
+        TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)],
+                      directed=True),
+        TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)],
+                      edge_labels=["x", None]),
+    ]
+    for seed in range(12):
+        rng = random.Random(seed)
+        num_vertices = rng.randint(4, 9)
+        labels = {v: rng.choice("ABCZ") for v in range(num_vertices)}
+        for query in queries:
+            make = Edge.make_directed if query.directed else Edge.make
+            t, edges = 0, []
+            for _ in range(60):
+                t += rng.randint(0, 2)
+                u, v = rng.sample(range(num_vertices), 2)
+                edges.append(make(u, v, t))
+            engine = make_engine(
+                engine_name, query, labels,
+                _edge_label_of if any(query.edge_labels) else None)
+            StreamDriver(engine, batch_size=batch_size).run_edges(
+                edges, rng.randint(2, 8))
+            assert engine.graph.num_edges() == 0
+            assert engine.structure_entries() == 0, (seed, query)
 
 
 def test_batch_counters_advance():

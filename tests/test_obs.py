@@ -337,8 +337,15 @@ class TestIntegration:
         for name in ("service_ingest_seconds", "service_route_seconds",
                      "service_notify_seconds", "service_engine_seconds",
                      "service_match_delta", "service_edges_ingested_total",
-                     "query_matches_total", "engine_matches_emitted_total"):
+                     "query_matches_total", "engine_matches_emitted_total",
+                     "engine_filter_flushes_total",
+                     "engine_arrivals_deferred_total"):
             assert name in snap, name
+        # The flush gate is visible per query: TCM flushed at least once
+        # per batch; SymBi has no gate and reports zeros.
+        flushes = {s["labels"]["query"]: s["value"] for s in
+                   snap["engine_filter_flushes_total"]["series"]}
+        assert flushes["q0"] >= 4 and flushes["q1"] == 0
         engine_series = snap["service_engine_seconds"]["series"]
         assert {s["labels"]["query"] for s in engine_series} == \
             {"q0", "q1"}
@@ -388,6 +395,11 @@ class TestIntegration:
         shards = {s["labels"]["shard"]
                   for s in snap["service_edges_ingested_total"]["series"]}
         assert shards == {"0", "1"}
+        flushes = snap["engine_filter_flushes_total"]["series"]
+        assert {s["labels"]["query"] for s in flushes} == \
+            {f"q{i}" for i in range(4)}
+        assert all(s["labels"]["shard"] in "01" and s["value"] > 0
+                   for s in flushes)
         busy = snap["cluster_worker_busy_seconds"]["series"]
         assert all(s["count"] > 0 for s in busy)
         edges = {s["labels"]["shard"]: s["value"]
