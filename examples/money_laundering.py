@@ -72,7 +72,7 @@ engine = TCMEngine(query, labels)
 result = StreamDriver(engine).run_edges(stream, delta=delta)
 
 print(f"{len(stream)} transactions, window delta = {delta}\n")
-print(f"layered flows detected: {len(result.occurred)}")
+print(f"layered flows detected: {result.num_occurred}")
 for event, match in result.occurred:
     s, m1, m2, d = match.vertex_map
     hops = " -> ".join(f"{e.u}->{e.v}@t{e.t}" for e in match.edge_map)

@@ -54,6 +54,6 @@ for event, match in result.expired:
                        for i, e in enumerate(match.edge_map))
     print(f"t={event.time:>3}  EXPIRE  {images}")
 
-print(f"\n{len(result.occurred)} occurrences, "
-      f"{len(result.expired)} expirations, "
+print(f"\n{result.num_occurred} occurrences, "
+      f"{result.num_expired} expirations, "
       f"{engine.stats.backtrack_nodes} backtracking nodes")

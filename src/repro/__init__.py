@@ -11,14 +11,15 @@ The typical workflow:
 >>> engine = TCMEngine(query, labels)
 >>> driver = StreamDriver(engine)
 >>> result = driver.run_edges([Edge.make(0, 1, 5)], delta=10)
->>> len(result.occurred)
+>>> result.num_occurred
 1
 """
 
 from repro.graph import Edge, TemporalGraph
 from repro.query import PartialOrder, PartialOrderError, TemporalQuery
 from repro.streaming import (
-    Event, EventKind, Match, MatchEngine, StreamDriver, StreamResult,
+    Event, EventKind, Match, MatchBlock, MatchEngine, StreamDriver,
+    StreamResult,
     build_event_list,
 )
 from repro.core import QueryDag, TCMEngine, build_best_dag, build_dag
@@ -34,7 +35,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Edge", "TemporalGraph",
     "PartialOrder", "PartialOrderError", "TemporalQuery",
-    "Event", "EventKind", "Match", "MatchEngine",
+    "Event", "EventKind", "Match", "MatchBlock", "MatchEngine",
     "StreamDriver", "StreamResult", "build_event_list",
     "QueryDag", "TCMEngine", "build_best_dag", "build_dag",
     "OracleEngine", "enumerate_embeddings",

@@ -78,7 +78,7 @@ def run_query(engine_name: str, query: TemporalQuery,
         engine=engine_name,
         elapsed_seconds=elapsed,
         solved=not result.timed_out,
-        matches=len(result.occurred) + len(result.expired),
+        matches=result.num_occurred + result.num_expired,
         peak_structure_entries=engine.stats.peak_structure_entries,
         backtrack_nodes=engine.stats.backtrack_nodes,
         extra=dict(engine.stats.extra),

@@ -37,7 +37,8 @@ Which node follows a partial embedding, and everything the node needs
 apart from the data, depends only on *which* query vertices and edges
 are mapped — on the query, not on the stream.  The search state is
 therefore one int, ``mapped-vertex mask << num_edges | mapped-edge
-mask``, next to the two image lists, and per state there is one plan
+mask``, next to the vertex images and the *timestamp* chosen per query
+edge (see "The output"), and per state there is one plan
 tuple, compiled on first visit from the per-edge rows built at
 construction and kept for the engine's life (the reachable states are
 the connected vertex sets grown from an edge, each with the few edge
@@ -65,11 +66,30 @@ map sends different (un)ordered pairs to different (un)ordered pairs,
 and a data :class:`Edge` carries its endpoints — normalised when
 undirected, source first when directed — so the two images differ before
 their timestamps are even compared.
+
+The output
+----------
+The image of a query edge is fixed by the vertex map up to its
+timestamp, so the edge half of the state is a row of timestamps: ``ECM``
+bisects against them, a leaf reports ``(vertex map, timestamp row)``,
+rule 1 clones rows by slicing, and no :class:`Edge` exists during the
+search.  ``find_matches`` groups the rows by vertex map, sorts the
+vertex maps and each group's rows, and returns that as a
+:class:`~repro.streaming.match.MatchBlock`.  This *is* the canonical
+``Match`` order: matches compare by vertex map first, and equal vertex
+maps give every query edge the same endpoints, so their edge maps order
+exactly as their timestamp rows do.  Reading the block builds the
+``Match`` objects, a group at a time; one group's matches share the
+vertex-map tuple and one ``Edge`` per (query edge, timestamp).  The
+endpoint swap of an undirected image (``Edge.make``'s ``u <= v``) is a
+property of the group, not of the candidate, which is why it is done
+there once per (group, query edge) rather than per search node.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.dcs import DCS
@@ -77,16 +97,14 @@ from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query.matching import orientations_of
 from repro.query.temporal_query import TemporalQuery
 from repro.streaming.engine import EngineStats
-from repro.streaming.match import Match
+from repro.streaming.match import MatchBlock
 
 #: How an edge node treats its parallel candidates: try them all (the
 #: ``TCM-Pruning`` ablation), rule 1, rule 2 in either direction, rule 3.
 _SCAN, _CLONE, _FORWARD, _REVERSE, _FAILING = range(5)
 
-#: ``Match`` and ``Edge`` are tuples: building one through the type's own
-#: ``tuple.__new__`` skips the Python-level ``__new__`` a ``NamedTuple``
-#: generates, which the search would otherwise call per node.
-_new = tuple.__new__
+#: What an event that reports nothing returns: one shared empty block.
+_NOTHING = MatchBlock((), False, (), 0)
 
 #: ``(count, failing set)`` of a node that completed the embedding.
 _ONE = (1, 0)
@@ -130,10 +148,11 @@ class Backtracker:
                                       for u in range(n))
         self._complete = (1 << n + m) - 1
         self._plans: Dict[int, tuple] = {}
+        self._ends = tuple((qe.u, qe.v) for qe in query.edges)
         self._vmap: List[Optional[int]] = []
-        self._emap: List[Optional[Edge]] = []
+        self._emap: List[Optional[int]] = []     # timestamps
         self._used: set = set()
-        self._out: List[Match] = []
+        self._out: List[Tuple[tuple, tuple]] = []
         self._nodes = self._pruned = 0
 
     # ------------------------------------------------------------------
@@ -141,7 +160,7 @@ class Backtracker:
     # ------------------------------------------------------------------
     def find_matches(self, event_edge: Edge,
                      pairs: Optional[Iterable[Tuple[int, int, int]]] = None
-                     ) -> List[Match]:
+                     ) -> MatchBlock:
         """All time-constrained embeddings whose image contains
         ``event_edge``, given the current graph and DCS state.
 
@@ -149,10 +168,10 @@ class Backtracker:
         label-compatible ``(query edge, image of qe.u, image of qe.v)``
         assignments (the engine already has them from its filter
         bookkeeping); omitted, every query edge and orientation is
-        probed.  Returned in canonical (sorted) order: the exploration
-        order depends on the filter state, which the batched ingestion
-        path deliberately lets go stale between flushes, so a canonical
-        output order is what makes the two paths byte-identical.
+        probed.  Returned as one block in canonical (sorted) order: the
+        exploration order depends on the filter state, which the batched
+        ingestion path deliberately lets go stale between flushes, so a
+        canonical output order is what makes the two paths byte-identical.
         """
         query = self.query
         # Fresh state per call, not whatever the last call's unwinding
@@ -179,15 +198,23 @@ class Backtracker:
             vmap[u], vmap[v] = va, vb
             used.add(va)
             used.add(vb)
-            emap[e] = event_edge
+            emap[e] = t
             self._explore(self._seeds[e])
             used.clear()
         stats = self.stats
         stats.backtrack_nodes += self._nodes
         stats.candidates_pruned += self._pruned
         stats.matches_emitted += len(out)
-        out.sort()
-        return out
+        if not out:
+            return _NOTHING
+        groups: Dict[tuple, List[tuple]] = defaultdict(list)
+        for vertex_map, row in out:
+            groups[vertex_map].append(row)
+        for rows in groups.values():
+            rows.sort()
+        stats.match_groups += len(groups)
+        return MatchBlock(self._ends, self._undirected,
+                          sorted(groups.items()), len(out))
 
     # ------------------------------------------------------------------
     # Search
@@ -202,8 +229,7 @@ class Backtracker:
         """
         self._nodes += 1
         if state == self._complete:
-            self._out.append(_new(Match, (tuple(self._vmap),
-                                          tuple(self._emap))))
+            self._out.append((tuple(self._vmap), tuple(self._emap)))
             return _ONE
         plan = self._plans.get(state) or self._compile(state)
         if plan[0] is None:
@@ -259,33 +285,28 @@ class Backtracker:
             # the earliest mapped successor.
             lo, hi = 0, len(cands)
             for f in mapped_before:
-                lo = bisect_right(cands, emap[f][2], lo, hi)
+                lo = bisect_right(cands, emap[f], lo, hi)
             for f in mapped_after:
-                hi = bisect_left(cands, emap[f][2], lo, hi)
+                hi = bisect_left(cands, emap[f], lo, hi)
             cands = cands[lo:hi]
         if not cands:
             return 0, r_plus
-        if a > b and self._undirected:
-            a, b = b, a     # Edge.make's endpoint order
         explore = self._explore
         if rule == _CLONE:
             # Rule 1: explore one candidate, clone what it found onto
             # the other parallel candidates.
             out = self._out
             start = len(out)
-            emap[e] = _new(Edge, (a, b, cands[0]))
+            emap[e] = cands[0]
             count, below = explore(child)
             if count == 0:
                 self._pruned += len(cands) - 1
                 return 0, below | r_plus
             if len(cands) > 1:
-                images = [_new(Edge, (a, b, t)) for t in cands[1:]]
-                append = out.append
-                for vertex_map, edge_map in out[start:]:
-                    edge_map = list(edge_map)
-                    for image in images:
-                        edge_map[e] = image
-                        append(_new(Match, (vertex_map, tuple(edge_map))))
+                others = cands[1:]
+                after = e + 1
+                out += [(vertex_map, row[:e] + (t,) + row[after:])
+                        for vertex_map, row in out[start:] for t in others]
             return len(cands) * count, 0
         if rule == _REVERSE:
             cands = cands[::-1]
@@ -293,7 +314,7 @@ class Backtracker:
         total = 0
         failing = r_plus
         for i, t in enumerate(cands):
-            emap[e] = _new(Edge, (a, b, t))
+            emap[e] = t
             count, below = explore(child)
             if count:
                 total += count

@@ -52,12 +52,13 @@ D2 true at its vertices, until an exact flush after one of them left.
 Deferred arrivals withhold only edges that lie in no embedding, so every
 search runs on a filter containing all edges that are in some match —
 all that rules 1-3 and the exact per-match verification need.  Output
-is byte-identical to the per-event path (both emit canonically sorted
-per-event lists); only the maintenance *work* differs.  The per-event
-methods stay Algorithm 1 as printed: they are the reference the tests
-hold ``on_batch`` to and what Fig 7-11 / Table V run.  Table V's
-per-event sums are sampled at stale states on the batched path — for
-deferred arrivals now as for expirations before.
+is byte-identical to the per-event path (both emit one canonical-order
+sequence per event — what ``find_matches`` returned, unread); only the
+maintenance *work* differs.  The per-event methods stay Algorithm 1 as
+printed: they are the reference the tests hold ``on_batch`` to and
+what Fig 7-11 / Table V run.  Table V's per-event sums are sampled at
+stale states on the batched path — for deferred arrivals now as for
+expirations before.
 
 Two switches produce the paper's ablations (Section VI-B): with
 ``use_pruning=False`` the engine is the paper's ``TCM-Pruning`` variant
@@ -171,7 +172,7 @@ class TCMEngine(MatchEngine):
     # ------------------------------------------------------------------
     # Event handling
     # ------------------------------------------------------------------
-    def on_edge_insert(self, edge: Edge) -> List[Match]:
+    def on_edge_insert(self, edge: Edge) -> Sequence[Match]:
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
             return []  # duplicate (u, v, t): idempotent no-op
         if edge.t > self._newest:
@@ -186,7 +187,7 @@ class TCMEngine(MatchEngine):
         self._note_event()
         return self.backtracker.find_matches(edge, cands)
 
-    def on_edge_expire(self, edge: Edge) -> List[Match]:
+    def on_edge_expire(self, edge: Edge) -> Sequence[Match]:
         if not self.graph.has_edge(edge):
             return []  # expiration of a deduplicated arrival: no-op
         cands = self._event_edge_candidates(edge)
@@ -232,12 +233,13 @@ class TCMEngine(MatchEngine):
                 self.rev.purge_vertex(v)
                 self.dcs.purge_dead_vertices((v,))
 
-    def on_batch(self, events: Sequence[Event]) -> List[List[Match]]:
+    def on_batch(self, events: Sequence[Event]
+                 ) -> List[Sequence[Match]]:
         """Batched ingestion: defer and dedupe the filter maintenance
         across the batch, flushing only before an arrival that may
         report (see the module docstring for why the output stays
         byte-identical to the per-event path)."""
-        out: List[List[Match]] = []
+        out: List[Sequence[Match]] = []
         pairs: Set[Tuple[int, int]] = set()      # data pairs changed
         affected: Set[CandidatePair] = set()     # candidate pairs to diff
         seeds: Set[Tuple[int, int]] = set()      # D1/D2 worklist seeds
@@ -248,7 +250,7 @@ class TCMEngine(MatchEngine):
         for event in events:
             edge = event.edge
             u, v, t = edge
-            matches: List[Match] = []
+            matches: Sequence[Match] = []
             if event.is_arrival:
                 if not graph.insert_edge(edge, label=self._edge_label(edge)):
                     out.append(matches)

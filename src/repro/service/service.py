@@ -97,10 +97,9 @@ class MatchNotification(NamedTuple):
 
     A ``NamedTuple`` like :class:`Match`: one is built per reported
     embedding per query, here and again in ``wire.decode_reply``.  The
-    notifications one event produces share its :class:`Event`, and
-    embeddings found below one search node share that node's
-    :class:`Edge`; the reply frame names every edge once, so decoded
-    notifications share one ``Edge`` per distinct edge of the reply.
+    notifications one event produces share its :class:`Event`; the
+    reply frame names every edge once, so decoded notifications share
+    one ``Edge`` per distinct edge of the reply.
     A decoded notification therefore costs 3.4 objects the cyclic
     collector tracks (itself, its match, its edge map, its share of the
     reply's events and edges) where rebuilding all of them per
@@ -504,9 +503,7 @@ class MatchService:
                 else:
                     stats.expired += len(matches)
                 if entry.result is not None:
-                    (entry.result.occurred if arrival
-                     else entry.result.expired).extend(
-                         (ev, match) for match in matches)
+                    entry.result.add(ev, matches)
                 if not (entry.subscribers and entry.active
                         and query_id in registry):
                     continue
@@ -710,6 +707,9 @@ class MatchService:
             obs.counter("engine_matches_emitted_total",
                         "matches emitted by the engine",
                         **labels).set_total(estats.matches_emitted)
+            obs.counter("engine_match_groups_total",
+                        "vertex-map groups the emitted matches fall into",
+                        **labels).set_total(estats.match_groups)
             obs.counter("engine_candidates_pruned_total",
                         "candidates pruned by the engine's filters",
                         **labels).set_total(estats.candidates_pruned)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
@@ -25,19 +24,45 @@ from repro.streaming.match import Match
 
 @dataclass
 class StreamResult:
-    """Outcome of driving one engine over one stream."""
+    """Outcome of driving one engine over one stream.
 
-    occurred: List[Tuple[Event, Match]] = field(default_factory=list)
-    expired: List[Tuple[Event, Match]] = field(default_factory=list)
+    What each event reported is kept as the engine returned it — an
+    ``(event, sequence)`` per reporting event, written only by
+    :meth:`add`.  ``num_occurred`` / ``num_expired`` count without
+    building a match; ``occurred`` / ``expired`` flatten to
+    ``(event, match)`` pairs when read.
+    """
+
+    reports: List[Tuple[Event, Sequence[Match]]] = field(
+        default_factory=list)
+    num_occurred: int = 0
+    num_expired: int = 0
     elapsed_seconds: float = 0.0
     timed_out: bool = False
     events_processed: int = 0
 
-    def add(self, event: Event, matches: List[Match]) -> None:
+    def add(self, event: Event, matches: Sequence[Match]) -> None:
         """File what the engine reported for ``event``."""
         if matches:
-            (self.occurred if event.is_arrival
-             else self.expired).extend(zip(repeat(event), matches))
+            self.reports.append((event, matches))
+            if event.is_arrival:
+                self.num_occurred += len(matches)
+            else:
+                self.num_expired += len(matches)
+
+    def _flat(self, arrival: bool) -> List[Tuple[Event, Match]]:
+        return [(event, match) for event, matches in self.reports
+                if event.is_arrival == arrival for match in matches]
+
+    @property
+    def occurred(self) -> List[Tuple[Event, Match]]:
+        """``(event, match)`` per occurring embedding, built on read."""
+        return self._flat(True)
+
+    @property
+    def expired(self) -> List[Tuple[Event, Match]]:
+        """``(event, match)`` per expiring embedding, built on read."""
+        return self._flat(False)
 
     def occurrence_multiset(self) -> List[Match]:
         """All occurring matches, for cross-engine comparisons."""

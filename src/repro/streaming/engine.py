@@ -8,9 +8,11 @@ that occur on an arrival and embeddings that expire on an expiration.
 Engines own their copy of the within-window data graph; the driver only
 feeds events.
 
-Per-event match lists are returned in canonical (sorted) order, so the
-two ingestion paths are byte-identical: ``on_batch`` must produce, for
-every event, exactly the list the per-event methods would have produced.
+Each event reports one canonical-order (sorted) *sequence* of ``Match``
+— a list from the baselines, a :class:`~repro.streaming.match.MatchBlock`
+from TCM, which builds its matches only when read — so the two ingestion
+paths are byte-identical: ``on_batch`` must produce, for every event, a
+sequence equal to the one the per-event methods would have produced.
 The default ``on_batch`` is the trivial loop; TCM and SymBi override it
 to defer and dedupe their filter maintenance across the batch.
 """
@@ -38,10 +40,14 @@ class EngineStats:
     path (a per-event call counts as an event with no batch);
     ``filter_flushes`` / ``arrivals_deferred`` say how often a batched
     engine brought its filter up to date and how many relevant arrivals
-    it answered without doing so (TCM's flush gate).
+    it answered without doing so (TCM's flush gate).  ``match_groups``
+    counts the distinct vertex maps per reporting event, summed:
+    ``matches_emitted / match_groups`` is the parallel-edge multiplicity
+    of the output (TCM only; the baselines leave it 0).
     """
 
     matches_emitted: int = 0
+    match_groups: int = 0
     backtrack_nodes: int = 0
     candidates_pruned: int = 0
     peak_structure_entries: int = 0
@@ -61,12 +67,12 @@ class MatchEngine(abc.ABC):
     """Abstract continuous-matching engine.
 
     Subclasses implement :meth:`on_edge_insert` and :meth:`on_edge_expire`;
-    both return the list of time-constrained embeddings that occur/expire
-    because of the event (every returned match contains the event edge),
-    in canonical sorted order.  :meth:`on_batch` processes a chronological
-    event batch and returns the per-event match lists aligned with the
-    input; its output must be byte-identical to feeding the events one at
-    a time.
+    both return one sequence of the time-constrained embeddings that
+    occur/expire because of the event (every match contains the event
+    edge), in canonical sorted order.  :meth:`on_batch` processes a
+    chronological event batch and returns the per-event sequences aligned
+    with the input; its output must be byte-identical to feeding the
+    events one at a time.
     """
 
     name = "abstract"
@@ -85,23 +91,23 @@ class MatchEngine(abc.ABC):
         return self.edge_label_fn(edge)
 
     @abc.abstractmethod
-    def on_edge_insert(self, edge: Edge) -> List[Match]:
+    def on_edge_insert(self, edge: Edge) -> Sequence[Match]:
         """Process an arriving edge; return newly occurring embeddings."""
 
     @abc.abstractmethod
-    def on_edge_expire(self, edge: Edge) -> List[Match]:
+    def on_edge_expire(self, edge: Edge) -> Sequence[Match]:
         """Process an expiring edge; return embeddings that expire with it."""
 
-    def on_batch(self, events: Sequence[Event]) -> List[List[Match]]:
-        """Process a chronological event batch; return one match list per
-        event, aligned with ``events``.
+    def on_batch(self, events: Sequence[Event]) -> List[Sequence[Match]]:
+        """Process a chronological event batch; return one match sequence
+        per event, aligned with ``events``.
 
         The default implementation is the per-event loop, correct for
         every engine.  Engines whose per-event cost is dominated by
         incremental index maintenance (TCM, SymBi) override this to
         batch that maintenance while keeping the output identical.
         """
-        out: List[List[Match]] = []
+        out: List[Sequence[Match]] = []
         for event in events:
             if event.is_arrival:
                 out.append(self.on_edge_insert(event.edge))

@@ -3,12 +3,15 @@
 A time-constrained embedding (Definition II.3) maps query vertices to data
 vertices and query edges to data edges.  ``Match`` stores both mappings as
 index-ordered tuples so that matches are hashable, comparable, and cheap to
-collect into sets for the oracle cross-checks.
+collect into sets for the oracle cross-checks.  What one event reports is
+a canonical-order *sequence* of them: a plain list from the baselines, a
+:class:`MatchBlock` from TCM.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from collections.abc import Sequence
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query.temporal_query import TemporalQuery
@@ -18,9 +21,9 @@ class Match(NamedTuple):
     """An embedding: ``vertex_map[u]`` and ``edge_map[e]`` by query index.
 
     A ``NamedTuple`` for the reason :class:`Edge` is one: a dense event
-    reports tens of thousands of embeddings, each built, sorted into the
-    canonical ``(vertex_map, edge_map)`` order and hashed by the checks,
-    and tuples do all three in C.
+    reports tens of thousands of embeddings, each built (when read),
+    compared in the canonical ``(vertex_map, edge_map)`` order and
+    hashed by the checks, and tuples do all three in C.
     """
 
     vertex_map: Tuple[int, ...]
@@ -78,3 +81,57 @@ class Match(NamedTuple):
             if label is not None and graph.edge_label(image) != label:
                 return False
         return query.order.is_consistent(self.timestamps())
+
+
+class MatchBlock(Sequence):
+    """The embeddings one event reported: a read-only canonical-order
+    sequence of :class:`Match` that builds them only when read.
+
+    Embeddings that share a vertex map differ only in which parallel
+    edge each query edge took, so the block holds ``groups`` — sorted
+    ``(vertex_map, sorted rows)``, a row being the timestamps by query
+    edge — next to ``ends`` (the ``(u, v)`` query endpoints per edge)
+    and ``undirected``.  ``len()`` and truthiness cost nothing;
+    iteration builds group by group and caches nothing (so does
+    indexing: it reads the whole block); ``==`` holds against any
+    sequence of equal matches, lists included.
+    """
+
+    __slots__ = ("ends", "undirected", "groups", "_count")
+
+    def __init__(self, ends, undirected: bool, groups, count: int):
+        self.ends = ends
+        self.undirected = undirected
+        self.groups = groups
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _matches(self, vertex_map: Tuple[int, ...],
+                 rows: List[tuple]) -> List[Match]:
+        """One group's matches — the only place a timestamp row becomes
+        a ``Match``.  They share ``vertex_map`` and one ``Edge`` per
+        (query edge, timestamp)."""
+        new = tuple.__new__     # skips the NamedTuples' Python __new__
+        columns = []
+        for (u, v), stamps in zip(self.ends, zip(*rows)):
+            a, b = vertex_map[u], vertex_map[v]
+            if a > b and self.undirected:
+                a, b = b, a     # Edge.make's endpoint order
+            images = {t: new(Edge, (a, b, t)) for t in set(stamps)}
+            columns.append(map(images.__getitem__, stamps))
+        return [new(Match, (vertex_map, edge_map))
+                for edge_map in zip(*columns)]
+
+    def __iter__(self) -> Iterator[Match]:
+        for vertex_map, rows in self.groups:
+            yield from self._matches(vertex_map, rows)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)

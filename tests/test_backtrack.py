@@ -3,10 +3,13 @@
 correctness is asserted by comparing against the pruning-free variant,
 savings by comparing search-tree node counts.  Below them: the search
 tree pinned node for node on seeded streams, edge injectivity without a
-used-edge set, and recovery from a call that raised part-way.
+used-edge set, the ``MatchBlock`` a search returns held to the oracle's
+plain list, and recovery from a call that raised part-way.
 """
 
+import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge
 from repro.oracle import OracleEngine
 from repro.query import TemporalQuery
-from repro.streaming import StreamDriver, build_event_list
+from repro.streaming import MatchBlock, StreamDriver, build_event_list
 
 
 def run_both(query, labels, edges, delta):
@@ -237,8 +240,12 @@ def test_search_tree_counts_are_pinned(name):
 @st.composite
 def multigraph_instances(draw):
     """A random simple query — undirected, or directed with
-    anti-parallel pairs allowed — and a stream over at most four
-    vertices, so that every adjacent pair carries parallel edges."""
+    anti-parallel pairs allowed, optionally edge-labelled, under an
+    empty, partial or total order — and a stream over at most four
+    vertices, so that every adjacent pair carries parallel edges.
+    Returns ``(query, labels, stream, delta, engine arguments)``; the
+    engine arguments carry the stream's edge labels and which of ``tcm``
+    / ``tcm-pruning`` runs."""
     directed = draw(st.booleans())
     n = draw(st.integers(min_value=2, max_value=4))
     edges = []
@@ -254,17 +261,41 @@ def multigraph_instances(draw):
                                    max_size=3)))
     m = len(edges)
     rank = draw(st.permutations(list(range(m))))
+    density = draw(st.sampled_from(["empty", "partial", "total"]))
     pairs = [(i, j) for i in range(m) for j in range(m)
-             if rank[i] < rank[j] and draw(st.booleans())]
-    query = TemporalQuery(["X"] * n, edges, pairs, directed=directed)
-    labels, stream, _ = multigraph_stream(
+             if rank[i] < rank[j] and density != "empty"
+             and (density == "total" or draw(st.booleans()))]
+    labelled = draw(st.booleans())
+    query = TemporalQuery(
+        ["X"] * n, edges, pairs, directed=directed,
+        edge_labels=(draw(st.lists(st.sampled_from(["p", "q", None]),
+                                   min_size=m, max_size=m))
+                     if labelled else None))
+    labels, stream, elabels = multigraph_stream(
         seed=draw(st.integers(min_value=0, max_value=10 ** 6)),
         vertices=draw(st.integers(min_value=2, max_value=4)),
         vertex_labels="X",
         num_edges=draw(st.integers(min_value=1, max_value=14)),
-        directed=directed)
-    return query, labels, stream, draw(st.integers(min_value=2,
-                                                   max_value=10))
+        directed=directed, edge_labels="pq" if labelled else None)
+    engine_args = dict(edge_label_fn=elabels.get if labelled else None,
+                       use_pruning=draw(st.booleans()))
+    return (query, labels, stream,
+            draw(st.integers(min_value=2, max_value=10)), engine_args)
+
+
+def per_event(instance):
+    """``(event, what TCM returned, what the oracle returned)`` over the
+    instance's stream, per-event path."""
+    query, labels, stream, delta, engine_args = instance
+    engine = TCMEngine(query, labels, **engine_args)
+    oracle = OracleEngine(query, labels, engine_args["edge_label_fn"])
+    for event in build_event_list(stream, delta):
+        if event.is_arrival:
+            yield (event, engine.on_edge_insert(event.edge),
+                   oracle.on_edge_insert(event.edge))
+        else:
+            yield (event, engine.on_edge_expire(event.edge),
+                   oracle.on_edge_expire(event.edge))
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,19 +304,70 @@ def test_reported_edge_maps_are_injective_and_equal_the_oracle(instance):
     """The search keeps no used-edge set (see the module docstring of
     ``core/backtrack.py``); the oracle checks edge injectivity
     explicitly, so equal per-event lists pin the argument."""
-    query, labels, stream, delta = instance
-    engine = TCMEngine(query, labels)
-    oracle = OracleEngine(query, labels)
-    for event in build_event_list(stream, delta):
-        if event.is_arrival:
-            got = engine.on_edge_insert(event.edge)
-            want = oracle.on_edge_insert(event.edge)
-        else:
-            got = engine.on_edge_expire(event.edge)
-            want = oracle.on_edge_expire(event.edge)
+    query = instance[0]
+    for _, got, want in per_event(instance):
         for match in got:
             assert len(set(match.edge_map)) == query.num_edges
         assert got == want
+
+
+# ----------------------------------------------------------------------
+# The block: what one event reported, held to the oracle's plain list
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(instance=multigraph_instances())
+def test_a_block_reads_as_the_oracles_sorted_list(instance):
+    """Group-then-sort is the canonical sort, the count needs no match,
+    and equality holds from either side."""
+    for _, got, want in per_event(instance):
+        with mock.patch.object(MatchBlock, "_matches", None):  # no reads
+            assert len(got) == len(want)
+            assert bool(got) == bool(want)
+        read = list(got)
+        assert read == sorted(read) == want
+        assert got == want and want == read
+        assert want == got      # list.__eq__ defers to the block
+        if want:
+            assert got != want[:-1] and got[0] == want[0]
+            assert got[-1] == want[-1] and got[:2] == want[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=multigraph_instances())
+def test_what_a_block_builds_is_shared_and_well_formed(instance):
+    """Within one block equal vertex maps are one object, and below one
+    vertex map equal ``(query edge, image)`` are one ``Edge``; every
+    image is what ``Edge.make`` / ``make_directed`` gives for the mapped
+    endpoints; the event edge is in every match."""
+    query = instance[0]
+    make = Edge.make_directed if query.directed else Edge.make
+    for event, got, _ in per_event(instance):
+        vertex_maps, images = {}, {}
+        for match in got:
+            shared = vertex_maps.setdefault(match.vertex_map,
+                                            match.vertex_map)
+            assert shared is match.vertex_map
+            assert event.edge in match.edge_map
+            for qe, image in zip(query.edges, match.edge_map):
+                assert image == make(match.vertex_map[qe.u],
+                                     match.vertex_map[qe.v], image.t)
+                assert type(image) is Edge
+                key = (match.vertex_map, qe.index, image)
+                assert images.setdefault(key, image) is image
+
+
+def test_a_block_and_a_result_holding_blocks_pickle():
+    case, _, (_, _, emitted) = GOLDEN["rule 1, no order"]
+    labels, edges, _ = multigraph_stream(**case["stream"])
+    result = StreamDriver(TCMEngine(case["query"], labels),
+                          batch_size=16).run_edges(edges, case["delta"])
+    assert result.num_occurred + result.num_expired == emitted
+    blocks = [block for _, block in result.reports]
+    assert all(type(block) is MatchBlock for block in blocks)
+    big = max(blocks, key=len)
+    copy = pickle.loads(pickle.dumps(big))
+    assert copy == big and list(copy) == list(big) and len(copy) == len(big)
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query import TemporalQuery
 from repro.service import MatchService
+from repro.streaming import MatchBlock
 from repro.streaming.engine import MatchEngine
 from repro.workloads import make_mixed_query_set
 
@@ -144,6 +145,27 @@ class TestByteIdenticalMigration:
             assert service.stats.errored_queries == 0
         assert notes == expected_notes
         assert stats == expected_stats
+
+    def test_a_migrated_querys_collected_result_is_unchanged(
+            self, workload):
+        """The ticket carries the query's ``StreamResult`` — unread
+        blocks included — across the pipe, and the target keeps filing
+        into it."""
+        stream, instances = workload
+        single = MatchService(DELTA)
+        drive(single, stream, instances)
+        hooks = {1: lambda s: s.migrate("q0") and None,
+                 3: lambda s: s.migrate("q2") and s.migrate("q0") and None}
+        with ShardedMatchService(DELTA, workers=2) as service:
+            drive(service, stream, instances, hooks)
+            assert len(service.migration_history) == 3
+            # q0 is TCM (blocks), q2 SymBi (lists); q3 never moved.
+            for query_id, kind in (("q0", MatchBlock), ("q2", list),
+                                   ("q3", list)):
+                expected = single.registry.get(query_id).result
+                assert expected.reports and all(
+                    type(seq) is kind for _, seq in expected.reports)
+                assert service.get(query_id).result == expected
 
     def test_migration_preserves_routed_counters(self, workload):
         """events_routed must match a never-migrated cluster run —

@@ -338,9 +338,19 @@ class TestIntegration:
                      "service_notify_seconds", "service_engine_seconds",
                      "service_match_delta", "service_edges_ingested_total",
                      "query_matches_total", "engine_matches_emitted_total",
+                     "engine_match_groups_total",
                      "engine_filter_flushes_total",
                      "engine_arrivals_deferred_total"):
             assert name in snap, name
+        # matches / groups is the parallel-edge multiplicity of a
+        # query's output: 1 here, a one-edge query reports one match
+        # per event.  Only TCM groups; SymBi leaves it 0.
+        emitted, groups = (
+            {s["labels"]["query"]: s["value"] for s in snap[name]["series"]}
+            for name in ("engine_matches_emitted_total",
+                         "engine_match_groups_total"))
+        assert emitted["q0"] == emitted["q1"] == groups["q0"] > 0
+        assert groups["q1"] == 0
         # The flush gate is visible per query: TCM flushed at least once
         # per batch; SymBi has no gate and reports zeros.
         flushes = {s["labels"]["query"]: s["value"] for s in

@@ -1,16 +1,21 @@
 """Tests for events, the stream driver, and the Match representation."""
 
 import pickle
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
+from repro.bench.runner import make_engine
+from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.oracle import OracleEngine
 from repro.service import MatchService
 from repro.streaming import (
-    Event, EventKind, Match, StreamDriver, build_event_list,
+    Event, EventKind, Match, MatchBlock, StreamDriver, build_event_list,
 )
 from tests.paper_example import DATA_LABELS, SIGMA, all_edges, make_query
+from tests.test_backtrack import GOLDEN, multigraph_stream
 
 
 class TestEventList:
@@ -78,6 +83,74 @@ class TestStreamDriver:
         result = StreamDriver(engine).run_edges(all_edges(14), delta=7)
         assert (result.occurrence_multiset()
                 == result.expiration_multiset())
+
+
+class TestResultsKeepWhatTheEngineReturned:
+    """``StreamResult`` files one ``(event, sequence)`` per reporting
+    event: TCM's blocks stay unread until somebody reads them, and a
+    baseline's plain lists file as equal results."""
+
+    #: A parallel-edge stream (about 50 embeddings per reporting event).
+    CASE, _, (_, _, EMITTED) = GOLDEN["rule 1, no order"]
+
+    def stream(self):
+        labels, edges, _ = multigraph_stream(**self.CASE["stream"])
+        return labels, edges, build_event_list(edges, self.CASE["delta"])
+
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_counting_never_builds_a_match(self, batch_size):
+        labels, _, events = self.stream()
+        engine = TCMEngine(self.CASE["query"], labels)
+        with mock.patch.object(MatchBlock, "_matches",
+                               side_effect=AssertionError("read")):
+            result = StreamDriver(
+                engine, batch_size=batch_size).run_events(events)
+            # Drained: everything that occurred has expired.
+            assert result.num_occurred == result.num_expired \
+                == self.EMITTED // 2
+            assert result.events_processed == len(events)
+            assert engine.stats.matches_emitted == self.EMITTED
+            assert 0 < engine.stats.match_groups < self.EMITTED // 4
+            with pytest.raises(AssertionError, match="read"):
+                result.occurred
+        assert len(result.occurred) == result.num_occurred
+        assert len(result.expired) == result.num_expired
+
+    @pytest.mark.parametrize("baseline", ["symbi", "rapidflow"])
+    def test_lists_and_blocks_file_equal_results(self, baseline):
+        """SymBi batches on its own, RapidFlow through the default
+        ``on_batch`` loop; both return plain lists."""
+        labels, edges, events = self.stream()
+        query, delta = self.CASE["query"], self.CASE["delta"]
+
+        def driven(name, batch_size):
+            return replace(StreamDriver(
+                make_engine(name, query, labels),
+                batch_size=batch_size).run_events(events),
+                elapsed_seconds=0.0)
+
+        blocks = driven("tcm", 16)
+        assert all(type(seq) is MatchBlock for _, seq in blocks.reports)
+        for batch_size in (None, 16):
+            lists = driven(baseline, batch_size)
+            assert all(type(seq) is list for _, seq in lists.reports)
+            assert lists == blocks and blocks == lists
+            assert lists.occurred == blocks.occurred
+            assert lists.expired == blocks.expired
+
+        service = MatchService(delta)
+        ids = [service.register(query, labels, name)
+               for name in ("tcm", baseline)]
+        notifications = service.ingest(edges) + service.drain()
+        by_tcm, by_baseline = (
+            [n[1:] for n in notifications if n.query_id == query_id]
+            for query_id in ids)
+        assert by_tcm == by_baseline and len(by_tcm) == self.EMITTED
+        collected = [service.registry.get(query_id).result
+                     for query_id in ids]
+        assert collected[0] == collected[1]
+        assert collected[0].reports == blocks.reports
+        assert collected[0].events_processed > 0
 
 
 class TestMatch:
