@@ -1,11 +1,11 @@
 """Shared scale configuration for the benchmark suite.
 
 Every benchmark regenerates one figure/table of the paper's Section VI
-at laptop scale (see DESIGN.md's experiment index).  Rendered tables are
-printed to stdout and written under pytest's session temp directory;
-``pytest benchmarks/ --update-results`` rewrites the committed copies
-under ``benchmarks/results/`` instead, so that a plain test run leaves
-the working tree as it found it.
+at laptop scale.  Rendered tables are printed to stdout and written
+under pytest's session temp directory; ``pytest benchmarks/
+--update-results`` rewrites the committed copies under
+``benchmarks/results/`` instead, so that a plain test run leaves the
+working tree as it found it.
 
 The scales here keep the full suite in the minutes range on pure
 Python.  Increase ``stream_edges``/``queries_per_cell``/sizes for
@@ -70,7 +70,7 @@ def heavy_config() -> ExperimentConfig:
     """The remaining three datasets.  Netflow is generated directed with
     a scaled-down edge-label alphabet (the real CAIDA data has 346k edge
     labels), which is what keeps single-vertex-label matching tractable
-    - see DESIGN.md, Substitutions."""
+    - see README.md, "Synthetic datasets"."""
     return ExperimentConfig(
         datasets=("netflow", "stackoverflow", "wikitalk"),
         stream_edges=800,

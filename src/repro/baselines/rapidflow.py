@@ -19,9 +19,8 @@ exactly that:
   combinations containing the event edge and post-checked against the
   temporal order.
 
-The simplification is documented in DESIGN.md; the behaviours the
-benchmarks rely on (temporal-order insensitivity, post-check expansion
-cost) are preserved.
+The behaviours the benchmarks rely on (temporal-order insensitivity,
+post-check expansion cost) are preserved.
 """
 
 from __future__ import annotations

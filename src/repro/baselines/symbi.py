@@ -17,13 +17,6 @@ The post-check is the source of the inefficiency the paper measures:
 time spent enumerating edge combinations that violate the order grows
 with parallel-edge multiplicity and with the order's density, while TCM
 never generates them.
-
-Batched ingestion (:meth:`SymBiEngine.on_batch`) mirrors the TCM scheme:
-the DCS candidate-edge set is label-only and therefore an exact mirror
-of the graph, so it is kept up to date per event, but the D1/D2 worklist
-refresh is deferred — expirations backtrack against a (sound, superset)
-stale filter, and the refresh runs once per arrival flush instead of
-once per event.  Output is byte-identical to the per-event path.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query.matching import candidate_timestamps, orientations_of
 from repro.query.temporal_query import QueryEdge, TemporalQuery
 from repro.streaming.engine import MatchEngine
-from repro.streaming.events import Event
 from repro.streaming.match import Match
 
 
@@ -105,53 +97,6 @@ class SymBiEngine(MatchEngine):
         event edge; irrelevant events only mutate the window graph."""
         glabel = self.graph.label
         return (glabel(edge.u), glabel(edge.v)) in self._relevant_pairs
-
-    def on_batch(self, events: Sequence[Event]) -> List[List[Match]]:
-        """Batched ingestion: exact DCS edge maintenance per event, one
-        deferred D1/D2 refresh per arrival flush (see module docstring)."""
-        out: List[List[Match]] = []
-        seeds: Set[Tuple[int, int]] = set()
-        vertices: Set[int] = set()
-        for event in events:
-            edge = event.edge
-            if event.is_arrival:
-                if not self.graph.insert_edge(
-                        edge, label=self._edge_label(edge)):
-                    out.append([])
-                    continue
-                if not self._is_relevant(edge):
-                    self._note_event()
-                    out.append([])
-                    continue
-                candidates = self._candidates_of(edge)
-                self.dcs.stage(candidates, [], seeds, vertices)
-                if seeds or vertices:
-                    self.dcs.refresh(seeds, vertices)
-                    seeds.clear()
-                    vertices.clear()
-                self._note_event()
-                out.append(self._find(edge, candidates))
-            else:
-                if not self.graph.has_edge(edge):
-                    out.append([])
-                    continue
-                if not self._is_relevant(edge):
-                    self.graph.remove_edge(edge)
-                    self.dcs.purge_dead_vertices((edge.u, edge.v))
-                    self._note_event()
-                    out.append([])
-                    continue
-                candidates = self._candidates_of(edge)
-                matches = self._find(edge, candidates)
-                self.graph.remove_edge(edge)
-                self.dcs.stage([], candidates, seeds, vertices)
-                vertices.update((edge.u, edge.v))
-                self._note_event()
-                out.append(matches)
-        if seeds or vertices:
-            self.dcs.refresh(seeds, vertices)
-        self.stats.batches_processed += 1
-        return out
 
     def _candidates_of(self, edge: Edge) -> List[Tuple[int, int, int, int]]:
         """Label-compatible (query edge, orientation) pairs for ``edge``

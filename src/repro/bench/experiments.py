@@ -1,7 +1,7 @@
 """Experiment sweeps regenerating every figure and table of Section VI.
 
-Each function mirrors one paper artifact (see DESIGN.md's experiment
-index) at a configurable laptop scale:
+Each function mirrors one paper artifact at a configurable laptop
+scale:
 
 * :func:`query_size_sweep`   - Figure 7 (elapsed time / #solved vs size)
 * :func:`density_sweep`      - Figure 8 (vs temporal-order density)
@@ -193,7 +193,7 @@ def memory_sweep(engines: Sequence[str] = ("tcm", "timing"),
     """Figure 10: average peak structure entries vs query size.
 
     The paper reports `ps` peak memory; structure entries are the
-    platform-independent proxy (DESIGN.md, Substitutions): TCM counts
+    platform-independent proxy (README.md, "Synthetic datasets"): TCM counts
     max-min + DCS entries, Timing counts materialized partial-match
     entries.
     """

@@ -13,7 +13,7 @@ The third layer of the matching stack:
   packed binary wire protocol (``repro.cluster.wire``), and merges
   per-query matches back in arrival order, with the full service
   contract (mid-stream register/unregister, per-query error isolation
-  plus whole-worker crash quarantine, and composed
+  plus whole-worker crash quarantine and recovery, and
   checkpoint/restore).  Placement is a live policy: queries migrate
   between workers mid-stream with byte-identical merged output
   (``repro.cluster.migration``), load skew rebalances away, and the
@@ -21,9 +21,7 @@ The third layer of the matching stack:
   ``drain_worker``).
 
 ``repro.cluster.checkpoint`` persists/restores the sharded service
-(including scale-up/down across worker counts); ``repro.cluster.tasks``
-is the shared-payload pool plumbing reused by the offline batch runner
-in ``repro.bench.parallel``.
+(including scale-up/down across worker counts).
 """
 
 from repro.cluster.coordinator import (
@@ -33,7 +31,6 @@ from repro.cluster.migration import (
     MigrationError, MigrationRecord,
 )
 from repro.cluster.placement import ShardPlacement
-from repro.cluster.tasks import shared_payload_map
 from repro.cluster.wire import UnpackableEdgeError
 from repro.cluster.checkpoint import (
     as_service_snapshot, load_checkpoint, restore, save_checkpoint,
@@ -43,7 +40,7 @@ from repro.cluster.checkpoint import (
 __all__ = [
     "ShardedMatchService", "ShardedQueryEntry", "WorkerCrashError",
     "MigrationError", "MigrationRecord",
-    "ShardPlacement", "shared_payload_map", "UnpackableEdgeError",
+    "ShardPlacement", "UnpackableEdgeError",
     "as_service_snapshot", "load_checkpoint", "restore",
     "save_checkpoint", "snapshot",
 ]

@@ -1,11 +1,13 @@
 """Checkpointing for :class:`~repro.cluster.ShardedMatchService`.
 
-A cluster checkpoint is *composed* from per-shard
-:mod:`repro.service.checkpoint` snapshots: the coordinator asks every
-live worker for its service snapshot, merges the query records back
-into global registration order, and wraps them with the cluster
-metadata (worker count, query placement) and the coordinator's own
-stream cursor and counters.
+A cluster checkpoint is written from what the coordinator holds: its
+mirror of every registration (``status`` / ``error`` move in lockstep
+with the workers through ``Reply.errors``), the window it kept of what
+it routed, its cursor and counters, and one per-query counters fetch (a
+query stranded on a crashed worker contributes the last ones fetched).
+The document is the single-process one (:func:`repro.service.
+checkpoint.encode_snapshot`) wrapped with the cluster metadata (worker
+count, query placement).
 
 Two interoperability properties fall out of this layout:
 
@@ -17,84 +19,42 @@ Two interoperability properties fall out of this layout:
   taken on N workers restores onto M (placement is recomputed
   least-loaded; the recorded placement is informational).
 
-As with the service checkpoint, engine state is derived data and is
-not persisted: restored queries join at the snapshot's sequence cursor
-with an empty window, and the caller resumes the stream with
-:func:`repro.service.checkpoint.resume_edges` (which is duck-typed
-over ``service.now`` and works on the sharded service unchanged).
-Queries stranded on a crashed (quarantined) worker are included with
-their errored status, but their counters died with the worker.
+:func:`restore` sends every record to a worker as a ticket carrying the
+record's join cursor and its cut of the checkpointed window, so
+``restore(snapshot(s))`` fed the rest of the stream (:func:`repro.
+service.checkpoint.resume_edges` works on the sharded service too)
+reports what ``s`` would have, on any worker count, either restore.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.cluster.coordinator import ShardedMatchService
 from repro.cluster.protocol import RegisterSpec
 from repro.service import checkpoint as service_checkpoint
 from repro.service.stats import QueryStats, ServiceStats
 
-#: Format tag written into every cluster checkpoint.
-FORMAT = "repro.cluster.checkpoint/1"
+#: Format tag of a cluster checkpoint (``/1`` had no window: refused).
+FORMAT = "repro.cluster.checkpoint/2"
 
 
 def snapshot(service: ShardedMatchService) -> Dict[str, object]:
-    """A JSON-ready snapshot of the sharded service.
-
-    Raises ``ValueError`` for custom-factory queries, exactly like the
-    single-process snapshot (the refusal happens inside the owning
-    worker and propagates here).
-    """
-    shard_snaps = service.shard_snapshots()
-    by_query: Dict[str, Dict[str, object]] = {}
-    for snap in shard_snaps.values():
-        for spec in snap["queries"]:
-            by_query[spec["query_id"]] = spec
-    queries: List[Dict[str, object]] = []
-    placement: Dict[str, int] = {}
-    for info in service._queries.values():
-        placement[info.query_id] = service.shard_of(info.query_id)
-        spec = by_query.get(info.query_id)
-        if spec is None:
-            # Stranded on a crashed shard: rebuild the record from the
-            # coordinator mirror (the worker's counters are lost).
-            if info.custom_factory:
-                raise ValueError(
-                    f"cannot checkpoint query {info.query_id!r}: its "
-                    f"engine was built by a custom factory "
-                    f"({info.engine_kind!r}), which JSON cannot persist")
-            spec = service_checkpoint.encode_query_spec(
-                query_id=info.query_id,
-                query=info.query,
-                labels=info.labels,
-                engine_kind=info.engine_kind,
-                status=info.status.value,
-                error=info.error,
-                has_edge_label_fn=info.edge_label_fn is not None,
-                has_subscribers=bool(info.subscribers),
-                collect_results=info.collect_results,
-                stats=service._lost_stats(info).to_dict(),
-            )
-        else:
-            # Subscribers live coordinator-side; the worker's flag is
-            # always False and must be overridden from the mirror.
-            spec = dict(spec)
-            spec["has_subscribers"] = bool(info.subscribers)
-        queries.append(spec)
+    """A JSON-ready snapshot of the sharded service (staged migrations
+    are landed first, so every query is hosted somewhere).  Raises
+    ``ValueError`` for custom-factory queries, like the single-process
+    snapshot."""
+    service._migrations.finish_all()
+    infos = list(service._queries.values())
     return {
         "format": FORMAT,
         "workers": service.num_workers,
-        "placement": placement,
-        "service": {
-            "format": service_checkpoint.FORMAT,
-            "delta": service.delta,
-            "now": service.now,
-            "seq": service.seq,
-            "stats": service.stats.to_dict(),
-            "queries": queries,
-        },
+        "placement": {info.query_id: service.shard_of(info.query_id)
+                      for info in infos},
+        "service": service_checkpoint.encode_snapshot(
+            service, ((info, stats, info.collect_results) for info, stats
+                      in zip(infos, service.all_query_stats()))),
     }
 
 
@@ -120,40 +80,28 @@ def restore(data: Dict[str, object], *,
     since it crosses the worker pipe).
     """
     svc = as_service_snapshot(data)
-    if svc.get("format") != service_checkpoint.FORMAT:
-        raise ValueError(
-            f"cluster checkpoint embeds unknown service format "
-            f"{svc.get('format')!r}")
+    window, hosted = service_checkpoint.decode_snapshot(svc, edge_label_fns)
     count = int(workers) if workers is not None else int(data["workers"])
     service = ShardedMatchService(int(svc["delta"]), workers=count,
                                   start_method=start_method)
     try:
-        # The coordinator's cursor is the only one: every ticket below
-        # carries it as its query's join cursor, so join cursors and
-        # notification sequence numbers continue where the checkpointed
-        # service stopped (matching a single-process restore exactly).
+        # The coordinator's cursor and window are the only ones: every
+        # ticket below is cut from them at its record's join cursor.
+        service._live.extend(window)
         service._now = svc["now"]
         service._seq = int(svc["seq"])
-        fns = edge_label_fns or {}
-        for spec in svc["queries"]:
-            query_id = spec["query_id"]
-            edge_label_fn = fns.get(query_id)
-            if spec["has_edge_label_fn"] and edge_label_fn is None:
-                raise ValueError(
-                    f"query {query_id!r} was registered with an "
-                    f"edge_label_fn; pass a replacement via "
-                    f"edge_label_fns={{{query_id!r}: fn}}")
-            query, data_labels = service_checkpoint.decode_query_spec(spec)
+        for spec, query, data_labels, edge_label_fn in hosted:
             service._register_spec(
                 RegisterSpec(
-                    query_id=query_id,
+                    query_id=spec["query_id"],
                     query=query,
                     labels=data_labels,
                     engine=spec["engine"],
                     edge_label_fn=edge_label_fn,
                     collect_results=spec["collect_results"]),
                 status=spec["status"], error=spec["error"],
-                stats=QueryStats(**spec["stats"]))
+                stats=QueryStats(**spec["stats"]),
+                joined_seq=int(spec["joined_seq"]))
         service.stats = ServiceStats(**svc["stats"])
     except Exception:
         service.close()

@@ -137,6 +137,8 @@ class _QueryInfo:
     subscribers: List[Callable] = field(default_factory=list)
     status: QueryStatus = QueryStatus.ACTIVE
     error: Optional[str] = None
+    #: Global stream position it registered at: where its cut begins.
+    joined_seq: int = 0
     #: Last :class:`QueryStats` fetched from the owning worker.  When
     #: the worker later crashes, stats calls fall back to this cache,
     #: so counters accumulated before the crash (engine time, matches,
@@ -263,6 +265,12 @@ class ShardedMatchService:
         #: a clock-advance frame while expirations are due.
         self._shard_expiries: List[Deque[int]] = [
             deque() for _ in range(workers)]
+        #: ``MatchService._live`` for every accepted edge, but trimmed
+        #: in :meth:`_at_boundary`: readers filter on ``t + delta > now``.
+        self._live: Deque[Tuple[Edge, int]] = deque()
+        #: shard -> the cursor ``(seq, now)`` its worker was lost at (it
+        #: moves once an exchange is collected, so: that exchange's base).
+        self._lost_from: Dict[int, Tuple[int, Optional[int]]] = {}
         #: When True, queries stranded by a worker crash are re-homed
         #: onto healthy shards automatically at the next batch boundary
         #: (see :meth:`recover_quarantined` for the semantics).
@@ -484,9 +492,7 @@ class ShardedMatchService:
         self._ensure_open()
         edges = list(edges)
         wire.require_packable(edges)
-        # Batch-boundary housekeeping: auto-recover crash-stranded
-        # queries and land staged migrations whose tails overflowed.
-        self._migrations.before_batch()
+        self._at_boundary()
         start = time.perf_counter()
         obs = self.metrics
         tracer = self.tracer
@@ -509,6 +515,7 @@ class ShardedMatchService:
                     self._h_route.observe(time.perf_counter() - route_start)
                 replies = self._exchange(messages, parent=root)
                 notifications = self._collect(replies, parent=root)
+                self._live.extend(zip(prefix, itertools.count(self._seq)))
                 self._now = prefix[-1].t
                 self._seq += len(prefix)
                 self.stats.edges_ingested += len(prefix)
@@ -588,15 +595,16 @@ class ShardedMatchService:
         every edge whose window has closed: an empty batch with a later
         clock, so only shards with expirations due are contacted."""
         self._ensure_open()
+        self._at_boundary()
         start = time.perf_counter()
-        if self._now is None or t > self._now:
-            self._now = t
+        t = t if self._now is None else max(t, self._now)
         with maybe_span(self.tracer, "cluster_advance") as root:
             ctx = ((root.trace_id, root.span_id)
                    if self.tracer is not None else None)
             notifications = self._collect(
-                self._exchange(self._route_batch([], self._now, ctx),
+                self._exchange(self._route_batch([], t, ctx),
                                parent=root), parent=root)
+        self._now = t
         self._deliver(notifications)
         self.stats.elapsed_seconds += time.perf_counter() - start
         return notifications
@@ -605,6 +613,7 @@ class ShardedMatchService:
         """Expire every remaining live edge (end of stream); like the
         in-process service, the arrival cursor is left untouched."""
         self._ensure_open()
+        self._at_boundary()
         # Staged migrations must flush their private windows entirely
         # at finish — the cluster-wide windows empty here.
         self._migrations.note_drain()
@@ -615,6 +624,7 @@ class ShardedMatchService:
             message = self._control_message(protocol.DRAIN, None, root)
             notifications = self._collect(
                 self._broadcast(message, parent=root), parent=root)
+        self._live.clear()
         self._deliver(notifications)
         self.stats.elapsed_seconds += time.perf_counter() - start
         return notifications
@@ -663,10 +673,10 @@ class ShardedMatchService:
     def recover_quarantined(self, shard: Optional[int] = None
                             ) -> List[MigrationRecord]:
         """Re-home the queries stranded on crashed workers onto healthy
-        shards (all quarantined shards, or just ``shard``).  Recovered
-        queries rejoin at the current global cursor with an empty
-        window — the same semantics as a checkpoint restore — and
-        queries the crash errored flip back to active."""
+        shards (all quarantined shards, or just ``shard``), each with
+        its window and the events it missed; queries the crash errored
+        flip back to active.  What a late call loses: :meth:`~repro.
+        cluster.migration.MigrationManager.recover`."""
         self._ensure_open()
         return self._migrations.recover(shard)
 
@@ -899,24 +909,17 @@ class ShardedMatchService:
                           1 if self._workers[shard].retired else 0)
 
     # ------------------------------------------------------------------
-    # Checkpoint hooks (used by repro.cluster.checkpoint)
+    # Internals
     # ------------------------------------------------------------------
-    def shard_snapshots(self) -> Dict[int, Dict[str, object]]:
-        """Per-live-shard :mod:`repro.service.checkpoint` snapshots.
-        Staged migrations are landed first so every query is hosted
-        somewhere when the snapshot is cut."""
-        self._migrations.finish_all()
-        replies = self._broadcast((protocol.SNAPSHOT, None))
-        return {shard: reply.payload for shard, reply in replies.items()}
-
     def _register_spec(self, spec: RegisterSpec,
                        subscriber: Optional[Callable] = None,
                        status: str = "active", error: Optional[str] = None,
-                       stats: Optional[QueryStats] = None) -> _QueryInfo:
-        """Place one spec and send it to its shard as a ticket with an
-        empty window, joining at the global cursor; shared by live
-        registration (active, fresh counters) and checkpoint restore
-        (the record's ``status`` / ``error`` / ``stats``)."""
+                       stats: Optional[QueryStats] = None,
+                       joined_seq: Optional[int] = None) -> _QueryInfo:
+        """Place one spec and send it to its shard as a ticket; shared
+        by live registration (active, fresh counters, joining at the
+        global cursor) and checkpoint restore (the record's ``status``
+        / ``error`` / ``stats`` / ``joined_seq``, its cut of ``_live``)."""
         query_id = spec.query_id
         custom = callable(spec.engine) and not isinstance(spec.engine, str)
         kind = (getattr(spec.engine, "__name__", "custom") if custom
@@ -926,35 +929,46 @@ class ShardedMatchService:
             labels=dict(spec.labels), engine_kind=kind,
             custom_factory=custom, collect_results=spec.collect_results,
             engine_obj=spec.engine, edge_label_fn=spec.edge_label_fn,
-            status=QueryStatus(status), error=error)
+            status=QueryStatus(status), error=error,
+            joined_seq=self._seq if joined_seq is None else joined_seq)
         if subscriber is not None:
             info.subscribers.append(subscriber)
         if query_id not in self._intern_codes:
             self._intern_codes[query_id] = len(self._intern_names)
             self._intern_names.append(query_id)
+        # Indexed first: the cut reads the index (undone if refused).
+        self._interest.add(query_id, spec.query, info.labels,
+                           spec.edge_label_fn, indexable=not custom)
         ticket = self._migrations.ticket(
             info, status, error,
-            stats or QueryStats(query_id=query_id, engine=kind))
+            stats or QueryStats(query_id=query_id, engine=kind),
+            window=(() if joined_seq is None else self._interest.window_of(
+                query_id, joined_seq, self._live, self.delta, self._now)))
         shard = self._placement.place(
             query_id, interest=query_pattern_keys(spec.query))
         try:
             self._request(shard, wire.encode_migrate_in(ticket))
         except Exception:
             self._placement.remove(query_id)
+            self._interest.remove(query_id)
             raise
-        # Indexed only once hosted: a refused registration leaves no
-        # interest behind, as it leaves no placement.
-        self._interest.add(query_id, spec.query, info.labels,
-                           spec.edge_label_fn, indexable=not custom)
+        self._migrations.adopt_expiries(shard, ticket)
         self._queries[query_id] = info
         return info
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _ensure_open(self) -> None:
         if self._closed:
             raise RuntimeError("service is closed")
+
+    def _at_boundary(self) -> None:
+        """Top of every ``ingest`` / ``advance_to`` / ``drain``: the
+        migration manager's housekeeping (recovery included), and only
+        then ``_live`` is trimmed to the clock — a recovery still finds
+        every edge that was live when the lost exchange began."""
+        self._migrations.before_batch()
+        live, delta, now = self._live, self.delta, self._now
+        while live and live[0][0].t + delta <= now:
+            live.popleft()
 
     def _get_info(self, query_id: str) -> _QueryInfo:
         try:
@@ -1177,6 +1191,7 @@ class ShardedMatchService:
         if not handle.alive:
             return
         handle.alive = False
+        self._lost_from[shard] = (self._seq, self._now)
         if self.metrics is not None:
             self.metrics.counter(
                 "cluster_worker_crashes_total",

@@ -19,12 +19,20 @@ single-query **migration**:
    reads the placement — ships the query's edges to the target from the
    next batch on.
 
-The ticket is how *every* query reaches a worker, not only a migrating
-one: a live registration is a ticket with an empty window and fresh
-counters, a checkpoint restore one with the record's status and
-counters, a crash recovery one with the coordinator's cached counters —
-all three joining at the current global cursor — and
-:meth:`MigrationManager.ticket` builds them all.
+How every query reaches a worker
+--------------------------------
+As a ticket built by :meth:`MigrationManager.ticket`.  A query's engine
+state is always the replay of its cut of a live ``(edge, seq)`` deque
+at its own join cursor (:meth:`~repro.service.interest.
+QueryInterestIndex.window_of`), so a registration, a checkpoint
+restore, a crash recovery and a migration differ only in who wrote the
+source and which window it holds: nobody and nothing; the checkpoint's
+record and window; the coordinator, from its mirror and the window it
+kept of what it routed; the source worker, from its own.  The
+coordinator trims its window only after :meth:`~MigrationManager.
+before_batch` had its chance to recover, so everything live when a lost
+exchange began is still held when the next boundary re-homes its
+queries: that makes a recovery exact.
 
 Run at a batch boundary with an empty tail — :meth:`MigrationManager.
 migrate` — the hop is invisible: the merged notification stream is
@@ -41,9 +49,7 @@ re-exports: ``rebalance()`` (planned from per-query load via
 :meth:`~repro.cluster.placement.ShardPlacement.plan_rebalance`),
 ``add_worker()``/``drain_worker()`` for shard split/merge, and
 ``recover()``, which re-homes the queries stranded on a quarantined
-worker onto healthy shards from their last coordinator-cached counters
-(fresh join at the current global cursor — the same honest empty-window
-semantics as a checkpoint restore).
+worker onto healthy shards.
 
 Every completed hop appends a :class:`MigrationRecord` to the history
 (surfaced via ``/varz`` and the CLI report) and, when observability is
@@ -256,9 +262,9 @@ class MigrationManager:
     # Batch-boundary hooks (called from the coordinator's ingest path)
     # ------------------------------------------------------------------
     def before_batch(self) -> None:
-        """Housekeeping at the top of an ingest batch: auto-recover
-        queries stranded by a crash (when enabled) and force-finish any
-        staged migration whose tail reached its bound."""
+        """Housekeeping at every batch boundary (the top of an ingest,
+        advance or drain): auto-recover queries stranded by a crash (when
+        enabled), force-finish staged migrations whose tail is full."""
         if self.needs_recovery:
             self.needs_recovery = False
             try:
@@ -332,45 +338,58 @@ class MigrationManager:
 
     def recover(self, shard: Optional[int] = None
                 ) -> List[MigrationRecord]:
-        """Re-home the queries stranded on quarantined workers.
+        """Re-home the queries stranded on quarantined workers: a
+        migration whose :class:`MigrationSource` the coordinator writes,
+        landed by :meth:`finish` like a staged one.
 
-        Each stranded query re-registers on a healthy shard from the
-        coordinator's cached spec and last-known counters, joining at
-        the *current* global cursor with an empty window (its live
-        window died with the worker — the same honest semantics as a
-        checkpoint restore).  Queries the crash quarantined flip back
-        to active; queries that had already errored on their own stay
-        errored.  Raises :class:`MigrationError` when no healthy
-        target exists.
-        """
+        The source is the mirror's status (queries the crash
+        quarantined flip back to active, queries that had errored on
+        their own stay errored), the last counters fetched, and the
+        query's cut of the coordinator's window at the cursor its
+        worker was lost at; what was routed since — first of all the
+        exchange whose reply never came — is the tail, replayed on the
+        new shard and delivered to subscribers from here.  At the
+        boundary after the loss (``auto_recover``) nothing is missing:
+        the merged output is the never-crashed run's, as a multiset.
+        A later call works on what the window still holds: an edge live
+        at the loss that left it during the outage is in neither the
+        rebuilt engine nor the tail, so its embeddings with missed
+        arrivals, and their expirations, are never reported; a shard
+        lost inside ``drain()`` comes back empty.  Raises
+        :class:`MigrationError` when no healthy target exists."""
         svc = self._svc
         records: List[MigrationRecord] = []
-        for info in svc._queries.values():
+        for info in list(svc._queries.values()):
             source = svc._placement.shard_of(info.query_id)
-            if shard is not None and source != shard:
-                continue
-            if svc._workers[source].alive:
-                continue
-            if not svc._placement.is_quarantined(source):
+            # A query detached by a staged migration is not on the dead
+            # worker: its own finish lands it.
+            if ((shard is not None and source != shard)
+                    or source not in svc._lost_from
+                    or info.query_id in self._pending):
                 continue
             crashed = bool(info.error) and info.error.startswith(
                 f"worker {source} crashed")
+            lost_seq, lost_now = svc._lost_from[source]
+            pairs = svc._interest.window_of(
+                info.query_id, info.joined_seq, svc._live, svc.delta,
+                lost_now)
+            held = sum(1 for _, seq in pairs if seq < lost_seq)
             stats = svc._lost_stats(info)
-            started = time.perf_counter()
-            with maybe_span(svc.tracer, "migration",
-                            query=info.query_id, reason="recover") as root:
-                ctx = ((root.trace_id, root.span_id)
-                       if svc.tracer is not None else None)
-                ticket = self.ticket(
-                    info, "active" if crashed else info.status.value,
-                    None if crashed else info.error, stats)
-                target, _ = self._restore(info, ticket, None, ctx)
+            self._pending[info.query_id] = _Pending(
+                query_id=info.query_id, source=source, target=None,
+                src=MigrationSource(
+                    status="active" if crashed else info.status.value,
+                    error=None if crashed else info.error, stats=stats,
+                    result=None, joined_seq=info.joined_seq,
+                    window=pairs[:held]),
+                reason="recover", max_tail=0, started=time.perf_counter(),
+                tail=list(pairs[held:]))
+            self.finish(info.query_id)
             if crashed:
                 info.status = QueryStatus.ACTIVE
                 info.error = None
             info.last_stats = stats
-            records.append(self._completed(
-                info, source, target, "recover", 0, 0, started))
+            records.append(self.history[-1])
         return records
 
     # ------------------------------------------------------------------
@@ -409,15 +428,13 @@ class MigrationManager:
                                  root)).payload
 
     def ticket(self, info, status: str, error: Optional[str], stats, *,
-               joined_seq: Optional[int] = None, result=None,
-               window: Tuple[Tuple[Edge, int], ...] = (),
+               result=None, window: Tuple[Tuple[Edge, int], ...] = (),
                tail: Tuple[Tuple[Edge, int], ...] = (),
                drained: bool = False) -> MigrationTicket:
         """The ticket that puts ``info``'s query on a worker — the one
         place one is built.  ``status`` / ``error`` / ``stats`` are what
         the query's previous host knew (for a live registration:
-        active, fresh counters).  With those alone it is a fresh join:
-        empty window, the current global cursor as the join cursor."""
+        active, fresh counters); the join cursor is the mirror's."""
         svc = self._svc
         return MigrationTicket(
             spec=RegisterSpec(
@@ -426,18 +443,17 @@ class MigrationManager:
                 edge_label_fn=info.edge_label_fn,
                 collect_results=info.collect_results),
             code=svc._intern_codes[info.query_id],
-            joined_seq=svc._seq if joined_seq is None else joined_seq,
+            joined_seq=info.joined_seq,
             status=status, error=error, stats=stats, result=result,
             window=window, tail=tail, final_now=svc._now, drained=drained)
 
     def _moved(self, info, src: MigrationSource,
                tail: Tuple[Tuple[Edge, int], ...] = (),
                drained: bool = False) -> MigrationTicket:
-        """The ticket of a query detached as ``src``: it keeps its join
-        cursor, results and window."""
+        """The ticket of a query that left its host as ``src``."""
         return self.ticket(info, src.status, src.error, src.stats,
-                           joined_seq=src.joined_seq, result=src.result,
-                           window=src.window, tail=tail, drained=drained)
+                           result=src.result, window=src.window,
+                           tail=tail, drained=drained)
 
     def _restore(self, info, ticket: MigrationTicket,
                  target: Optional[int], ctx,
@@ -470,12 +486,12 @@ class MigrationManager:
                 continue
             svc._placement.move(info.query_id, target)
             self.permuted = True
-            self._adopt_expiries(target, ticket)
+            self.adopt_expiries(target, ticket)
             return target, (reply.payload or [])
 
-    def _adopt_expiries(self, target: int,
-                        ticket: MigrationTicket) -> None:
-        """Merge the migrated window/tail expiry times into the
+    def adopt_expiries(self, target: int,
+                       ticket: MigrationTicket) -> None:
+        """Merge the ticket's window/tail expiry times into the
         target's clock-advance schedule, so the coordinator keeps
         sending it advance frames while those edges are due (spurious
         duplicates are harmless — an advance frame for an already-

@@ -13,7 +13,7 @@ one :class:`Reply`.  The strict request/reply lockstep is what makes
 the coordinator's crash detection sound: a worker that dies leaves a
 broken pipe where its reply should be, never a half-processed queue.
 
-There are twelve verbs.  Edges travel on two of them, ``INGEST_ROUTED``
+There are eleven verbs.  Edges travel on two of them, ``INGEST_ROUTED``
 (data: one shard's share of a batch, or a bare clock advance) and
 ``MIGRATE_IN`` (the one way a query reaches a worker — registration,
 checkpoint restore, crash recovery and migration all send a
@@ -66,7 +66,6 @@ INGEST_BATCH = "ingest_batch"  # payload: edges (see wire.encode_ingest)
 INGEST_ROUTED = "ingest_routed"  # payload: RoutedBatch (interest-routed)
 DRAIN = "drain"              # payload: None
 STATS = "stats"              # payload: None
-SNAPSHOT = "snapshot"        # payload: None
 STOP = "stop"                # payload: None
 
 
@@ -104,17 +103,18 @@ class RegisterSpec:
 
 @dataclass(frozen=True)
 class MigrationSource:
-    """MIGRATE_OUT reply: everything the source worker knew about one
-    query at the moment it was detached.
+    """Everything a query's previous host knew about it at the moment
+    it left: the MIGRATE_OUT reply of a live worker, or what the
+    coordinator writes for one that can no longer answer (crash
+    recovery: mirrored status, cached counters, its own window).
 
     ``window`` holds the ``(edge, global seq)`` pairs the query's engine
-    currently has inside the sliding window — exactly the subset of the
-    worker's live deque the query was eligible for (seq at or after its
-    join cursor, interest-positive under routing).  The engine object
-    itself is *not* shipped: engine state is derived data, rebuilt on the
-    target by replaying ``window`` (the same contract the checkpoint
-    modules rely on).  ``result`` moves with the query so collected
-    matches survive the hop.
+    has inside the sliding window — the query's cut (:meth:`~repro.
+    service.interest.QueryInterestIndex.window_of`) of the live deque
+    the writer holds.  The engine object itself is *not* shipped: engine
+    state is derived data, rebuilt on the target by replaying
+    ``window``.  ``result`` moves with the query so collected matches
+    survive the hop (a crashed worker's are gone).
     """
 
     status: str
@@ -131,20 +131,19 @@ class MigrationTicket:
     how every query reaches a worker.
 
     Assembled by the coordinator from the registration spec it mirrors
-    plus what the query's previous host knew: a :class:`MigrationSource`
-    for a migration, the checkpoint record for a restore, the cached
-    counters for a crash recovery, nothing (active, fresh counters) for
-    a live registration — the last three with an empty window.  ``code``
-    is the query id's interned code on the reply wire.  ``joined_seq``
-    is the query's **global** join cursor: the stream position it first
-    registered at (kept across migrations) or re-joined at (restore,
-    recovery), never the target worker's own position, which lags on a
-    shard the router has not contacted.  ``tail`` carries the
+    plus what the query's previous host knew (:mod:`repro.cluster.
+    migration`, "How every query reaches a worker").
+    ``code`` is the query id's interned code on the reply wire.
+    ``joined_seq`` is the query's **global** join cursor: the stream
+    position it first registered at, kept across migrations, restores
+    and recoveries — never the target worker's own position, which lags
+    on a shard the router has not contacted.  ``tail`` carries the
     events that arrived (and matched the query's interest) while the
-    query was detached — empty on the atomic migration path, where the
-    hop completes inside one batch boundary.  ``final_now`` is the
-    global clock at restore time, so the target can privately expire any
-    window/tail edge whose window closed while the query was in flight;
+    query was nowhere — detached by a staged migration, or stranded on
+    a worker whose reply was lost; empty on the atomic migration path,
+    where the hop completes inside one batch boundary.  ``final_now``
+    is the global clock at restore time, so the target can privately
+    expire any window/tail edge whose window closed in the meantime;
     ``drained`` records that the stream was drained mid-flight (the
     private window must be flushed completely and nothing re-enters the
     live deque).  The ticket is idempotent and retryable: if the target

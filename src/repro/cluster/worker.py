@@ -1,10 +1,10 @@
 """Shard worker: one process hosting a full :class:`MatchService`.
 
 Every worker owns the complete service machinery — engines, per-query
-quarantine, stats, checkpointing — over its *shard* of the registered
-queries.  The coordinator interest-routes, so the worker sees only the
-sub-batches some hosted query may care about, each edge tagged with its
-global arrival sequence number plus the batch's closing cursor
+quarantine, stats — over its *shard* of the registered queries.  The
+coordinator interest-routes, so the worker sees only the sub-batches
+some hosted query may care about, each edge tagged with its global
+arrival sequence number plus the batch's closing cursor
 (:meth:`MatchService.ingest_routed` keeps the local window and stream
 position consistent with the global stream).  A query arrives as a
 ticket (``MIGRATE_IN``: a registration, a restore, a recovery or a
@@ -36,7 +36,6 @@ from typing import Dict, Tuple
 from repro.cluster import protocol, wire
 from repro.cluster.protocol import QueryFinalState, Reply
 from repro.obs.trace import Tracer, pack_spans
-from repro.service import checkpoint as service_checkpoint
 from repro.service.registry import QueryStatus
 from repro.service.service import MatchService
 
@@ -117,8 +116,6 @@ class ShardWorker:
             return (service.stats,
                     {e.query_id: e.stats for e in service.registry.list()},
                     self.metrics.snapshot() if self.metrics else {})
-        if verb == protocol.SNAPSHOT:
-            return service_checkpoint.snapshot(service)
         if verb == protocol.STOP:
             return None
         raise ValueError(f"unknown request verb {verb!r}")
@@ -142,30 +139,23 @@ class ShardWorker:
 
     def _migrate_in(self, ticket: protocol.MigrationTicket):
         """Host a query from its ticket (a registration, restore,
-        recovery or migration: they differ only in what it holds) and
-        adopt its window/tail; returns the tail-replay notifications
-        (empty unless a staged migration buffered any).  Registry-level
-        registration takes the ticket's global join cursor — this
-        worker's own position lags when the router has not contacted
-        it — and keeps the service's registration counters untouched."""
-        service = self.service
+        recovery or migration: they differ only in what it holds);
+        returns the tail-replay notifications.  The join cursor is the
+        ticket's global one: this worker's own position lags when the
+        router has not contacted it."""
         spec = ticket.spec
         self.codes[spec.query_id] = ticket.code
-        entry = service.registry.register(
-            spec.query, spec.labels, spec.engine,
-            query_id=spec.query_id, joined_seq=ticket.joined_seq,
+        notes = self.service.host_query(
+            spec.query, spec.labels, spec.engine, query_id=spec.query_id,
             edge_label_fn=spec.edge_label_fn,
-            collect_results=spec.collect_results)
-        entry.stats = ticket.stats
-        if ticket.result is not None:
-            entry.result = ticket.result
+            collect_results=spec.collect_results,
+            joined_seq=ticket.joined_seq, status=ticket.status,
+            error=ticket.error, stats=ticket.stats, result=ticket.result,
+            window=ticket.window, tail=ticket.tail,
+            final_now=ticket.final_now, drained=ticket.drained)
         if QueryStatus(ticket.status) is not QueryStatus.ACTIVE:
-            entry.status = QueryStatus(ticket.status)
-            entry.error = ticket.error
-            self._reported.add(entry.query_id)
-        return service.adopt_query(entry, ticket.window, ticket.tail,
-                                   final_now=ticket.final_now,
-                                   drain_tail=ticket.drained)
+            self._reported.add(spec.query_id)
+        return notes
 
     def _quarantine(self, payload: Tuple[str, str]) -> None:
         """Coordinator-initiated quarantine (a subscriber failed on the

@@ -9,7 +9,7 @@ qualitative degree profile (hub-heavy traffic graphs vs. near-uniform
 social streams), at a configurable scale.  The matching algorithms are
 sensitive exactly to label selectivity, degree skew, multiplicity and
 temporal density, so preserving these statistics preserves the relative
-behaviour of the algorithms (see DESIGN.md, Substitutions).
+behaviour of the algorithms (see README.md, "Synthetic datasets").
 
 Timestamps are consecutive integers ``1..m`` — one edge per tick — which
 matches the paper's convention of measuring the window size in units of

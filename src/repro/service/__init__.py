@@ -10,7 +10,7 @@ This is the single-process middle layer of the matching stack
 (engine -> service -> cluster): :mod:`repro.cluster` shards one
 logical service of this shape across worker processes, with each
 worker hosting a full ``MatchService`` over its shard and the cluster
-checkpoint composed from the per-shard snapshots defined here.
+checkpoint embedding the service document defined here.
 """
 
 from repro.service.stats import QueryStats, ServiceStats

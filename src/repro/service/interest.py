@@ -62,7 +62,7 @@ the index skips.  The match output is unaffected either way.
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
 )
 
 from repro.graph.temporal_graph import Edge
@@ -254,6 +254,20 @@ class QueryInterestIndex:
         for bucket in buckets:
             merged.update(bucket)
         return merged
+
+    def window_of(self, query_id: str, joined_seq: int,
+                  live: Iterable[Tuple[Edge, int]], delta: int,
+                  now: Optional[int]) -> Tuple[Tuple[Edge, int], ...]:
+        """The ``(edge, arrival seq)`` pairs of ``live`` inside
+        ``query_id``'s engine window at clock ``now``: arrivals at or
+        after its join cursor, still open, that this index routes to
+        it.  Interest depends only on the query's own registration, so
+        a hosting service and a routing coordinator cut the same pairs."""
+        lookup = self.lookup_ids
+        return tuple((edge, seq) for edge, seq in live
+                     if seq >= joined_seq
+                     and (now is None or edge.t + delta > now)
+                     and query_id in lookup(edge))
 
 
 __all__ = ["QueryInterestIndex", "query_pattern_keys"]

@@ -46,8 +46,8 @@ Semantics, matching Algorithm 1's event list exactly:
   its label domain.
 
 Because engines own their within-window graph copy, the service itself
-only tracks the live-edge FIFO and the high-water mark; that pair (plus
-the registry) is exactly what :mod:`repro.service.checkpoint` persists.
+only tracks the live-edge FIFO and the stream cursor; those (plus the
+registry) are exactly what :mod:`repro.service.checkpoint` persists.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
 from repro.query.temporal_query import TemporalQuery
 from repro.service.registry import (
-    EngineFactory, QueryRegistry, RegisteredQuery,
+    EngineFactory, QueryRegistry, QueryStatus, RegisteredQuery,
 )
 from repro.service.stats import ServiceStats
 from repro.streaming.events import Event, EventKind
@@ -163,8 +163,7 @@ class MatchService:
         The shared window size; every hosted query matches within the
         same window (one stream, one window, many queries).
     registry:
-        Optional pre-built :class:`QueryRegistry` (used by checkpoint
-        restore); a fresh one is created by default.
+        Optional pre-built :class:`QueryRegistry`; a fresh one by default.
     engine_factories:
         Optional engine-kind registry overriding the benchmark default.
     """
@@ -529,23 +528,39 @@ class MatchService:
     # ------------------------------------------------------------------
     def export_query_window(self, entry: RegisteredQuery
                             ) -> Tuple[Tuple[Edge, int], ...]:
-        """The ``(edge, arrival seq)`` pairs currently inside ``entry``'s
-        engine window.
-
-        This is the subset of the service's live deque the query was
-        eligible for: arrivals at or after its join cursor that the
-        interest index routed to it.  Interest decisions depend only on
-        the query's own registration data, so re-evaluating them here
-        reproduces exactly the arrivals the engine saw.  Call *before*
-        unregistering — the lookup needs the query still indexed.
-        """
+        """``entry``'s :meth:`~repro.service.interest.QueryInterestIndex.
+        window_of` the live deque: the pairs inside its engine window.
+        Call *before* unregistering — the query must still be indexed."""
         if not entry.active:
             return ()
-        joined = entry.joined_seq
-        query_id = entry.query_id
-        lookup = self.registry.interest.lookup_ids
-        return tuple((edge, seq) for edge, seq in self._live
-                     if seq >= joined and query_id in lookup(edge))
+        return self.registry.interest.window_of(
+            entry.query_id, entry.joined_seq, self._live, self.delta,
+            self._now)
+
+    def host_query(self, query: TemporalQuery, labels: Dict[int, object],
+                   engine: object, *, status: str, error: Optional[str],
+                   stats, result=None,
+                   window: Optional[Tuple[Tuple[Edge, int], ...]] = None,
+                   tail: Tuple[Tuple[Edge, int], ...] = (),
+                   final_now: Optional[int] = None, drained: bool = False,
+                   **registration) -> List[MatchNotification]:
+        """Host a query that has lived before (a migration, restore or
+        recovery; a registration brings nothing): register it —
+        ``registration`` is :meth:`QueryRegistry.register`'s keywords,
+        its *own* join cursor among them — with what its previous host
+        knew, then :meth:`adopt_query` its window and tail.
+        ``window=None``: this service already holds the stream (a
+        checkpoint restore), so the query's cut of the live deque is its
+        window.  The service's registration counters stay untouched."""
+        entry = self.registry.register(query, labels, engine, **registration)
+        entry.status, entry.error = QueryStatus(status), error
+        entry.stats = stats
+        if result is not None:
+            entry.result = result
+        if window is None:
+            window = self.export_query_window(entry)
+        return self.adopt_query(entry, window, tail, final_now=final_now,
+                                drain_tail=drained)
 
     def adopt_query(self, entry: RegisteredQuery,
                     window: Tuple[Tuple[Edge, int], ...],

@@ -13,8 +13,8 @@ Each event reports one canonical-order (sorted) *sequence* of ``Match``
 from TCM, which builds its matches only when read — so the two ingestion
 paths are byte-identical: ``on_batch`` must produce, for every event, a
 sequence equal to the one the per-event methods would have produced.
-The default ``on_batch`` is the trivial loop; TCM and SymBi override it
-to defer and dedupe their filter maintenance across the batch.
+The default ``on_batch`` is the trivial loop; TCM overrides it to
+defer and dedupe its filter maintenance across the batch.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class MatchEngine(abc.ABC):
         per event, aligned with ``events``.
 
         The default implementation is the per-event loop, correct for
-        every engine.  Engines whose per-event cost is dominated by
-        incremental index maintenance (TCM, SymBi) override this to
-        batch that maintenance while keeping the output identical.
+        every engine.  TCM, whose per-event cost is dominated by
+        incremental index maintenance, overrides this to batch that
+        maintenance while keeping the output identical.
         """
         out: List[Sequence[Match]] = []
         for event in events:

@@ -904,7 +904,7 @@ class TestRegistrationSurface:
         sender by five PRs)."""
         verbs = [name for name, value in vars(protocol).items()
                  if name.isupper() and isinstance(value, str)]
-        assert len(verbs) == 12
+        assert len(verbs) == 11
         dispatch = inspect.getsource(ShardWorker.dispatch)
         assert [name for name in verbs
                 if f"protocol.{name}" not in dispatch] == []

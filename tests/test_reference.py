@@ -18,20 +18,31 @@ an unregister in mid-stream (interest tables change while edges are
 live in the window), and an idle gap longer than the window that the
 script crosses with ``advance_to`` (the whole window expires with no
 arrival to carry the clock).
+
+A second script adds a "restore here" step: at a batch boundary with
+live edges in the window and the mid-stream query already registered,
+the service is checkpointed, thrown away and rebuilt from the JSON —
+in process, cluster to cluster on another worker count, cluster to one
+process — and the whole lifetime must still equal the reference, which
+knows nothing of the interruption.  (A snapshot refuses the callable
+factory's query, so that script retires it first.)
 """
 
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import pytest
 
 from repro.baselines import SymBiEngine, TimingEngine
 from repro.cluster import ShardedMatchService
+from repro.cluster import checkpoint as cluster_checkpoint
 from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge
 from repro.query import TemporalQuery
 from repro.service import MatchService
+from repro.service import checkpoint as service_checkpoint
 from repro.streaming import StreamDriver
 from repro.streaming.events import build_event_list
 
@@ -105,12 +116,21 @@ SPECS = (
 )
 
 
-def reference():
+#: The restore script: the service is rebuilt before this batch, one
+#: batch after ``late`` joined and with ``custom`` retired just before.
+RESTORE_BEFORE = 4
+RESTORE_SPECS = tuple(
+    replace(spec, leave=RESTORE_BEFORE) if spec.query_id == "custom"
+    else spec for spec in SPECS)
+LABEL_FNS = {"xyx": edge_label}
+
+
+def reference(specs=SPECS):
     """The merged per-query, per-event runs."""
     seq_of = {edge: seq for seq, edge in enumerate(EDGES)}
     assert len(seq_of) == len(EDGES)
     rows = []
-    for order, spec in enumerate(SPECS):
+    for order, spec in enumerate(specs):
         hi = len(EDGES) if spec.leave is None else spec.leave * BATCH
         seen = EDGES[spec.join * BATCH:hi]
         events = build_event_list(seen, DELTA)
@@ -129,26 +149,37 @@ def reference():
     return [row[1] for row in rows]
 
 
-def drive(service, ingest):
-    """The same script against a service; ``ingest`` is its batch call."""
+def drive(service, call, specs=SPECS, restore=None):
+    """The same script against a service; ``call`` names its batch
+    method.  ``restore`` (service -> rebuilt service, which it may
+    close) runs before batch ``RESTORE_BEFORE``."""
     notes = []
     for number, batch in enumerate(BATCHES):
-        for spec in SPECS:
+        if restore is not None and number == RESTORE_BEFORE:
+            with pytest.raises(ValueError, match="custom factory"):
+                restore(service)
+        for spec in specs:
             if spec.leave == number:
-                service.unregister(spec.query_id)
+                gone = service.unregister(spec.query_id)
+                # The index never pruned for the custom factory.
+                assert (spec.query_id != "custom"
+                        or gone.stats.events_skipped == 0)
             if spec.join == number:
                 service.register(spec.query, LABELS, spec.engine,
                                  query_id=spec.query_id,
                                  edge_label_fn=spec.edge_label_fn)
+        if restore is not None and number == RESTORE_BEFORE:
+            assert service._live        # edges span the checkpoint
+            service = restore(service)
         if number == IDLE_BEFORE:
             # Into the gap, past every live edge's window.
             flushed = service.advance_to(batch[0].t - 5)
             assert flushed and not any(n.occurred for n in flushed)
             notes += flushed
-        notes += ingest(batch)
+        notes += getattr(service, call)(batch)
     notes += service.drain()
     assert service.stats.errored_queries == 0
-    return [(n.query_id, n.event, n.match, n.seq) for n in notes]
+    return service, [(n.query_id, n.event, n.match, n.seq) for n in notes]
 
 
 @pytest.fixture(scope="module")
@@ -161,10 +192,15 @@ def expected():
     return rows
 
 
+@pytest.fixture(scope="module")
+def expected_restored():
+    return reference(RESTORE_SPECS)
+
+
 @pytest.mark.parametrize("call", ["process_batch", "ingest"])
 def test_in_process_service_equals_reference(expected, call):
-    service = MatchService(DELTA)
-    assert drive(service, getattr(service, call)) == expected
+    service, notes = drive(MatchService(DELTA), call)
+    assert notes == expected
     # The index pruned the disjoint groups, never the custom factory.
     assert service.stats.events_skipped > 0
     assert service.query_stats("custom").events_skipped == 0
@@ -173,5 +209,49 @@ def test_in_process_service_equals_reference(expected, call):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sharded_ingest_equals_reference(expected, workers):
     with ShardedMatchService(DELTA, workers=workers) as service:
-        assert drive(service, service.ingest) == expected
+        assert drive(service, "ingest")[1] == expected
         assert service.query_stats("custom").events_skipped == 0
+
+
+def through_json(document):
+    return json.loads(json.dumps(document))
+
+
+def test_restored_in_process_service_equals_reference(expected_restored):
+    def restore(service):
+        return service_checkpoint.restore(
+            through_json(service_checkpoint.snapshot(service)),
+            edge_label_fns=LABEL_FNS)
+
+    _, notes = drive(MatchService(DELTA), "ingest", RESTORE_SPECS, restore)
+    assert notes == expected_restored
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_restored_cluster_equals_reference(expected_restored, workers):
+    """Onto a worker count that is not the snapshot's."""
+    def restore(service):
+        data = through_json(cluster_checkpoint.snapshot(service))
+        assert data["workers"] == 3
+        service.close()
+        return cluster_checkpoint.restore(data, workers=workers,
+                                          edge_label_fns=LABEL_FNS)
+
+    service, notes = drive(ShardedMatchService(DELTA, workers=3), "ingest",
+                           RESTORE_SPECS, restore)
+    service.close()
+    assert notes == expected_restored
+
+
+def test_cluster_restored_in_one_process_equals_reference(
+        expected_restored):
+    def restore(service):
+        data = through_json(cluster_checkpoint.snapshot(service))
+        service.close()
+        return service_checkpoint.restore(
+            cluster_checkpoint.as_service_snapshot(data),
+            edge_label_fns=LABEL_FNS)
+
+    _, notes = drive(ShardedMatchService(DELTA, workers=2), "ingest",
+                     RESTORE_SPECS, restore)
+    assert notes == expected_restored

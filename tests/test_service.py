@@ -440,10 +440,9 @@ class TestCheckpoint:
         stats = restored.query_stats("fraud")
         # 6 pre-checkpoint + 4 post-restore occurrences.
         assert stats.occurred == 10
-        # 2 edges expired pre-checkpoint and the 4 post-restore arrivals
-        # expire on drain; the 4 live-at-checkpoint edges are lost with
-        # the window (restored engines never saw their arrivals).
-        assert stats.expired == 2 + 4
+        # 2 edges expired pre-checkpoint; the 4 live at the checkpoint
+        # came back with the window and expire like the 4 later ones.
+        assert stats.expired == 10
 
     def test_snapshot_is_json(self):
         service = self.make_service()

@@ -118,8 +118,8 @@ class TestResultsKeepWhatTheEngineReturned:
 
     @pytest.mark.parametrize("baseline", ["symbi", "rapidflow"])
     def test_lists_and_blocks_file_equal_results(self, baseline):
-        """SymBi batches on its own, RapidFlow through the default
-        ``on_batch`` loop; both return plain lists."""
+        """Both baselines batch through the default ``on_batch`` loop
+        and return plain lists."""
         labels, edges, events = self.stream()
         query, delta = self.CASE["query"], self.CASE["delta"]
 
