@@ -13,10 +13,11 @@ keeps one :class:`~repro.service.interest.QueryInterestIndex` over the
 registrations it holds — the class, and so the decision, every worker's
 service fans out with — and splits each batch per shard through the
 placement: an edge travels only to the shards
-hosting a query whose label patterns could match it, a shard with
-pending expirations but no interesting arrivals gets a bare
-clock-advance frame, and a fully disinterested shard is not contacted
-at all (counted in ``events_unshipped``).  Sub-batches carry explicit
+hosting a query whose label patterns could match it, a shard with no
+interesting arrivals gets a bare clock-advance frame when one of its
+queries holds an edge of the coordinator's window falling due, and a
+fully disinterested shard is not contacted at all (counted in
+``events_unshipped``).  Sub-batches carry explicit
 global sequence numbers and the batch's closing cursor, which is what
 keeps the arrival-order merge exact even though workers see different
 subsets of the stream.  Sub-batches, the tickets queries reach workers
@@ -260,13 +261,10 @@ class ShardedMatchService:
         #: the registrations in ``_queries``; the placement turns the
         #: answer into shards.
         self._interest = QueryInterestIndex()
-        #: Expiry times of the edges shipped to each shard (monotone,
-        #: so a deque): a shard with no interest in a batch still needs
-        #: a clock-advance frame while expirations are due.
-        self._shard_expiries: List[Deque[int]] = [
-            deque() for _ in range(workers)]
         #: ``MatchService._live`` for every accepted edge, but trimmed
         #: in :meth:`_at_boundary`: readers filter on ``t + delta > now``.
+        #: Every ticket's window is cut from it, and its front decides
+        #: which shards a batch owes a clock-advance frame.
         self._live: Deque[Tuple[Edge, int]] = deque()
         #: shard -> the cursor ``(seq, now)`` its worker was lost at (it
         #: moves once an exchange is collected, so: that exchange's base).
@@ -483,7 +481,7 @@ class ShardedMatchService:
         The coordinator validates the batch *before* shipping, so
         shards never diverge.  An edge field that is not an int64
         raises :class:`~repro.cluster.wire.UnpackableEdgeError` with no
-        counter, cursor, expiry schedule or pipe touched: the batch was
+        counter, cursor, window or pipe touched: the batch was
         not ingested, and a corrected one can follow.  On an
         out-of-order edge the accepted prefix is processed everywhere
         and :class:`OutOfOrderError` is raised with the prefix's merged
@@ -544,12 +542,15 @@ class ShardedMatchService:
         migration's tail instead; uninterested (edge, shard) pairs are
         counted in ``events_unshipped`` and never serialized.  A shard
         whose sub-batch is empty still gets a clock-advance frame when
-        edges previously shipped to it expire by ``final_now`` — that
-        keeps its expirations inside the same coordinator call (and
-        therefore at the same position in the merged stream) as a
-        single-process service would emit them.  An empty ``prefix`` is
-        a pure clock advance (:meth:`advance_to`): only shards with
-        expirations due are contacted.
+        one of its queries holds an edge expiring by ``final_now`` — an
+        edge at the front of ``_live`` (:meth:`_at_boundary` trimmed
+        the ones before) that the query is routed, is not detached
+        from, and arrived at or after its join cursor.  That keeps the
+        expirations inside the same coordinator call (and therefore at
+        the same position in the merged stream) as a single-process
+        service would emit them.  An empty ``prefix`` is a pure clock
+        advance (:meth:`advance_to`): only shards owed an expiration
+        are contacted.
         """
         base_seq = self._seq
         final_seq = base_seq + len(prefix)
@@ -566,22 +567,24 @@ class ShardedMatchService:
             for shard in live:
                 if shard in interested:
                     pairs[shard].append((edge, seq))
-                    self._shard_expiries[shard].append(edge.t + delta)
                     self.shard_shipped[shard] += 1
                 else:
                     self.events_unshipped += 1
                     self.shard_unshipped[shard] += 1
-        messages: Dict[int, bytes] = {}
-        for shard in live:
-            due = self._shard_expiries[shard]
-            sub_batch = pairs[shard]
-            if not sub_batch and not (due and due[0] <= final_now):
-                continue
-            while due and due[0] <= final_now:
-                due.popleft()
-            messages[shard] = wire.encode_routed(
-                sub_batch, final_now, final_seq, trace=ctx)
-        return messages
+        # Only ``_live`` is scanned: an edge of this batch falling due
+        # was shipped to its holders, which are therefore not idle.
+        idle = {shard for shard in live if not pairs[shard]}
+        queries = self._queries
+        for edge, seq in self._live:
+            if not idle or edge.t + delta > final_now:
+                break
+            for query_id in lookup(edge):
+                if (not detached(query_id)
+                        and queries[query_id].joined_seq <= seq):
+                    idle.discard(shard_of(query_id))
+        return {shard: wire.encode_routed(sub_batch, final_now, final_seq,
+                                          trace=ctx)
+                for shard, sub_batch in pairs.items() if shard not in idle}
 
     def process_batch(self, edges: Iterable[Edge]
                       ) -> List[MatchNotification]:
@@ -618,8 +621,6 @@ class ShardedMatchService:
         # at finish — the cluster-wide windows empty here.
         self._migrations.note_drain()
         start = time.perf_counter()
-        for due in self._shard_expiries:
-            due.clear()
         with maybe_span(self.tracer, "cluster_drain") as root:
             message = self._control_message(protocol.DRAIN, None, root)
             notifications = self._collect(
@@ -694,7 +695,6 @@ class ShardedMatchService:
         self.shard_unshipped.append(0)
         self.shard_routed.append(0)
         self.shard_skipped.append(0)
-        self._shard_expiries.append(deque())
         self._shard_obs.append(None)
         self._placement.add_shard()
         return index
@@ -725,7 +725,6 @@ class ShardedMatchService:
         self._stop_worker(handle)
         handle.retired = True
         self._placement.retire(shard)
-        self._shard_expiries[shard].clear()
         return records
 
     @property
@@ -822,10 +821,7 @@ class ShardedMatchService:
         snap = self.metrics.snapshot()
         from repro.obs import merge_snapshots
         for shard, reply in replies.items():
-            payload = reply.payload
-            worker_snap = payload[2] if len(payload) > 2 else {}
-            if worker_snap:
-                merge_snapshots(snap, worker_snap, shard=str(shard))
+            merge_snapshots(snap, reply.payload[2], shard=str(shard))
         return snap
 
     def health(self) -> Dict[str, object]:
@@ -952,7 +948,6 @@ class ShardedMatchService:
             self._placement.remove(query_id)
             self._interest.remove(query_id)
             raise
-        self._migrations.adopt_expiries(shard, ticket)
         self._queries[query_id] = info
         return info
 

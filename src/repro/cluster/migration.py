@@ -4,10 +4,10 @@ This module is the control plane that turns the coordinator's static
 query->shard assignment into a live mapping.  The primitive is a
 single-query **migration**:
 
-1. the coordinator detaches the query from its source worker
-   (``MIGRATE_OUT``), receiving its status, counters, collected results
-   and — crucially — the ``(edge, seq)`` pairs currently inside its
-   engine window;
+1. the coordinator cuts the query's engine window — the ``(edge,
+   seq)`` pairs it holds — from its own window and detaches the query
+   from its source worker (``MIGRATE_OUT``), receiving its status,
+   counters and collected results;
 2. while the query is in flight, the coordinator buffers any routed
    event the query would have received in a bounded *tail* (staged
    migrations only; the atomic path never leaves the batch boundary);
@@ -22,13 +22,13 @@ single-query **migration**:
 How every query reaches a worker
 --------------------------------
 As a ticket built by :meth:`MigrationManager.ticket`.  A query's engine
-state is always the replay of its cut of a live ``(edge, seq)`` deque
-at its own join cursor (:meth:`~repro.service.interest.
-QueryInterestIndex.window_of`), so a registration, a checkpoint
-restore, a crash recovery and a migration differ only in who wrote the
-source and which window it holds: nobody and nothing; the checkpoint's
-record and window; the coordinator, from its mirror and the window it
-kept of what it routed; the source worker, from its own.  The
+state is always the replay of its cut of the coordinator's ``(edge,
+seq)`` window at its own join cursor (:meth:`~repro.service.interest.
+QueryInterestIndex.window_of`; a checkpoint restore first refills that
+window from the document), so a registration, a checkpoint restore, a
+crash recovery and a migration differ only in who wrote the status,
+counters and result: nobody; the checkpoint's record; the coordinator,
+from its mirror; the source worker, on ``MIGRATE_OUT``.  The
 coordinator trims its window only after :meth:`~MigrationManager.
 before_batch` had its chance to recover, so everything live when a lost
 exchange began is still held when the next boundary re-homes its
@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import protocol, wire
 from repro.cluster.protocol import (
-    MigrationSource, MigrationTicket, RegisterSpec,
+    MigrationTicket, QueryFinalState, RegisterSpec,
 )
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
@@ -108,12 +108,14 @@ class MigrationRecord:
 
 @dataclass
 class _Pending:
-    """A staged migration between ``begin`` and ``finish``."""
+    """A detached query on its way to ``target``: what its source knew
+    (``final``) and its cut of the coordinator's window."""
 
     query_id: str
     source: int
     target: Optional[int]
-    src: MigrationSource
+    final: QueryFinalState
+    window: Tuple[Tuple[Edge, int], ...]
     reason: str
     max_tail: int
     started: float
@@ -177,27 +179,13 @@ class MigrationManager:
         run.  Returns the completed :class:`MigrationRecord`.
         """
         svc = self._svc
-        info, source = self._checked(query_id, target)
-        if target is None:
-            # Fail before detaching: a query pulled off its source with
-            # nowhere to land would be lost.
-            try:
-                svc._placement.select_target(
-                    query_pattern_keys(info.query), exclude={source})
-            except RuntimeError as exc:
-                raise MigrationError(str(exc)) from None
-        started = time.perf_counter()
+        info, source, target = self._checked(query_id, target)
         with maybe_span(svc.tracer, "migration", query=query_id,
                         reason=reason) as root:
-            ctx = ((root.trace_id, root.span_id)
-                   if svc.tracer is not None else None)
-            src = self._detach(info, root)
-            ticket = self._moved(info, src)
-            target, notes = self._restore(info, ticket, target, ctx)
-        record = self._completed(info, source, target, reason,
-                                 len(src.window), 0, started)
+            pending = self._detach(info, source, target, reason, 0, root)
+            notes = self._land(info, pending, root)
         svc._deliver(notes)
-        return record
+        return self.history[-1]
 
     def begin(self, query_id: str, target: Optional[int] = None, *,
               max_tail: int = DEFAULT_MAX_TAIL,
@@ -211,16 +199,9 @@ class MigrationManager:
         """
         if max_tail < 1:
             raise ValueError("max_tail must be positive")
-        svc = self._svc
-        info, source = self._checked(query_id, target)
-        if target is None:
-            target = svc._placement.select_target(
-                query_pattern_keys(info.query), exclude={source})
-        src = self._detach(info, None)
-        self._pending[query_id] = _Pending(
-            query_id=query_id, source=source, target=target, src=src,
-            reason=reason, max_tail=max_tail,
-            started=time.perf_counter())
+        info, source, target = self._checked(query_id, target)
+        self._pending[query_id] = self._detach(info, source, target, reason,
+                                               max_tail, None)
         self._set_pending_gauge()
         return target
 
@@ -239,16 +220,7 @@ class MigrationManager:
         with maybe_span(svc.tracer, "migration", query=query_id,
                         reason=pending.reason,
                         tail=len(pending.tail)) as root:
-            ctx = ((root.trace_id, root.span_id)
-                   if svc.tracer is not None else None)
-            ticket = self._moved(info, pending.src,
-                                 tail=tuple(pending.tail),
-                                 drained=pending.drained)
-            target, notes = self._restore(info, ticket, pending.target,
-                                          ctx, exclude={pending.source})
-        self._completed(info, pending.source, target, pending.reason,
-                        len(pending.src.window), len(pending.tail),
-                        pending.started)
+            notes = self._land(info, pending, root)
         svc._deliver(notes)
         return notes
 
@@ -339,13 +311,14 @@ class MigrationManager:
     def recover(self, shard: Optional[int] = None
                 ) -> List[MigrationRecord]:
         """Re-home the queries stranded on quarantined workers: a
-        migration whose :class:`MigrationSource` the coordinator writes,
-        landed by :meth:`finish` like a staged one.
+        migration whose :class:`~repro.cluster.protocol.QueryFinalState`
+        the coordinator writes, landed by :meth:`finish` like a staged
+        one.
 
-        The source is the mirror's status (queries the crash
+        It holds the mirror's status (queries the crash
         quarantined flip back to active, queries that had errored on
-        their own stay errored), the last counters fetched, and the
-        query's cut of the coordinator's window at the cursor its
+        their own stay errored) and the last counters fetched; the
+        window is the query's cut of the coordinator's at the cursor its
         worker was lost at; what was routed since — first of all the
         exchange whose reply never came — is the tail, replayed on the
         new shard and delivered to subscribers from here.  At the
@@ -377,13 +350,12 @@ class MigrationManager:
             stats = svc._lost_stats(info)
             self._pending[info.query_id] = _Pending(
                 query_id=info.query_id, source=source, target=None,
-                src=MigrationSource(
+                final=QueryFinalState(
                     status="active" if crashed else info.status.value,
                     error=None if crashed else info.error, stats=stats,
-                    result=None, joined_seq=info.joined_seq,
-                    window=pairs[:held]),
-                reason="recover", max_tail=0, started=time.perf_counter(),
-                tail=list(pairs[held:]))
+                    result=None),
+                window=pairs[:held], reason="recover", max_tail=0,
+                started=time.perf_counter(), tail=list(pairs[held:]))
             self.finish(info.query_id)
             if crashed:
                 info.status = QueryStatus.ACTIVE
@@ -396,7 +368,10 @@ class MigrationManager:
     # Internals
     # ------------------------------------------------------------------
     def _checked(self, query_id: str, target: Optional[int]):
-        """Validate a migration request; returns ``(info, source)``."""
+        """Validate a migration request and settle its target (the
+        policy's pick when ``None``) before anything is detached: a
+        query pulled off its source with nowhere to land would be lost.
+        Returns ``(info, source, target)``."""
         svc = self._svc
         info = svc._get_info(query_id)
         if query_id in self._pending:
@@ -407,25 +382,50 @@ class MigrationManager:
             raise MigrationError(
                 f"query {query_id!r} is stranded on dead shard "
                 f"{source}; use recover_quarantined()")
-        if target is not None:
-            if target == source:
-                raise ValueError(
-                    f"query {query_id!r} already lives on shard "
-                    f"{target}")
-            handle = (svc._workers[target]
-                      if 0 <= target < len(svc._workers) else None)
-            if handle is None or not handle.alive:
-                raise ValueError(f"target shard {target} is not live")
-        return info, source
+        if target is None:
+            try:
+                target = svc._placement.select_target(
+                    query_pattern_keys(info.query), exclude={source})
+            except RuntimeError as exc:
+                raise MigrationError(str(exc)) from None
+        elif target == source:
+            raise ValueError(
+                f"query {query_id!r} already lives on shard {target}")
+        elif not (0 <= target < len(svc._workers)
+                  and svc._workers[target].alive):
+            raise ValueError(f"target shard {target} is not live")
+        return info, source, target
 
-    def _detach(self, info, root) -> MigrationSource:
-        """MIGRATE_OUT round trip, traced under ``root`` when it is a
-        live span."""
+    def _detach(self, info, source: int, target: int, reason: str,
+                max_tail: int, root) -> _Pending:
+        """Cut ``info``'s window from the coordinator's and take the
+        query off ``source`` (MIGRATE_OUT, traced under ``root`` when it
+        is a live span)."""
         svc = self._svc
-        return svc._request(
-            svc._placement.shard_of(info.query_id),
-            svc._control_message(protocol.MIGRATE_OUT, info.query_id,
-                                 root)).payload
+        started = time.perf_counter()
+        window = svc._interest.window_of(
+            info.query_id, info.joined_seq, svc._live, svc.delta, svc._now)
+        final = svc._request(source, svc._control_message(
+            protocol.MIGRATE_OUT, info.query_id, root)).payload
+        return _Pending(
+            query_id=info.query_id, source=source, target=target,
+            final=final, window=window, reason=reason, max_tail=max_tail,
+            started=started)
+
+    def _land(self, info, pending: _Pending, root) -> List:
+        """Ticket a detached query onto its target and record the hop;
+        returns the tail-replay notifications."""
+        svc = self._svc
+        ctx = ((root.trace_id, root.span_id)
+               if svc.tracer is not None else None)
+        final = pending.final
+        ticket = self.ticket(
+            info, final.status, final.error, final.stats,
+            result=final.result, window=pending.window,
+            tail=tuple(pending.tail), drained=pending.drained)
+        target, notes = self._restore(info, ticket, pending.target, ctx)
+        self._completed(info, pending, target, ticket)
+        return notes
 
     def ticket(self, info, status: str, error: Optional[str], stats, *,
                result=None, window: Tuple[Tuple[Edge, int], ...] = (),
@@ -434,8 +434,12 @@ class MigrationManager:
         """The ticket that puts ``info``'s query on a worker — the one
         place one is built.  ``status`` / ``error`` / ``stats`` are what
         the query's previous host knew (for a live registration:
-        active, fresh counters); the join cursor is the mirror's."""
+        active, fresh counters); the join cursor is the mirror's.  A
+        query that is not active ships no window and no tail: the
+        target never builds its engine."""
         svc = self._svc
+        if QueryStatus(status) is not QueryStatus.ACTIVE:
+            window = tail = ()
         return MigrationTicket(
             spec=RegisterSpec(
                 query_id=info.query_id, query=info.query,
@@ -447,25 +451,16 @@ class MigrationManager:
             status=status, error=error, stats=stats, result=result,
             window=window, tail=tail, final_now=svc._now, drained=drained)
 
-    def _moved(self, info, src: MigrationSource,
-               tail: Tuple[Tuple[Edge, int], ...] = (),
-               drained: bool = False) -> MigrationTicket:
-        """The ticket of a query that left its host as ``src``."""
-        return self.ticket(info, src.status, src.error, src.stats,
-                           result=src.result, window=src.window,
-                           tail=tail, drained=drained)
-
     def _restore(self, info, ticket: MigrationTicket,
-                 target: Optional[int], ctx,
-                 exclude: Tuple[int, ...] = ()) -> Tuple[int, List]:
+                 target: Optional[int], ctx) -> Tuple[int, List]:
         """MIGRATE_IN with crash retry: the ticket is self-contained,
         so if the chosen target dies mid-restore the same ticket is
-        re-sent to the next healthy policy pick.  Updates placement
-        (which is what the router reads) and the target's expiry
-        schedule on success."""
+        re-sent to the next healthy policy pick (never the shard the
+        query is still placed on, its source).  Updates placement —
+        what the router reads — on success."""
         from repro.cluster.coordinator import WorkerCrashError
         svc = self._svc
-        banned = {svc._placement.shard_of(info.query_id), *exclude}
+        banned = {svc._placement.shard_of(info.query_id)}
         while True:
             if target is None or not svc._workers[target].alive:
                 try:
@@ -486,26 +481,7 @@ class MigrationManager:
                 continue
             svc._placement.move(info.query_id, target)
             self.permuted = True
-            self.adopt_expiries(target, ticket)
             return target, (reply.payload or [])
-
-    def adopt_expiries(self, target: int,
-                       ticket: MigrationTicket) -> None:
-        """Merge the ticket's window/tail expiry times into the
-        target's clock-advance schedule, so the coordinator keeps
-        sending it advance frames while those edges are due (spurious
-        duplicates are harmless — an advance frame for an already-
-        flushed expiry produces no output)."""
-        svc = self._svc
-        now = svc._now
-        fresh = [edge.t + svc.delta
-                 for edge, _ in (*ticket.window, *ticket.tail)
-                 if now is None or edge.t + svc.delta > now]
-        if not fresh:
-            return
-        due = svc._shard_expiries[target]
-        due.extend(fresh)
-        svc._shard_expiries[target] = type(due)(sorted(due))
 
     def _lost(self, info) -> None:
         """Every candidate target died mid-restore: the query's state
@@ -517,31 +493,29 @@ class MigrationManager:
             info.error = "lost during migration: no live target worker"
             svc.stats.errored_queries += 1
 
-    def _completed(self, info, source: int, target: int, reason: str,
-                   window_edges: int, tail_events: int,
-                   started: float) -> MigrationRecord:
+    def _completed(self, info, pending: _Pending, target: int,
+                   ticket: MigrationTicket) -> None:
         svc = self._svc
         record = MigrationRecord(
-            query_id=info.query_id, source=source, target=target,
-            reason=reason, window_edges=window_edges,
-            tail_events=tail_events, seq=svc._seq,
-            elapsed_seconds=time.perf_counter() - started)
+            query_id=info.query_id, source=pending.source, target=target,
+            reason=pending.reason, window_edges=len(ticket.window),
+            tail_events=len(ticket.tail), seq=svc._seq,
+            elapsed_seconds=time.perf_counter() - pending.started)
         self.history.append(record)
         obs = svc.metrics
         if obs is not None:
             obs.counter("cluster_migrations_total",
                         "live query migrations completed",
-                        reason=reason).inc()
+                        reason=record.reason).inc()
             obs.histogram("cluster_migration_seconds",
                           "wall-clock per completed migration"
                           ).observe(record.elapsed_seconds)
             obs.counter("cluster_migration_window_edges_total",
                         "window edges shipped inside migration tickets"
-                        ).inc(window_edges)
+                        ).inc(record.window_edges)
             obs.counter("cluster_migration_tail_events_total",
                         "buffered events replayed at migration finish"
-                        ).inc(tail_events)
-        return record
+                        ).inc(record.tail_events)
 
     def _set_pending_gauge(self) -> None:
         obs = self._svc.metrics

@@ -20,8 +20,11 @@ checkpoint restore, crash recovery and migration all send a
 :class:`MigrationTicket`), both as packed binary frames
 (:mod:`repro.cluster.wire`); a binary frame decodes to exactly one of
 the verbs below, and every other verb stays pickled.  Nothing is synced
-ahead of a query: its wire code and its join cursor ride its ticket,
-and every routed frame carries the stream cursor it closes on.
+ahead of a query: its wire code, its join cursor and its window — cut
+from the coordinator's — ride its ticket, and every routed frame
+carries the stream cursor it closes on.  No edge travels back: a
+worker answers ``UNREGISTER``, ``DESCRIBE`` and ``MIGRATE_OUT`` alike
+with a :class:`QueryFinalState`.
 
 Replies piggyback only what the coordinator cannot work out from the
 registrations, the placement and the stream it already holds:
@@ -56,11 +59,11 @@ from repro.service.stats import QueryStats
 from repro.streaming.driver import StreamResult
 
 # Request verbs -------------------------------------------------------
-UNREGISTER = "unregister"    # payload: query_id
+UNREGISTER = "unregister"    # payload: query_id -> QueryFinalState
 DESCRIBE = "describe"        # payload: query_id (non-destructive)
 QUERY_STATS = "query_stats"  # payload: query_id
 QUARANTINE = "quarantine"    # payload: (query_id, error message)
-MIGRATE_OUT = "migrate_out"  # payload: query_id -> MigrationSource
+MIGRATE_OUT = "migrate_out"  # payload: query_id -> QueryFinalState
 MIGRATE_IN = "migrate_in"    # payload: MigrationTicket
 INGEST_BATCH = "ingest_batch"  # payload: edges (see wire.encode_ingest)
 INGEST_ROUTED = "ingest_routed"  # payload: RoutedBatch (interest-routed)
@@ -102,37 +105,22 @@ class RegisterSpec:
 
 
 @dataclass(frozen=True)
-class MigrationSource:
-    """Everything a query's previous host knew about it at the moment
-    it left: the MIGRATE_OUT reply of a live worker, or what the
-    coordinator writes for one that can no longer answer (crash
-    recovery: mirrored status, cached counters, its own window).
-
-    ``window`` holds the ``(edge, global seq)`` pairs the query's engine
-    has inside the sliding window — the query's cut (:meth:`~repro.
-    service.interest.QueryInterestIndex.window_of`) of the live deque
-    the writer holds.  The engine object itself is *not* shipped: engine
-    state is derived data, rebuilt on the target by replaying
-    ``window``.  ``result`` moves with the query so collected matches
-    survive the hop (a crashed worker's are gone).
-    """
-
-    status: str
-    error: Optional[str]
-    stats: QueryStats
-    result: Optional[StreamResult]
-    joined_seq: int
-    window: Tuple[Tuple[Edge, int], ...]
-
-
-@dataclass(frozen=True)
 class MigrationTicket:
     """MIGRATE_IN payload: one query's portable state, target-bound —
     how every query reaches a worker.
 
-    Assembled by the coordinator from the registration spec it mirrors
-    plus what the query's previous host knew (:mod:`repro.cluster.
-    migration`, "How every query reaches a worker").
+    Assembled by the coordinator from the registration spec it mirrors,
+    what the query's previous host knew (``status`` / ``error`` /
+    ``stats`` / ``result``: a :class:`QueryFinalState`, from the source
+    worker or from the coordinator's mirror) and the query's cut of the
+    coordinator's window (:mod:`repro.cluster.migration`, "How every
+    query reaches a worker").  ``window`` holds the ``(edge, global
+    seq)`` pairs the query's engine has inside the sliding window; the
+    engine object itself is *not* shipped — engine state is derived
+    data, rebuilt on the target by replaying ``window`` — and
+    ``result`` moves with the query so collected matches survive the
+    hop (a crashed worker's are gone).  A query that is not active
+    ships no window and no tail.
     ``code`` is the query id's interned code on the reply wire.
     ``joined_seq`` is the query's **global** join cursor: the stream
     position it first registered at, kept across migrations, restores
@@ -166,7 +154,8 @@ class MigrationTicket:
 
 @dataclass(frozen=True)
 class QueryFinalState:
-    """A worker's view of one query: status, counters and results."""
+    """A worker's view of one query: status, counters and results (the
+    reply to ``UNREGISTER``, ``DESCRIBE`` and ``MIGRATE_OUT``)."""
 
     status: str
     error: Optional[str]
@@ -199,8 +188,7 @@ class Reply:
     #: worker's completed spans follow from index 2, packed as ints by
     #: :func:`repro.obs.trace.pack_spans` (a count, then fixed-width
     #: records).  Extendable by appending (consumers index
-    #: defensively); empty when a worker predates the field or has
-    #: nothing to report.
+    #: defensively); empty when there is nothing to report.
     metrics: Tuple[int, ...] = ()
 
 

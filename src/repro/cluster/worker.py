@@ -51,6 +51,13 @@ _TRACED_VERBS = {
 }
 
 
+def _final_state(entry) -> QueryFinalState:
+    """What the coordinator learns of a query it asks about or takes
+    away."""
+    return QueryFinalState(entry.status.value, entry.error, entry.stats,
+                           entry.result)
+
+
 class ShardWorker:
     """Dispatcher around one shard's :class:`MatchService`.
 
@@ -97,13 +104,9 @@ class ShardWorker:
         if verb == protocol.DRAIN:
             return service.drain()
         if verb == protocol.UNREGISTER:
-            entry = service.unregister(payload)
-            return QueryFinalState(entry.status.value, entry.error,
-                                   entry.stats, entry.result)
+            return _final_state(service.unregister(payload))
         if verb == protocol.DESCRIBE:
-            entry = service.registry.get(payload)
-            return QueryFinalState(entry.status.value, entry.error,
-                                   entry.stats, entry.result)
+            return _final_state(service.registry.get(payload))
         if verb == protocol.QUERY_STATS:
             return service.registry.get(payload).stats
         if verb == protocol.QUARANTINE:
@@ -120,22 +123,16 @@ class ShardWorker:
             return None
         raise ValueError(f"unknown request verb {verb!r}")
 
-    def _migrate_out(self, query_id: str) -> protocol.MigrationSource:
-        """Detach one query: export its engine window, drop it from the
-        registry, and return everything the coordinator needs to rebuild
-        it elsewhere.  Registry-level removal (not ``service.
-        unregister``) keeps the service's registered/unregistered
-        counters untouched — a migration is not a user-visible retire.
-        """
-        service = self.service
-        entry = service.registry.get(query_id)
-        window = service.export_query_window(entry)
-        service.registry.unregister(query_id)
+    def _migrate_out(self, query_id: str) -> QueryFinalState:
+        """Detach one query: drop it from the registry and return its
+        status, counters and collected result.  Its window is not sent
+        back: the coordinator cuts it from its own.  Registry-level
+        removal (not ``service.unregister``) keeps the service's
+        registered/unregistered counters untouched — a migration is not
+        a user-visible retire."""
+        entry = self.service.registry.unregister(query_id)
         self._reported.discard(query_id)
-        return protocol.MigrationSource(
-            status=entry.status.value, error=entry.error,
-            stats=entry.stats, result=entry.result,
-            joined_seq=entry.joined_seq, window=window)
+        return _final_state(entry)
 
     def _migrate_in(self, ticket: protocol.MigrationTicket):
         """Host a query from its ticket (a registration, restore,

@@ -219,10 +219,6 @@ class QueryRegistry:
             self._entry_cache = list(self._entries.values())
         return self._entry_cache
 
-    def active(self) -> List[RegisteredQuery]:
-        """Entries still eligible for event routing."""
-        return [e for e in self._entries.values() if e.active]
-
     def __contains__(self, query_id: str) -> bool:
         return query_id in self._entries
 

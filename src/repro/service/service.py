@@ -162,14 +162,11 @@ class MatchService:
     delta:
         The shared window size; every hosted query matches within the
         same window (one stream, one window, many queries).
-    registry:
-        Optional pre-built :class:`QueryRegistry`; a fresh one by default.
     engine_factories:
         Optional engine-kind registry overriding the benchmark default.
     """
 
     def __init__(self, delta: int, *,
-                 registry: Optional[QueryRegistry] = None,
                  engine_factories: Optional[Dict[str, EngineFactory]] = None,
                  metrics=None, tracer=None):
         if delta <= 0:
@@ -181,7 +178,7 @@ class MatchService:
         #: None`` checks.
         self.tracer = tracer
         self.delta = delta
-        self.registry = registry or QueryRegistry(engine_factories)
+        self.registry = QueryRegistry(engine_factories)
         self.stats = ServiceStats()
         self._live: Deque[Tuple[Edge, int]] = deque()  # (edge, arrival seq)
         self._now: Optional[int] = None
@@ -529,8 +526,9 @@ class MatchService:
     def export_query_window(self, entry: RegisteredQuery
                             ) -> Tuple[Tuple[Edge, int], ...]:
         """``entry``'s :meth:`~repro.service.interest.QueryInterestIndex.
-        window_of` the live deque: the pairs inside its engine window.
-        Call *before* unregistering — the query must still be indexed."""
+        window_of` the live deque: the pairs inside its engine window,
+        what :meth:`host_query` replays when this service holds the
+        stream.  The query must be indexed."""
         if not entry.active:
             return ()
         return self.registry.interest.window_of(
@@ -551,7 +549,16 @@ class MatchService:
         knew, then :meth:`adopt_query` its window and tail.
         ``window=None``: this service already holds the stream (a
         checkpoint restore), so the query's cut of the live deque is its
-        window.  The service's registration counters stay untouched."""
+        window.  The service's registration counters stay untouched.
+
+        A cluster coordinator sends a shard no clock while none of its
+        queries holds an edge falling due, so the live deque may hold
+        edges whose window closed before ``final_now``: they expire
+        first, before the query joins — it never held them here."""
+        live = self._live
+        overdue = (final_now is not None and live
+                   and live[0][0].t + self.delta <= final_now)
+        notes = self.advance_to(final_now) if overdue else []
         entry = self.registry.register(query, labels, engine, **registration)
         entry.status, entry.error = QueryStatus(status), error
         entry.stats = stats
@@ -559,8 +566,9 @@ class MatchService:
             entry.result = result
         if window is None:
             window = self.export_query_window(entry)
-        return self.adopt_query(entry, window, tail, final_now=final_now,
-                                drain_tail=drained)
+        return notes + self.adopt_query(entry, window, tail,
+                                        final_now=final_now,
+                                        drain_tail=drained)
 
     def adopt_query(self, entry: RegisteredQuery,
                     window: Tuple[Tuple[Edge, int], ...],
@@ -589,7 +597,8 @@ class MatchService:
 
         Double-expiration safety: callers invoke this at a batch
         boundary, where every expiration due at or before the global
-        clock has been flushed — so the shared deque holds only edges
+        clock has been flushed (:meth:`host_query` flushes what a
+        coordinator left overdue) — so the shared deque holds only edges
         expiring *after* ``final_now``, while the private replay only
         ever expires edges due at or before it; the two sets cannot
         intersect.

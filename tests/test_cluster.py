@@ -5,17 +5,22 @@ the merged notification stream (and therefore every per-query
 occurrence/expiration multiset) of a ``ShardedMatchService`` with 1, 2
 or 4 workers must equal the in-process ``MatchService`` on the same
 scripted scenario — every engine kind, mid-stream register/unregister,
-and a checkpoint/restore cycle included.  On top of that sit the
-cluster-only behaviours: worker-crash quarantine, coordinator-side
-subscriber isolation, and placement routing around dead shards.
+and a checkpoint/restore cycle included — and a Hypothesis property
+holds random control scripts (ingest, advance, register, unregister,
+migrate, add / drain a worker) to the same bar.  On top of that sit the
+cluster-only behaviours: which shards a clock advance contacts,
+worker-crash quarantine, coordinator-side subscriber isolation, and
+placement routing around dead shards.
 """
 
 import inspect
+import itertools
 import json
 from dataclasses import astuple
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.cluster import (
     ShardedMatchService, UnpackableEdgeError, WorkerCrashError,
@@ -36,6 +41,7 @@ from repro.service.checkpoint import (
     restore as restore_single, resume_edges, snapshot as single_snapshot,
 )
 from repro.workloads import make_mixed_query_set
+from tests.test_recovery import hard_timeout  # noqa: F401 - a fixture
 
 AB_QUERY = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
 AB_LABELS = {0: "A", 1: "B"}
@@ -189,7 +195,7 @@ class TestEquivalence:
                         service.events_unshipped,
                         list(service.shard_shipped),
                         list(service.shard_unshipped),
-                        [list(due) for due in service._shard_expiries])
+                        list(service._live))
 
             before = state()
             for bad in (Edge("a", "b", 2), Edge(0, 1, 2.5),
@@ -227,6 +233,75 @@ class TestEquivalence:
             assert roundtrips(registry, 2) == [before[0] + 1, before[1]]
             assert service.advance_to(30) == []         # nothing left
             assert roundtrips(registry, 2) == [before[0] + 1, before[1]]
+
+
+class TestClockAdvanceFrames:
+    """A shard with nothing to ingest is sent a clock-advance frame
+    exactly when one of its queries holds an edge falling due: an edge
+    of the coordinator's window that the query is routed, is not
+    detached from, and that arrived at or after its join cursor."""
+
+    def both(self, single, service, call, *args, **kwargs):
+        """``call`` on both services; their answers must agree."""
+        answer = getattr(single, call)(*args, **kwargs)
+        assert getattr(service, call)(*args, **kwargs) == answer
+        return answer
+
+    def stats(self, service, query_id):
+        s = service.query_stats(query_id)
+        return s.occurred, s.expired, s.events_processed, s.errors
+
+    @pytest.mark.parametrize("leave", ["migrate", "unregister"])
+    def test_the_shard_a_query_left_is_not_contacted(self, leave):
+        single, registry = MatchService(5), MetricsRegistry()
+        with ShardedMatchService(5, workers=2, metrics=registry) as service:
+            for query_id in ("a", "b"):
+                self.both(single, service, "register", AB_QUERY, AB_LABELS,
+                          "tcm", query_id=query_id)
+            assert (service.shard_of("a"), service.shard_of("b")) == (0, 1)
+            self.both(single, service, "ingest", ab_edges(3))
+            if leave == "migrate":
+                service.migrate("a", 1)
+            else:
+                service.unregister("a")
+                single.unregister("a")
+            before = roundtrips(registry, 2)
+            expired = self.both(single, service, "advance_to", 20)
+            assert len(expired) == (6 if leave == "migrate" else 3)
+            assert roundtrips(registry, 2) == [before[0], before[1] + 1]
+
+    def test_a_query_that_joined_later_is_not_owed_the_expiration(self):
+        single, registry = MatchService(5), MetricsRegistry()
+        with ShardedMatchService(5, workers=2, metrics=registry) as service:
+            self.both(single, service, "register", AB_QUERY, AB_LABELS,
+                      "tcm", query_id="early")
+            self.both(single, service, "ingest", ab_edges(3))
+            self.both(single, service, "register", AB_QUERY, AB_LABELS,
+                      "tcm", query_id="late")
+            assert service.shard_of("late") == 1
+            before = roundtrips(registry, 2)
+            assert len(self.both(single, service, "advance_to", 20)) == 3
+            assert roundtrips(registry, 2) == [before[0] + 1, before[1]]
+
+    def test_a_query_landing_where_edges_are_overdue_never_held_them(self):
+        """Shard 0 keeps its copy of three edges past their window
+        (once ``a`` is gone nobody there holds them, so no clock is
+        sent); ``b`` already saw them expire on shard 1, and landing on
+        shard 0 must not dispatch it their expirations again."""
+        single = MatchService(5)
+        with ShardedMatchService(5, workers=2) as service:
+            for query_id in ("a", "b"):
+                self.both(single, service, "register", AB_QUERY, AB_LABELS,
+                          "tcm", query_id=query_id)
+            self.both(single, service, "ingest", ab_edges(3))
+            service.unregister("a")
+            single.unregister("a")
+            self.both(single, service, "advance_to", 10)
+            service.migrate("b", 0)
+            self.both(single, service, "ingest", ab_edges(1, start=11))
+            self.both(single, service, "drain")
+            assert self.stats(service, "b") == self.stats(single, "b") \
+                == (4, 4, 8, 0)
 
 
 class TestRouting:
@@ -948,3 +1023,86 @@ class TestPlacement:
         placement.quarantine(0)
         with pytest.raises(RuntimeError, match="no live shards"):
             placement.place("q")
+
+
+# ----------------------------------------------------------------------
+# The property: any control script, one process or many
+# ----------------------------------------------------------------------
+#: Queries are paths over A and B, so several shards often hold one
+#: edge; an edge at vertex 2 interests nobody.
+SCRIPT_LABELS = dict(enumerate("ABCABA"))
+SCRIPT_STEPS = ("ingest", "ingest", "advance", "register", "register",
+                "unregister", "migrate", "migrate", "add_worker",
+                "drain_worker")
+
+
+@st.composite
+def path_queries(draw):
+    labels = draw(st.lists(st.sampled_from("AB"), min_size=2, max_size=3))
+    edges = [(i, i + 1) for i in range(len(labels) - 1)]
+    order = [(0, 1)] if len(edges) == 2 and draw(st.booleans()) else []
+    return TemporalQuery(labels, edges, order)
+
+
+def counts(entry):
+    stats = entry.stats
+    return stats.occurred, stats.expired, stats.events_processed
+
+
+@pytest.mark.usefixtures("hard_timeout")
+# Every example forks workers, so shrinking a failure would run for
+# minutes: a failing script is reported as drawn.
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(workers=st.integers(min_value=1, max_value=3), data=st.data())
+def test_control_scripts_equal_one_process(workers, data):
+    """Ingests, clock advances, registrations, unregistrations,
+    migrations and worker adds / drains in any order: the merged
+    notifications are the in-process service's, list for list, and so
+    is every query's tally."""
+    single = MatchService(6)
+    ids, clock = itertools.count(), 1
+    with ShardedMatchService(6, workers=workers) as service:
+        for _ in range(data.draw(st.integers(min_value=3, max_value=40))):
+            step = data.draw(st.sampled_from(SCRIPT_STEPS))
+            registered = service.registered_ids()
+            live = [shard["shard"] for shard in service.health()["shards"]
+                    if shard["alive"]]
+            if step == "ingest":
+                edges = []
+                for _ in range(data.draw(st.integers(0, 6))):
+                    clock += data.draw(st.sampled_from((0, 1, 1, 3)))
+                    u, v = data.draw(st.lists(st.integers(0, 5), min_size=2,
+                                              max_size=2, unique=True))
+                    edges.append(Edge.make(u, v, clock))
+                assert service.ingest(edges) == single.ingest(edges)
+            elif step == "advance":
+                clock += data.draw(st.integers(1, 8))
+                assert service.advance_to(clock) == single.advance_to(clock)
+            elif step == "register":
+                query = data.draw(path_queries())
+                kind = data.draw(st.sampled_from(("tcm", "symbi")))
+                query_id = f"q{next(ids)}"
+                service.register(query, SCRIPT_LABELS, kind,
+                                 query_id=query_id)
+                single.register(query, SCRIPT_LABELS, kind,
+                                query_id=query_id)
+            elif step == "unregister" and registered:
+                query_id = data.draw(st.sampled_from(registered))
+                assert counts(service.unregister(query_id)) \
+                    == counts(single.unregister(query_id))
+            elif step == "migrate" and registered and len(live) > 1:
+                query_id = data.draw(st.sampled_from(registered))
+                source = service.shard_of(query_id)
+                target = data.draw(st.sampled_from(
+                    [None] + [shard for shard in live if shard != source]))
+                service.migrate(query_id, target)
+            elif step == "add_worker" and service.num_workers < 4:
+                service.add_worker()
+            elif step == "drain_worker" and len(live) > 1:
+                service.drain_worker(data.draw(st.sampled_from(live)))
+        assert service.drain() == single.drain()
+        for query_id in service.registered_ids():
+            assert counts(service.get(query_id)) \
+                == counts(single.registry.get(query_id))

@@ -381,6 +381,20 @@ class TestStagedMigration:
             assert entry.stats.occurred == 4
             assert not service.migration_state()["pending"]
 
+    def test_begin_with_nowhere_to_go_raises_before_detaching(self):
+        """Like ``migrate``: a ``MigrationError``, and the query is
+        still hosted where it was, active and not pending."""
+        with ShardedMatchService(5, workers=1) as service:
+            service.register(AB_QUERY, AB_LABELS, query_id="q")
+            service.ingest(ab_edges(3))
+            with pytest.raises(MigrationError, match="no live shards"):
+                service.begin_migrate("q")
+            assert not service.migration_state()["pending"]
+            assert service.shard_of("q") == 0
+            entry = service.get("q")
+            assert entry.active and entry.stats.occurred == 3
+            assert len(service.ingest(ab_edges(1, start=4))) == 1
+
     def test_finish_without_begin_raises(self):
         with ShardedMatchService(5, workers=2) as service:
             service.register(AB_QUERY, AB_LABELS, query_id="q")
