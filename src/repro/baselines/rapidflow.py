@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Set
 
-from repro.graph.temporal_graph import Edge, TemporalGraph
+from repro.graph.temporal_graph import Edge
 from repro.query.matching import (
     candidate_images, candidate_timestamps, orientations_of,
 )
@@ -47,8 +47,7 @@ class RapidFlowEngine(MatchEngine):
         super().__init__(query, labels, edge_label_fn)
         if query.num_edges == 0:
             raise ValueError("query must contain at least one edge")
-        self.graph = TemporalGraph(label_fn=labels.__getitem__,
-                                   directed=query.directed)
+        self.graph = self._window_graph()
         self._static_order = self._dense_first_order()
         self._vmap: List[Optional[int]] = [None] * query.num_vertices
         self._used_v: Set[int] = set()
@@ -65,16 +64,17 @@ class RapidFlowEngine(MatchEngine):
     # Event handling
     # ------------------------------------------------------------------
     def on_edge_insert(self, edge: Edge) -> List[Match]:
-        if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
-            return []  # duplicate (u, v, t): idempotent no-op
+        matches: List[Match] = []  # unless admitted, and not a duplicate
+        if self.graph.insert_edge(edge, label=self._edge_label(edge)):
+            matches = self._find(edge)
         self._note_event()
-        return self._find(edge)
+        return matches
 
     def on_edge_expire(self, edge: Edge) -> List[Match]:
-        if not self.graph.has_edge(edge):
-            return []  # expiration of a deduplicated arrival: no-op
-        matches = self._find(edge)
-        self.graph.remove_edge(edge)
+        matches: List[Match] = []  # unless the engine holds the edge
+        if self.graph.has_edge(edge):
+            matches = self._find(edge)
+            self.graph.remove_edge(edge)
         self._note_event()
         return matches
 

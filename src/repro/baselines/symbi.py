@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.dag import QueryDag, build_best_dag
 from repro.core.dcs import DCS
-from repro.graph.temporal_graph import Edge, TemporalGraph
+from repro.graph.temporal_graph import Edge
 from repro.query.matching import candidate_timestamps, orientations_of
 from repro.query.temporal_query import QueryEdge, TemporalQuery
 from repro.streaming.engine import MatchEngine
@@ -43,8 +43,7 @@ class SymBiEngine(MatchEngine):
         super().__init__(query, labels, edge_label_fn)
         if query.num_edges == 0:
             raise ValueError("query must contain at least one edge")
-        self.graph = TemporalGraph(label_fn=labels.__getitem__,
-                                   directed=query.directed)
+        self.graph = self._window_graph()
         self.dag: QueryDag = build_best_dag(query)
         self.dcs = DCS(self.dag, self.graph)
         self._vmap: List[Optional[int]] = [None] * query.num_vertices
@@ -52,10 +51,6 @@ class SymBiEngine(MatchEngine):
         self._out: List[Match] = []
         self._event_edge: Optional[Edge] = None
         self._event_qe: Optional[QueryEdge] = None
-        # Events whose endpoint labels match no query edge cannot hold
-        # candidates and skip everything but the window-graph mutation
-        # (see TCMEngine for the argument).
-        self._relevant_pairs = query.relevant_label_pairs()
         self.stats.extra.update(
             events=0, dcs_edges_sum=0, dcs_vertices_sum=0)
 
@@ -64,10 +59,8 @@ class SymBiEngine(MatchEngine):
     # ------------------------------------------------------------------
     def on_edge_insert(self, edge: Edge) -> List[Match]:
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
-            return []  # duplicate (u, v, t): idempotent no-op
-        if not self._is_relevant(edge):
             self._note_event()
-            return []
+            return []  # not admitted, or a duplicate (u, v, t)
         candidates = self._candidates_of(edge)
         self.dcs.apply(candidates, [])
         self._note_event()
@@ -75,12 +68,8 @@ class SymBiEngine(MatchEngine):
 
     def on_edge_expire(self, edge: Edge) -> List[Match]:
         if not self.graph.has_edge(edge):
-            return []  # expiration of a deduplicated arrival: no-op
-        if not self._is_relevant(edge):
-            self.graph.remove_edge(edge)
-            self.dcs.purge_dead_vertices((edge.u, edge.v))
             self._note_event()
-            return []
+            return []  # an edge the engine does not hold
         # Candidates must be computed while the edge (and its edge label)
         # is still in the graph: resolving them after removal loses the
         # edge label and would leak the entries of edge-labeled queries.
@@ -91,12 +80,6 @@ class SymBiEngine(MatchEngine):
         self.dcs.purge_dead_vertices((edge.u, edge.v))
         self._note_event()
         return matches
-
-    def _is_relevant(self, edge: Edge) -> bool:
-        """True if some query edge is endpoint-label compatible with the
-        event edge; irrelevant events only mutate the window graph."""
-        glabel = self.graph.label
-        return (glabel(edge.u), glabel(edge.v)) in self._relevant_pairs
 
     def _candidates_of(self, edge: Edge) -> List[Tuple[int, int, int, int]]:
         """Label-compatible (query edge, orientation) pairs for ``edge``
@@ -119,16 +102,11 @@ class SymBiEngine(MatchEngine):
     # Vertex-level backtracking + post-check expansion
     # ------------------------------------------------------------------
     def _find(self, edge: Edge,
-              candidates: Optional[List[Tuple[int, int, int, int]]] = None
-              ) -> List[Match]:
+              candidates: List[Tuple[int, int, int, int]]) -> List[Match]:
         self._out = []
         self._event_edge = edge
         dcs = self.dcs
         query = self.query
-        if candidates is None:
-            orients = orientations_of(query, edge)
-            candidates = [(qe.index, va, vb, edge.t)
-                          for qe in query.edges for va, vb in orients]
         for e, va, vb, t in candidates:
             if not dcs.has_edge(e, va, vb, t):
                 continue

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.graph.temporal_graph import Edge, TemporalGraph
+from repro.graph.temporal_graph import Edge
 from repro.query.matching import candidate_images, image_compatible
 from repro.query.temporal_query import QueryEdge, TemporalQuery
 from repro.streaming.engine import MatchEngine
@@ -99,8 +99,7 @@ class TimingEngine(MatchEngine):
         super().__init__(query, labels, edge_label_fn)
         if query.num_edges == 0:
             raise ValueError("query must contain at least one edge")
-        self.graph = TemporalGraph(label_fn=labels.__getitem__,
-                                   directed=query.directed)
+        self.graph = self._window_graph()
         self._positions: List[QueryEdge] = self._connected_edge_order()
         self._pos_of_edge = {qe.index: i
                              for i, qe in enumerate(self._positions)}
@@ -128,7 +127,8 @@ class TimingEngine(MatchEngine):
     # ------------------------------------------------------------------
     def on_edge_insert(self, edge: Edge) -> List[Match]:
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
-            return []  # duplicate (u, v, t): idempotent no-op
+            self._note_event()
+            return []  # not admitted, or a duplicate (u, v, t)
         delta_prev: List[Partial] = []
         for i, qe in enumerate(self._positions):
             delta_i: List[Partial] = []
@@ -147,7 +147,8 @@ class TimingEngine(MatchEngine):
 
     def on_edge_expire(self, edge: Edge) -> List[Match]:
         if not self.graph.has_edge(edge):
-            return []  # expiration of a deduplicated arrival: no-op
+            self._note_event()
+            return []  # an edge the engine does not hold
         expired: List[Partial] = []
         for i, level in enumerate(self._levels):
             victims = level.evict_edge(edge)

@@ -15,6 +15,12 @@ For expirations the matches are collected *before* the edge is removed,
 which reports exactly the embeddings that expire with it — the same
 output as the paper's ordering of Algorithm 1.
 
+Step 1 is also admission: the window graph never stores an edge whose
+endpoint labels no query edge has (``MatchEngine._window_graph``), and
+its arrival and expiration answer ``[]``.  Such an edge can neither be
+an image nor shift a max-min value or a D1/D2 bit (the DP reads only
+label-compatible pairs), and every neighbour scan below skips it.
+
 Batched ingestion (:meth:`TCMEngine.on_batch`)
 ----------------------------------------------
 Steps 2-3 dominate the per-event cost, and a heavy stream touches the
@@ -39,9 +45,10 @@ maintenance and runs it once per flush point instead of once per event:
   order, skips this test), and the labels of that query edge's other
   neighbours must occur among the other live neighbours of its images
   (set inclusion, O(degree); direction and edge labels ignored — a
-  weaker test is still necessary).  Any other arrival answers ``[]``
-  and its maintenance waits for the next flush; the batch ends with one,
-  so staleness never crosses a batch boundary.
+  weaker test is still necessary; both read admitted edges only, sound
+  since every edge of an embedding is admitted).  Any other arrival
+  answers ``[]`` and its maintenance waits for the next flush; the
+  batch ends with one, so staleness never crosses a batch boundary.
 
 Why the output is unchanged: the last-arrived edge ``L`` of an embedding
 ``M`` in the window passes both tests (every other edge of ``M`` has
@@ -75,7 +82,7 @@ from repro.core.backtrack import Backtracker
 from repro.core.dag import QueryDag, build_best_dag
 from repro.core.dcs import DCS
 from repro.core.maxmin import MaxMinIndex
-from repro.graph.temporal_graph import Edge, TemporalGraph
+from repro.graph.temporal_graph import Edge
 from repro.query.temporal_query import TemporalQuery
 from repro.streaming.engine import MatchEngine
 from repro.streaming.events import Event
@@ -101,8 +108,7 @@ class TCMEngine(MatchEngine):
             raise ValueError("query must contain at least one edge")
         self.use_tc_filter = use_tc_filter
         self.use_pruning = use_pruning
-        self.graph = TemporalGraph(label_fn=labels.__getitem__,
-                                   directed=query.directed)
+        self.graph = self._window_graph()
         self.dag: QueryDag = build_best_dag(query)
         self.rdag: QueryDag = self.dag.reverse()
         self.fwd = MaxMinIndex(self.dag, self.graph)
@@ -137,10 +143,10 @@ class TCMEngine(MatchEngine):
         match); otherwise the labels the other query neighbours of its
         endpoints require around ``edge.u`` and around ``edge.v``.
 
-        An edge whose labels have no row can neither hold candidate
-        entries nor shift any max-min value or D1/D2 bit (the DP only
-        reads timestamps of label-compatible pairs), so the engine
-        skips all filter maintenance and backtracking for it."""
+        The keys are ``query.relevant_label_pairs()``, which the window
+        graph admits: every stored edge has a row, no other is stored,
+        and the gate's neighbour test sees rowed edges only (sound:
+        every edge of an embedding has a row)."""
         query = self.query
         rows: Dict[Tuple[object, object], list] = {}
         for meta in query.edge_meta():
@@ -174,13 +180,11 @@ class TCMEngine(MatchEngine):
     # ------------------------------------------------------------------
     def on_edge_insert(self, edge: Edge) -> Sequence[Match]:
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
-            return []  # duplicate (u, v, t): idempotent no-op
+            self._note_event()
+            return []  # not admitted, or a duplicate (u, v, t)
         if edge.t > self._newest:
             self._newest = edge.t
         cands = self._event_edge_candidates(edge)
-        if not cands:
-            self._note_event()
-            return []
         affected = self._update_filter_indexes(edge, cands)
         adds, removes = self._diff_candidates(affected)
         self.dcs.apply(adds, removes)
@@ -189,13 +193,9 @@ class TCMEngine(MatchEngine):
 
     def on_edge_expire(self, edge: Edge) -> Sequence[Match]:
         if not self.graph.has_edge(edge):
-            return []  # expiration of a deduplicated arrival: no-op
-        cands = self._event_edge_candidates(edge)
-        if not cands:
-            self.graph.remove_edge(edge)
-            self._purge_dead_endpoints(edge)
             self._note_event()
-            return []
+            return []  # an edge the engine does not hold
+        cands = self._event_edge_candidates(edge)
         matches = self.backtracker.find_matches(edge, cands)
         self.graph.remove_edge(edge)
         affected = self._update_filter_indexes(edge, cands)
@@ -209,23 +209,22 @@ class TCMEngine(MatchEngine):
 
     def _event_edge_candidates(self, edge: Edge, rows=None
                                ) -> List[CandidatePair]:
-        """Candidate pairs the event edge touches, per query edge and
-        orientation; empty when the edge is irrelevant.
-        Label-compatible pairs only: an incompatible pair can never hold
-        DCS entries, so diffing it is a guaranteed no-op (vertex labels
-        are static)."""
+        """Candidate pairs the (admitted) event edge touches, per query
+        edge and orientation.  Label-compatible pairs only: an
+        incompatible pair can never hold DCS entries, so diffing it is a
+        guaranteed no-op (vertex labels are static)."""
         u, v = edge.u, edge.v
         if rows is None:
             glabel = self.graph.label
-            rows = self._rows.get((glabel(u), glabel(v)), ())
+            rows = self._rows[(glabel(u), glabel(v))]
         return [(e, v, u) if flipped else (e, u, v)
                 for e, flipped, _ in rows]
 
     def _purge_dead_endpoints(self, edge: Edge) -> None:
         """Evict the max-min and D1/D2 entries of endpoints that just
-        left the window (no propagation visits a vertex without edges; a
-        stale entry must neither be counted nor survive into the
-        vertex's next window life)."""
+        left the window with a deferred expiration (no propagation
+        visits a vertex without edges; a stale entry must neither be
+        counted nor survive into the vertex's next window life)."""
         graph = self.graph
         for v in (edge.u, edge.v):
             if not graph.has_vertex(v):
@@ -244,22 +243,19 @@ class TCMEngine(MatchEngine):
         affected: Set[CandidatePair] = set()     # candidate pairs to diff
         seeds: Set[Tuple[int, int]] = set()      # D1/D2 worklist seeds
         graph, dcs, stats = self.graph, self.dcs, self.stats
-        glabel, rows_of = graph.label, self._rows.get
+        glabel, rows_of = graph.label, self._rows.__getitem__
         find_matches = self.backtracker.find_matches
-        noted = edges_sum = vertices_sum = 0     # Table V, folded below
+        edges_sum = vertices_sum = 0             # Table V, folded below
         for event in events:
             edge = event.edge
             u, v, t = edge
             matches: Sequence[Match] = []
             if event.is_arrival:
-                if not graph.insert_edge(edge, label=self._edge_label(edge)):
-                    out.append(matches)
-                    continue
-                in_order = t >= self._newest
-                if in_order:
-                    self._newest = t
-                rows = rows_of((glabel(u), glabel(v)))
-                if rows:
+                if graph.insert_edge(edge, label=self._edge_label(edge)):
+                    in_order = t >= self._newest
+                    if in_order:
+                        self._newest = t
+                    rows = rows_of((glabel(u), glabel(v)))
                     cands = self._event_edge_candidates(edge, rows)
                     pairs.add((u, v))
                     affected.update(cands)
@@ -268,34 +264,27 @@ class TCMEngine(MatchEngine):
                         matches = find_matches(edge, cands)
                     else:
                         stats.arrivals_deferred += 1
-            else:
-                rows = rows_of((glabel(u), glabel(v)))
-                if not (graph.has_edge(edge) if rows
-                        else graph.discard_edge(edge)):
-                    out.append(matches)
-                    continue
-                if rows:
-                    cands = self._event_edge_candidates(edge, rows)
-                    matches = find_matches(edge, cands)
-                    graph.remove_edge(edge)
-                    # The DCS must never admit a dead edge into
-                    # backtracking, even while the refresh is deferred;
-                    # only an emptied list is visible to D1/D2.
-                    for e, a, b in cands:
-                        if dcs.discard_edge(e, a, b, t) == 2:
-                            dcs.add_seeds(e, a, b, seeds)
-                    pairs.add((u, v))
-                    affected.update(cands)
+            elif graph.has_edge(edge):
+                cands = self._event_edge_candidates(edge)
+                matches = find_matches(edge, cands)
+                graph.remove_edge(edge)
+                # The DCS must never admit a dead edge into backtracking,
+                # even while the refresh is deferred; only an emptied
+                # list is visible to D1/D2.
+                for e, a, b in cands:
+                    if dcs.discard_edge(e, a, b, t) == 2:
+                        dcs.add_seeds(e, a, b, seeds)
+                pairs.add((u, v))
+                affected.update(cands)
                 self._purge_dead_endpoints(edge)
-            noted += 1
             edges_sum += dcs.num_edges()
             vertices_sum += dcs.num_d2_vertices()
             out.append(matches)
         if pairs:   # whatever is pending came with its data pair
             self._flush(pairs, affected, seeds)
-        stats.events_processed += noted
+        stats.events_processed += len(events)
         extra = stats.extra
-        extra["events"] += noted
+        extra["events"] += len(events)
         extra["dcs_edges_sum"] += edges_sum
         extra["dcs_vertices_sum"] += vertices_sum
         stats.batches_processed += 1

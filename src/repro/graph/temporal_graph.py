@@ -104,15 +104,19 @@ class TemporalGraph:
       direction-sensitive (``u -> v`` only).
     * per-edge labels — pass ``label=`` to :meth:`insert_edge` and read
       back with :meth:`edge_label`.
+
+    With a set of ``label_pairs`` the graph admits only edges whose
+    ``(label(u), label(v))`` is in it (``MatchEngine._window_graph``).
     """
 
     def __init__(self, labels: Optional[Dict[int, object]] = None,
-                 label_fn=None, directed: bool = False):
+                 label_fn=None, directed: bool = False, label_pairs=None):
         if labels is not None and label_fn is not None:
             raise ValueError("pass either labels or label_fn, not both")
         self._labels = dict(labels) if labels is not None else None
         self._label_fn = label_fn
         self.directed = directed
+        self.label_pairs = label_pairs
         self._pair_ids: Dict[Tuple[int, int], int] = {}
         self._ts: List[array] = []
         self._adj: Dict[int, Dict[int, int]] = {}
@@ -182,12 +186,16 @@ class TemporalGraph:
     def insert_edge(self, edge: Edge, label: object = None) -> bool:
         """Insert ``edge``; returns True if inserted, False if the exact
         ``(u, v, t)`` triple is already present (insertion is idempotent:
-        a duplicate is a no-op, never a double-counted parallel edge).
+        a duplicate is a no-op, never a double-counted parallel edge) or
+        its endpoint-label pair is not admitted (``label_pairs``).
         ``label`` optionally attaches an edge label."""
         u, v, t = edge.u, edge.v, edge.t
         if not self.directed and u > v:
             raise ValueError(
                 f"undirected edges must be normalized (Edge.make): {edge}")
+        pairs = self.label_pairs
+        if pairs is not None and (self.label(u), self.label(v)) not in pairs:
+            return False
         pid = self._pair_id(u, v)
         slot = self._ts[pid]
         idx = bisect_left(slot, t)
@@ -395,7 +403,8 @@ class TemporalGraph:
     def copy(self) -> "TemporalGraph":
         """Deep copy of the adjacency structure (labels shared)."""
         clone = TemporalGraph(labels=self._labels, label_fn=self._label_fn,
-                              directed=self.directed)
+                              directed=self.directed,
+                              label_pairs=self.label_pairs)
         for edge in self.edges():
             clone.insert_edge(edge, label=self._edge_labels.get(edge))
         return clone

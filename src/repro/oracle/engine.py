@@ -4,7 +4,8 @@
 embeddings that contain the event edge.  On arrival it first applies the
 edge, on expiration it enumerates before removing the edge — exactly the
 delta semantics of the problem statement.  It exists so that every
-optimized engine can be diffed against unquestionable ground truth.
+optimized engine can be diffed against unquestionable ground truth, so
+it stores every edge: its graph is not the admitting ``_window_graph``.
 """
 
 from __future__ import annotations
@@ -30,20 +31,20 @@ class OracleEngine(MatchEngine):
                                    directed=query.directed)
 
     def on_edge_insert(self, edge: Edge) -> List[Match]:
+        self.stats.events_processed += 1
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
             return []  # duplicate (u, v, t): idempotent no-op
         matches = sorted(
             enumerate_embeddings(self.query, self.graph, must_contain=edge))
         self.stats.matches_emitted += len(matches)
-        self.stats.events_processed += 1
         return matches
 
     def on_edge_expire(self, edge: Edge) -> List[Match]:
+        self.stats.events_processed += 1
         if not self.graph.has_edge(edge):
             return []  # expiration of a deduplicated arrival: no-op
         matches = sorted(
             enumerate_embeddings(self.query, self.graph, must_contain=edge))
         self.graph.remove_edge(edge)
         self.stats.matches_emitted += len(matches)
-        self.stats.events_processed += 1
         return matches

@@ -169,8 +169,8 @@ class TemporalQuery:
         """Memoized endpoint-label pairs some query edge can match.
 
         A data edge whose ``(label(u), label(v))`` is not in this set
-        can never be the image of any query edge — the engines use it
-        to skip filter maintenance and backtracking for such events.
+        can never be the image of any query edge, so no engine stores it
+        (:meth:`~repro.streaming.engine.MatchEngine._window_graph`).
         Undirected queries admit both endpoint orders.
         """
         pairs = self._relevant_label_pairs

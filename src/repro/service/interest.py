@@ -1,14 +1,15 @@
 """Interest-aware event routing for the multi-query service.
 
-Every matching engine already skips *inside* its event handler when the
-event's endpoint labels cannot match any query edge (the
-``relevant_label_pairs`` check added with the batched hot path).  That
-skip still costs one engine dispatch per (event, query) pair — the
-service fans every event out to every registered engine, so a service
-hosting N mostly-disjoint queries pays O(N) per event for work that is
-almost entirely "not interested".
+Every matching engine stores an edge only when its endpoint labels can
+match some query edge (``relevant_label_pairs``, the admission of
+``MatchEngine._window_graph``).  Answering ``[]`` to any other event
+still costs one engine dispatch per (event, query) pair, so a service
+hosting N mostly-disjoint queries would pay O(N) per event for work
+that is almost entirely "not interested".
 
-:class:`QueryInterestIndex` lifts the same filter one layer up.  It maps
+:class:`QueryInterestIndex` lifts the same decision one layer up (its
+keys, projected onto endpoint labels, are those pairs: it never routes
+an edge an engine would not admit).  It maps
 interned ``(src_label, dst_label, edge_label)`` keys — the label triple
 of a data edge — to the set of query ids whose query graph contains an
 edge that triple could match.  The index is maintained incrementally on

@@ -23,7 +23,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.graph.temporal_graph import Edge
+from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query.temporal_query import TemporalQuery
 from repro.streaming.events import Event
 from repro.streaming.match import Match
@@ -37,7 +37,10 @@ class EngineStats:
     sizes feed the memory comparison (Figure 10) and the filtering-power
     table (Table V).  ``events_processed`` / ``batches_processed`` track
     how much stream the engine has absorbed and through which ingestion
-    path (a per-event call counts as an event with no batch);
+    path (a per-event call counts as an event with no batch): every
+    event handed to an engine counts once there and in
+    ``extra["events"]``, on both paths, admitted or not, duplicate or
+    not, as ``StreamResult.events_processed`` counts it.
     ``filter_flushes`` / ``arrivals_deferred`` say how often a batched
     engine brought its filter up to date and how many relevant arrivals
     it answered without doing so (TCM's flush gate).  ``match_groups``
@@ -83,6 +86,16 @@ class MatchEngine(abc.ABC):
         self.labels = labels
         self.edge_label_fn = edge_label_fn
         self.stats = EngineStats()
+
+    def _window_graph(self) -> TemporalGraph:
+        """The engine's window graph.  It is the one admission decision:
+        ``insert_edge`` stores an edge only if its endpoint-label pair is
+        in ``query.relevant_label_pairs()`` (every edge of an embedding
+        is) and answers False, as for a duplicate, otherwise; a missing
+        label raises ``KeyError`` before anything changed."""
+        return TemporalGraph(label_fn=self.labels.__getitem__,
+                             directed=self.query.directed,
+                             label_pairs=self.query.relevant_label_pairs())
 
     def _edge_label(self, edge: Edge) -> object:
         """The stream-supplied label of a data edge (None = unlabeled)."""

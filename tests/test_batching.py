@@ -8,6 +8,7 @@ notifications however the stream is split into batches.
 """
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.graph.temporal_graph import Edge
 from repro.oracle import OracleEngine
 from repro.query.temporal_query import TemporalQuery
 from repro.service import MatchService
+from repro.service.interest import query_pattern_keys
 from repro.streaming import StreamDriver
 from repro.streaming.events import Event, EventKind, build_event_list
 
@@ -297,9 +299,10 @@ class _TallyDCS(DCS):
     [Event(Edge.make(100, 101, 10 ** 6), 10 ** 6, EventKind.ARRIVAL)],
 ])
 def test_event_accounting_matches_per_event_path(tail):
-    """``events_processed`` / ``extra["events"]`` count what the
-    per-event path counts (no duplicates, no absent expirations), and
-    folding Table V's sums once per batch loses nothing."""
+    """``events_processed`` / ``extra["events"]`` count every event the
+    engine is handed, on both paths: admitted or not, duplicate
+    arrivals and absent expirations included (``EngineStats``' rule).
+    Folding Table V's sums once per batch loses nothing."""
     query = TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)])
     labels, events = _seeded_events()
     labels.update({100: "A", 101: "B"})
@@ -307,28 +310,62 @@ def test_event_accounting_matches_per_event_path(tail):
     absent = Event(Edge.make(0, 1, 10 ** 5), 10 ** 5, EventKind.EXPIRATION)
     events.insert(50, absent)
 
-    base = TCMEngine(query, labels)
-    _per_event(base, events)
-    batched = TCMEngine(query, labels)
-    batched.dcs.__class__ = _TallyDCS
-    for lo in range(0, len(events), 16):
-        batched.on_batch(events[lo:lo + 16])
+    for engine_name in ("tcm", "symbi"):
+        base = make_engine(engine_name, query, labels)
+        _per_event(base, events)
+        batched = make_engine(engine_name, query, labels)
+        batched.dcs.__class__ = _TallyDCS
+        for lo in range(0, len(events), 16):
+            batched.on_batch(events[lo:lo + 16])
 
-    assert base.stats.events_processed == batched.stats.events_processed \
-        == len(events) - 3
-    assert batched.stats.extra["events"] == base.stats.extra["events"] \
-        == batched.dcs.reads == len(events) - 3
-    assert batched.stats.extra["dcs_edges_sum"] == batched.dcs.edges_seen
-    assert batched.stats.extra["dcs_vertices_sum"] \
-        == batched.dcs.vertices_seen
-    if tail:
-        assert batched.stats.arrivals_deferred > 0
-        assert batched.on_batch([]) == []
+        assert base.stats.events_processed \
+            == batched.stats.events_processed == len(events)
+        assert batched.stats.extra["events"] == base.stats.extra["events"] \
+            == batched.dcs.reads == len(events)
+        assert batched.stats.extra["dcs_edges_sum"] \
+            == batched.dcs.edges_seen
+        assert batched.stats.extra["dcs_vertices_sum"] \
+            == batched.dcs.vertices_seen
+        if tail:
+            # TCM's last batch ended in a deferred arrival.
+            assert (batched.stats.arrivals_deferred > 0) \
+                == (engine_name == "tcm")
+            assert batched.on_batch([]) == []
 
 
 # ----------------------------------------------------------------------
-# Nothing outlives the window
+# Nothing outlives the window, nothing irrelevant enters it
 # ----------------------------------------------------------------------
+#: Undirected, directed and edge-labelled, over the labels ``ABCZ``.
+WINDOW_QUERIES = [
+    TemporalQuery(["A", "B", "A"], [(0, 1), (1, 2)], [(0, 1)]),
+    TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)],
+                  directed=True),
+    TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)],
+                  edge_labels=["x", None]),
+]
+
+
+def _window_instances(seeds, n):
+    """Per seed and query of :data:`WINDOW_QUERIES`: ``(rng, labels,
+    query, edge-label function, edges, delta)``, ``n`` edges on 4-9
+    vertices labelled ``ABCZ``, with repeated ``(u, v, t)`` triples now
+    and then."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        num_vertices = rng.randint(4, 9)
+        labels = {v: rng.choice("ABCZ") for v in range(num_vertices)}
+        for query in WINDOW_QUERIES:
+            make = Edge.make_directed if query.directed else Edge.make
+            t, edges = 0, []
+            for _ in range(n):
+                t += rng.randint(0, 2)
+                u, v = rng.sample(range(num_vertices), 2)
+                edges.append(make(u, v, t))
+            elf = _edge_label_of if any(query.edge_labels) else None
+            yield rng, labels, query, elf, edges, rng.randint(2, 8)
+
+
 @pytest.mark.parametrize("engine_name", ["tcm", "tcm-pruning", "symbi"])
 @pytest.mark.parametrize("batch_size", [None, 1, 7])
 def test_drained_engine_holds_no_entries(engine_name, batch_size):
@@ -336,31 +373,87 @@ def test_drained_engine_holds_no_entries(engine_name, batch_size):
     edge was label-irrelevant (or, for the per-event path and for
     edge-labelled queries, simply held no candidate), and Fig 10's
     accounting counted them for ever."""
-    queries = [
-        TemporalQuery(["A", "B", "A"], [(0, 1), (1, 2)], [(0, 1)]),
-        TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)],
-                      directed=True),
-        TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2)], [(0, 1)],
-                      edge_labels=["x", None]),
-    ]
-    for seed in range(12):
-        rng = random.Random(seed)
-        num_vertices = rng.randint(4, 9)
-        labels = {v: rng.choice("ABCZ") for v in range(num_vertices)}
-        for query in queries:
-            make = Edge.make_directed if query.directed else Edge.make
-            t, edges = 0, []
-            for _ in range(60):
-                t += rng.randint(0, 2)
-                u, v = rng.sample(range(num_vertices), 2)
-                edges.append(make(u, v, t))
-            engine = make_engine(
-                engine_name, query, labels,
-                _edge_label_of if any(query.edge_labels) else None)
-            StreamDriver(engine, batch_size=batch_size).run_edges(
-                edges, rng.randint(2, 8))
-            assert engine.graph.num_edges() == 0
-            assert engine.structure_entries() == 0, (seed, query)
+    for _, labels, query, elf, edges, delta in _window_instances(
+            range(12), 60):
+        engine = make_engine(engine_name, query, labels, elf)
+        StreamDriver(engine, batch_size=batch_size).run_edges(edges, delta)
+        assert engine.graph.num_edges() == 0
+        assert engine.structure_entries() == 0, query
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+@pytest.mark.parametrize("feed", ["batch", "per_event", "mixed"])
+def test_graph_holds_exactly_the_admitted_live_edges(engine_name, feed):
+    """Admission is one decision whichever path feeds the engine: after
+    every call the window graph holds exactly the live edges whose
+    endpoint labels are in ``query.relevant_label_pairs()``.  ``mixed``
+    alternates ``on_batch`` with the per-event methods on one engine,
+    the case that leaks if only one path skips; every feed drains to
+    an empty graph and no entries."""
+    for rng, labels, query, elf, edges, delta in _window_instances(
+            range(6), 40):
+        relevant = query.relevant_label_pairs()
+        engine = make_engine(engine_name, query, labels, elf)
+        events = build_event_list(edges, delta)
+        live, lo = set(), 0
+        while lo < len(events):
+            chunk = events[lo:lo + rng.randint(1, 9)]
+            lo += len(chunk)
+            if feed == "batch" or (feed == "mixed" and rng.random() < .5):
+                engine.on_batch(chunk)
+            else:
+                _per_event(engine, chunk)
+            for event in chunk:
+                (live.add if event.is_arrival else live.discard)(event.edge)
+            admitted = {edge for edge in live
+                        if (labels[edge.u], labels[edge.v]) in relevant}
+            assert set(engine.graph.edges()) == admitted, query
+            assert engine.graph.num_edges() == len(admitted)
+        assert engine.graph.num_edges() == 0
+        assert engine.structure_entries() == 0, query
+
+
+def test_service_routing_and_engine_admission_agree():
+    """Projected onto endpoint labels, the interest index's keys of a
+    query are its relevant label pairs, and those are the keys of TCM's
+    rows: the service never routes an edge an engine would not admit,
+    whatever the query's shape, order, direction and edge labels."""
+    labels = {0: "A", 1: "B", 2: "C"}
+    for vlabels, qedges, orders in SHAPES:
+        for order in orders:
+            for directed in (False, True):
+                for edge_labels in (None,
+                                    ["x"] + [None] * (len(qedges) - 1)):
+                    query = TemporalQuery(vlabels, qedges, order,
+                                          directed=directed,
+                                          edge_labels=edge_labels)
+                    routed = {(src, dst) for src, dst, _ in
+                              query_pattern_keys(query)}
+                    assert routed == query.relevant_label_pairs() \
+                        == set(TCMEngine(query, labels)._rows)
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+@pytest.mark.parametrize("batched", [False, True])
+def test_unlabelled_endpoint_raises_before_any_change(engine_name,
+                                                      batched):
+    """An arrival with an endpoint without a label raises ``KeyError``
+    at admission, on either path, before anything changed (TCM used to
+    store the edge and fail after).  The edge is not held, so its
+    expiration is an answered no-op, and the engine goes on as if
+    neither event had come."""
+    engine = make_engine(engine_name, PATH, {0: "A", 1: "B", 2: "A"})
+    _per_event(engine, [Event(Edge.make(0, 1, 1), 1, EventKind.ARRIVAL)])
+    feed = engine.on_batch if batched else partial(_per_event, engine)
+    held = (set(engine.graph.edges()), engine.structure_entries())
+    unlabelled = Edge.make(1, 9, 2)
+    with pytest.raises(KeyError):
+        feed([Event(unlabelled, 2, EventKind.ARRIVAL)])
+    assert (set(engine.graph.edges()), engine.structure_entries()) == held
+    assert engine.stats.events_processed == 1
+    assert feed([Event(unlabelled, 2, EventKind.EXPIRATION)]) == [[]]
+    completing = Event(Edge.make(1, 2, 3), 3, EventKind.ARRIVAL)
+    assert len(feed([completing])[0]) == 1
 
 
 def test_batch_counters_advance():

@@ -68,6 +68,22 @@ class TestTemporalGraph:
         assert g.insert_edge(Edge.make_directed(2, 1, 5)) is True
         assert g.num_edges() == 2
 
+    def test_label_pairs_admit_only_their_edges(self):
+        """A graph with ``label_pairs`` stores an edge only if its
+        ``(label(u), label(v))`` is one of them (in that order when
+        directed); refusing one changes nothing, and a missing label
+        raises before anything changed."""
+        g = TemporalGraph(labels={1: "A", 2: "B", 3: "A"}, directed=True,
+                          label_pairs={("A", "B")})
+        assert g.insert_edge(Edge.make_directed(1, 2, 5)) is True
+        assert g.insert_edge(Edge.make_directed(2, 3, 6)) is False
+        assert g.insert_edge(Edge.make_directed(1, 3, 7)) is False
+        with pytest.raises(KeyError):
+            g.insert_edge(Edge.make_directed(1, 9, 8))
+        assert list(g.edges()) == [Edge.make_directed(1, 2, 5)]
+        assert set(g.vertices()) == {1, 2}
+        assert g.copy().label_pairs == {("A", "B")}
+
     def test_remove_edge(self):
         g = make_graph()
         g.insert_edge(Edge.make(1, 2, 5))
