@@ -25,8 +25,8 @@ from repro.streaming import (
 from repro.core import QueryDag, TCMEngine, build_best_dag, build_dag
 from repro.oracle import OracleEngine, enumerate_embeddings
 from repro.service import (
-    MatchNotification, MatchService, QueryRegistry, load_checkpoint,
-    save_checkpoint,
+    MatchNotification, MatchService, Notifications, QueryRegistry,
+    load_checkpoint, save_checkpoint,
 )
 from repro.cluster import ShardedMatchService
 
@@ -39,7 +39,7 @@ __all__ = [
     "StreamDriver", "StreamResult", "build_event_list",
     "QueryDag", "TCMEngine", "build_best_dag", "build_dag",
     "OracleEngine", "enumerate_embeddings",
-    "MatchNotification", "MatchService", "QueryRegistry",
+    "MatchNotification", "MatchService", "Notifications", "QueryRegistry",
     "ShardedMatchService",
     "load_checkpoint", "save_checkpoint",
     "__version__",

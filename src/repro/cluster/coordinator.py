@@ -102,7 +102,7 @@ from repro.query.temporal_query import TemporalQuery
 from repro.service.interest import QueryInterestIndex, query_pattern_keys
 from repro.service.registry import QueryStatus
 from repro.service.service import (
-    MatchNotification, OutOfOrderError, validated_prefix,
+    MatchNotification, Notifications, OutOfOrderError, validated_prefix,
 )
 from repro.service.stats import QueryStats, ServiceStats
 from repro.streaming.driver import StreamResult
@@ -469,7 +469,7 @@ class ShardedMatchService:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, edges: Iterable[Edge]) -> List[MatchNotification]:
+    def ingest(self, edges: Iterable[Edge]) -> Notifications:
         """Ship one chronological batch to the shards that need it.
 
         The batch is split per shard on the coordinator's interest
@@ -500,7 +500,7 @@ class ShardedMatchService:
                else None)
         try:
             prefix, failure = validated_prefix(edges, self._now)
-            notifications: List[MatchNotification] = []
+            notifications = Notifications()
             if prefix:
                 # Queries paused mid-migration buffer their share of
                 # the batch for replay at finish.
@@ -586,14 +586,13 @@ class ShardedMatchService:
                                           trace=ctx)
                 for shard, sub_batch in pairs.items() if shard not in idle}
 
-    def process_batch(self, edges: Iterable[Edge]
-                      ) -> List[MatchNotification]:
+    def process_batch(self, edges: Iterable[Edge]) -> Notifications:
         """API parity with :meth:`MatchService.process_batch`: the
         coordinator's :meth:`ingest` is already batch-granular (one
         exchange per batch; workers feed engines through ``on_batch``)."""
         return self.ingest(edges)
 
-    def advance_to(self, t: int) -> List[MatchNotification]:
+    def advance_to(self, t: int) -> Notifications:
         """Advance the clock to ``t`` without ingesting edges, expiring
         every edge whose window has closed: an empty batch with a later
         clock, so only shards with expirations due are contacted."""
@@ -612,7 +611,7 @@ class ShardedMatchService:
         self.stats.elapsed_seconds += time.perf_counter() - start
         return notifications
 
-    def drain(self) -> List[MatchNotification]:
+    def drain(self) -> Notifications:
         """Expire every remaining live edge (end of stream); like the
         in-process service, the arrival cursor is left untouched."""
         self._ensure_open()
@@ -653,7 +652,7 @@ class ShardedMatchService:
         return self._migrations.begin(query_id, target,
                                       max_tail=max_tail, reason=reason)
 
-    def finish_migrate(self, query_id: str) -> List[MatchNotification]:
+    def finish_migrate(self, query_id: str) -> Notifications:
         """Complete a staged migration; returns the tail-replay
         notifications (already delivered to subscribers)."""
         self._ensure_open()
@@ -1223,15 +1222,14 @@ class ShardedMatchService:
 
     # -- merge + delivery ----------------------------------------------
     def _collect(self, replies: Dict[int, Reply],
-                 parent=None) -> List[MatchNotification]:
-        """Merge per-shard notification lists into global event order."""
+                 parent=None) -> Notifications:
+        """Merge per-shard runs into global event order."""
         obs = self.metrics
         tracer = self.tracer if parent is not None else None
         merge_start = time.perf_counter() if obs is not None else 0.0
         with maybe_span(tracer, "merge", parent=parent):
-            notifications: List[MatchNotification] = []
-            for reply in replies.values():
-                notifications.extend(reply.payload)
+            runs = [run for reply in replies.values()
+                    for run in reply.payload.runs]
             # A single shard's stream arrives in its worker's *local*
             # registry order; once a migration has landed anywhere that
             # order may disagree with global registration order, so the
@@ -1239,27 +1237,27 @@ class ShardedMatchService:
             if len(replies) > 1 or self._migrations.permuted:
                 reg_index = {query_id: index for index, query_id
                              in enumerate(self._queries)}
-                notifications.sort(key=lambda n: (
-                    n.event.time, n.event.is_arrival, n.seq,
-                    reg_index.get(n.query_id, -1)))
+                runs.sort(key=lambda run: (
+                    run.event.time, run.event.is_arrival, run.seq,
+                    reg_index.get(run.query_id, -1)))
         if obs is not None:
             self._h_merge.observe(time.perf_counter() - merge_start)
-        return notifications
+        return Notifications(runs)
 
-    def _deliver(self, notifications: List[MatchNotification]) -> None:
-        """Run coordinator-side subscribers over the merged feed."""
+    def _deliver(self, notifications: Notifications) -> None:
+        """Run coordinator-side subscribers over the merged feed,
+        building notifications only for a query that has some."""
         muted: set = set()
-        for notification in notifications:
-            if notification.query_id in muted:
+        for run in notifications.runs:
+            info = self._queries.get(run.query_id)
+            if info is None or not info.subscribers or run.query_id in muted:
                 continue
-            info = self._queries.get(notification.query_id)
-            if info is None or not info.subscribers:
-                continue
-            for callback in list(info.subscribers):
+            for notification in Notifications.built(run):
                 try:
-                    callback(notification)
+                    for callback in list(info.subscribers):
+                        callback(notification)
                 except Exception as exc:  # noqa: BLE001 - isolation
-                    muted.add(notification.query_id)
+                    muted.add(run.query_id)
                     self._quarantine_query(info, exc)
                     break
 

@@ -481,7 +481,7 @@ class MigrationManager:
                 continue
             svc._placement.move(info.query_id, target)
             self.permuted = True
-            return target, (reply.payload or [])
+            return target, reply.payload
 
     def _lost(self, info) -> None:
         """Every candidate target died mid-restore: the query's state

@@ -13,10 +13,9 @@ directions are packed into flat ``array('q')`` frames instead:
   share of a batch: edges paired with global sequence numbers, plus the
   batch's closing cursor; :func:`encode_migrate_in` packs the window
   and tail of the ticket every query reaches a worker by;
-* **replies** (:func:`encode_reply`) carry the notification stream,
-  each fact once: the distinct edges in a table, query ids as interned
-  integer codes, and one header per run of embeddings that one event
-  reported for one query (layout below).
+* **replies** (:func:`encode_reply`) carry the runs of a
+  :class:`~repro.service.Notifications` as the engines reported them:
+  vertex-map groups of timestamp rows (layout below).
 
 Packed frames are the only way edges reach a worker, so the
 coordinator calls :func:`require_packable` on every batch before it
@@ -34,41 +33,41 @@ coordinator assigns each id a code at registration time, and the code
 rides the query's ticket to whichever worker hosts it, so every reply
 can refer to queries by code.
 
-Reply layout.  One event reports many embeddings that differ in a
-single image (the paper's pruning rules exist because parallel edges do
-exactly that), so a reply mentions few distinct edges many times.  After
-the magic, as int64 values::
+Reply layout.  A run is what one engine reported for one event: the
+paper's rule 1 clones embeddings across parallel edges, so it is a few
+vertex maps, each with many rows of timestamps (a
+:class:`~repro.streaming.match.MatchBlock`).  An image is its query
+edge's ends under the vertex map plus the row's timestamp, so no match
+edge travels.  After the magic, as int64 values::
 
     head        routed, skipped, m, metric * m
-    edge table  n, (u, v, t) * n          distinct edges, first use first
-    runs        r, then r times:
+    edge table  n, (u, v, t) * n    the runs' event edges, first use first
+    shapes      s, then s times:    one per query code present
+                query code, directed (1 / 0), num_vertices, k,
+                (u, v) * k          the ends of each query edge
+    runs        r, then r times, in the sequence's order:
       header    query code, kind (1 arrival / 0 expiration),
-                table index of the event's edge, event time, seq,
-                num_vertices, num_edges, count
-      rows      count * (num_vertices vertex images,
-                         num_edges table indices)
+                table index of the event's edge, event time, seq, g
+      groups    g times: num_vertices vertex images, c, c * k timestamps
 
-A run is a maximal stretch of consecutive notifications with the same
-event object, query, seq and map sizes; the encoder opens a new one
-whenever any of those changes, so every notification order round-trips
-and only the frame's size depends on the event-major order
-``MatchService`` emits.  The decoder builds each table edge once and
-one ``Event`` per run, so a decoded reply's notifications share those
-objects (the in-process service's share one ``Event`` per event too):
-about three objects tracked by the cyclic collector per notification
-instead of ten.  Request layouts are in the encoders' docstrings.
+The decoder builds one ``Event`` and one ``MatchBlock`` per run and no
+``Match``: a decoded reply is read, or not, like a local result.  A
+baseline engine's list of matches goes through one converter into a
+block; a list with an image its vertex map and timestamp do not
+rebuild cannot, and its reply is pickled.  Request layouts are in the
+encoders' docstrings.
 
 Decoders trust nothing they can check: a frame whose length is not
 whole values, whose declared counts do not end exactly at its last
-value, or that names an edge index or query code out of range raises
+value, or that holds a code, index or flag out of range raises
 :class:`FrameError` instead of decoding to something else.
 
 Frames are sniffed by a 4-byte magic prefix that cannot collide with a
 pickle stream (protocol 2+ pickles start with ``\\x80``), so binary and
 pickled messages interleave freely on one connection: checkpoints and
 control verbs stay pickled, and a reply that cannot be packed (request
-failures, piggybacked error lists, payloads that are not notification
-lists) silently falls back to pickle.  Frames use machine-native
+failures, piggybacked error lists, payloads that are not
+``Notifications``) silently falls back to pickle.  Frames use machine-native
 ``array('q')`` byte order — both ends of a ``multiprocessing.Pipe``
 live on the same host.
 """
@@ -79,19 +78,20 @@ import pickle
 from array import array
 from dataclasses import replace
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster import protocol
 from repro.cluster.protocol import Reply, RoutedBatch
 from repro.graph.temporal_graph import Edge
-from repro.service.service import MatchNotification
+from repro.service.service import Notifications, Run
 from repro.streaming.events import Event, EventKind
-from repro.streaming.match import Match
+from repro.streaming.match import MatchBlock
 
 #: Magic prefixes (first byte deliberately outside pickle's opcodes).
 MAGIC_REQUEST = b"RWQ1"
-MAGIC_REPLY = b"RWR2"
+MAGIC_REPLY = b"RWR3"
 
 #: Request frame modes.  0 and 2 were the per-event forms of 1 and 3;
 #: they are retired and decode as unknown, never as a live mode.
@@ -337,84 +337,113 @@ def _decode_request(data: bytes):
 # ----------------------------------------------------------------------
 # Replies (worker -> coordinator)
 # ----------------------------------------------------------------------
-def encode_reply(reply: Reply,
-                 codes: Dict[str, int]) -> Optional[bytes]:
+#: A run header's kind value, both ways.
+_KIND_VALUE = {EventKind.ARRIVAL: 1, EventKind.EXPIRATION: 0}
+_KIND_OF = {1: EventKind.ARRIVAL, 0: EventKind.EXPIRATION}
+
+
+def reply_shape(code: int, query) -> tuple:
+    """What :func:`encode_reply` needs of a hosted query: the shape of
+    its blocks (``MatchBlock.ends``, ``.undirected``), its vertex count,
+    and its shape record on the wire, which opens with ``code``."""
+    ends = tuple((qe.u, qe.v) for qe in query.edges)
+    return (ends, not query.directed, query.num_vertices,
+            (code, int(query.directed), query.num_vertices, len(ends),
+             *chain.from_iterable(ends)))
+
+
+def _as_block(matches, ends, undirected: bool) -> Optional[MatchBlock]:
+    """``matches`` as a block of the query's shape: a block as it is, a
+    baseline's list grouped by consecutive vertex maps, kept only if it
+    reads back as the list (each image is its query edge's ends under
+    the vertex map, at its timestamp)."""
+    if type(matches) is MatchBlock:
+        same = matches.ends == ends and matches.undirected == undirected
+        return matches if same else None
+    block = MatchBlock(ends, undirected, [
+        (vertex_map, [tuple(image[2] for image in match[1])
+                      for match in group])
+        for vertex_map, group in groupby(matches, key=itemgetter(0))],
+        len(matches))
+    return block if block == matches else None
+
+
+def encode_reply(reply: Reply, shapes: Dict[str, tuple]) -> Optional[bytes]:
     """Pack a reply, or return None when it must stay pickled.
 
     Encodable replies — to whatever request — have no failure, no
-    piggybacked error list, and a payload that is a list of
-    integer-valued :class:`MatchNotification` objects with non-empty
-    maps whose query ids are all interned in ``codes``.
-
-    Every distinct edge is written once, in first-use order, and every
-    other mention of it is its index in that table.  A run is opened
-    whenever the event object, the query, the seq or a map size
-    differs from the previous notification's, so any notification order
-    round-trips; the frame is compact when a reply is event-major, as
-    :class:`~repro.service.MatchService` emits it.
+    piggybacked error list, and a :class:`~repro.service.Notifications`
+    payload of int64 values whose every run's query has a
+    :func:`reply_shape` in ``shapes`` and matches that convert to a
+    block of that shape.
     """
     if reply.failure is not None or reply.errors:
         return None
     notes = reply.payload
-    if type(notes) is not list:
+    if type(notes) is not Notifications:
         return None
     table: Dict[Edge, int] = {}
     index_of = table.setdefault
+    described: Dict[int, tuple] = {}
     runs = array("q")
     num_runs = 0
-    count_at = 0    # slot of the open run's count
-    run_event = run_query = run_seq = None
-    num_vertices = num_edges = -1
     try:
-        for query_id, event, (vertex_map, edge_map), seq in notes:
-            if not (event is run_event and query_id == run_query
-                    and seq == run_seq
-                    and len(vertex_map) == num_vertices
-                    and len(edge_map) == num_edges):
-                run_event, run_query, run_seq = event, query_id, seq
-                num_vertices, num_edges = len(vertex_map), len(edge_map)
-                if not (num_vertices and num_edges):
+        for query_id, event, seq, matches in notes.runs:
+            if not matches:
+                continue
+            ends, undirected, num_vertices, record = shapes[query_id]
+            block = _as_block(matches, ends, undirected)
+            if block is None:
+                return None
+            described[record[0]] = record
+            edge, time, kind = event
+            runs.extend((record[0], _KIND_VALUE[kind],
+                         index_of(edge, len(table)), time, seq,
+                         len(block.groups)))
+            for vertex_map, rows in block.groups:
+                if len(vertex_map) != num_vertices or not rows:
                     return None
-                edge, time, kind = event
-                runs.extend((codes[query_id],
-                             1 if kind is EventKind.ARRIVAL else 0,
-                             index_of(edge, len(table)), time, seq,
-                             num_vertices, num_edges, 0))
-                count_at = len(runs) - 1
-                num_runs += 1
-            runs.extend(vertex_map)
-            runs.extend([index_of(image, len(table))
-                         for image in edge_map])
-            runs[count_at] += 1
+                runs.extend(vertex_map)
+                runs.append(len(rows))
+                mark = len(runs)
+                runs.extend(chain.from_iterable(rows))
+                if len(runs) - mark != len(rows) * len(ends):
+                    return None
+            num_runs += 1
         values = array("q", (reply.routed, reply.skipped,
                              len(reply.metrics)))
         values.extend(reply.metrics)
         values.append(len(table))
         values.extend(chain.from_iterable(table))
-    except (KeyError, TypeError, ValueError, AttributeError,
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             OverflowError):
         return None
+    values.append(len(described))
+    values.extend(chain.from_iterable(described.values()))
     values.append(num_runs)
     values.extend(runs)
     return MAGIC_REPLY + values.tobytes()
 
 
 def decode_reply(data: bytes, names: List[str]) -> Reply:
-    """Unpack a binary reply frame (``names`` maps codes to ids).
-
-    The notifications of one run share their :class:`Event`, and every
-    mention of an edge anywhere in the reply is the same :class:`Edge`
-    object.  A frame :func:`encode_reply` could not have written raises
-    :class:`FrameError`.
-    """
+    """Unpack a binary reply frame (``names`` maps codes to ids) into
+    :class:`~repro.service.Notifications` of one ``MatchBlock`` per run,
+    building no ``Match``.  A frame :func:`encode_reply` could not have
+    written raises :class:`FrameError`."""
     values = _frame_values(data, 4)
     try:
         return _decode_reply(values, names)
     except FrameError:
         raise
     except (IndexError, KeyError, ValueError) as exc:
-        # A read past a short frame, or an edge index off the table.
+        # A read past a short frame, or a code or index off its table.
         raise FrameError(f"malformed reply frame: {exc!r}") from exc
+
+
+def _count(values: List[int], at: int, least: int = 0) -> int:
+    if values[at] < least:
+        raise FrameError(f"count {values[at]} at value {at}, below {least}")
+    return values[at]
 
 
 def _decode_reply(values: List[int], names: List[str]) -> Reply:
@@ -425,44 +454,47 @@ def _decode_reply(values: List[int], names: List[str]) -> Reply:
     # Looked up through a dict, not the list: an index outside the
     # table has to fail, and a negative one would count from the end.
     edge_at = dict(enumerate(_edges(values, pos + 1, end))).__getitem__
-    num_runs = values[end]
+    shapes: Dict[int, tuple] = {}
     pos = end + 1
-    new = tuple.__new__
-    notes: List[MatchNotification] = []
+    for _ in range(_count(values, end)):
+        code, directed, num_vertices, width = values[pos:pos + 4]
+        start = pos + 4
+        pos = _span_end(values, start, width, 2)
+        ends = values[start:pos]
+        if not (0 <= code < len(names) and code not in shapes
+                and directed in (0, 1) and num_vertices > 0 and width > 0
+                and 0 <= min(ends) and max(ends) < num_vertices):
+            raise FrameError(f"query shape at value {start - 4} is out "
+                             f"of range")
+        shapes[code] = (names[code], tuple(zip(ends[::2], ends[1::2])),
+                        not directed, num_vertices)
+    runs = []
+    num_runs = _count(values, pos)
+    pos += 1
     for _ in range(num_runs):
-        (code, arrival, event_edge, time, seq,
-         num_vertices, num_edges, count) = values[pos:pos + 8]
-        if not 0 <= code < len(names):
-            raise FrameError(f"query code {code} is not interned")
-        if min(num_vertices, num_edges, count) < 1:
-            # No encoder writes such a run, and only a positive count
-            # ties the map sizes to the frame's length below.
-            raise FrameError(f"a run of {count} embeddings of "
-                             f"{num_vertices} vertices, {num_edges} edges")
-        query_id = names[code]
-        event = Event(edge_at(event_edge), time,
-                      EventKind.ARRIVAL if arrival
-                      else EventKind.EXPIRATION)
-        width = num_vertices + num_edges
-        start = pos + 8
-        pos = _span_end(values, start, count, width)
-        rows = values[start:pos]
-        # Column slices zipped back into rows: each map is assembled
-        # in C, the edge maps by table lookups.
-        vertex_maps = zip(*[rows[j::width] for j in range(num_vertices)])
-        edge_maps = zip(*[map(edge_at, rows[j::width])
-                          for j in range(num_vertices, width)])
-        notes.extend([
-            new(MatchNotification, (query_id, event, new(Match, maps), seq))
-            for maps in zip(vertex_maps, edge_maps)])
+        code, arrival, event_edge, time, seq = values[pos:pos + 5]
+        query_id, ends, undirected, num_vertices = shapes[code]
+        event = Event(edge_at(event_edge), time, _KIND_OF[arrival])
+        groups = []
+        num_groups = _count(values, pos + 5, 1)
+        pos += 6
+        for _ in range(num_groups):
+            at = pos + num_vertices     # the group's row count
+            pos = _span_end(values, at + 1, _count(values, at, 1), len(ends))
+            stamps = iter(values[at + 1:pos])   # zipped k ways: rows
+            groups.append((tuple(values[at - num_vertices:at]),
+                           list(zip(*[stamps] * len(ends)))))
+        runs.append(Run(query_id, event, seq, MatchBlock(
+            ends, undirected, groups, sum(len(g[1]) for g in groups))))
     _require_end(values, pos)
-    return Reply(payload=notes, routed=routed, skipped=skipped,
-                 metrics=metrics)
+    return Reply(payload=Notifications(runs), routed=routed,
+                 skipped=skipped, metrics=metrics)
 
 
 __all__ = [
     "FrameError", "MAGIC_REPLY", "MAGIC_REQUEST", "UnpackableEdgeError",
     "decode_reply", "decode_request", "encode_ingest",
     "encode_migrate_in", "encode_reply", "encode_routed",
-    "is_reply_frame", "is_request_frame", "require_packable",
+    "is_reply_frame", "is_request_frame", "reply_shape",
+    "require_packable",
 ]

@@ -86,9 +86,9 @@ class ShardWorker:
         self._routed_seen = 0
         self._skipped_seen = 0
         self._edges_seen = 0
-        #: Interned query-id codes (each arrives on its query's
-        #: ticket) used to pack binary replies.
-        self.codes: Dict[str, int] = {}
+        #: Per hosted query id, its :func:`wire.reply_shape`, under
+        #: the interned code its ticket brought.
+        self.shapes: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -141,7 +141,8 @@ class ShardWorker:
         ticket's global one: this worker's own position lags when the
         router has not contacted it."""
         spec = ticket.spec
-        self.codes[spec.query_id] = ticket.code
+        self.shapes[spec.query_id] = wire.reply_shape(ticket.code,
+                                                      spec.query)
         notes = self.service.host_query(
             spec.query, spec.labels, spec.engine, query_id=spec.query_id,
             edge_label_fn=spec.edge_label_fn,
@@ -213,7 +214,7 @@ def shard_worker_main(conn, delta: int, metrics: bool = False,
     Requests arrive either as pickle streams (control verbs) or as
     packed binary frames (everything that carries edges, sniffed by
     magic prefix); whichever it was, the reply is a binary frame
-    whenever it is packable — a notification list with no failure or
+    whenever it is packable — notifications with no failure or
     piggybacked errors — with pickle as the transparent fallback.  With
     ``tracing`` on, ingest-path requests carrying a trace context get
     a shard-side span whose packed form rides back on the reply's
@@ -254,7 +255,7 @@ def shard_worker_main(conn, delta: int, metrics: bool = False,
                       routed=worker.routed_delta(),
                       skipped=worker.skipped_delta(),
                       failure=failure, metrics=deltas)
-        frame = wire.encode_reply(reply, worker.codes)
+        frame = wire.encode_reply(reply, worker.shapes)
         try:
             if frame is not None:
                 conn.send_bytes(frame)

@@ -19,7 +19,7 @@ from repro.service.registry import (
     EngineFactory, QueryRegistry, QueryStatus, RegisteredQuery,
 )
 from repro.service.service import (
-    MatchNotification, MatchService, OutOfOrderError,
+    MatchNotification, MatchService, Notifications, OutOfOrderError,
 )
 from repro.service.checkpoint import (
     load_checkpoint, restore, resume_edges, save_checkpoint, snapshot,
@@ -29,7 +29,7 @@ __all__ = [
     "QueryStats", "ServiceStats",
     "QueryInterestIndex", "query_pattern_keys",
     "EngineFactory", "QueryRegistry", "QueryStatus", "RegisteredQuery",
-    "MatchNotification", "MatchService", "OutOfOrderError",
+    "MatchNotification", "MatchService", "Notifications", "OutOfOrderError",
     "load_checkpoint", "restore", "resume_edges", "save_checkpoint",
     "snapshot",
 ]

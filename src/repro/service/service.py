@@ -33,8 +33,12 @@ Semantics, matching Algorithm 1's event list exactly:
   an event).  What a callback does therefore takes effect at the batch
   boundary: a query it registers first sees the next call's events, a
   query it unregisters (or a subscriber that raises) only stops that
-  query's remaining callbacks — the returned list and the query's
+  query's remaining callbacks — the returned sequence and the query's
   counters still hold the whole batch;
+* every entry point returns :class:`Notifications`: one run per
+  reporting (event, query) holding the engine's own sequence (TCM's
+  ``MatchBlock``).  A :class:`MatchNotification` is built when read:
+  by a subscriber, for its own query's runs only, or by the caller;
 * every event is fanned out only to the engines whose query could
   possibly match it, as decided by the registry's
   :class:`~repro.service.interest.QueryInterestIndex`; the rest is
@@ -54,9 +58,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from typing import (
-    Callable, Deque, Dict, Iterable, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro.graph.temporal_graph import Edge
@@ -67,7 +72,7 @@ from repro.service.registry import (
 )
 from repro.service.stats import ServiceStats
 from repro.streaming.events import Event, EventKind
-from repro.streaming.match import Match
+from repro.streaming.match import Match, MatchBlock
 
 
 class OutOfOrderError(ValueError):
@@ -79,8 +84,7 @@ class OutOfOrderError(ValueError):
     not lose them.
     """
 
-    def __init__(self, message: str,
-                 notifications: "List[MatchNotification]"):
+    def __init__(self, message: str, notifications: "Notifications"):
         super().__init__(message)
         self.notifications = notifications
 
@@ -95,15 +99,14 @@ class MatchNotification(NamedTuple):
     per-shard notification streams back into exactly the order a
     single-process service would have emitted.
 
-    A ``NamedTuple`` like :class:`Match`: one is built per reported
-    embedding per query, here and again in ``wire.decode_reply``.  The
-    notifications one event produces share its :class:`Event`; the
-    reply frame names every edge once, so decoded notifications share
-    one ``Edge`` per distinct edge of the reply.
-    A decoded notification therefore costs 3.4 objects the cyclic
-    collector tracks (itself, its match, its edge map, its share of the
-    reply's events and edges) where rebuilding all of them per
-    notification cost 9.7 (``cluster_2w``, seed 0).
+    A ``NamedTuple`` like :class:`Match`, built only when read: services
+    and cluster replies hold :class:`Notifications` runs instead, whose
+    notifications share their run's :class:`Event` and, within a
+    vertex-map group, one ``Edge`` per (query edge, timestamp).  On
+    ``cluster_2w`` (seed 0) a decoded reply leaves 0.72 objects the
+    cyclic collector tracks per notification while unread, 4.6 once
+    every notification is read and kept; the decoder that built them
+    all left 3.4, sharing one ``Edge`` per distinct edge of the reply.
     """
 
     query_id: str
@@ -115,6 +118,71 @@ class MatchNotification(NamedTuple):
     def occurred(self) -> bool:
         """True for an occurrence, False for an expiration."""
         return self.event.is_arrival
+
+
+class Run(NamedTuple):
+    """What one engine reported for one event: ``matches`` as the engine
+    returned it, with the fields its notifications share."""
+
+    query_id: str
+    event: Event
+    seq: int
+    matches: Sequence[Match]
+
+
+class Notifications(SequenceABC):
+    """What a service call returns: a read-only sequence of
+    :class:`MatchNotification` kept as the ``runs`` the engines reported.
+
+    ``len()`` costs nothing; iteration builds and caches nothing (so
+    does indexing: it reads the whole sequence); ``==`` holds against
+    any sequence of equal notifications; ``+`` takes another one or a
+    list.  A caller that mutates a result copies it first.
+    """
+
+    __slots__ = ("runs", "_count")
+
+    def __init__(self, runs: Iterable[Run] = ()):
+        self.runs: List[Run] = list(runs)
+        self._count = sum(len(run.matches) for run in self.runs)
+
+    @staticmethod
+    def built(run: Run) -> List[MatchNotification]:
+        """One run's notifications — the only place one is built."""
+        query_id, event, seq, matches = run
+        new = tuple.__new__     # skips the NamedTuple's Python __new__
+        return [new(MatchNotification, (query_id, event, match, seq))
+                for match in matches]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[MatchNotification]:
+        for run in self.runs:
+            yield from self.built(run)
+
+    # Indexed and compared by reading everything, as a block is.
+    __getitem__ = MatchBlock.__getitem__
+    __eq__ = MatchBlock.__eq__
+
+    def __add__(self, other) -> "Notifications":
+        return Notifications(self.runs + _runs_of(other))
+
+    def __radd__(self, other) -> "Notifications":
+        return Notifications(_runs_of(other) + self.runs)
+
+    def __repr__(self) -> str:
+        return f"Notifications({list(self)!r})"
+
+
+def _runs_of(notes) -> List[Run]:
+    """``notes`` as runs: a list's notifications become one run each."""
+    if isinstance(notes, Notifications):
+        return notes.runs
+    if not isinstance(notes, list):
+        raise TypeError(f"cannot add {type(notes).__name__} to "
+                        f"Notifications")
+    return [Run(n.query_id, n.event, n.seq, (n.match,)) for n in notes]
 
 
 def _run_batch(engine, events: List[Event]) -> List[List[Match]]:
@@ -272,7 +340,7 @@ class MatchService:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, edges: Iterable[Edge]) -> List[MatchNotification]:
+    def ingest(self, edges: Iterable[Edge]) -> Notifications:
         """Ingest one chronological batch of edges.
 
         Edges must arrive in non-decreasing timestamp order across all
@@ -280,7 +348,7 @@ class MatchService:
         :class:`OutOfOrderError`, whose ``notifications`` attribute
         carries the results of the batch's accepted prefix.  Returns
         every notification of the batch in event order, registry order
-        within an event.
+        within an event, as unread :class:`Notifications` runs.
 
         Delivery is *batch-granular* (see the module docstring): each
         engine sees its share of the batch's event list through one
@@ -310,8 +378,7 @@ class MatchService:
     process_batch = ingest
 
     def ingest_routed(self, pairs: List[Tuple[Edge, int]],
-                      final_now: int, final_seq: int
-                      ) -> List[MatchNotification]:
+                      final_now: int, final_seq: int) -> Notifications:
         """Ingest a routed *subset* of a globally ordered stream.
 
         This is the shard-worker entry point of the interest-routed
@@ -332,21 +399,21 @@ class MatchService:
         if pairs and self._now is not None and pairs[0][0].t < self._now:
             raise OutOfOrderError(
                 f"out-of-order routed batch: t={pairs[0][0].t} after "
-                f"now={self._now}", [])
+                f"now={self._now}", Notifications())
         self._seq = final_seq
         notifications = self._serve(pairs, final_now)
         if self._now is None or final_now > self._now:
             self._now = final_now
         return notifications
 
-    def advance_to(self, t: int) -> List[MatchNotification]:
+    def advance_to(self, t: int) -> Notifications:
         """Advance the clock to ``t`` without ingesting edges, expiring
         every edge whose window has closed."""
         if self._now is None or t > self._now:
             self._now = t
         return self._serve((), self._now, is_batch=False)
 
-    def drain(self) -> List[MatchNotification]:
+    def drain(self) -> Notifications:
         """Expire every remaining live edge (end of stream).
 
         The arrival cursor (``now``) is deliberately left at the last
@@ -360,7 +427,7 @@ class MatchService:
 
     def _serve(self, pairs: Sequence[Tuple[Edge, int]],
                horizon: Optional[int], is_batch: bool = True
-               ) -> List[MatchNotification]:
+               ) -> Notifications:
         """What every entry point does: build Algorithm 1's event list
         — the ``(edge, arrival seq)`` ``pairs``, each preceded by the
         expirations due at its timestamp, then the expirations due at
@@ -368,7 +435,7 @@ class MatchService:
         the call (``service_batch`` span, elapsed time, the
         ``service_ingest_seconds`` histogram; ``is_batch`` is the
         ``ServiceStats.batches`` rule)."""
-        notifications: List[MatchNotification] = []
+        runs: List[Run] = []
         start = time.perf_counter()
         with maybe_span(self.tracer, "service_batch",
                         events=len(pairs)) as root:
@@ -383,22 +450,22 @@ class MatchService:
             if horizon is not None:
                 _collect_expirations(live, delta, horizon, events)
             if events:
-                self._fanout_batch(events, notifications,
-                                   trace_parent=root)
+                self._fanout_batch(events, runs, trace_parent=root)
         if is_batch:
             self.stats.batches += 1
         spent = time.perf_counter() - start
         self.stats.elapsed_seconds += spent
         if self._obs is not None:
             self._h_ingest.observe(spent)
-        return notifications
+        return Notifications(runs)
 
     def _fanout_batch(self, events: List[Tuple[Event, int]],
-                      out: List[MatchNotification], trace_parent=None,
+                      out: List[Run], trace_parent=None,
                       entries: Optional[List[RegisteredQuery]] = None
                       ) -> None:
-        """Run every eligible engine over the batch, then route the
-        per-event results in global event order.
+        """Run every eligible engine over the batch, then append the
+        per-event results to ``out`` as runs in global event order
+        (notifications are built only for a query with subscribers).
 
         The label triple of every event is resolved once per batch
         (not once per engine) and each engine only receives the
@@ -491,9 +558,8 @@ class MatchService:
                     continue
                 query_id = entry.query_id
                 stats = entry.stats
-                notes = [MatchNotification(query_id, ev, match, seq)
-                         for match in matches]
-                out += notes
+                run = Run(query_id, ev, seq, matches)
+                out.append(run)
                 if arrival:
                     stats.occurred += len(matches)
                 else:
@@ -505,7 +571,7 @@ class MatchService:
                     continue
                 began = time.perf_counter()
                 try:
-                    for notification in notes:
+                    for notification in Notifications.built(run):
                         for callback in entry.subscribers:
                             callback(notification)
                 except Exception as exc:  # noqa: BLE001 - isolation
@@ -541,7 +607,7 @@ class MatchService:
                    window: Optional[Tuple[Tuple[Edge, int], ...]] = None,
                    tail: Tuple[Tuple[Edge, int], ...] = (),
                    final_now: Optional[int] = None, drained: bool = False,
-                   **registration) -> List[MatchNotification]:
+                   **registration) -> Notifications:
         """Host a query that has lived before (a migration, restore or
         recovery; a registration brings nothing): register it —
         ``registration`` is :meth:`QueryRegistry.register`'s keywords,
@@ -558,7 +624,7 @@ class MatchService:
         live = self._live
         overdue = (final_now is not None and live
                    and live[0][0].t + self.delta <= final_now)
-        notes = self.advance_to(final_now) if overdue else []
+        notes = self.advance_to(final_now) if overdue else Notifications()
         entry = self.registry.register(query, labels, engine, **registration)
         entry.status, entry.error = QueryStatus(status), error
         entry.stats = stats
@@ -574,7 +640,7 @@ class MatchService:
                     window: Tuple[Tuple[Edge, int], ...],
                     tail: Tuple[Tuple[Edge, int], ...] = (), *,
                     final_now: Optional[int] = None,
-                    drain_tail: bool = False) -> List[MatchNotification]:
+                    drain_tail: bool = False) -> Notifications:
         """Adopt a migrated query: rebuild its engine window, replay the
         in-flight tail, and merge what is still live into the shared
         deque.
@@ -603,9 +669,8 @@ class MatchService:
         ever expires edges due at or before it; the two sets cannot
         intersect.
         """
-        notifications: List[MatchNotification] = []
         if not entry.active:
-            return notifications
+            return Notifications()
         if window:
             try:
                 _run_batch(entry.engine,
@@ -614,7 +679,7 @@ class MatchService:
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 entry.mark_errored(exc)
                 self.stats.errored_queries += 1
-                return notifications
+                return Notifications()
         qwindow: Deque[Tuple[Edge, int]] = deque(window)
         events: List[Tuple[Event, int]] = []
         delta = self.delta
@@ -631,10 +696,11 @@ class MatchService:
                    else final_now)
         if horizon is not None:
             _collect_expirations(qwindow, delta, horizon, events)
+        runs: List[Run] = []
         if events:
-            self._fanout_batch(events, notifications, entries=[entry])
+            self._fanout_batch(events, runs, entries=[entry])
         if drain_tail or not entry.active:
-            return notifications
+            return Notifications(runs)
         # Merge the surviving window into the shared live deque.
         if qwindow:
             present = {seq for _, seq in self._live}
@@ -646,7 +712,7 @@ class MatchService:
         if final_now is not None and (self._now is None
                                       or final_now > self._now):
             self._now = final_now
-        return notifications
+        return Notifications(runs)
 
     # ------------------------------------------------------------------
     # Metrics export

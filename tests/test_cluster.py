@@ -1049,6 +1049,39 @@ def counts(entry):
     return stats.occurred, stats.expired, stats.events_processed
 
 
+class _PoisonedTCM(TCMEngine):
+    """TCM that raises on an arrival at vertex 5: its query is
+    quarantined inside the worker, whose reply then piggybacks
+    ``errors`` and so travels pickled, not as a frame."""
+
+    def on_batch(self, events):
+        if any(ev.is_arrival and 5 in ev.edge[:2] for ev in events):
+            raise RuntimeError("poisoned vertex")
+        return super().on_batch(events)
+
+
+def poisoned_tcm(query, labels, edge_label_fn=None):
+    """Module-level so it pickles by reference across the worker pipe."""
+    return _PoisonedTCM(query, labels)
+
+
+def register_on_both(targets, feeds, query, kind, query_id, subscribed):
+    """Register one query on every ``(side, service)`` of ``targets``,
+    its subscriber (if ``subscribed``) filling ``feeds[side, id]``."""
+    for side, target in targets:
+        feed = feeds.setdefault((side, query_id), []) if subscribed else None
+        target.register(query, SCRIPT_LABELS, kind, query_id=query_id,
+                        subscriber=None if feed is None else feed.append)
+
+
+def assert_feeds_are_the_returned_sequence(feeds, returned):
+    """Each subscriber received, in order, what its service returned
+    filtered to its query; the cluster's received the single one's."""
+    for (side, query_id), feed in feeds.items():
+        assert feed == [n for n in returned[side] if n.query_id == query_id]
+        assert feed == feeds["single", query_id]
+
+
 @pytest.mark.usefixtures("hard_timeout")
 # Every example forks workers, so shrinking a failure would run for
 # minutes: a failing script is reported as drawn.
@@ -1057,13 +1090,25 @@ def counts(entry):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(workers=st.integers(min_value=1, max_value=3), data=st.data())
 def test_control_scripts_equal_one_process(workers, data):
-    """Ingests, clock advances, registrations, unregistrations,
-    migrations and worker adds / drains in any order: the merged
-    notifications are the in-process service's, list for list, and so
-    is every query's tally."""
+    """Ingests, clock advances, registrations (TCM, SymBi, or a TCM
+    that is quarantined inside its worker; any of them subscribed),
+    unregistrations, migrations and worker adds / drains in any order:
+    the merged notifications are the in-process service's, list for
+    list, and so is every query's tally.  Every subscriber receives its
+    query's share of what its service returned, whether a shard's reply
+    came as a frame or (carrying a quarantine) pickled."""
     single = MatchService(6)
     ids, clock = itertools.count(), 1
+    feeds = {}
+    returned = {"cluster": [], "single": []}
+
+    def same(got, want):
+        assert got == want
+        returned["cluster"] += got
+        returned["single"] += want
+
     with ShardedMatchService(6, workers=workers) as service:
+        targets = (("cluster", service), ("single", single))
         for _ in range(data.draw(st.integers(min_value=3, max_value=40))):
             step = data.draw(st.sampled_from(SCRIPT_STEPS))
             registered = service.registered_ids()
@@ -1076,18 +1121,16 @@ def test_control_scripts_equal_one_process(workers, data):
                     u, v = data.draw(st.lists(st.integers(0, 5), min_size=2,
                                               max_size=2, unique=True))
                     edges.append(Edge.make(u, v, clock))
-                assert service.ingest(edges) == single.ingest(edges)
+                same(service.ingest(edges), single.ingest(edges))
             elif step == "advance":
                 clock += data.draw(st.integers(1, 8))
-                assert service.advance_to(clock) == single.advance_to(clock)
+                same(service.advance_to(clock), single.advance_to(clock))
             elif step == "register":
-                query = data.draw(path_queries())
-                kind = data.draw(st.sampled_from(("tcm", "symbi")))
-                query_id = f"q{next(ids)}"
-                service.register(query, SCRIPT_LABELS, kind,
-                                 query_id=query_id)
-                single.register(query, SCRIPT_LABELS, kind,
-                                query_id=query_id)
+                register_on_both(
+                    targets, feeds, data.draw(path_queries()),
+                    data.draw(st.sampled_from(("tcm", "symbi",
+                                               poisoned_tcm))),
+                    f"q{next(ids)}", data.draw(st.booleans()))
             elif step == "unregister" and registered:
                 query_id = data.draw(st.sampled_from(registered))
                 assert counts(service.unregister(query_id)) \
@@ -1102,7 +1145,49 @@ def test_control_scripts_equal_one_process(workers, data):
                 service.add_worker()
             elif step == "drain_worker" and len(live) > 1:
                 service.drain_worker(data.draw(st.sampled_from(live)))
-        assert service.drain() == single.drain()
+        same(service.drain(), single.drain())
         for query_id in service.registered_ids():
             assert counts(service.get(query_id)) \
                 == counts(single.registry.get(query_id))
+    assert_feeds_are_the_returned_sequence(feeds, returned)
+
+
+@pytest.mark.usefixtures("hard_timeout")
+def test_subscribers_agree_when_one_shards_reply_is_pickled(monkeypatch):
+    """The batch that quarantines ``b`` inside shard 1 comes back from
+    that shard pickled (its reply piggybacks ``errors``) and from shard
+    0 as a frame; the runs of both decoders reach the subscribers as
+    the returned sequence has them, equal to one ``MatchService``."""
+    query = TemporalQuery(["A", "B"], [(0, 1)])
+    batches = [[Edge.make(0, 1, 1), Edge.make(3, 4, 2), Edge.make(0, 4, 3)],
+               [Edge.make(5, 1, 4), Edge.make(0, 1, 5)]]
+    single = MatchService(6)
+    feeds = {}
+    returned = {"cluster": [], "single": []}
+    frames = []
+    with ShardedMatchService(6, workers=2) as service:
+        targets = (("cluster", service), ("single", single))
+        for query_id, kind in (("a", "tcm"), ("b", poisoned_tcm),
+                               ("c", "symbi"), ("d", "tcm")):
+            register_on_both(targets, feeds, query, kind, query_id, True)
+        assert [service.shard_of(q) for q in "abcd"] == [0, 1, 0, 1]
+        decode = wire.decode_reply
+
+        def recorded(data, names):
+            frames.append(data)
+            return decode(data, names)
+
+        monkeypatch.setattr(wire, "decode_reply", recorded)
+        for batch, framed in zip(batches, (2, 1)):
+            got, want = service.ingest(batch), single.ingest(batch)
+            assert got == want and len(frames) == framed
+            frames.clear()
+            returned["cluster"] += got
+            returned["single"] += want
+        returned["cluster"] += service.drain()
+        returned["single"] += single.drain()
+        assert service.get("b").status is QueryStatus.ERRORED
+    assert_feeds_are_the_returned_sequence(feeds, returned)
+    shard_one = [n.seq for n in feeds["cluster", "d"]]
+    assert 3 in shard_one and 4 in shard_one     # the pickled batch
+    assert returned["cluster"] == returned["single"]

@@ -31,7 +31,7 @@ from repro.obs import (
 )
 from repro.obs.validate import validate_metrics_file, validate_promtext_file
 from repro.query import TemporalQuery
-from repro.service import MatchService
+from repro.service import MatchService, Notifications
 
 AB_QUERY = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
 AB_LABELS = {0: "A", 1: "B"}
@@ -292,7 +292,7 @@ class TestPrometheus:
 # ----------------------------------------------------------------------
 class TestReplyMetrics:
     def test_metrics_tuple_round_trips_binary(self):
-        reply = Reply(payload=[], routed=3, skipped=1,
+        reply = Reply(payload=Notifications(), routed=3, skipped=1,
                       metrics=(123456789, 42))
         frame = encode_reply(reply, {})
         assert frame is not None
@@ -301,11 +301,11 @@ class TestReplyMetrics:
         assert decoded.routed == 3 and decoded.skipped == 1
 
     def test_empty_metrics_stays_encodable(self):
-        frame = encode_reply(Reply(payload=[], routed=1), {})
+        frame = encode_reply(Reply(payload=Notifications(), routed=1), {})
         assert decode_reply(frame, []).metrics == ()
 
     def test_unpackable_metrics_fall_back_to_pickle(self):
-        reply = Reply(payload=[], metrics=("not", "ints"))
+        reply = Reply(payload=Notifications(), metrics=("not", "ints"))
         assert encode_reply(reply, {}) is None
 
 

@@ -1,6 +1,8 @@
 """Tests for the multi-query matching service (repro.service)."""
 
 import json
+import pickle
+from unittest import mock
 
 import pytest
 
@@ -10,12 +12,14 @@ from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query import TemporalQuery
 from repro.service import (
-    MatchService, OutOfOrderError, QueryRegistry, QueryStatus,
-    load_checkpoint, restore, resume_edges, save_checkpoint, snapshot,
+    MatchService, Notifications, OutOfOrderError, QueryRegistry,
+    QueryStatus, load_checkpoint, restore, resume_edges, save_checkpoint,
+    snapshot,
 )
-from repro.streaming import StreamDriver
+from repro.streaming import MatchBlock, StreamDriver
 from repro.streaming.engine import MatchEngine
 from repro.workloads import make_query_set
+from tests.test_backtrack import GOLDEN, multigraph_stream
 
 AB_QUERY = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
 AB_LABELS = {0: "A", 1: "B"}
@@ -168,6 +172,96 @@ class TestServiceBasics:
         # Batches are the calls that offer edges (ServiceStats).
         assert service.ingest([]) == service.drain() == []
         assert service.stats.batches == 2
+
+
+class TestNotificationRuns:
+    """A call returns the runs the engines reported, and a
+    ``MatchNotification`` is built only when somebody reads it."""
+
+    #: A parallel-edge stream (about 50 embeddings per reporting event).
+    CASE, _, (_, _, EMITTED) = GOLDEN["rule 1, no order"]
+
+    def serve(self, open_service, subscribed=()):
+        """Register the case's query as ``a`` and ``b`` (one per shard),
+        subscribe ``subscribed``, then ingest and drain while every block
+        raises if read — in the workers too, which fork under the patch
+        — except in this process during the calls, where reads are
+        recorded.  Returns the result, the feeds and the blocks read."""
+        labels, edges, _ = multigraph_stream(**self.CASE["stream"])
+        feeds = {query_id: [] for query_id in subscribed}
+        read = set()
+        build = MatchBlock._matches
+
+        def recording(block, vertex_map, rows):
+            read.add(id(block))
+            return build(block, vertex_map, rows)
+
+        with mock.patch.object(MatchBlock, "_matches",
+                               side_effect=AssertionError("read")):
+            service = open_service(self.CASE["delta"])
+            for query_id in ("a", "b"):
+                feed = feeds.get(query_id)
+                service.register(
+                    self.CASE["query"], labels, query_id=query_id,
+                    subscriber=None if feed is None else feed.append)
+            with mock.patch.object(MatchBlock, "_matches", recording):
+                result = service.ingest(edges) + service.drain()
+            assert len(result) == 2 * self.EMITTED
+            assert service.health()["status"] == "ok"
+            assert service.stats.errored_queries == 0
+        return result, feeds, read
+
+    def test_ingest_and_drain_build_nothing_unread(self, open_service):
+        result, _, read = self.serve(open_service)
+        assert read == set()
+        assert all(type(run.matches) is MatchBlock for run in result.runs)
+
+    def test_a_subscriber_builds_only_its_querys_runs(self, open_service):
+        result, feeds, read = self.serve(open_service, subscribed=["a"])
+        assert read == {id(run.matches) for run in result.runs
+                        if run.query_id == "a"}
+        assert feeds["a"] == [n for n in result if n.query_id == "a"]
+        assert len(feeds["a"]) == self.EMITTED
+
+    def test_the_sequence_contract(self):
+        """``len()`` without building, ``==`` against lists, ``+`` with
+        lists and sequences, indexing, slicing, pickling, read-only."""
+        labels, edges, _ = multigraph_stream(**self.CASE["stream"])
+        service = MatchService(self.CASE["delta"])
+        service.register(self.CASE["query"], labels)
+        with mock.patch.object(MatchBlock, "_matches",
+                               side_effect=AssertionError("read")):
+            first, second = service.ingest(edges[:60]), service.drain()
+            assert len(first) == sum(len(run.matches) for run in first.runs)
+            assert len(first + second) == len(first) + len(second)
+            assert first and not Notifications()
+        listed, rest = list(first), list(second)
+        assert first == listed and listed == first
+        assert first != listed[:-1] and first != listed[::-1]
+        assert first + second == listed + rest
+        for joined in (first + rest, listed + second):
+            assert type(joined) is Notifications
+            assert joined == listed + rest
+        assert first[0] == listed[0] and first[-1] == listed[-1]
+        assert first[3:9] == listed[3:9]
+        copy = pickle.loads(pickle.dumps(first))
+        assert type(copy) is Notifications and copy == first
+        with pytest.raises(TypeError):
+            first[0] = listed[1]
+        with pytest.raises(TypeError):
+            first + 1
+
+    def test_out_of_order_error_carries_the_prefix(self, open_service):
+        labels, edges, _ = multigraph_stream(**self.CASE["stream"])
+        service = open_service(self.CASE["delta"])
+        reference = MatchService(self.CASE["delta"])
+        for target in (service, reference):
+            target.register(self.CASE["query"], labels)
+        with pytest.raises(OutOfOrderError) as refused:
+            service.ingest(edges[:60] + [edges[0]])
+        notifications = refused.value.notifications
+        assert type(notifications) is Notifications
+        assert notifications and notifications == reference.ingest(edges[:60])
 
 
 class TestAgreementWithStreamDriver:
