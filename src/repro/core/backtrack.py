@@ -47,9 +47,10 @@ masks the "edges first" rule allows):
 * edge node — the edge, its endpoints, its DCS candidate table, the
   mapped predecessors and successors (whose timestamps bound ``ECM``),
   ``R+`` as a mask, which of the rules applies, and the child state;
-* vertex node — per extendable vertex its D2 table, its child state and
-  its *anchors*: ``(mapped neighbour, candidate table of the joining
-  edge, is the vertex that edge's canonical endpoint?)``.
+* vertex node — per extendable vertex its label (its candidates are the
+  first anchor image's neighbours of that label), its D2 table, its
+  child state and its *anchors*: ``(mapped neighbour, candidate table
+  of the joining edge, is the vertex that edge's canonical endpoint?)``.
 
 Temporal failing sets are edge masks (``|`` for union, ``&`` for
 "contains ``e``"), and ``ECM`` is a ``bisect`` slice of the DCS's sorted
@@ -261,7 +262,7 @@ class Backtracker:
         else:
             d2_table = self.dcs.d2_table
             plan = (None, tuple(
-                (u, d2_table(u).get, state | 1 << m + u,
+                (u, self.query.label(u), d2_table(u).get, state | 1 << m + u,
                  tuple((w, self._edges[e][4].get, u_first)
                        for e, w, u_first in self.query.incident_meta(u)
                        if vmask >> w & 1))
@@ -333,23 +334,26 @@ class Backtracker:
         """Map the extendable vertex with the fewest candidates (SymBi's
         adaptive matching order) to each of them in turn."""
         vmap, used = self._vmap, self._used
-        neighbors = self.graph.neighbors
+        items = self.graph.neighbor_items
         best = None
-        for u, d2, child, anchors in extendable:
+        for u, label, d2, child, anchors in extendable:
             w, row_of, u_first = anchors[0]
             w = vmap[w]
+            # u's image x joins w's through a row x -> w if u is the
+            # edge's canonical endpoint, else w -> x.
+            nbrs = items(w, label, u_first)
             if len(anchors) == 1:
                 if u_first:
-                    cm = [x for x in neighbors(w)
+                    cm = [x for x in nbrs
                           if x not in used and d2(x) and row_of((x, w))]
                 else:
-                    cm = [x for x in neighbors(w)
+                    cm = [x for x in nbrs
                           if x not in used and d2(x) and row_of((w, x))]
             else:
                 images = [(vmap[y], row_of, u_first)
                           for y, row_of, u_first in anchors]
                 cm = []
-                for x in neighbors(w):
+                for x in nbrs:
                     if x in used or not d2(x):
                         continue
                     for y, row_of, u_first in images:

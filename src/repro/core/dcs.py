@@ -268,8 +268,7 @@ class DCS:
 
     def _run_worklist(self, seeds: List[Tuple[int, int]]) -> None:
         graph = self.graph
-        has_vertex, glabel, neighbors = (graph.has_vertex, graph.label,
-                                         graph.neighbors)
+        has_vertex, items = graph.has_vertex, graph.neighbor_items
         d1, d2 = self._d1, self._d2
         queue: Deque[Tuple[int, int]] = deque()
         queued: Set[Tuple[int, int]] = set()
@@ -299,23 +298,21 @@ class DCS:
                                    (d2_new != d2_old, self._d1_gates[u])):
                 if not flipped:
                     continue
-                for uw, label, _table, _pairs, _v_first in gates:
-                    for w in neighbors(v):
-                        if glabel(w) == label:
-                            key = (uw, w)
-                            if key not in queued:
-                                queued.add(key)
-                                queue.append(key)
+                for uw, label, _table, _pairs, v_first in gates:
+                    for w in items(v, label, not v_first):
+                        key = (uw, w)
+                        if key not in queued:
+                            queued.add(key)
+                            queue.append(key)
 
     def _gates_open(self, gates, v: int) -> bool:
         """Does every DAG edge of ``gates`` have a neighbour of ``v``
         with the right label, a true table value and surviving candidate
         edges to ``v``?"""
-        graph = self.graph
-        glabel = graph.label
+        items = self.graph.neighbor_items
         for _uw, label, table, pairs, v_first in gates:
-            for w in graph.neighbors(v):
-                if (glabel(w) == label and table.get(w, False)
+            for w in items(v, label, not v_first):
+                if (table.get(w, False)
                         and pairs.get((v, w) if v_first else (w, v))):
                     break
             else:

@@ -43,22 +43,31 @@ the newest (gt) or oldest (lt) ``eps`` image between ``v`` and ``vc`` when
 ``eps`` itself is a temporal descendant.  The plan lists, per slot of
 ``u``, the child slot (or -1) and that clip flag
 (``precedes(e, eps)`` / ``precedes(eps, e)``).  It also fixes where the
-``eps`` images are read: out- or in-rows of ``v`` (by which endpoint of
-``eps`` is ``u``) and the edge label, which go to
-:meth:`TemporalGraph.neighbor_items` so that one evaluation is a single
-loop over ``(neighbour, timestamp row)`` pairs.
+``eps`` images are read: the neighbours of ``v`` with the child's label
+(:meth:`TemporalGraph.neighbor_items`), over out- or in-rows by which
+endpoint of ``eps`` is ``u``, and the timestamps carrying the edge
+label, so that one evaluation is a single loop over exactly the child
+images.
 
 *Worklist tables.*  A changed data pair with labels ``(la, lb)`` seeds the
-query vertices in ``_seeds[(la, lb)]``; a changed entry of ``u`` reaches
-the ``(parent, parent label)`` pairs of ``_parents[u]``.
+query vertices in ``_seeds[(la, lb)]``.  Per DAG edge ``(up -> u, e)``,
+``_parents[u]`` lists the slots of u's entry that e's Lemma IV.3 window
+reads and those up's transfer plan reads.  A changed entry of ``(u, v)``
+reports the window ``(e, v)`` as moved, and pushes ``up`` at the
+neighbours of ``v`` with up's label, only if those slots differ — or if
+the entry is new or its presence flipped.  Nothing else moves a window,
+so :meth:`MaxMinIndex.on_graph_changes` returns the moved ``(query edge,
+child image)`` pairs and the caller re-diffs only their candidate pairs;
+a purge returns nothing (a dead vertex has no pairs).
 
 *Per event* the index reads: the timestamp rows around the recomputed
-vertices, the labels of their neighbours, and the children's entries.
+vertices, their neighbours of one label, and the children's entries.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.dag import QueryDag
@@ -86,7 +95,7 @@ class MaxMinIndex:
     edge insertion/removal the engine calls :meth:`on_graph_change`
     (or :meth:`on_graph_changes` for a whole batch of data pairs), which
     reruns the dynamic program on exactly the affected entries and returns
-    the set of ``(u, v)`` pairs whose entry changed.
+    the set of ``(query edge, child image)`` pairs whose window moved.
 
     Entries are stored as one data-vertex dict per query vertex
     (``_entries[u][v]``): lookups key on a plain int instead of hashing
@@ -142,16 +151,27 @@ class MaxMinIndex:
 
         # Worklist tables: a changed data pair (a, b) seeds the
         # parent-side entry (up, a) of every DAG edge whose endpoint
-        # labels are (label(a), label(b)); a changed entry of u reaches
-        # u's DAG parents at the neighbours carrying the parent's label.
+        # labels are (label(a), label(b)).  Per DAG edge (up -> u, e),
+        # _parents[u] holds (e, the slots of u's entry e's window reads,
+        # up, up's label, are up's images in-neighbours of u's - is up
+        # qe.u?, the slots up's plan reads), a getter of no slots None.
         rules = {(self._labels[dag.edge_parent[e]],
                   self._labels[dag.edge_child[e]], dag.edge_parent[e])
                  for e in range(query.num_edges)}
         self._seeds: Dict[Tuple[object, object], List[int]] = {}
         for lp, lc, up in rules:
             self._seeds.setdefault((lp, lc), []).append(up)
+
+        def slots(at):
+            at = sorted({i for i in at if i >= 0})
+            return itemgetter(*at) if at else None
+
         self._parents = tuple(
-            tuple((up, self._labels[up]) for up, _e in dag.parents_of[u])
+            tuple((e, slots(self._edge_slots[e][1:]), up, self._labels[up],
+                   up == query.edges[e].u,
+                   slots(at for plan in self._plans[up] if plan[0] == u
+                         for _i, at, _clip in plan[5] + plan[6]))
+                  for up, e in dag.parents_of[u])
             for u in range(n))
 
     # ------------------------------------------------------------------
@@ -219,20 +239,22 @@ class MaxMinIndex:
         the current graph, not patched from deltas), so seeding one
         worklist with every changed pair of a batch reaches the same
         fixed point as running the propagation per event — shared pairs
-        are recomputed once.  ``pairs`` is read once.  Returns all
-        ``(u, v)`` pairs whose entry changed.
+        are recomputed once.  ``pairs`` is read once.  Returns the
+        ``(query edge, child image)`` pairs whose Lemma IV.3 window
+        moved (see the module docstring).
         """
         graph = self.graph
         has_vertex = graph.has_vertex
         glabel = graph.label
+        items = graph.neighbor_items
         seeds_of = self._seeds.get
-        changed: Set[Tuple[int, int]] = set()
+        moved: Set[Tuple[int, int]] = set()
         queue: Deque[Tuple[int, int]] = deque()
         queued: Set[Tuple[int, int]] = set()
         for v1, v2 in pairs:
             for a, b in ((v1, v2), (v2, v1)):
                 if not has_vertex(a):
-                    changed.update(self._purge_vertex(a))
+                    self._purge_vertex(a)
                     continue
                 for up in seeds_of((glabel(a), glabel(b)), ()):
                     key = (up, a)
@@ -251,22 +273,24 @@ class MaxMinIndex:
             table = entries[u]
             old = table.get(v)
             new = compute(u, v)
+            if old == new:
+                continue
             if old is None:
                 self._size += entry_cost[u]
-            elif old == new:
-                continue
             table[v] = new
-            changed.add(key)
-            for up, up_label in parents[u]:
-                for vp in graph.neighbors(v):
-                    if glabel(vp) == up_label:
+            flip = old is None or (old is ABSENT) != (new is ABSENT)
+            for e, window, up, up_label, incoming, reads in parents[u]:
+                if flip or window is not None and window(old) != window(new):
+                    moved.add((e, v))
+                if flip or reads is not None and reads(old) != reads(new):
+                    for vp in items(v, up_label, incoming):
                         key = (up, vp)
                         if key not in queued:
                             queued.add(key)
                             queue.append(key)
-        return changed
+        return moved
 
-    def purge_vertex(self, v: int) -> Set[Tuple[int, int]]:
+    def purge_vertex(self, v: int) -> None:
         """Drop all cached entries at a data vertex that left the window.
 
         Engines call this the moment a vertex dies (its last edge
@@ -274,16 +298,13 @@ class MaxMinIndex:
         stale cached entry must never survive into the vertex's next
         life in the window.
         """
-        return self._purge_vertex(v)
+        self._purge_vertex(v)
 
-    def _purge_vertex(self, v: int) -> Set[Tuple[int, int]]:
+    def _purge_vertex(self, v: int) -> None:
         """Drop all cached entries at a vertex that left the window."""
-        gone: Set[Tuple[int, int]] = set()
         for u, table in enumerate(self._entries):
             if table.pop(v, None) is not None:
                 self._size -= self._entry_cost[u]
-                gone.add((u, v))
-        return gone
 
     # ------------------------------------------------------------------
     # The dynamic program (Equation (1))
@@ -294,15 +315,16 @@ class MaxMinIndex:
         min for lt), then the tightest of those across the DAG edges.
         Callers have matched the labels of ``u`` and ``v``."""
         graph = self.graph
-        glabel = graph.label
-        neighbor_items = graph.neighbor_items
+        items, rows = graph.neighbor_items, graph.timestamp_rows
         unreached = self._unreached[u]
         bounds = None
         for (uc, uc_label, child_entries, incoming, eps_label,
              gt_plan, lt_plan) in self._plans[u]:
             best = None
-            for vc, ts in neighbor_items(v, incoming, eps_label):
-                if glabel(vc) != uc_label:
+            row = rows(eps_label)
+            for vc, pid in items(v, uc_label, incoming).items():
+                ts = row(pid)
+                if not ts:  # no edge with the edge label
                     continue
                 child = child_entries.get(vc)
                 if child is None:  # entry()'s probe, minus the call

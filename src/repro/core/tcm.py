@@ -5,9 +5,9 @@ Per stream event the engine
 1. applies the edge to its within-window data graph,
 2. updates the max-min timestamp indexes of the query DAG and its
    reverse (``TCMInsertion`` / ``TCMDeletion``, Algorithm 3),
-3. translates max-min changes into DCS candidate-edge insertions or
-   removals (the ``E+``/``E-`` sets of Algorithm 1) and refreshes the
-   D1/D2 filter,
+3. translates the Lemma IV.3 windows that moved into DCS candidate-edge
+   insertions or removals (the ``E+``/``E-`` sets of Algorithm 1) and
+   refreshes the D1/D2 filter,
 4. backtracks from the event edge to report the delta of
    time-constrained embeddings (``FindMatches``, Algorithm 4).
 
@@ -44,11 +44,11 @@ maintenance and runs it once per flush point instead of once per event:
   older than the newest edge inserted, from an engine driven out of
   order, skips this test), and the labels of that query edge's other
   neighbours must occur among the other live neighbours of its images
-  (set inclusion, O(degree); direction and edge labels ignored — a
-  weaker test is still necessary; both read admitted edges only, sound
-  since every edge of an embedding is admitted).  Any other arrival
-  answers ``[]`` and its maintenance waits for the next flush; the
-  batch ends with one, so staleness never crosses a batch boundary.
+  (one label-index probe per needed label; direction and edge labels
+  ignored — a weaker test is still necessary; both read admitted edges
+  only, sound since every edge of an embedding is admitted).  Any other
+  arrival answers ``[]`` and its maintenance waits for the next flush;
+  the batch ends with one, so staleness never crosses a batch boundary.
 
 Why the output is unchanged: the last-arrived edge ``L`` of an embedding
 ``M`` in the window passes both tests (every other edge of ``M`` has
@@ -124,8 +124,7 @@ class TCMEngine(MatchEngine):
             (meta.label_u, meta.label_v, meta.edge_label,
              self.dag.edge_child[meta.index] == meta.u)
             for meta in query.edge_meta())
-        self._indexes = ((self.fwd, self._edges_at_child(self.dag)),
-                         (self.rev, self._edges_at_child(self.rdag)))
+        self._indexes = ((self.fwd, True), (self.rev, False))
         self._rows = self._event_rows()
         # Newest timestamp inserted: an arrival at or after it is the
         # newest edge of the window, which is what the order test of the
@@ -162,18 +161,6 @@ class TCMEngine(MatchEngine):
                 rows.setdefault((meta.label_v, meta.label_u), []).append(
                     (meta.index, True, need and need[::-1]))
         return rows
-
-    def _edges_at_child(self, dag: QueryDag
-                        ) -> Dict[int, List[Tuple[int, object, bool]]]:
-        """Per query vertex, the query edges whose DAG child it is, as
-        ``(edge, label of the parent endpoint, is the child qe.u?)`` —
-        what turns a changed max-min entry into candidate pairs."""
-        by_child: Dict[int, List[Tuple[int, object, bool]]] = {}
-        for e, child in enumerate(dag.edge_child):
-            by_child.setdefault(child, []).append(
-                (e, self.query.label(dag.edge_parent[e]),
-                 child == self.query.edges[e].u))
-        return by_child
 
     # ------------------------------------------------------------------
     # Event handling
@@ -296,25 +283,31 @@ class TCMEngine(MatchEngine):
         query edge without successor in the order (asked only of an
         ``in_order`` arrival, the newest edge of the window), and the
         labels that query edge's other neighbours need occur among the
-        other live neighbours of ``u`` and of ``v``."""
-        neighbors, glabel = self.graph.neighbors, self.graph.label
+        other live neighbours of ``u`` and of ``v``, in either
+        direction: one index probe per needed label."""
         for _e, _flipped, need in rows:
             if need is None:
                 if in_order:
                     continue
                 return True
-            for a, b, labels in ((u, v, need[0]), (v, u, need[1])):
-                missing = set(labels)
-                for w in neighbors(a):
-                    if not missing:
-                        break
-                    if w != b:
-                        missing.discard(glabel(w))
-                if missing:
-                    break
-            else:
+            if self._around(u, v, need[0]) and self._around(v, u, need[1]):
                 return True
         return False
+
+    def _around(self, a: int, b: int, labels) -> bool:
+        """Does every label of ``labels`` occur on a live neighbour of
+        ``a`` other than ``b``, over out- or in-rows?"""
+        items = self.graph.neighbor_items
+        for label in labels:
+            found = items(a, label)
+            if len(found) > (b in found):
+                continue
+            if self.graph.directed:
+                found = items(a, label, True)
+                if len(found) > (b in found):
+                    continue
+            return False
+        return True
 
     def _flush(self, pairs: Set[Tuple[int, int]],
                affected: Set[CandidatePair],
@@ -323,8 +316,8 @@ class TCMEngine(MatchEngine):
         max-min propagation over all accumulated data pairs, one
         candidate diff, one D1/D2 worklist run."""
         if self.use_tc_filter and pairs:
-            for index, by_child in self._indexes:
-                self._add_pairs_at(index.on_graph_changes(pairs), by_child,
+            for index, forward in self._indexes:
+                self._add_pairs_at(index.on_graph_changes(pairs), forward,
                                    affected)
         adds, removes = self._diff_candidates(affected)
         vertices: Set[int] = set()               # D1/D2 purge checks
@@ -348,25 +341,26 @@ class TCMEngine(MatchEngine):
         event edge's own label-compatible pairs)."""
         affected: Set[CandidatePair] = set(cands)
         if self.use_tc_filter:
-            for index, by_child in self._indexes:
+            for index, forward in self._indexes:
                 self._add_pairs_at(index.on_graph_change(edge.u, edge.v),
-                                   by_child, affected)
+                                   forward, affected)
         return affected
 
-    def _add_pairs_at(self, changed: Iterable[Tuple[int, int]],
-                      by_child: Dict[int, List[Tuple[int, object, bool]]],
-                      affected: Set[CandidatePair]) -> None:
-        """Add to ``affected`` every adjacent vertex pair a query edge
-        could match with its child-side endpoint on one of the
-        ``changed`` max-min entries ``(u, v)``."""
-        graph = self.graph
-        glabel = graph.label
-        for u, v in changed:
-            for e, parent_label, child_is_u in by_child.get(u, ()):
-                for w in graph.neighbors(v):
-                    if glabel(w) == parent_label:
-                        affected.add((e, v, w) if child_is_u
-                                     else (e, w, v))
+    def _add_pairs_at(self, moved: Iterable[Tuple[int, int]],
+                      forward: bool, affected: Set[CandidatePair]) -> None:
+        """Add to ``affected`` the candidate pairs of the ``moved``
+        windows ``(query edge, child image)`` of the ``forward`` DAG's
+        index (else the reverse DAG's): the child image with each
+        neighbour carrying the parent endpoint's label, over the rows
+        the query edge's direction allows."""
+        items = self.graph.neighbor_items
+        consts = self._edge_consts
+        for e, c in moved:
+            label_u, label_v, _, fwd_child_is_u = consts[e]
+            if fwd_child_is_u == forward:   # c is the image of qe.u
+                affected.update((e, c, w) for w in items(c, label_v))
+            else:
+                affected.update((e, w, c) for w in items(c, label_u, True))
 
     def _diff_candidates(self, affected: Iterable[CandidatePair]
                          ) -> Tuple[list, list]:

@@ -13,14 +13,18 @@ Storage layout (the engine hot path)
 ------------------------------------
 Every adjacent vertex pair is *interned* to a dense integer pair id; the
 parallel-edge timestamps of pair ``p`` live in ``_ts[p]``, a sorted
-``array('q')`` row.  The adjacency dicts (``_adj[u][v] -> pair id``) are
-thin index wrappers over those flat rows — a CSR-style split of the
-structure (row index) from the payload (timestamp arrays) that keeps the
-dict API of the original implementation intact.  For undirected graphs
-both ``_adj[u][v]`` and ``_adj[v][u]`` point at the *same* row, so a
-parallel edge costs one sorted insertion instead of two.  A pair whose
-row empties is unlinked from the adjacency index but keeps its id, so a
-recurring pair (the common case under a sliding window) reuses its row.
+``array('q')`` row, and two indexes map to those ids — a CSR-style split
+of the structure from the payload.  ``_adj[u][v]`` is flat, in the order
+the pairs were linked: :meth:`neighbors` iterates it, and
+``random_walk_query`` draws the ledger's queries in that order, so it
+stays as it is.  ``_nbr[u][label(v)][v]`` keys the same pairs by the
+neighbour's label (:meth:`neighbor_items`): every neighbour scan of the
+TCM engine wants one label and iterates only it.  An undirected pair's
+two entries point at the *same* row (one sorted insertion per parallel
+edge); a directed graph keeps in-rows apart (``_radj`` / ``_rnbr``).
+Both indexes change only when a row links (its first edge arrives) or
+unlinks (its last one leaves), and an unlinked id is freed for the next
+new pair, so the rows never outnumber the pairs ever live at once.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 #: Shared empty timestamp row returned for absent pairs (do not mutate).
 _EMPTY_TS = array("q")
+
+#: Shared empty map returned for absent vertices and labels (do not mutate).
+_EMPTY_MAP: Dict[int, int] = {}
 
 
 class Edge(NamedTuple):
@@ -86,9 +93,10 @@ class TemporalGraph:
     sliding-window semantics of the streaming problem: when all edges of a
     vertex expire the vertex effectively leaves the window.
 
-    The adjacency index is ``_adj[v][w] -> pair id`` into the flat
-    timestamp rows (see the module docstring), which supports the
-    operations the matching algorithms need:
+    The adjacency indexes, ``_adj[v][w]`` and ``_nbr[v][label(w)][w]``,
+    map to pair ids of the flat timestamp rows (see the module
+    docstring), which supports the operations the matching algorithms
+    need:
 
     * chronological enumeration of the parallel edges between two vertices,
     * O(log k) insertion/removal of a parallel edge (k = multiplicity),
@@ -97,8 +105,9 @@ class TemporalGraph:
     Two optional extensions (Section II of the paper notes both):
 
     * ``directed=True`` — edges are interpreted as ``Edge.u -> Edge.v``
-      (build them with :meth:`Edge.make_directed`).  ``_adj`` then keeps
-      out-edges and a mirror ``_radj`` keeps in-edges, so that
+      (build them with :meth:`Edge.make_directed`).  ``_adj`` / ``_nbr``
+      then keep out-edges and mirrors ``_radj`` / ``_rnbr`` keep
+      in-edges, so that
       :meth:`neighbors` still iterates all adjacent vertices while
       :meth:`timestamps_between`/:meth:`edges_between` become
       direction-sensitive (``u -> v`` only).
@@ -117,14 +126,18 @@ class TemporalGraph:
         self._label_fn = label_fn
         self.directed = directed
         self.label_pairs = label_pairs
+        # Linked pairs only: an emptied row's id waits in _free.
         self._pair_ids: Dict[Tuple[int, int], int] = {}
         self._ts: List[array] = []
+        self._free: List[int] = []
         self._adj: Dict[int, Dict[int, int]] = {}
         self._radj: Dict[int, Dict[int, int]] = {}
+        self._nbr: Dict[int, Dict[object, Dict[int, int]]] = {}
+        self._rnbr: Dict[int, Dict[object, Dict[int, int]]] = {}
         self._edge_labels: Dict[Edge, object] = {}
-        # Per-(pair id, label) timestamp rows so label-filtered candidate
-        # enumeration needs no per-edge object construction.
-        self._labeled: Dict[int, Dict[object, array]] = {}
+        # Per-(edge label, pair id) timestamp rows so label-filtered
+        # candidate enumeration needs no per-edge object construction.
+        self._labeled: Dict[object, Dict[int, array]] = {}
         self._num_edges = 0
         self._bind_label()
 
@@ -174,15 +187,6 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _pair_id(self, u: int, v: int) -> int:
-        """Intern the (ordered) pair ``(u, v)``, allocating a row."""
-        pid = self._pair_ids.get((u, v))
-        if pid is None:
-            pid = len(self._ts)
-            self._pair_ids[(u, v)] = pid
-            self._ts.append(array("q"))
-        return pid
-
     def insert_edge(self, edge: Edge, label: object = None) -> bool:
         """Insert ``edge``; returns True if inserted, False if the exact
         ``(u, v, t)`` triple is already present (insertion is idempotent:
@@ -196,21 +200,20 @@ class TemporalGraph:
         pairs = self.label_pairs
         if pairs is not None and (self.label(u), self.label(v)) not in pairs:
             return False
-        pid = self._pair_id(u, v)
-        slot = self._ts[pid]
-        idx = bisect_left(slot, t)
-        if idx < len(slot) and slot[idx] == t:
-            return False
-        slot.insert(idx, t)
-        self._adj.setdefault(u, {})[v] = pid
-        if self.directed:
-            self._radj.setdefault(v, {})[u] = pid
-        elif u != v:
-            self._adj.setdefault(v, {})[u] = pid
+        pid = self._pair_ids.get((u, v))
+        if pid is None:
+            pid = self._link(u, v)
+            self._ts[pid].append(t)
+        else:
+            slot = self._ts[pid]
+            idx = bisect_left(slot, t)
+            if idx < len(slot) and slot[idx] == t:
+                return False
+            slot.insert(idx, t)
         if label is not None:
             self._edge_labels[edge] = label
-            insort(self._labeled.setdefault(pid, {})
-                   .setdefault(label, array("q")), t)
+            insort(self._labeled.setdefault(label, {})
+                   .setdefault(pid, array("q")), t)
         self._num_edges += 1
         return True
 
@@ -230,33 +233,55 @@ class TemporalGraph:
         if idx >= len(slot) or slot[idx] != t:
             return False
         slot.pop(idx)
-        if not slot:
-            self._unlink(u, v)
         label = self._edge_labels.pop(edge, None)
         if label is not None:
-            by_label = self._labeled[pid]
-            lslot = by_label[label]
+            rows = self._labeled[label]
+            lslot = rows[pid]
             lslot.pop(bisect_left(lslot, t))
             if not lslot:
-                del by_label[label]
-                if not by_label:
-                    del self._labeled[pid]
+                del rows[pid]
+                if not rows:
+                    del self._labeled[label]
+        if not slot:
+            self._unlink(u, v, pid)
         self._num_edges -= 1
         return True
 
-    def _unlink(self, u: int, v: int) -> None:
-        """Drop the adjacency index entries of an emptied pair row (the
-        interned id and its row are kept for reuse)."""
-        nbrs = self._adj[u]
-        del nbrs[v]
-        if not nbrs:
-            del self._adj[u]
-        mirror = self._radj if self.directed else self._adj
-        if self.directed or u != v:
-            nbrs = mirror[v]
-            del nbrs[u]
-            if not nbrs:
-                del mirror[v]
+    def _link(self, u: int, v: int) -> int:
+        """Intern the pair ``(u, v)`` whose first edge arrives (reusing a
+        freed row) and enter it into both adjacency indexes."""
+        ends = self._ends(u, v)     # a missing label raises here, first
+        if self._free:
+            pid = self._free.pop()
+        else:
+            pid = len(self._ts)
+            self._ts.append(array("q"))
+        self._pair_ids[(u, v)] = pid
+        for flat, by_label, a, b, label in ends:
+            flat.setdefault(a, {})[b] = pid
+            by_label.setdefault(a, {}).setdefault(label, {})[b] = pid
+        return pid
+
+    def _unlink(self, u: int, v: int, pid: int) -> None:
+        """Drop an emptied pair from both adjacency indexes and free its
+        id (the empty row stays, for the next pair to reuse)."""
+        del self._pair_ids[(u, v)]
+        self._free.append(pid)
+        for flat, by_label, a, b, label in self._ends(u, v):
+            _drop(flat, a, b)
+            _drop(by_label[a], label, b)
+            if not by_label[a]:
+                del by_label[a]
+
+    def _ends(self, u: int, v: int) -> list:
+        """The adjacency entries of the pair ``(u, v)``: ``(flat index,
+        label index, vertex, neighbour, the neighbour's label)``."""
+        ends = [(self._adj, self._nbr, u, v, self.label(v))]
+        if self.directed:
+            ends.append((self._radj, self._rnbr, v, u, self.label(u)))
+        elif u != v:
+            ends.append((self._adj, self._nbr, v, u, self.label(u)))
+        return ends
 
     # ------------------------------------------------------------------
     # Queries
@@ -316,27 +341,31 @@ class TemporalGraph:
             return self._adj.get(v, {}).keys()
         return self._adj.get(v, {}).keys() | self._radj.get(v, {}).keys()
 
-    def neighbor_items(self, v: int, incoming: bool = False,
-                       label: object = None) -> List[Tuple[int, array]]:
-        """``(neighbour, sorted timestamps)`` of the parallel-edge rows
-        at ``v``: the rows ``v -> w`` or, with ``incoming``, ``w -> v``
-        (the same rows when undirected).  With ``label`` only the
-        parallel edges carrying that edge label, and only neighbours
-        that have one.  No row is empty.
+    def neighbor_items(self, v: int, label: object,
+                       incoming: bool = False) -> Dict[int, int]:
+        """The neighbours ``w`` of ``v`` with vertex label ``label``,
+        each mapped to the pair id of its parallel-edge row: the rows
+        ``v -> w`` or, with ``incoming``, ``w -> v`` (the same rows when
+        undirected).  :meth:`timestamp_rows` turns a pair id into its
+        timestamps.  No row is empty.
 
-        The timestamp rows are internal state: callers must not mutate
-        them.
+        The map is internal state: callers must not mutate it, nor the
+        graph while iterating it.
         """
-        nbrs = (self._radj if incoming and self.directed
-                else self._adj).get(v)
-        if nbrs is None:
-            return []
-        if label is None:
-            ts = self._ts
-            return [(w, ts[pid]) for w, pid in nbrs.items()]
-        labeled = self._labeled
-        return [(w, labeled[pid][label]) for w, pid in nbrs.items()
-                if pid in labeled and label in labeled[pid]]
+        by_label = (self._rnbr if incoming and self.directed
+                    else self._nbr).get(v)
+        if by_label is None:
+            return _EMPTY_MAP
+        return by_label.get(label, _EMPTY_MAP)
+
+    def timestamp_rows(self, edge_label: object = None):
+        """Pair id -> sorted timestamps of a linked pair's parallel edges
+        (the ids :meth:`neighbor_items` returns); with ``edge_label``
+        only the edges carrying it, and None for a pair without one.
+        The rows are internal state: callers must not mutate them."""
+        if edge_label is None:
+            return self._ts.__getitem__
+        return self._labeled.get(edge_label, _EMPTY_MAP).get
 
     def edge_label(self, edge: Edge) -> object:
         """The label attached to ``edge`` at insertion, or None."""
@@ -352,7 +381,7 @@ class TemporalGraph:
         pid = self._pair_ids.get((u, v))
         if pid is None:
             return _EMPTY_TS
-        return self._labeled.get(pid, {}).get(label, _EMPTY_TS)
+        return self._labeled.get(label, {}).get(pid, _EMPTY_TS)
 
     def timestamps_between(self, u: int, v: int) -> array:
         """Sorted timestamps of the parallel edges between ``u`` and ``v``
@@ -412,3 +441,12 @@ class TemporalGraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TemporalGraph(|V|={self.num_vertices()}, "
                 f"|E|={self.num_edges()})")
+
+
+
+def _drop(index: dict, v: object, w: int) -> None:
+    """Delete ``index[v][w]``, and ``index[v]`` once it is empty."""
+    nbrs = index[v]
+    del nbrs[w]
+    if not nbrs:
+        del index[v]

@@ -396,18 +396,19 @@ def test_engine_recovers_from_a_search_that_raised_partway():
     engine = TCMEngine(case["query"], labels)
     for event in events[:victim]:
         feed(engine, event)
-    neighbors = engine.graph.neighbors
+    # The search's neighbour scan: one call per extendable vertex.
+    items = engine.graph.neighbor_items
     calls = []
 
-    def failing_once(v):
+    def failing_once(v, label, incoming=False):
         calls.append(v)
         if len(calls) == 3:     # two vertex extensions deep
             raise MemoryError("simulated")
-        return neighbors(v)
+        return items(v, label, incoming)
 
-    engine.graph.neighbors = failing_once
+    engine.graph.neighbor_items = failing_once
     with pytest.raises(MemoryError):
         feed(engine, events[victim])
-    del engine.graph.neighbors
+    del engine.graph.neighbor_items
     assert [feed(engine, event) for event in events[victim:]] \
         == expected[victim:]

@@ -1,6 +1,10 @@
 """Unit tests for the temporal multigraph."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Edge, TemporalGraph
 
@@ -156,3 +160,106 @@ class TestTemporalGraph:
         clone.insert_edge(Edge.make(1, 2, 2))
         assert g.num_edges() == 1
         assert clone.num_edges() == 2
+
+
+class TestRowsAndIndexes:
+    def test_rows_are_recycled_past_the_window(self):
+        """A window sliding over many distinct pairs holds no more rows
+        than it ever held live pairs: an emptied row's id is freed and
+        reused, and leaves the pair table and both indexes.  Kills the
+        mutant that unlinks a row without freeing its id."""
+        g = TemporalGraph(label_fn=lambda v: v % 3)
+        window = deque()
+        for t in range(20000):
+            window.append(Edge.make(t, t + 1 + t % 7, t))
+            g.insert_edge(window[-1])
+            if len(window) > 50:
+                g.remove_edge(window.popleft())
+            assert len(g._ts) <= len(g._pair_ids) + len(g._free) <= 51
+        while window:
+            g.remove_edge(window.popleft())
+        assert (g._pair_ids, g._adj, g._nbr) == ({}, {}, {})
+        assert len(g._free) == len(g._ts)
+
+
+@st.composite
+def graph_operations(draw):
+    """A graph shape plus a random sequence of inserts and removes over
+    a few vertices (self-loops included), some edges edge-labelled."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    labels = {v: draw(st.sampled_from("AB")) for v in range(n)}
+    ops = draw(st.lists(st.tuples(
+        st.booleans(), st.integers(0, n - 1), st.integers(0, n - 1),
+        st.integers(0, 4), st.sampled_from([None, "x", "y"])),
+        max_size=60))
+    return directed, labels, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graph_operations())
+def test_label_index_is_the_filtered_flat_index(case):
+    """After every insert or remove, against reference insertion-ordered
+    dicts of the linked pairs (out- and in-rows apart when directed):
+    ``neighbors()`` iterates in linking order when undirected (the order
+    ``random_walk_query`` draws the ledger's queries in) and is the
+    out/in union when directed; ``neighbor_items(v, label, incoming)``
+    is the reference filtered by the neighbour's label, in the same
+    order, mapping each neighbour to the pair id whose rows are the
+    pair's timestamps, edge-labelled ones included.  Kills the mutants
+    that forget the label index on unlink, or key it by the wrong
+    endpoint's label."""
+    directed, labels, ops = case
+    g = TemporalGraph(labels=labels, directed=directed)
+    make = Edge.make_directed if directed else Edge.make
+    out = {}                 # v -> {w: None}, in linking order
+    into = {} if directed else out
+    live = {}                # edge -> its edge label
+    for insert, a, b, t, elabel in ops:
+        edge = make(a, b, t)
+        pair_live = any(e[:2] == edge[:2] for e in live)
+        if insert:
+            assert g.insert_edge(edge, label=elabel) == (edge not in live)
+            live.setdefault(edge, elabel)
+            if not pair_live:
+                link(out, into, edge.u, edge.v, dict.setdefault)
+        else:
+            assert g.discard_edge(edge) == (edge in live)
+            live.pop(edge, None)
+            if pair_live and not any(e[:2] == edge[:2] for e in live):
+                link(out, into, edge.u, edge.v, dict.pop)
+        rows = g.timestamp_rows()
+        for v in labels:
+            if directed:
+                assert set(g.neighbors(v)) == (set(out.get(v, ()))
+                                               | set(into.get(v, ())))
+            else:
+                assert list(g.neighbors(v)) == list(out.get(v, ()))
+            for incoming, ref in ((False, out), (True, into)):
+                for label in "AB":
+                    found = g.neighbor_items(v, label, incoming)
+                    assert list(found) == [w for w in ref.get(v, ())
+                                           if labels[w] == label]
+                    for w, pid in found.items():
+                        pair = (w, v) if incoming else (v, w)
+                        if not directed and pair[0] > pair[1]:
+                            pair = pair[::-1]
+                        assert rows(pid) is g.timestamps_between(*pair)
+                        for elabel in ("x", "y"):
+                            assert list(g.timestamp_rows(elabel)(pid)
+                                        or ()) == sorted(
+                                e.t for e, el in live.items()
+                                if e[:2] == pair and el == elabel)
+
+
+def link(out, into, u, v, op):
+    """Apply ``op`` (``dict.setdefault`` to link, ``dict.pop`` to unlink)
+    to the reference entries of the pair ``(u, v)``."""
+    for index, a, b in ((out, u, v), (into, v, u)):
+        nbrs = index.setdefault(a, {})
+        if op is dict.pop:
+            nbrs.pop(b, None)
+        else:
+            nbrs.setdefault(b, None)
+        if not nbrs:
+            del index[a]

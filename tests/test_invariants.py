@@ -8,6 +8,7 @@ the final graph state.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dag import build_best_dag
 from repro.core.dcs import DCS
@@ -46,7 +47,9 @@ def check_maxmin_against_scratch(query, labels, edges, delta,
     ``TCMEngine.on_batch`` does it (expirations only purge dead
     endpoints and accumulate their pair, the next arrival refreshes all
     accumulated pairs in one call) — comparing with a fresh index after
-    every refresh."""
+    every refresh.  Kills the mutant that pushes a changed entry to its
+    DAG parents only when its presence flipped, not when a slot their
+    transfer plans read moved."""
     events = build_event_list(edges, delta)
     best = build_best_dag(query)
     for dag in (best, best.reverse()):
@@ -88,20 +91,41 @@ def test_maxmin_always_matches_scratch_directed_labeled(instance):
     check_maxmin_against_scratch(query, labels, edges, delta, elabels.get)
 
 
+def engine_calls(engine, events, sizes):
+    """Feed ``events`` to ``engine`` one per-event call at a time, or,
+    given ``sizes``, in ``on_batch`` calls of those sizes (cycled);
+    yields after every call."""
+    if sizes is None:
+        for event in events:
+            if event.is_arrival:
+                engine.on_edge_insert(event.edge)
+            else:
+                engine.on_edge_expire(event.edge)
+            yield
+        return
+    lo = 0
+    while lo < len(events):
+        size = sizes[lo % len(sizes)]
+        engine.on_batch(events[lo:lo + size])
+        lo += size
+        yield
+
+
 @settings(max_examples=30, deadline=None)
-@given(query=temporal_queries(), stream=streams())
-def test_dcs_filter_matches_scratch_through_engine(query, stream):
-    """After every event processed by the full TCM engine, the DCS edge
-    set must equal the engine's valid-candidate predicate evaluated on
-    the current window, and D1/D2 must match a fresh DCS fed the same
-    edges."""
+@given(query=temporal_queries(), stream=streams(),
+       sizes=st.none() | st.lists(st.integers(1, 6), min_size=1,
+                                  max_size=6))
+def test_dcs_filter_matches_scratch_through_engine(query, stream, sizes):
+    """After every call into the full TCM engine — per event, or
+    ``on_batch`` at random batch sizes — the DCS edge set must equal
+    the engine's valid-candidate predicate evaluated on the current
+    window, and D1/D2 must match a fresh DCS fed the same edges.  Kills
+    the max-min mutant that reports a changed entry's own-edge windows
+    only when its presence flipped: a moved window's stale candidates
+    stay."""
     labels, edges, delta = stream
     engine = TCMEngine(query, labels)
-    for event in build_event_list(edges, delta):
-        if event.is_arrival:
-            engine.on_edge_insert(event.edge)
-        else:
-            engine.on_edge_expire(event.edge)
+    for _ in engine_calls(engine, build_event_list(edges, delta), sizes):
         graph = engine.graph
         # (1) DCS content == valid candidates of the current window.
         expected = set()

@@ -3,7 +3,7 @@
 from repro.core.maxmin import INF, MaxMinIndex
 from repro.graph.temporal_graph import TemporalGraph
 from tests.paper_example import (
-    DATA_LABELS, EPS2, EPS5, EPS6, SIGMA, U3, V4, V7,
+    DATA_LABELS, EPS2, EPS5, EPS6, SIGMA, V4, V7,
     make_paper_dag, make_query,
 )
 
@@ -63,17 +63,20 @@ class TestPaperValues:
         assert index.window(EPS6, V4) is None
         assert not index.edge_passes(EPS6, V4, 14)
 
-    def test_changed_pairs_read_once(self):
-        """``on_graph_changes`` takes any iterable: a generator must
-        refresh the cached entries exactly like a tuple (Example IV.4's
-        7 -> 10 flip on sigma_14), not purge and then seed nothing."""
+    def test_moved_window_reported(self):
+        """Example IV.4's step: sigma_14 moves T[u3, v4, eps2] from 7 to
+        10, so ``on_graph_changes`` reports the window of eps2 at v4 as
+        moved, and nothing else.  It takes any iterable: a generator must refresh the
+        entries exactly like a tuple, not purge and then seed nothing.
+        Kills the mutant that reports a changed entry's windows only
+        when its presence flipped."""
         _, _, graph, index = build_index(13)
         assert index.window(EPS2, V4) == (-INF, 7)
         edge = SIGMA[14]
         graph.insert_edge(edge)
-        changed = index.on_graph_changes(
+        moved = index.on_graph_changes(
             pair for pair in [(edge.u, edge.v)])
-        assert (U3, V4) in changed
+        assert moved == {(EPS2, V4)}
         assert index.window(EPS2, V4) == (-INF, 10)
 
     def test_eps6_always_matchable_at_leaf(self):
