@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.query.temporal_query import TemporalQuery
-from repro.service import MatchService, QueryStats
+from repro.service import MatchService, QueryStats, save_checkpoint
 from repro.workloads import make_mixed_query_set
 
 
@@ -232,15 +232,8 @@ def run_multi_query(config: Optional[MultiQueryConfig] = None,
                 progress(service, min(lo + step, len(edges)), len(edges))
         service.drain()
         if checkpoint_path is not None:
-            if sharded:
-                from repro.cluster.checkpoint import save_checkpoint
-            else:
-                from repro.service.checkpoint import save_checkpoint
             save_checkpoint(service, checkpoint_path)
-        if sharded:
-            per_query = service.all_query_stats()
-        else:
-            per_query = [entry.stats for entry in service.registry.list()]
+        per_query = service.all_query_stats()
         per_shard: List[Dict[str, int]] = []
         if sharded:
             per_shard = [

@@ -189,9 +189,7 @@ def _live_metrics_table(ticks: int = 5):
         if sharded:
             line += f" / {service.events_unshipped} unshipped"
         print(line)
-        per_query = (service.all_query_stats() if sharded
-                     else [e.stats for e in service.registry.list()])
-        for s in per_query:
+        for s in service.all_query_stats():
             print(f"  {s.query_id:<8}{s.engine:<12}"
                   f"{s.events_processed:>8} ev{s.matches:>8} m"
                   f"{s.elapsed_seconds * 1000.0:>9.1f} ms")

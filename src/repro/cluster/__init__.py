@@ -20,8 +20,10 @@ The third layer of the matching stack:
   worker pool grows/shrinks elastically (``add_worker`` /
   ``drain_worker``).
 
-``repro.cluster.checkpoint`` persists/restores the sharded service
-(including scale-up/down across worker counts).
+The sharded service is the service front of ``repro.service`` over a
+sharded dispatch back-end; ``repro.cluster.checkpoint`` wraps the one
+service checkpoint in the cluster envelope (worker count, placement)
+and restores it across worker counts.
 """
 
 from repro.cluster.coordinator import (

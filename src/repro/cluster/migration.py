@@ -5,9 +5,9 @@ query->shard assignment into a live mapping.  The primitive is a
 single-query **migration**:
 
 1. the coordinator cuts the query's engine window — the ``(edge,
-   seq)`` pairs it holds — from its own window and detaches the query
-   from its source worker (``MIGRATE_OUT``), receiving its status,
-   counters and collected results;
+   seq)`` pairs it holds — from the front's window and detaches the
+   query from its source worker (``MIGRATE_OUT``), receiving the
+   worker's record of it (status, counters, collected results);
 2. while the query is in flight, the coordinator buffers any routed
    event the query would have received in a bounded *tail* (staged
    migrations only; the atomic path never leaves the batch boundary);
@@ -22,17 +22,17 @@ single-query **migration**:
 How every query reaches a worker
 --------------------------------
 As a ticket built by :meth:`MigrationManager.ticket`.  A query's engine
-state is always the replay of its cut of the coordinator's ``(edge,
-seq)`` window at its own join cursor (:meth:`~repro.service.interest.
+state is always the replay of its cut of the front's ``(edge, seq)``
+window at its own join cursor (:meth:`~repro.service.interest.
 QueryInterestIndex.window_of`; a checkpoint restore first refills that
 window from the document), so a registration, a checkpoint restore, a
-crash recovery and a migration differ only in who wrote the status,
-counters and result: nobody; the checkpoint's record; the coordinator,
-from its mirror; the source worker, on ``MIGRATE_OUT``.  The
-coordinator trims its window only after :meth:`~MigrationManager.
-before_batch` had its chance to recover, so everything live when a lost
-exchange began is still held when the next boundary re-homes its
-queries: that makes a recovery exact.
+crash recovery and a migration differ only in who wrote the record the
+ticket carries: the front, fresh; the checkpoint; the front, from what
+it last knew; the source worker, on ``MIGRATE_OUT``.  The front trims
+its window only after the back-end's boundary hook — and so
+:meth:`~MigrationManager.before_batch` — had its chance to recover, so
+everything live when a lost exchange began is still held when the next
+boundary re-homes its queries: that makes a recovery exact.
 
 Run at a batch boundary with an empty tail — :meth:`MigrationManager.
 migrate` — the hop is invisible: the merged notification stream is
@@ -61,17 +61,15 @@ opens a ``migration`` root span with the worker-side ``migrate_out``/
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import protocol, wire
-from repro.cluster.protocol import (
-    MigrationTicket, QueryFinalState, RegisterSpec,
-)
+from repro.cluster.protocol import MigrationTicket
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
 from repro.service.interest import query_pattern_keys
-from repro.service.registry import QueryStatus
+from repro.service.registry import QueryStatus, RegisteredQuery
 
 #: Default bound on a staged migration's event tail; reaching it forces
 #: the migration to finish at the next batch boundary.
@@ -109,12 +107,12 @@ class MigrationRecord:
 @dataclass
 class _Pending:
     """A detached query on its way to ``target``: what its source knew
-    (``final``) and its cut of the coordinator's window."""
+    (its ``record``) and its cut of the front's window."""
 
     query_id: str
     source: int
     target: Optional[int]
-    final: QueryFinalState
+    record: RegisteredQuery
     window: Tuple[Tuple[Edge, int], ...]
     reason: str
     max_tail: int
@@ -124,15 +122,16 @@ class _Pending:
 
 
 class MigrationManager:
-    """The coordinator's migration state machine.
+    """The sharded back-end's migration state machine.
 
     A friend object of :class:`~repro.cluster.coordinator.
-    ShardedMatchService` (it drives the service's private RPC plane and
-    mirrors); the service re-exports the public operations.
+    ShardedBackend` (it drives the back-end's private RPC plane and reads
+    its front's window and records); the service re-exports the public
+    operations.
     """
 
-    def __init__(self, service):
-        self._svc = service
+    def __init__(self, backend):
+        self._svc = backend
         self._pending: Dict[str, _Pending] = {}
         self.history: List[MigrationRecord] = []
         #: Set by the coordinator's quarantine path under
@@ -184,7 +183,7 @@ class MigrationManager:
                         reason=reason) as root:
             pending = self._detach(info, source, target, reason, 0, root)
             notes = self._land(info, pending, root)
-        svc._deliver(notes)
+        svc.front._deliver(notes)
         return self.history[-1]
 
     def begin(self, query_id: str, target: Optional[int] = None, *,
@@ -216,12 +215,12 @@ class MigrationManager:
             raise MigrationError(
                 f"no migration in progress for {query_id!r}") from None
         self._set_pending_gauge()
-        info = svc._get_info(query_id)
+        info = svc.front.registry.get(query_id)
         with maybe_span(svc.tracer, "migration", query=query_id,
                         reason=pending.reason,
                         tail=len(pending.tail)) as root:
             notes = self._land(info, pending, root)
-        svc._deliver(notes)
+        svc.front._deliver(notes)
         return notes
 
     def finish_all(self) -> None:
@@ -250,19 +249,19 @@ class MigrationManager:
                              if len(p.tail) >= p.max_tail]:
                 self.finish(query_id)
 
-    def buffer(self, prefix: List[Edge], base_seq: int) -> None:
-        """Append this batch's events to the pending tails, by the
-        coordinator's interest index: exactly the edges the router
-        would have shipped for the detached query (and leaves out
-        while it is detached)."""
+    def buffer(self, pairs: List[Tuple[Edge, int]]) -> None:
+        """Append this batch's ``(edge, seq)`` pairs to the pending
+        tails, by the front's interest index: exactly the edges the
+        router would have shipped for the detached query (and leaves
+        out while it is detached)."""
         if not self._pending:
             return
-        lookup = self._svc._interest.lookup_ids
-        for offset, edge in enumerate(prefix):
-            for query_id in lookup(edge):
+        lookup = self._svc.front.registry.interest.lookup_ids
+        for pair in pairs:
+            for query_id in lookup(pair[0]):
                 pending = self._pending.get(query_id)
                 if pending is not None:
-                    pending.tail.append((edge, base_seq + offset))
+                    pending.tail.append(pair)
 
     def note_drain(self) -> None:
         """The stream was drained while migrations were staged: their
@@ -292,9 +291,9 @@ class MigrationManager:
                              f"known: ['events', 'busy']")
         svc = self._svc
         by_id = {stats.query_id: stats
-                 for stats in svc.all_query_stats()}
+                 for stats in svc.front.all_query_stats()}
         load: Dict[str, float] = {}
-        for info in svc._queries.values():
+        for info in svc.front.registry.list():
             if not info.active or info.query_id in self._pending:
                 continue
             stats = by_id.get(info.query_id)
@@ -311,14 +310,13 @@ class MigrationManager:
     def recover(self, shard: Optional[int] = None
                 ) -> List[MigrationRecord]:
         """Re-home the queries stranded on quarantined workers: a
-        migration whose :class:`~repro.cluster.protocol.QueryFinalState`
-        the coordinator writes, landed by :meth:`finish` like a staged
-        one.
+        migration whose source record is the front's own, landed by
+        :meth:`finish` like a staged one.
 
-        It holds the mirror's status (queries the crash
+        It holds the front's status (queries the crash
         quarantined flip back to active, queries that had errored on
         their own stay errored) and the last counters fetched; the
-        window is the query's cut of the coordinator's at the cursor its
+        window is the query's cut of the front's at the cursor its
         worker was lost at; what was routed since — first of all the
         exchange whose reply never came — is the tail, replayed on the
         new shard and delivered to subscribers from here.  At the
@@ -331,8 +329,9 @@ class MigrationManager:
         lost inside ``drain()`` comes back empty.  Raises
         :class:`MigrationError` when no healthy target exists."""
         svc = self._svc
+        front = svc.front
         records: List[MigrationRecord] = []
-        for info in list(svc._queries.values()):
+        for info in front.registry.list():
             source = svc._placement.shard_of(info.query_id)
             # A query detached by a staged migration is not on the dead
             # worker: its own finish lands it.
@@ -343,24 +342,22 @@ class MigrationManager:
             crashed = bool(info.error) and info.error.startswith(
                 f"worker {source} crashed")
             lost_seq, lost_now = svc._lost_from[source]
-            pairs = svc._interest.window_of(
-                info.query_id, info.joined_seq, svc._live, svc.delta,
+            pairs = front.registry.interest.window_of(
+                info.query_id, info.joined_seq, front._live, front.delta,
                 lost_now)
             held = sum(1 for _, seq in pairs if seq < lost_seq)
-            stats = svc._lost_stats(info)
+            record = replace(info, result=None)
+            if crashed:
+                record.status, record.error = QueryStatus.ACTIVE, None
             self._pending[info.query_id] = _Pending(
                 query_id=info.query_id, source=source, target=None,
-                final=QueryFinalState(
-                    status="active" if crashed else info.status.value,
-                    error=None if crashed else info.error, stats=stats,
-                    result=None),
-                window=pairs[:held], reason="recover", max_tail=0,
-                started=time.perf_counter(), tail=list(pairs[held:]))
+                record=record, window=pairs[:held], reason="recover",
+                max_tail=0, started=time.perf_counter(),
+                tail=list(pairs[held:]))
             self.finish(info.query_id)
             if crashed:
                 info.status = QueryStatus.ACTIVE
                 info.error = None
-            info.last_stats = stats
             records.append(self.history[-1])
         return records
 
@@ -373,7 +370,7 @@ class MigrationManager:
         query pulled off its source with nowhere to land would be lost.
         Returns ``(info, source, target)``."""
         svc = self._svc
-        info = svc._get_info(query_id)
+        info = svc.front.registry.get(query_id)
         if query_id in self._pending:
             raise MigrationError(
                 f"query {query_id!r} is already migrating")
@@ -398,18 +395,17 @@ class MigrationManager:
 
     def _detach(self, info, source: int, target: int, reason: str,
                 max_tail: int, root) -> _Pending:
-        """Cut ``info``'s window from the coordinator's and take the
-        query off ``source`` (MIGRATE_OUT, traced under ``root`` when it
-        is a live span)."""
+        """Cut ``info``'s window from the front's and take the query off
+        ``source`` (MIGRATE_OUT, traced under ``root`` when it is a live
+        span), keeping the source's record of it."""
         svc = self._svc
         started = time.perf_counter()
-        window = svc._interest.window_of(
-            info.query_id, info.joined_seq, svc._live, svc.delta, svc._now)
-        final = svc._request(source, svc._control_message(
+        window = svc.front.export_query_window(info)
+        record = svc._request(source, svc._control_message(
             protocol.MIGRATE_OUT, info.query_id, root)).payload
         return _Pending(
             query_id=info.query_id, source=source, target=target,
-            final=final, window=window, reason=reason, max_tail=max_tail,
+            record=record, window=window, reason=reason, max_tail=max_tail,
             started=started)
 
     def _land(self, info, pending: _Pending, root) -> List:
@@ -418,38 +414,28 @@ class MigrationManager:
         svc = self._svc
         ctx = ((root.trace_id, root.span_id)
                if svc.tracer is not None else None)
-        final = pending.final
-        ticket = self.ticket(
-            info, final.status, final.error, final.stats,
-            result=final.result, window=pending.window,
-            tail=tuple(pending.tail), drained=pending.drained)
+        ticket = self.ticket(pending.record, window=pending.window,
+                             tail=tuple(pending.tail),
+                             drained=pending.drained)
         target, notes = self._restore(info, ticket, pending.target, ctx)
         self._completed(info, pending, target, ticket)
         return notes
 
-    def ticket(self, info, status: str, error: Optional[str], stats, *,
-               result=None, window: Tuple[Tuple[Edge, int], ...] = (),
+    def ticket(self, record: RegisteredQuery, *,
+               window: Tuple[Tuple[Edge, int], ...] = (),
                tail: Tuple[Tuple[Edge, int], ...] = (),
                drained: bool = False) -> MigrationTicket:
-        """The ticket that puts ``info``'s query on a worker — the one
-        place one is built.  ``status`` / ``error`` / ``stats`` are what
-        the query's previous host knew (for a live registration:
-        active, fresh counters); the join cursor is the mirror's.  A
-        query that is not active ships no window and no tail: the
+        """The ticket that puts ``record``'s query on a worker — the one
+        place one is built.  ``record`` is what the query's previous
+        host knew (for a live registration: the front's fresh record).
+        A query that is not active ships no window and no tail: the
         target never builds its engine."""
-        svc = self._svc
-        if QueryStatus(status) is not QueryStatus.ACTIVE:
+        if not record.active:
             window = tail = ()
         return MigrationTicket(
-            spec=RegisterSpec(
-                query_id=info.query_id, query=info.query,
-                labels=info.labels, engine=info.engine_obj,
-                edge_label_fn=info.edge_label_fn,
-                collect_results=info.collect_results),
-            code=svc._intern_codes[info.query_id],
-            joined_seq=info.joined_seq,
-            status=status, error=error, stats=stats, result=result,
-            window=window, tail=tail, final_now=svc._now, drained=drained)
+            record=record, code=self._svc._intern_codes[record.query_id],
+            window=window, tail=tail, final_now=self._svc.front.now,
+            drained=drained)
 
     def _restore(self, info, ticket: MigrationTicket,
                  target: Optional[int], ctx) -> Tuple[int, List]:
@@ -487,11 +473,8 @@ class MigrationManager:
         """Every candidate target died mid-restore: the query's state
         is gone; quarantine it coordinator-side.  It stays placed (and
         routed for) where it was until it is unregistered or recovered."""
-        svc = self._svc
-        if info.active:
-            info.status = QueryStatus.ERRORED
-            info.error = "lost during migration: no live target worker"
-            svc.stats.errored_queries += 1
+        self._svc.front.quarantine(
+            info, "lost during migration: no live target worker")
 
     def _completed(self, info, pending: _Pending, target: int,
                    ticket: MigrationTicket) -> None:
@@ -499,7 +482,7 @@ class MigrationManager:
         record = MigrationRecord(
             query_id=info.query_id, source=pending.source, target=target,
             reason=pending.reason, window_edges=len(ticket.window),
-            tail_events=len(ticket.tail), seq=svc._seq,
+            tail_events=len(ticket.tail), seq=svc.front.seq,
             elapsed_seconds=time.perf_counter() - pending.started)
         self.history.append(record)
         obs = svc.metrics

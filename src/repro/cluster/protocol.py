@@ -4,7 +4,7 @@ Messages travel over ``multiprocessing.Pipe`` connections, so payloads
 are pickled: everything crossing the wire is either a plain value or
 one of the dataclasses below (queries, edges, events, matches and stats
 are all pickle-friendly dataclasses already).  Callables may appear in
-a :class:`RegisterSpec` (engine factories, ``edge_label_fn``) and must
+a query's record (custom engine factories, ``edge_label_fn``) and must
 then be picklable — module-level functions or bound methods of
 picklable objects such as ``some_dict.get``.
 
@@ -24,7 +24,7 @@ ahead of a query: its wire code, its join cursor and its window — cut
 from the coordinator's — ride its ticket, and every routed frame
 carries the stream cursor it closes on.  No edge travels back: a
 worker answers ``UNREGISTER``, ``DESCRIBE`` and ``MIGRATE_OUT`` alike
-with a :class:`QueryFinalState`.
+with its :class:`~repro.service.registry.RegisteredQuery` of the query.
 
 Replies piggyback only what the coordinator cannot work out from the
 registrations, the placement and the stream it already holds:
@@ -51,19 +51,17 @@ QueryInterestIndex` over the registrations it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.graph.temporal_graph import Edge
-from repro.query.temporal_query import TemporalQuery
-from repro.service.stats import QueryStats
-from repro.streaming.driver import StreamResult
+from repro.service.registry import RegisteredQuery
 
 # Request verbs -------------------------------------------------------
-UNREGISTER = "unregister"    # payload: query_id -> QueryFinalState
+UNREGISTER = "unregister"    # payload: query_id -> its record
 DESCRIBE = "describe"        # payload: query_id (non-destructive)
 QUERY_STATS = "query_stats"  # payload: query_id
 QUARANTINE = "quarantine"    # payload: (query_id, error message)
-MIGRATE_OUT = "migrate_out"  # payload: query_id -> QueryFinalState
+MIGRATE_OUT = "migrate_out"  # payload: query_id -> its record
 MIGRATE_IN = "migrate_in"    # payload: MigrationTicket
 INGEST_BATCH = "ingest_batch"  # payload: edges (see wire.encode_ingest)
 INGEST_ROUTED = "ingest_routed"  # payload: RoutedBatch (interest-routed)
@@ -91,76 +89,43 @@ class RoutedBatch:
 
 
 @dataclass(frozen=True)
-class RegisterSpec:
-    """The registration a caller made: what a worker needs, besides
-    the rest of the :class:`MigrationTicket` it rides in, to build one
-    query's engine."""
-
-    query_id: str
-    query: TemporalQuery
-    labels: Dict[int, object]
-    engine: object                       # kind name or picklable factory
-    edge_label_fn: Optional[Callable] = None
-    collect_results: bool = True
-
-
-@dataclass(frozen=True)
 class MigrationTicket:
     """MIGRATE_IN payload: one query's portable state, target-bound —
     how every query reaches a worker.
 
-    Assembled by the coordinator from the registration spec it mirrors,
-    what the query's previous host knew (``status`` / ``error`` /
-    ``stats`` / ``result``: a :class:`QueryFinalState`, from the source
-    worker or from the coordinator's mirror) and the query's cut of the
-    coordinator's window (:mod:`repro.cluster.migration`, "How every
-    query reaches a worker").  ``window`` holds the ``(edge, global
-    seq)`` pairs the query's engine has inside the sliding window; the
-    engine object itself is *not* shipped — engine state is derived
-    data, rebuilt on the target by replaying ``window`` — and
-    ``result`` moves with the query so collected matches survive the
-    hop (a crashed worker's are gone).  A query that is not active
-    ships no window and no tail.
-    ``code`` is the query id's interned code on the reply wire.
-    ``joined_seq`` is the query's **global** join cursor: the stream
-    position it first registered at, kept across migrations, restores
-    and recoveries — never the target worker's own position, which lags
-    on a shard the router has not contacted.  ``tail`` carries the
-    events that arrived (and matched the query's interest) while the
-    query was nowhere — detached by a staged migration, or stranded on
-    a worker whose reply was lost; empty on the atomic migration path,
-    where the hop completes inside one batch boundary.  ``final_now``
-    is the global clock at restore time, so the target can privately
-    expire any window/tail edge whose window closed in the meantime;
-    ``drained`` records that the stream was drained mid-flight (the
-    private window must be flushed completely and nothing re-enters the
-    live deque).  The ticket is idempotent and retryable: if the target
-    dies mid-restore the coordinator re-sends the same ticket to another
-    healthy worker.
+    ``record`` is the query's :class:`~repro.service.registry.
+    RegisteredQuery` as its previous host knew it — nobody (a live
+    registration), the checkpoint's record, the coordinator's (a crash
+    recovery), the source worker's (a migration): status, counters,
+    collected result and its **global** join cursor, the stream
+    position it first registered at, never the target worker's own.
+    Pickled, it leaves its engine behind: engine state is derived data,
+    rebuilt on the target by silently replaying ``window``, the ``(edge,
+    global seq)`` pairs inside the query's engine window, cut from the
+    coordinator's (:mod:`repro.cluster.migration`, "How every query
+    reaches a worker").  A query that is not active ships no window and
+    no tail.  ``code`` is the query id's interned code on the reply
+    wire.  ``tail`` carries the events that arrived (and matched the
+    query's interest) while the query was nowhere — detached by a
+    staged migration, or stranded on a worker whose reply was lost;
+    empty on the atomic migration path, where the hop completes inside
+    one batch boundary.  ``final_now`` is the global clock at restore
+    time, so the target can privately expire any window/tail edge whose
+    window closed in the meantime; ``drained`` records that the stream
+    was drained mid-flight (the private window must be flushed
+    completely and nothing re-enters the live window).  The ticket is
+    idempotent and retryable: if the target dies mid-restore the
+    coordinator re-sends the same ticket to another healthy worker.
     """
 
-    spec: RegisterSpec
+    record: RegisteredQuery
     code: int
-    joined_seq: int
-    status: str
-    error: Optional[str]
-    stats: QueryStats
-    result: Optional[StreamResult]
     window: Tuple[Tuple[Edge, int], ...] = ()
     tail: Tuple[Tuple[Edge, int], ...] = ()
     final_now: Optional[int] = None
     drained: bool = False
-
-
-@dataclass(frozen=True)
-class QueryFinalState:
-    """A worker's view of one query: status, counters and results (the
-    reply to ``UNREGISTER``, ``DESCRIBE`` and ``MIGRATE_OUT``)."""
-
-    status: str
-    error: Optional[str]
-    stats: QueryStats
-    result: Optional[StreamResult]
+    #: The layout tag: a worker refuses any other (the class default).
+    format: str = "repro.cluster.ticket/1"
 
 
 @dataclass(frozen=True)

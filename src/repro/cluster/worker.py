@@ -8,9 +8,11 @@ arrival sequence number plus the batch's closing cursor
 (:meth:`MatchService.ingest_routed` keeps the local window and stream
 position consistent with the global stream).  A query arrives as a
 ticket (``MIGRATE_IN``: a registration, a restore, a recovery or a
-migration) carrying its reply-wire code and its global join cursor;
-nothing is synced ahead of it, and nothing depends on the worker's own
-stream position being current between the frames it is sent.
+migration) carrying its record — its global join cursor among it — and
+its reply-wire code, and is hosted through the service's one host path;
+a ticket of another format is refused.  Nothing is synced ahead of it,
+and nothing depends on the worker's own stream position being current
+between the frames it is sent.
 
 Failure layers, innermost first:
 
@@ -34,9 +36,9 @@ import time
 from typing import Dict, Tuple
 
 from repro.cluster import protocol, wire
-from repro.cluster.protocol import QueryFinalState, Reply
+from repro.cluster.protocol import Reply
 from repro.obs.trace import Tracer, pack_spans
-from repro.service.registry import QueryStatus
+from repro.service.registry import RegisteredQuery
 from repro.service.service import MatchService
 
 #: Ingest-path verbs a worker wraps in a span when tracing is on (the
@@ -49,13 +51,6 @@ _TRACED_VERBS = {
     protocol.MIGRATE_OUT: "migrate_out",
     protocol.MIGRATE_IN: "migrate_in",
 }
-
-
-def _final_state(entry) -> QueryFinalState:
-    """What the coordinator learns of a query it asks about or takes
-    away."""
-    return QueryFinalState(entry.status.value, entry.error, entry.stats,
-                           entry.result)
 
 
 class ShardWorker:
@@ -104,9 +99,9 @@ class ShardWorker:
         if verb == protocol.DRAIN:
             return service.drain()
         if verb == protocol.UNREGISTER:
-            return _final_state(service.unregister(payload))
+            return service.unregister(payload)
         if verb == protocol.DESCRIBE:
-            return _final_state(service.registry.get(payload))
+            return service.registry.get(payload)
         if verb == protocol.QUERY_STATS:
             return service.registry.get(payload).stats
         if verb == protocol.QUARANTINE:
@@ -123,49 +118,45 @@ class ShardWorker:
             return None
         raise ValueError(f"unknown request verb {verb!r}")
 
-    def _migrate_out(self, query_id: str) -> QueryFinalState:
+    def _migrate_out(self, query_id: str) -> RegisteredQuery:
         """Detach one query: drop it from the registry and return its
-        status, counters and collected result.  Its window is not sent
-        back: the coordinator cuts it from its own.  Registry-level
-        removal (not ``service.unregister``) keeps the service's
-        registered/unregistered counters untouched — a migration is not
-        a user-visible retire."""
+        record (status, counters, collected result; pickling leaves the
+        engine here).  Its window is not sent back: the coordinator
+        cuts it from its own.  Registry-level removal (not
+        ``service.unregister``) keeps the service's registered /
+        unregistered counters untouched — a migration is not a
+        user-visible retire."""
         entry = self.service.registry.unregister(query_id)
         self._reported.discard(query_id)
-        return _final_state(entry)
+        return entry
 
     def _migrate_in(self, ticket: protocol.MigrationTicket):
         """Host a query from its ticket (a registration, restore,
-        recovery or migration: they differ only in what it holds);
-        returns the tail-replay notifications.  The join cursor is the
-        ticket's global one: this worker's own position lags when the
-        router has not contacted it."""
-        spec = ticket.spec
-        self.shapes[spec.query_id] = wire.reply_shape(ticket.code,
-                                                      spec.query)
-        notes = self.service.host_query(
-            spec.query, spec.labels, spec.engine, query_id=spec.query_id,
-            edge_label_fn=spec.edge_label_fn,
-            collect_results=spec.collect_results,
-            joined_seq=ticket.joined_seq, status=ticket.status,
-            error=ticket.error, stats=ticket.stats, result=ticket.result,
-            window=ticket.window, tail=ticket.tail,
-            final_now=ticket.final_now, drained=ticket.drained)
-        if QueryStatus(ticket.status) is not QueryStatus.ACTIVE:
-            self._reported.add(spec.query_id)
+        recovery or migration: they differ only in what it holds)
+        through the service's one host path; returns the tail-replay
+        notifications.  The join cursor is the record's global one:
+        this worker's own position lags when the router has not
+        contacted it.  A ticket of another format is refused."""
+        expected = protocol.MigrationTicket.format
+        if ticket.format != expected:
+            raise ValueError(f"not a migration ticket: format "
+                             f"{ticket.format!r} (expected {expected!r})")
+        record = ticket.record
+        self.shapes[record.query_id] = wire.reply_shape(ticket.code,
+                                                        record.query)
+        notes = self.service.host(record, ticket.window, ticket.tail,
+                                  ticket.final_now, ticket.drained)
+        if not record.active:
+            self._reported.add(record.query_id)
         return notes
 
     def _quarantine(self, payload: Tuple[str, str]) -> None:
         """Coordinator-initiated quarantine (a subscriber failed on the
         coordinator side; stop routing events to the query here)."""
         query_id, message = payload
-        entry = self.service.registry.get(query_id)
-        if entry.active:
-            entry.status = QueryStatus.ERRORED
-            entry.error = message
-            entry.stats.errors += 1
+        self.service.quarantine(self.service.registry.get(query_id),
+                                message)
         self._reported.add(query_id)
-        return None
 
     # ------------------------------------------------------------------
     # Reply bookkeeping

@@ -7,10 +7,11 @@ register and retire at runtime; failures are isolated per query; the
 whole registry checkpoints to JSON for restart/resume.
 
 This is the single-process middle layer of the matching stack
-(engine -> service -> cluster): :mod:`repro.cluster` shards one
-logical service of this shape across worker processes, with each
-worker hosting a full ``MatchService`` over its shard and the cluster
-checkpoint embedding the service document defined here.
+(engine -> service -> cluster).  Its :class:`ServiceFront` — window,
+cursor, registry, per-call rules, checkpoint — is also the front of
+:mod:`repro.cluster`'s sharded service, which swaps the in-process
+fan-out for dispatch to worker processes, each hosting a full
+``MatchService`` over its shard.
 """
 
 from repro.service.stats import QueryStats, ServiceStats
@@ -20,6 +21,7 @@ from repro.service.registry import (
 )
 from repro.service.service import (
     MatchNotification, MatchService, Notifications, OutOfOrderError,
+    ServiceFront,
 )
 from repro.service.checkpoint import (
     load_checkpoint, restore, resume_edges, save_checkpoint, snapshot,
@@ -30,6 +32,7 @@ __all__ = [
     "QueryInterestIndex", "query_pattern_keys",
     "EngineFactory", "QueryRegistry", "QueryStatus", "RegisteredQuery",
     "MatchNotification", "MatchService", "Notifications", "OutOfOrderError",
+    "ServiceFront",
     "load_checkpoint", "restore", "resume_edges", "save_checkpoint",
     "snapshot",
 ]

@@ -1,12 +1,13 @@
-"""Registry of continuous queries hosted by a :class:`MatchService`.
+"""Registry of continuous queries hosted by a service.
 
-Each registered query pairs a :class:`~repro.query.temporal_query.
-TemporalQuery` with the vertex labels of the shared data stream, an engine
-kind (any name from the benchmark engine registry, or a custom factory),
-and the bookkeeping the service needs for fan-out: a stable query id, the
-stream sequence number at which the query joined (so mid-stream
-registrations only see post-registration events), subscriber callbacks,
-and per-query counters.
+A :class:`RegisteredQuery` is the one record of a registration, whichever
+service holds it: the query, the vertex labels of the shared data
+stream, the engine kind (any name from the benchmark engine registry,
+or a custom factory), the stream sequence number at which the query
+joined (so mid-stream registrations only see post-registration events),
+its status, subscribers, counters and collected results.  A checkpoint
+serialises it, a migration ticket carries it, and a shard worker
+answers with its own copy of it.
 
 Engines are constructed lazily: registering a query is cheap, and the
 engine only materializes when the first event reaches it.  This also
@@ -47,14 +48,19 @@ class QueryStatus(enum.Enum):
 
 @dataclass
 class RegisteredQuery:
-    """One continuous query hosted by the service."""
+    """One continuous query: what it is, where it joined, what it did.
+
+    Pickled (a ticket, a worker's answer), it leaves its engine and its
+    subscribers behind, and its factory unless that is a custom one:
+    the receiving registry resolves the kind again (:meth:`QueryRegistry.
+    adopt`).  ``result`` is ``None`` when results are not collected."""
 
     query_id: str
     query: TemporalQuery
     labels: Dict[int, object]
     engine_kind: str
     joined_seq: int
-    factory: EngineFactory
+    factory: Optional[EngineFactory]
     edge_label_fn: Optional[Callable] = None
     custom_factory: bool = False
     status: QueryStatus = QueryStatus.ACTIVE
@@ -81,11 +87,9 @@ class RegisteredQuery:
     def active(self) -> bool:
         return self.status is QueryStatus.ACTIVE
 
-    def mark_errored(self, exc: BaseException) -> None:
-        """Quarantine this query after an engine/subscriber failure."""
-        self.status = QueryStatus.ERRORED
-        self.error = f"{type(exc).__name__}: {exc}"
-        self.stats.errors += 1
+    def __getstate__(self) -> Dict[str, object]:
+        return dict(self.__dict__, _engine=None, subscribers=[],
+                    factory=self.factory if self.custom_factory else None)
 
 
 class QueryRegistry:
@@ -136,14 +140,15 @@ class QueryRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, query: TemporalQuery, labels: Dict[int, object],
-                 engine: object = "tcm", *,
-                 query_id: Optional[str] = None,
-                 joined_seq: int = 0,
-                 edge_label_fn: Optional[Callable] = None,
-                 subscriber: Optional[Callable] = None,
-                 collect_results: bool = True) -> RegisteredQuery:
-        """Register ``query`` and return its entry.
+    def new(self, query: TemporalQuery, labels: Dict[int, object],
+            engine: object = "tcm", *,
+            query_id: Optional[str] = None,
+            joined_seq: int = 0,
+            edge_label_fn: Optional[Callable] = None,
+            subscriber: Optional[Callable] = None,
+            collect_results: bool = True) -> RegisteredQuery:
+        """A fresh record for ``query``, not yet registered: the one id
+        allocator.
 
         ``engine`` is an engine-kind name (``"tcm"``, ``"symbi"``, ...)
         or a factory callable.  ``joined_seq`` is the stream sequence
@@ -157,10 +162,8 @@ class QueryRegistry:
             query_id = f"q{next(self._ids)}"
             while query_id in self._entries:  # skip explicit-name clashes
                 query_id = f"q{next(self._ids)}"
-        elif query_id in self._entries:
-            raise ValueError(f"query id {query_id!r} already registered")
         kind, factory = self.resolve_factory(engine)
-        entry = RegisteredQuery(
+        return RegisteredQuery(
             query_id=query_id,
             query=query,
             labels=dict(labels),
@@ -169,19 +172,33 @@ class QueryRegistry:
             factory=factory,
             custom_factory=callable(engine) and not isinstance(engine, str),
             edge_label_fn=edge_label_fn,
+            subscribers=[subscriber] if subscriber is not None else [],
             stats=QueryStats(query_id=query_id, engine=kind),
             result=StreamResult() if collect_results else None,
         )
-        if subscriber is not None:
-            entry.subscribers.append(subscriber)
-        self._entries[query_id] = entry
+
+    def adopt(self, entry: RegisteredQuery) -> RegisteredQuery:
+        """Register ``entry`` — fresh, restored or shipped — and return
+        it: the one way into the registry."""
+        if entry.query_id in self._entries:
+            raise ValueError(
+                f"query id {entry.query_id!r} already registered")
+        if entry.factory is None:
+            entry.factory = self.resolve_factory(entry.engine_kind)[1]
+        self._entries[entry.query_id] = entry
         # Custom factories stay un-indexed (always routed): a duck-typed
         # engine may not interpret the query's labels like the stock
         # engines, so pruning on their behalf would be unsound.
-        self.interest.add(query_id, query, entry.labels, edge_label_fn,
+        self.interest.add(entry.query_id, entry.query, entry.labels,
+                          entry.edge_label_fn,
                           indexable=not entry.custom_factory)
         self._entry_cache = None
         return entry
+
+    def register(self, query: TemporalQuery, labels: Dict[int, object],
+                 engine: object = "tcm", **options) -> RegisteredQuery:
+        """:meth:`new` + :meth:`adopt`; ``options`` are :meth:`new`'s."""
+        return self.adopt(self.new(query, labels, engine, **options))
 
     def unregister(self, query_id: str) -> RegisteredQuery:
         """Remove and return the entry; raises ``KeyError`` if absent."""
@@ -212,7 +229,7 @@ class QueryRegistry:
 
         Callers must not mutate the returned list; its contents go
         stale only on register/unregister (status flips like
-        ``mark_errored`` are visible through the shared entries, so
+        a quarantine are visible through the shared entries, so
         hot-path callers re-check ``entry.active`` themselves).
         """
         if self._entry_cache is None:

@@ -1,17 +1,18 @@
 """The multi-query continuous matching service.
 
-A :class:`MatchService` owns one shared sliding window over one edge
-stream and fans every arrival/expiration event out to N registered
-queries, each backed by its own engine (TCM or any baseline).  This is
-the standard deployment model of continuous subgraph matching: many
-long-lived detection queries over one stream, registered and retired at
-runtime.
+A service owns one shared sliding window over one edge stream and fans
+every arrival/expiration event out to N registered queries, each backed
+by its own engine (TCM or any baseline).  This is the standard
+deployment model of continuous subgraph matching: many long-lived
+detection queries over one stream, registered and retired at runtime.
 
-Every entry point — ``ingest`` (alias ``process_batch``),
-``ingest_routed``, ``advance_to``, ``drain`` and the migration replay of
-``adopt_query`` — builds one event list and hands it to one fan-out
-(``_fanout_batch``); how fine-grained the service runs is how many
-edges the caller passes, not which method it calls.
+Both services are one :class:`ServiceFront` — the window, the cursor,
+the registry, the per-call rules and the checkpoint — composed with a
+back-end that dispatches each call's events: :class:`MatchService`
+holds a :class:`LocalBackend` (engines in this process),
+:class:`~repro.cluster.ShardedMatchService` a sharded one (engines in
+worker processes, each hosting a ``MatchService``).  The contract below
+is therefore written once, for both.
 
 Semantics, matching Algorithm 1's event list exactly:
 
@@ -24,22 +25,23 @@ Semantics, matching Algorithm 1's event list exactly:
   expiration of an edge whose arrival it did not see, so its engine's
   window copy stays consistent;
 * a failing engine (or subscriber) quarantines only its own query: the
-  error is recorded on the registry entry and the remaining queries
-  keep matching; an engine that fails on a batch contributes nothing
-  for that batch;
-* delivery is batch-granular, the same rule as the sharded service: the
-  engines run over the whole event list first, then results are
-  recorded and subscribers fire in event order (registry order within
-  an event).  What a callback does therefore takes effect at the batch
-  boundary: a query it registers first sees the next call's events, a
-  query it unregisters (or a subscriber that raises) only stops that
-  query's remaining callbacks — the returned sequence and the query's
-  counters still hold the whole batch;
-* every entry point returns :class:`Notifications`: one run per
-  reporting (event, query) holding the engine's own sequence (TCM's
-  ``MatchBlock``).  A :class:`MatchNotification` is built when read:
-  by a subscriber, for its own query's runs only, or by the caller;
-* every event is fanned out only to the engines whose query could
+  error is recorded on its record and the remaining queries keep
+  matching; an engine that fails on a batch contributes nothing for
+  that batch;
+* delivery is batch-granular: the engines run over the whole call's
+  event list first, then subscribers fire in event order (registration
+  order within an event).  What a callback does therefore takes effect
+  at the batch boundary: a query it registers first sees the next
+  call's events, a query it unregisters (or a subscriber that raises)
+  only stops that query's remaining callbacks — the returned sequence
+  and the query's counters still hold the whole batch;
+* every entry point — ``ingest`` (alias ``process_batch``),
+  ``advance_to``, ``drain``, and a worker's ``ingest_routed`` — returns
+  :class:`Notifications`: one run per reporting (event, query) holding
+  the engine's own sequence (TCM's ``MatchBlock``).  A
+  :class:`MatchNotification` is built when read: by a subscriber, for
+  its own query's runs only, or by the caller;
+* every event is dispatched only to the engines whose query could
   possibly match it, as decided by the registry's
   :class:`~repro.service.interest.QueryInterestIndex`; the rest is
   counted as skipped without an engine dispatch.  The index only prunes
@@ -49,13 +51,15 @@ Semantics, matching Algorithm 1's event list exactly:
   an edge touching a vertex with no label is offered to every query of
   its label domain.
 
-Because engines own their within-window graph copy, the service itself
-only tracks the live-edge FIFO and the stream cursor; those (plus the
+Because engines own their within-window graph copy, the front itself
+only tracks the live-edge window and the stream cursor; those (plus the
 registry) are exactly what :mod:`repro.service.checkpoint` persists.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from collections import deque
 from collections.abc import Sequence as SequenceABC
@@ -70,7 +74,7 @@ from repro.query.temporal_query import TemporalQuery
 from repro.service.registry import (
     EngineFactory, QueryRegistry, QueryStatus, RegisteredQuery,
 )
-from repro.service.stats import ServiceStats
+from repro.service.stats import QueryStats, ServiceStats
 from repro.streaming.events import Event, EventKind
 from repro.streaming.match import Match, MatchBlock
 
@@ -198,15 +202,33 @@ def _run_batch(engine, events: List[Event]) -> List[List[Match]]:
             else engine.on_edge_expire(ev.edge) for ev in events]
 
 
-def _collect_expirations(live: Deque[Tuple[Edge, int]], delta: int, t: int,
-                         out: List[Tuple[Event, int]]) -> None:
-    """Pop the ``(edge, arrival seq)`` pairs of ``live`` whose window
-    closes at or before ``t`` and append their expiration events (an
-    edge with timestamp ``<= t - delta`` is outside ``(t - delta, t]``,
-    so its expiration precedes an arrival at ``t``)."""
-    while live and live[0][0].t + delta <= t:
-        edge, seq = live.popleft()
-        out.append((Event(edge, edge.t + delta, EventKind.EXPIRATION), seq))
+def _event_list(held: Iterable[Tuple[Edge, int]],
+                arrivals: Sequence[Tuple[Edge, int]], delta: int,
+                horizon: Optional[float]
+                ) -> Tuple[List[Tuple[Event, int]], List[Tuple[Edge, int]]]:
+    """Algorithm 1's event list: every ``(edge, arrival seq)`` of
+    ``arrivals`` preceded by the expirations due at its timestamp, then
+    those due at or before ``horizon`` (an edge with timestamp ``<= t -
+    delta`` is outside ``(t - delta, t]``).  ``held`` is the window in
+    seq order, the arrivals that enter it included; nothing is popped.
+    Returns the events and the pairs of ``held`` still open after them.
+    """
+    events: List[Tuple[Event, int]] = []
+    due = iter(held)
+    head = next(due, None)
+    for edge, seq in arrivals:
+        t = edge.t
+        while head is not None and head[0].t + delta <= t:
+            events.append((Event(head[0], head[0].t + delta,
+                                 EventKind.EXPIRATION), head[1]))
+            head = next(due, None)
+        events.append((Event(edge, t, EventKind.ARRIVAL), seq))
+    if horizon is not None:
+        while head is not None and head[0].t + delta <= horizon:
+            events.append((Event(head[0], head[0].t + delta,
+                                 EventKind.EXPIRATION), head[1]))
+            head = next(due, None)
+    return events, ([] if head is None else [head, *due])
 
 
 def validated_prefix(edges: List[Edge], now: Optional[int]
@@ -222,64 +244,57 @@ def validated_prefix(edges: List[Edge], now: Optional[int]
     return edges, None
 
 
-class MatchService:
-    """Hosts N continuous queries over one shared windowed edge stream.
+class ServiceFront:
+    """Both services' public surface over one stream, one window, one
+    registry, composed with the back-end that dispatches the events.
 
-    Parameters
-    ----------
-    delta:
-        The shared window size; every hosted query matches within the
-        same window (one stream, one window, many queries).
-    engine_factories:
-        Optional engine-kind registry overriding the benchmark default.
+    The front owns the ``(edge, arrival seq)`` window ``_live``, the
+    ``now`` / ``seq`` cursor, the registry (one record per query, one id
+    allocator, one subscriber list), the per-call rules — order
+    validation, call accounting, subscriber delivery after the call,
+    quarantine — and the checkpoint.  The back-end owns how a call's
+    events reach the engines: :class:`LocalBackend` fans them out to
+    engines in this process, :class:`~repro.cluster.coordinator.
+    ShardedBackend` routes them to shard workers.  Neither the front nor
+    its callers ask which one they hold.
+
+    The window is trimmed at one point: the top of every ``ingest`` /
+    ``advance_to`` / ``drain``, after the back-end's :meth:`boundary`
+    hook, to the clock before the call.  So between calls it may still
+    hold pairs whose window closed (a recovering back-end reads them);
+    :meth:`window` is what is live.
     """
 
-    def __init__(self, delta: int, *,
+    def __init__(self, delta: int, backend, *,
                  engine_factories: Optional[Dict[str, EngineFactory]] = None,
                  metrics=None, tracer=None):
         if delta <= 0:
             raise ValueError("window size delta must be positive")
-        #: Optional :class:`~repro.obs.Tracer`.  When set, every
-        #: ingest / advance_to / drain call opens a ``service_batch``
-        #: root span with route/dispatch/notify children; ``None`` (the
-        #: default) costs the hot path nothing beyond per-batch ``is
-        #: None`` checks.
-        self.tracer = tracer
         self.delta = delta
+        #: Optional :class:`~repro.obs.Tracer`: every ingest / advance_to
+        #: / drain call opens the back-end's root span (``None`` costs
+        #: the hot path nothing beyond per-call ``is None`` checks).
+        self.tracer = tracer
+        #: Optional :class:`~repro.obs.MetricsRegistry`; ``None`` (the
+        #: default) disables all metric work.
+        self.metrics = metrics
         self.registry = QueryRegistry(engine_factories)
         self.stats = ServiceStats()
         self._live: Deque[Tuple[Edge, int]] = deque()  # (edge, arrival seq)
         self._now: Optional[int] = None
         self._seq = 0
-        #: Optional :class:`~repro.obs.MetricsRegistry`.  ``None`` (the
-        #: default) disables all metric work: the fan-out loops guard
-        #: every observation behind ``is None`` checks, so the
-        #: metrics-off hot path is byte-for-byte the uninstrumented
-        #: one.  With a registry, per-stage spans (route/dispatch/
-        #: notify), per-query engine-time and match-delta histograms
-        #: are observed live, and a snapshot-time collector mirrors
-        #: the Service/Query/Engine counters into the registry.
-        self.metrics = metrics
-        self._obs = metrics
+        self._closed = False
+        self._backend = backend
+        self._h_call = None
         if metrics is not None:
-            self._h_ingest = metrics.histogram(
-                "service_ingest_seconds",
-                "seconds per service ingest/advance/drain call")
-            self._h_route = metrics.histogram(
-                "service_route_seconds",
-                "seconds resolving per-batch interest routing")
-            self._h_notify = metrics.histogram(
-                "service_notify_seconds",
-                "seconds recording results and firing subscribers")
-            from repro.obs import SIZE_BUCKETS
-            self._h_batch_events = metrics.histogram(
-                "service_batch_events", "events per fanned-out batch",
-                SIZE_BUCKETS)
-            self._query_hists: Dict[str, Tuple] = {}
+            self._h_call = metrics.histogram(
+                f"{backend.PREFIX}_ingest_seconds",
+                f"{backend.WHO} wall-clock per ingest/advance/drain call")
             metrics.add_collector(self._export_metrics)
+        backend.bind(self)
 
     # ------------------------------------------------------------------
-    # Registration façade
+    # Cursor and window
     # ------------------------------------------------------------------
     @property
     def now(self) -> Optional[int]:
@@ -291,6 +306,27 @@ class MatchService:
         """Number of arrivals ingested so far (the join cursor)."""
         return self._seq
 
+    def export_query_window(self, entry: RegisteredQuery
+                            ) -> Tuple[Tuple[Edge, int], ...]:
+        """``entry``'s :meth:`~repro.service.interest.QueryInterestIndex.
+        window_of` this front's window: the pairs its engine holds (none
+        once it is not active)."""
+        if not entry.active:
+            return ()
+        return self.registry.interest.window_of(
+            entry.query_id, entry.joined_seq, self._live, self.delta,
+            self._now)
+
+    def window(self) -> List[Tuple[Edge, int]]:
+        """The ``(edge, arrival seq)`` pairs inside the window at
+        ``now`` (read from a copy: safe from another thread)."""
+        now, delta = self._now, self.delta
+        return [pair for pair in list(self._live)
+                if now is None or pair[0].t + delta > now]
+
+    # ------------------------------------------------------------------
+    # Registration
+    # ------------------------------------------------------------------
     def register(self, query: TemporalQuery, labels: Dict[int, object],
                  engine: object = "tcm", *,
                  query_id: Optional[str] = None,
@@ -299,43 +335,130 @@ class MatchService:
                  collect_results: bool = True) -> str:
         """Register a continuous query; returns its query id.
 
-        Safe mid-stream: the query only sees arrivals ingested after
-        this call (and only the expirations of those arrivals).
+        Safe mid-stream: the query joins at the current ``seq`` and only
+        sees arrivals ingested after this call (and only the
+        expirations of those arrivals), on whichever host.
         """
-        entry = self.registry.register(
-            query, labels, engine, query_id=query_id,
-            joined_seq=self._seq, edge_label_fn=edge_label_fn,
-            subscriber=subscriber, collect_results=collect_results)
+        self._ensure_open()
+        entry = self.registry.new(
+            query, labels, engine, query_id=query_id, joined_seq=self._seq,
+            edge_label_fn=edge_label_fn, subscriber=subscriber,
+            collect_results=collect_results)
+        self.host(entry, window=())
         self.stats.registered_total += 1
         return entry.query_id
 
+    def host(self, entry: RegisteredQuery,
+             window: Optional[Tuple[Tuple[Edge, int], ...]] = None,
+             tail: Tuple[Tuple[Edge, int], ...] = (),
+             final_now: Optional[int] = None,
+             drained: bool = False) -> Notifications:
+        """Host ``entry`` — a registration, a checkpoint record or a
+        migration ticket's — and return its tail replay's notifications
+        (not delivered).  ``window`` defaults to the entry's cut of this
+        front's window (a restore: the front already holds the stream).
+
+        ``final_now`` is the clock a ticket was cut at: what the window
+        still holds that fell due by then expires first, before the
+        query joins — it never held those pairs.  The registration
+        counters stay untouched; a back-end that refuses the query
+        leaves the registry as it was.
+        """
+        notes = Notifications()
+        if final_now is not None:
+            now, delta = self._now, self.delta
+            opening = next((edge.t for edge, _ in self._live
+                            if now is None or edge.t + delta > now), None)
+            if opening is not None and opening + delta <= final_now:
+                notes = self.advance_to(final_now)
+        self.registry.adopt(entry)
+        if window is None:
+            window = self.export_query_window(entry)
+        try:
+            return notes + self._backend.host(entry, window, tail,
+                                              final_now, drained)
+        except Exception:
+            self.registry.unregister(entry.query_id)
+            raise
+
     def unregister(self, query_id: str) -> RegisteredQuery:
-        """Retire a query mid-stream; returns its final entry (with
-        stats and any collected results)."""
-        entry = self.registry.unregister(query_id)
+        """Retire a query mid-stream; returns its final record (stats
+        and any collected results, as its host last knew them)."""
+        entry = self._checked(query_id)
+        self.registry.unregister(query_id)
         self.stats.unregistered_total += 1
-        return entry
+        return self._backend.retire(entry)
 
     def subscribe(self, query_id: str,
                   callback: Callable[[MatchNotification], None]) -> None:
         """Attach ``callback`` to a query's result feed."""
+        self._ensure_open()
         self.registry.get(query_id).subscribers.append(callback)
 
-    def query_stats(self, query_id: str):
-        """The :class:`QueryStats` of one registered query."""
-        return self.registry.get(query_id).stats
+    def get(self, query_id: str) -> RegisteredQuery:
+        """One query's record as its host knows it (counters and
+        collected results)."""
+        entry = self._checked(query_id)
+        found = self._backend.describe(entry)
+        entry.stats = found.stats
+        return found
+
+    def query_stats(self, query_id: str) -> QueryStats:
+        """The :class:`QueryStats` of one registered query: the host's,
+        or — when the host cannot answer — the last ones it gave."""
+        entry = self._checked(query_id)
+        entry.stats = self._backend.fetch_stats(entry).get(
+            query_id, entry.stats)
+        return entry.stats
+
+    def all_query_stats(self) -> List[QueryStats]:
+        """:meth:`query_stats` of every registered query, in
+        registration order (one fetch per host)."""
+        self._ensure_open()
+        entries = self.registry.list()
+        fetched = self._backend.fetch_stats()
+        for entry in entries:
+            entry.stats = fetched.get(entry.query_id, entry.stats)
+        return [entry.stats for entry in entries]
+
+    def quarantine(self, entry: RegisteredQuery, message: str) -> None:
+        """Stop ``entry`` matching, with ``message`` as its error: the
+        one place a quarantine is counted (once per query, however many
+        times it is reported)."""
+        if not entry.active:
+            return
+        entry.status = QueryStatus.ERRORED
+        entry.error = message
+        entry.stats.errors += 1
+        self.stats.errored_queries += 1
 
     def health(self) -> Dict[str, object]:
-        """Liveness summary (read-only; safe from the admin server's
-        thread).  A single-process service is alive by construction,
-        so ``status`` is always ``"ok"`` — quarantined queries are
-        reported but do not degrade the service itself."""
-        entries = list(self.registry.entries())
-        return {"status": "ok",
-                "queries": len(entries),
-                "errored_queries": sum(
-                    1 for e in entries if not e.active),
-                "live_edges": len(self._live)}
+        """Liveness summary, answered without a round trip (safe from
+        the admin server's thread).  ``status`` is ``"closed"`` after
+        :meth:`close`, else the back-end's (``"ok"`` unless a host was
+        lost); quarantined queries are counted, not a degradation."""
+        entries = self.registry.entries()
+        report = {"status": "ok",
+                  "queries": len(entries),
+                  "errored_queries": sum(1 for e in entries if not e.active),
+                  "live_edges": len(self.window())}
+        report.update(self._backend.health())
+        if self._closed:
+            report["status"] = "closed"
+        return report
+
+    def close(self) -> None:
+        """Stop the back-end (a sharded one reaps its workers); every
+        later call but :meth:`health` raises.  Idempotent."""
+        if not self._closed:
+            self._closed = True
+            self._backend.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -346,72 +469,42 @@ class MatchService:
         Edges must arrive in non-decreasing timestamp order across all
         batches (the streaming contract); a violation raises
         :class:`OutOfOrderError`, whose ``notifications`` attribute
-        carries the results of the batch's accepted prefix.  Returns
-        every notification of the batch in event order, registry order
-        within an event, as unread :class:`Notifications` runs.
+        carries the results of the batch's accepted prefix (processed
+        everywhere).  A batch the back-end cannot carry is refused whole
+        before anything moved.  Returns every notification of the batch
+        in event order, registration order within an event, as unread
+        :class:`Notifications` runs.
 
-        Delivery is *batch-granular* (see the module docstring): each
-        engine sees its share of the batch's event list through one
-        :meth:`~repro.streaming.engine.MatchEngine.on_batch` call, then
-        results are recorded and subscribers fire in event order.  A
-        query registered from inside a subscriber callback joins at the
-        batch boundary, and a failing engine quarantines its query and
-        contributes nothing for the batch.  How fine-grained delivery
-        is depends only on how many edges the caller passes.
+        Delivery is *batch-granular* (see the module docstring): the
+        engines run the batch's whole event list, then subscribers fire
+        in event order.  A query registered from inside a subscriber
+        callback joins at the batch boundary, and a failing engine
+        quarantines its query and contributes nothing for the batch.
+        How fine-grained delivery is depends only on how many edges the
+        caller passes.
         """
+        self._ensure_open()
         edges = list(edges)
+        self._backend.admit(edges)
         prefix, failure = validated_prefix(edges, self._now)
-        # A full batch is a routed batch numbered from the cursor.  The
-        # cursor moves before the fan-out: a query registered from a
-        # callback missed these arrivals, so it must join after them
-        # and never be routed their expirations.
         seq = self._seq
-        self._seq += len(prefix)
-        notifications = self._serve(
-            list(zip(prefix, range(seq, self._seq))), None)
+        notifications = self._call(
+            self._backend.SPANS[0], list(zip(prefix, range(seq, seq + len(
+                prefix)))), prefix[-1].t if prefix else self._now)
         if failure is not None:
             raise OutOfOrderError(failure, notifications)
         return notifications
 
-    #: The same method under the name the sharded API's callers and the
-    #: ledger use; there is no per-event variant to tell it from.
+    #: The same method under the name the ledger and the sharded API's
+    #: callers use; there is no per-event variant to tell it from.
     process_batch = ingest
 
-    def ingest_routed(self, pairs: List[Tuple[Edge, int]],
-                      final_now: int, final_seq: int) -> Notifications:
-        """Ingest a routed *subset* of a globally ordered stream.
-
-        This is the shard-worker entry point of the interest-routed
-        cluster: ``pairs`` carries only the edges some hosted query is
-        interested in, each paired with its **global** arrival sequence
-        number, while ``final_now``/``final_seq`` are the whole batch's
-        closing cursor.  After the subset is processed, the clock is
-        advanced to ``final_now`` so that live edges whose window closed
-        during the unseen remainder of the batch expire *now* — in the
-        same call a full-stream service would have expired them — and
-        the sequence cursor adopts ``final_seq`` so later registrations
-        join at the global stream position.
-
-        The caller (the cluster coordinator) has already validated
-        stream order across the full batch; a subset that starts before
-        the clock is refused whole, with nothing touched.
-        """
-        if pairs and self._now is not None and pairs[0][0].t < self._now:
-            raise OutOfOrderError(
-                f"out-of-order routed batch: t={pairs[0][0].t} after "
-                f"now={self._now}", Notifications())
-        self._seq = final_seq
-        notifications = self._serve(pairs, final_now)
-        if self._now is None or final_now > self._now:
-            self._now = final_now
-        return notifications
-
     def advance_to(self, t: int) -> Notifications:
-        """Advance the clock to ``t`` without ingesting edges, expiring
-        every edge whose window has closed."""
-        if self._now is None or t > self._now:
-            self._now = t
-        return self._serve((), self._now, is_batch=False)
+        """Advance the clock to ``t`` (never backwards) without
+        ingesting edges, expiring every edge whose window has closed."""
+        self._ensure_open()
+        t = t if self._now is None else max(t, self._now)
+        return self._call(self._backend.SPANS[1], [], t, is_batch=False)
 
     def drain(self) -> Notifications:
         """Expire every remaining live edge (end of stream).
@@ -421,51 +514,190 @@ class MatchService:
         fast-forward the stream, so a checkpoint taken after a drain
         still resumes from the last edge actually ingested.
         """
-        live = self._live
-        return self._serve((), live[-1][0].t + self.delta if live else None,
-                           is_batch=False)
+        self._ensure_open()
+        return self._call(self._backend.SPANS[2], [], math.inf,
+                          is_batch=False)
 
-    def _serve(self, pairs: Sequence[Tuple[Edge, int]],
-               horizon: Optional[int], is_batch: bool = True
-               ) -> Notifications:
-        """What every entry point does: build Algorithm 1's event list
-        — the ``(edge, arrival seq)`` ``pairs``, each preceded by the
-        expirations due at its timestamp, then the expirations due at
-        or before ``horizon`` — fan it out as one batch, and account
-        the call (``service_batch`` span, elapsed time, the
-        ``service_ingest_seconds`` histogram; ``is_batch`` is the
+    def _call(self, span: str, pairs: List[Tuple[Edge, int]],
+              horizon: Optional[float], final_seq: Optional[int] = None,
+              is_batch: bool = True) -> Notifications:
+        """What every entry point does: trim the window, have the
+        back-end serve the ``(edge, arrival seq)`` ``pairs`` and the
+        expirations due by ``horizon`` (``inf``: all of them), move the
+        cursor, deliver to subscribers, and account the call (root span,
+        ``elapsed_seconds``, the call histogram; ``is_batch`` is the
         ``ServiceStats.batches`` rule)."""
-        runs: List[Run] = []
         start = time.perf_counter()
-        with maybe_span(self.tracer, "service_batch",
-                        events=len(pairs)) as root:
-            events: List[Tuple[Event, int]] = []
-            live, delta = self._live, self.delta
-            for edge, seq in pairs:
-                _collect_expirations(live, delta, edge.t, events)
-                self._now = edge.t
-                events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
-                live.append((edge, seq))
-            self.stats.edges_ingested += len(pairs)
-            if horizon is not None:
-                _collect_expirations(live, delta, horizon, events)
-            if events:
-                self._fanout_batch(events, runs, trace_parent=root)
-        if is_batch:
-            self.stats.batches += 1
-        spent = time.perf_counter() - start
-        self.stats.elapsed_seconds += spent
-        if self._obs is not None:
-            self._h_ingest.observe(spent)
+        try:
+            with maybe_span(self.tracer, span, events=len(pairs)) as root:
+                self._backend.boundary()
+                live, delta, now = self._live, self.delta, self._now
+                while now is not None and live and live[0][0].t + delta <= now:
+                    live.popleft()
+                notifications = self._backend.serve(pairs, horizon, root)
+                if horizon == math.inf:
+                    live.clear()
+                else:
+                    live.extend(pairs)
+                    if horizon is not None and (now is None
+                                                or horizon > now):
+                        self._now = horizon
+                self._seq = (self._seq + len(pairs) if final_seq is None
+                             else final_seq)
+                self.stats.edges_ingested += len(pairs)
+                self._deliver(notifications)
+        finally:
+            if is_batch:
+                self.stats.batches += 1
+            spent = time.perf_counter() - start
+            self.stats.elapsed_seconds += spent
+            if self._h_call is not None:
+                self._h_call.observe(spent)
+        return notifications
+
+    def _deliver(self, notifications: Notifications) -> None:
+        """Run subscribers over a call's runs in their order, building
+        notifications only for a query that has some.  What the engines
+        reported is the call's output whatever a callback does: one that
+        unregisters or fails a query only stops that query's remaining
+        callbacks (a raising one quarantines its query)."""
+        registry = self.registry
+        subscribed = {entry.query_id: entry for entry in registry.entries()
+                      if entry.subscribers}
+        for run in notifications.runs if subscribed else ():
+            entry = subscribed.get(run.query_id)
+            if entry is None or run.query_id not in registry:
+                continue
+            began = time.perf_counter()
+            try:
+                for notification in Notifications.built(run):
+                    for callback in entry.subscribers:
+                        callback(notification)
+            except Exception as exc:  # noqa: BLE001 - isolation boundary
+                del subscribed[run.query_id]
+                self.quarantine(entry, f"{type(exc).__name__}: {exc}")
+                self._backend.stop(entry)
+            finally:
+                entry.stats.elapsed_seconds += time.perf_counter() - began
+
+    def _checked(self, query_id: str) -> RegisteredQuery:
+        """A registered query's record, its host settled."""
+        self._ensure_open()
+        self._backend.settle(query_id)
+        return self.registry.get(query_id)
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("service is closed")
+
+    def _export_metrics(self) -> None:
+        """Snapshot-time collector: mirror the counters the front keeps
+        into the metrics registry under the back-end's prefix (the hot
+        path pays nothing for them), then the back-end's own."""
+        obs, stats = self.metrics, self.stats
+        prefix = self._backend.PREFIX
+        for name, value, help_text in (
+                ("edges_ingested_total", stats.edges_ingested,
+                 "edges ingested"),
+                ("batches_total", stats.batches, "ingest batches served"),
+                ("events_routed_total", stats.events_routed,
+                 "(event, query) engine dispatches"),
+                ("events_skipped_total", stats.events_skipped,
+                 "(event, query) dispatches pruned by the interest "
+                 "index"),
+                ("errored_queries_total", stats.errored_queries,
+                 "query quarantines"),
+                ("elapsed_seconds_total", stats.elapsed_seconds,
+                 "wall-clock seconds across ingest/advance/drain")):
+            obs.counter(f"{prefix}_{name}", help_text).set_total(value)
+        obs.gauge(f"{prefix}_live_edges",
+                  "edges currently inside the window").set(
+                      len(self.window()))
+        obs.gauge(f"{prefix}_registered_queries",
+                  "queries currently registered").set(len(self.registry))
+        self._backend.export_metrics(obs)
+
+
+class LocalBackend:
+    """Dispatch to engines in this process: every call's event list is
+    built over the front's window and fanned out by interest."""
+
+    PREFIX, WHO = "service", "service"
+    SPANS = ("service_batch",) * 3
+
+    def bind(self, front: ServiceFront) -> None:
+        self.front = front
+        obs = self._obs = front.metrics
+        if obs is not None:
+            from repro.obs import SIZE_BUCKETS
+            self._h_route = obs.histogram(
+                "service_route_seconds",
+                "seconds resolving per-batch interest routing")
+            self._h_notify = obs.histogram(
+                "service_notify_seconds",
+                "seconds recording results per batch")
+            self._h_batch_events = obs.histogram(
+                "service_batch_events", "events per fanned-out batch",
+                SIZE_BUCKETS)
+            self._query_hists: Dict[str, Tuple] = {}
+
+    # -- what the front asks of every back-end -------------------------
+    def admit(self, edges: List[Edge]) -> None:
+        """Any edge the engines were built for is fine."""
+
+    def boundary(self) -> None:
+        """Nothing is pending between calls."""
+
+    def settle(self, query_id: Optional[str] = None) -> None:
+        """Nothing is in flight."""
+
+    def stop(self, entry: RegisteredQuery) -> None:
+        """The registry's status already stops the fan-out."""
+
+    def close(self) -> None:
+        """Nothing to reap."""
+
+    def health(self) -> Dict[str, object]:
+        return {}
+
+    def describe(self, entry: RegisteredQuery) -> RegisteredQuery:
+        return entry
+
+    retire = describe
+
+    def fetch_stats(self, entry=None) -> Dict[str, QueryStats]:
+        """The records hold the live counters: nothing to fetch."""
+        return {}
+
+    def envelope(self, document: Dict[str, object]) -> Dict[str, object]:
+        return document
+
+    def serve(self, pairs: List[Tuple[Edge, int]], horizon: Optional[float],
+              root) -> Notifications:
+        """Algorithm 1's event list over the front's (trimmed) window,
+        fanned out as one batch."""
+        front = self.front
+        events, _ = _event_list(itertools.chain(front._live, pairs), pairs,
+                                front.delta, horizon)
+        runs: List[Run] = []
+        if events:
+            self._fanout_batch(events, runs, trace_parent=root)
         return Notifications(runs)
 
+    def host(self, entry: RegisteredQuery,
+             window: Tuple[Tuple[Edge, int], ...],
+             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int],
+             drained: bool) -> Notifications:
+        return self.adopt_query(entry, window, tail, final_now=final_now,
+                                drain_tail=drained)
+
+    # -- the fan-out ---------------------------------------------------
     def _fanout_batch(self, events: List[Tuple[Event, int]],
                       out: List[Run], trace_parent=None,
                       entries: Optional[List[RegisteredQuery]] = None
                       ) -> None:
         """Run every eligible engine over the batch, then append the
-        per-event results to ``out`` as runs in global event order
-        (notifications are built only for a query with subscribers).
+        per-event results to ``out`` as runs in global event order.
 
         The label triple of every event is resolved once per batch
         (not once per engine) and each engine only receives the
@@ -476,9 +708,11 @@ class MatchService:
         ``trace_parent`` (a live span) nests route/dispatch/notify
         stage spans under the caller's batch root.
         """
-        registry = self.registry
+        front = self.front
+        registry = front.registry
+        service_stats = front.stats
         obs = self._obs
-        tracer = self.tracer if trace_parent is not None else None
+        tracer = front.tracer if trace_parent is not None else None
         if entries is None:
             entries = [entry for entry in registry.entries()
                        if entry.active]
@@ -508,10 +742,10 @@ class MatchService:
                     skipped += 1
             if skipped:
                 entry.stats.events_skipped += skipped
-                self.stats.events_skipped += skipped
+                service_stats.events_skipped += skipped
             if not eligible:
                 continue
-            self.stats.events_routed += len(eligible)
+            service_stats.events_routed += len(eligible)
             stats = entry.stats
             began = time.perf_counter()
             try:
@@ -526,8 +760,7 @@ class MatchService:
                     (seq, ev.kind): matches
                     for (ev, seq), matches in zip(eligible, lists)}
             except Exception as exc:  # noqa: BLE001 - isolation boundary
-                entry.mark_errored(exc)
-                self.stats.errored_queries += 1
+                front.quarantine(entry, f"{type(exc).__name__}: {exc}")
             finally:
                 spent = time.perf_counter() - began
                 stats.elapsed_seconds += spent
@@ -543,10 +776,7 @@ class MatchService:
         notify_start = time.perf_counter() if obs is not None else 0.0
         notify = maybe_span(tracer, "notify",
                             parent=trace_parent).__enter__()
-        # Global event order, registry order within an event.  What the
-        # engines reported is the batch's output whatever a callback
-        # does: one that unregisters or fails a query only stops that
-        # query's remaining callbacks.
+        # Global event order, registry order within an event.
         reported = [(entry, per_entry[entry.query_id]) for entry in entries
                     if entry.query_id in per_entry]
         for ev, seq in events:
@@ -556,29 +786,13 @@ class MatchService:
                 matches = by_event.get(key)
                 if not matches:
                     continue
-                query_id = entry.query_id
-                stats = entry.stats
-                run = Run(query_id, ev, seq, matches)
-                out.append(run)
+                out.append(Run(entry.query_id, ev, seq, matches))
                 if arrival:
-                    stats.occurred += len(matches)
+                    entry.stats.occurred += len(matches)
                 else:
-                    stats.expired += len(matches)
+                    entry.stats.expired += len(matches)
                 if entry.result is not None:
                     entry.result.add(ev, matches)
-                if not (entry.subscribers and entry.active
-                        and query_id in registry):
-                    continue
-                began = time.perf_counter()
-                try:
-                    for notification in Notifications.built(run):
-                        for callback in entry.subscribers:
-                            callback(notification)
-                except Exception as exc:  # noqa: BLE001 - isolation
-                    entry.mark_errored(exc)
-                    self.stats.errored_queries += 1
-                finally:
-                    stats.elapsed_seconds += time.perf_counter() - began
         for entry, by_event in reported:
             if entry.result is not None:
                 entry.result.events_processed += len(by_event)
@@ -586,64 +800,14 @@ class MatchService:
         if obs is not None:
             self._h_notify.observe(time.perf_counter() - notify_start)
 
-    # ------------------------------------------------------------------
-    # Live migration hooks (used by repro.cluster)
-    # ------------------------------------------------------------------
-    def export_query_window(self, entry: RegisteredQuery
-                            ) -> Tuple[Tuple[Edge, int], ...]:
-        """``entry``'s :meth:`~repro.service.interest.QueryInterestIndex.
-        window_of` the live deque: the pairs inside its engine window,
-        what :meth:`host_query` replays when this service holds the
-        stream.  The query must be indexed."""
-        if not entry.active:
-            return ()
-        return self.registry.interest.window_of(
-            entry.query_id, entry.joined_seq, self._live, self.delta,
-            self._now)
-
-    def host_query(self, query: TemporalQuery, labels: Dict[int, object],
-                   engine: object, *, status: str, error: Optional[str],
-                   stats, result=None,
-                   window: Optional[Tuple[Tuple[Edge, int], ...]] = None,
-                   tail: Tuple[Tuple[Edge, int], ...] = (),
-                   final_now: Optional[int] = None, drained: bool = False,
-                   **registration) -> Notifications:
-        """Host a query that has lived before (a migration, restore or
-        recovery; a registration brings nothing): register it —
-        ``registration`` is :meth:`QueryRegistry.register`'s keywords,
-        its *own* join cursor among them — with what its previous host
-        knew, then :meth:`adopt_query` its window and tail.
-        ``window=None``: this service already holds the stream (a
-        checkpoint restore), so the query's cut of the live deque is its
-        window.  The service's registration counters stay untouched.
-
-        A cluster coordinator sends a shard no clock while none of its
-        queries holds an edge falling due, so the live deque may hold
-        edges whose window closed before ``final_now``: they expire
-        first, before the query joins — it never held them here."""
-        live = self._live
-        overdue = (final_now is not None and live
-                   and live[0][0].t + self.delta <= final_now)
-        notes = self.advance_to(final_now) if overdue else Notifications()
-        entry = self.registry.register(query, labels, engine, **registration)
-        entry.status, entry.error = QueryStatus(status), error
-        entry.stats = stats
-        if result is not None:
-            entry.result = result
-        if window is None:
-            window = self.export_query_window(entry)
-        return notes + self.adopt_query(entry, window, tail,
-                                        final_now=final_now,
-                                        drain_tail=drained)
-
     def adopt_query(self, entry: RegisteredQuery,
                     window: Tuple[Tuple[Edge, int], ...],
                     tail: Tuple[Tuple[Edge, int], ...] = (), *,
                     final_now: Optional[int] = None,
                     drain_tail: bool = False) -> Notifications:
-        """Adopt a migrated query: rebuild its engine window, replay the
-        in-flight tail, and merge what is still live into the shared
-        deque.
+        """Adopt a registered query that lived elsewhere: rebuild its
+        engine window, replay the in-flight tail, and merge what is
+        still live into the front's window.
 
         ``window`` is replayed *silently* — the source already
         dispatched those arrivals, accounted them in the stats shipped
@@ -654,21 +818,22 @@ class MatchService:
         the expirations due at its timestamp, then whatever fell due by
         ``final_now`` (everything, with ``drain_tail``) — and goes
         through the same batch fan-out as any other event list,
-        restricted to ``entry``: dispatched, counted and notified the
+        restricted to ``entry``: dispatched, counted and recorded the
         same way, and an engine that fails on it quarantines the query
         with nothing emitted for the tail.  The remaining pairs are
-        merged seq-ordered into the live deque, skipping seqs the deque
+        merged seq-ordered into the front's window, skipping seqs it
         already holds (edges this service received for its other
         queries) so no edge ever expires twice.
 
-        Double-expiration safety: callers invoke this at a batch
-        boundary, where every expiration due at or before the global
-        clock has been flushed (:meth:`host_query` flushes what a
-        coordinator left overdue) — so the shared deque holds only edges
-        expiring *after* ``final_now``, while the private replay only
-        ever expires edges due at or before it; the two sets cannot
+        Double-expiration safety: every expiration due at or before
+        ``final_now`` has left the front's window (:meth:`ServiceFront.
+        host` flushes what a coordinator left overdue, and a trimmed
+        pair expired before), so the pairs it still serves expire
+        *after* ``final_now``, while the private replay only ever
+        expires pairs due at or before it; the two sets cannot
         intersect.
         """
+        front = self.front
         if not entry.active:
             return Notifications()
         if window:
@@ -677,46 +842,33 @@ class MatchService:
                            [Event(edge, edge.t, EventKind.ARRIVAL)
                             for edge, _ in window])
             except Exception as exc:  # noqa: BLE001 - isolation boundary
-                entry.mark_errored(exc)
-                self.stats.errored_queries += 1
+                front.quarantine(entry, f"{type(exc).__name__}: {exc}")
                 return Notifications()
-        qwindow: Deque[Tuple[Edge, int]] = deque(window)
-        events: List[Tuple[Event, int]] = []
-        delta = self.delta
-        lookup = self.registry.interest.lookup_ids
-        for edge, seq in tail:
-            _collect_expirations(qwindow, delta, edge.t, events)
-            events.append((Event(edge, edge.t, EventKind.ARRIVAL), seq))
-            # Every tail arrival is offered (the fan-out counts the
-            # uninteresting ones as skipped); only the ones the engine
-            # is given enter its window.
-            if entry.query_id in lookup(edge):
-                qwindow.append((edge, seq))
-        horizon = (qwindow[-1][0].t + delta if drain_tail and qwindow
-                   else final_now)
-        if horizon is not None:
-            _collect_expirations(qwindow, delta, horizon, events)
+        # Every tail arrival is offered (the fan-out counts the
+        # uninteresting ones as skipped); only the ones the engine is
+        # given enter its window.
+        lookup = front.registry.interest.lookup_ids
+        given = [pair for pair in tail if entry.query_id in lookup(pair[0])]
+        events, still_open = _event_list(
+            itertools.chain(window, given), tail, front.delta,
+            math.inf if drain_tail else final_now)
         runs: List[Run] = []
         if events:
             self._fanout_batch(events, runs, entries=[entry])
         if drain_tail or not entry.active:
             return Notifications(runs)
-        # Merge the surviving window into the shared live deque.
-        if qwindow:
-            present = {seq for _, seq in self._live}
-            fresh = [pair for pair in qwindow if pair[1] not in present]
+        if still_open:
+            present = {seq for _, seq in front._live}
+            fresh = [pair for pair in still_open if pair[1] not in present]
             if fresh:
-                merged = sorted([*self._live, *fresh],
-                                key=lambda pair: pair[1])
-                self._live = deque(merged)
-        if final_now is not None and (self._now is None
-                                      or final_now > self._now):
-            self._now = final_now
+                front._live = deque(sorted([*front._live, *fresh],
+                                           key=lambda pair: pair[1]))
+        if final_now is not None and (front._now is None
+                                      or final_now > front._now):
+            front._now = final_now
         return Notifications(runs)
 
-    # ------------------------------------------------------------------
-    # Metrics export
-    # ------------------------------------------------------------------
+    # -- metrics export ------------------------------------------------
     def _query_observers(self, query_id: str) -> Tuple:
         """Per-query (engine-seconds, match-delta) histogram pair,
         created on first use and cached (the fan-out loops observe into
@@ -737,38 +889,10 @@ class MatchService:
             self._query_hists[query_id] = pair
         return pair
 
-    def _export_metrics(self) -> None:
-        """Snapshot-time collector: mirror the counters the service and
-        its queries already maintain into the metrics registry.
-
-        Runs only inside :meth:`~repro.obs.MetricsRegistry.snapshot`,
-        so the mirrored counters (service totals, per-query stats, and
-        the engine-stage :class:`~repro.streaming.engine.EngineStats`)
-        cost the hot path nothing.
-        """
-        obs = self._obs
-        stats = self.stats
-        for name, value, help_text in (
-                ("service_edges_ingested_total", stats.edges_ingested,
-                 "edges ingested by the service"),
-                ("service_batches_total", stats.batches,
-                 "ingest batches processed"),
-                ("service_events_routed_total", stats.events_routed,
-                 "(event, query) engine dispatches"),
-                ("service_events_skipped_total", stats.events_skipped,
-                 "(event, query) dispatches pruned by the interest "
-                 "index"),
-                ("service_errored_queries_total", stats.errored_queries,
-                 "query quarantines"),
-                ("service_elapsed_seconds_total", stats.elapsed_seconds,
-                 "cumulative wall-clock seconds spent serving")):
-            obs.counter(name, help_text).set_total(value)
-        obs.gauge("service_live_edges",
-                  "edges currently inside the window").set(
-                      len(self._live))
-        obs.gauge("service_registered_queries",
-                  "queries currently registered").set(len(self.registry))
-        for entry in self.registry.entries():
+    def export_metrics(self, obs) -> None:
+        """Mirror the per-query stats and the engine-stage
+        :class:`~repro.streaming.engine.EngineStats` into ``obs``."""
+        for entry in self.front.registry.entries():
             labels = {"query": entry.query_id,
                       "engine": entry.engine_kind}
             qstats = entry.stats
@@ -815,3 +939,60 @@ class MatchService:
             obs.gauge("engine_peak_structure_entries",
                       "high-water mark of stored index entries",
                       **labels).set(estats.peak_structure_entries)
+
+
+class MatchService(ServiceFront):
+    """Hosts N continuous queries over one shared windowed edge stream,
+    their engines in this process.
+
+    Parameters
+    ----------
+    delta:
+        The shared window size; every hosted query matches within the
+        same window (one stream, one window, many queries).
+    engine_factories:
+        Optional engine-kind registry overriding the benchmark default.
+    """
+
+    def __init__(self, delta: int, *,
+                 engine_factories: Optional[Dict[str, EngineFactory]] = None,
+                 metrics=None, tracer=None):
+        super().__init__(delta, LocalBackend(),
+                         engine_factories=engine_factories,
+                         metrics=metrics, tracer=tracer)
+
+    def ingest_routed(self, pairs: List[Tuple[Edge, int]],
+                      final_now: int, final_seq: int) -> Notifications:
+        """Ingest a routed *subset* of a globally ordered stream.
+
+        This is the shard-worker entry point of the interest-routed
+        cluster: ``pairs`` carries only the edges some hosted query is
+        interested in, each paired with its **global** arrival sequence
+        number, while ``final_now``/``final_seq`` are the whole batch's
+        closing cursor.  Live edges whose window closed during the
+        unseen remainder of the batch expire *now* — in the same call a
+        full-stream service would have expired them — and the sequence
+        cursor adopts ``final_seq`` so later registrations join at the
+        global stream position.
+
+        The caller (the cluster coordinator) has already validated
+        stream order across the full batch; a subset that starts before
+        the clock is refused whole, with nothing touched.
+        """
+        self._ensure_open()
+        if pairs and self._now is not None and pairs[0][0].t < self._now:
+            raise OutOfOrderError(
+                f"out-of-order routed batch: t={pairs[0][0].t} after "
+                f"now={self._now}", Notifications())
+        return self._call(self._backend.SPANS[0], list(pairs), final_now,
+                          final_seq)
+
+    def adopt_query(self, entry: RegisteredQuery,
+                    window: Tuple[Tuple[Edge, int], ...],
+                    tail: Tuple[Tuple[Edge, int], ...] = (), *,
+                    final_now: Optional[int] = None,
+                    drain_tail: bool = False) -> Notifications:
+        """:meth:`LocalBackend.adopt_query` of a registered ``entry``."""
+        return self._backend.adopt_query(entry, window, tail,
+                                         final_now=final_now,
+                                         drain_tail=drain_tail)

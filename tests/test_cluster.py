@@ -4,8 +4,8 @@ The acceptance bar for the sharded service is *byte-identical output*:
 the merged notification stream (and therefore every per-query
 occurrence/expiration multiset) of a ``ShardedMatchService`` with 1, 2
 or 4 workers must equal the in-process ``MatchService`` on the same
-scripted scenario — every engine kind, mid-stream register/unregister,
-and a checkpoint/restore cycle included — and a Hypothesis property
+scripted scenario — every engine kind and mid-stream
+register/unregister included — and a Hypothesis property
 holds random control scripts (ingest, advance, register, unregister,
 migrate, add / drain a worker) to the same bar.  On top of that sit the
 cluster-only behaviours: which shards a clock advance contacts,
@@ -15,7 +15,6 @@ placement routing around dead shards.
 
 import inspect
 import itertools
-import json
 from dataclasses import astuple
 from pathlib import Path
 
@@ -35,10 +34,8 @@ from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.obs import MetricsRegistry
 from repro.query import TemporalQuery
 from repro.service import (
-    MatchService, OutOfOrderError, QueryStatus, query_pattern_keys,
-)
-from repro.service.checkpoint import (
-    restore as restore_single, resume_edges, snapshot as single_snapshot,
+    MatchService, OutOfOrderError, QueryRegistry, QueryStatus,
+    query_pattern_keys,
 )
 from repro.workloads import make_mixed_query_set
 from tests.test_recovery import hard_timeout  # noqa: F401 - a fixture
@@ -518,7 +515,7 @@ class TestRoutingDecision:
             # A worker dies: the batch that finds out was routed while
             # it still counted as live; the next one is not.
             victim = service.shard_of("cd")
-            handle = service._workers[victim]
+            handle = service._backend._workers[victim]
             handle.process.kill()
             handle.process.join()
             assert victim in ingest(self.stream(55))
@@ -534,99 +531,13 @@ class TestRoutingDecision:
         assert sum(expected) > 0
 
 
-class TestCheckpoint:
-    def checkpointed_halves(self, workload):
-        stream, instances = workload
-        edges = stream.edges
-        return edges[:120], edges
-
-    def test_round_trip_matches_single_restore(self, workload, tmp_path):
-        stream, instances = workload
-        first_half, edges = self.checkpointed_halves(workload)
-
-        single = MatchService(DELTA)
-        for i in range(4):
-            single.register(instances[i].query, stream.labels,
-                            ENGINE_CYCLE[i], query_id=f"q{i}")
-        single.ingest(first_half)
-        single_restored = restore_single(
-            json.loads(json.dumps(single_snapshot(single))))
-        expected = single_restored.ingest(
-            list(resume_edges(single_restored, edges)))
-        expected += single_restored.drain()
-
-        with ShardedMatchService(DELTA, workers=2) as service:
-            for i in range(4):
-                service.register(instances[i].query, stream.labels,
-                                 ENGINE_CYCLE[i], query_id=f"q{i}")
-            service.ingest(first_half)
-            path = str(tmp_path / "cluster.json")
-            cluster_checkpoint.save_checkpoint(service, path)
-
-        # Restore onto a different worker count than the snapshot's.
-        for workers in (1, 3):
-            restored = cluster_checkpoint.load_checkpoint(path,
-                                                          workers=workers)
-            with restored:
-                notes = restored.ingest(
-                    list(resume_edges(restored, edges)))
-                notes += restored.drain()
-            assert notes == expected
-
-    def test_embedded_service_snapshot_is_restorable(self, workload,
-                                                     tmp_path):
-        """Scale-down restore: the embedded document rebuilds a plain
-        MatchService with the same queries and counters."""
-        stream, instances = workload
-        first_half, _ = self.checkpointed_halves(workload)
-        with ShardedMatchService(DELTA, workers=2) as service:
-            for i in range(4):
-                service.register(instances[i].query, stream.labels,
-                                 ENGINE_CYCLE[i], query_id=f"q{i}")
-            service.ingest(first_half)
-            data = json.loads(json.dumps(
-                cluster_checkpoint.snapshot(service)))
-            expected = {query_id: service.query_stats(query_id).occurred
-                        for query_id in ("q0", "q1", "q2", "q3")}
-        single = restore_single(
-            cluster_checkpoint.as_service_snapshot(data))
-        assert [e.query_id for e in single.registry.list()] == \
-            ["q0", "q1", "q2", "q3"]
-        for query_id, occurred in expected.items():
-            assert single.query_stats(query_id).occurred == occurred
-
-    def test_snapshot_preserves_stats_and_cursor(self, workload):
-        stream, instances = workload
-        with ShardedMatchService(DELTA, workers=2) as service:
-            service.register(instances[0].query, stream.labels, "tcm",
-                             query_id="q0")
-            service.ingest(stream.edges[:100])
-            data = cluster_checkpoint.snapshot(service)
-            assert data["format"].startswith("repro.cluster.checkpoint")
-            assert data["workers"] == 2
-            assert data["placement"] == {"q0": 0}
-            svc = data["service"]
-            assert svc["seq"] == 100
-            assert svc["now"] == service.now
-            restored = cluster_checkpoint.restore(data)
-            with restored:
-                assert restored.seq == 100
-                assert restored.now == service.now
-                assert (restored.stats.edges_ingested
-                        == service.stats.edges_ingested)
-
-    def test_restore_rejects_other_formats(self):
-        with pytest.raises(ValueError, match="not a cluster checkpoint"):
-            cluster_checkpoint.restore({"format": "something/else"})
-
-
 class TestWorkerCrash:
     def crashed_cluster(self, n_queries=4):
         service = ShardedMatchService(100, workers=2)
         qids = [service.register(AB_QUERY, AB_LABELS, "tcm")
                 for _ in range(n_queries)]
         service.ingest(ab_edges(4))
-        handle = service._workers[0]
+        handle = service._backend._workers[0]
         handle.process.kill()
         handle.process.join()
         return service, qids
@@ -697,8 +608,8 @@ class TestWorkerCrash:
         service = ShardedMatchService(100, workers=1)
         try:
             service.register(AB_QUERY, AB_LABELS)
-            service._workers[0].process.kill()
-            service._workers[0].process.join()
+            service._backend._workers[0].process.kill()
+            service._backend._workers[0].process.join()
             with pytest.raises((WorkerCrashError, RuntimeError)):
                 service.register(AB_QUERY, AB_LABELS)
             # The stream interface stays up (and returns nothing).
@@ -750,7 +661,7 @@ class TestUndecodableReply:
         finally:
             service.close()
         assert not any(handle.process.is_alive()
-                       for handle in service._workers)
+                       for handle in service._backend._workers)
 
     def test_unpicklable_control_reply_is_a_lost_shard(self, monkeypatch):
         """Same rule on the one-shard request path, for the pickled
@@ -758,7 +669,7 @@ class TestUndecodableReply:
         with ShardedMatchService(100, workers=2) as service:
             query_id = service.register(AB_QUERY, AB_LABELS)
             shard = service.shard_of(query_id)
-            conn = service._workers[shard].conn
+            conn = service._backend._workers[shard].conn
             monkeypatch.setattr(conn, "recv_bytes", lambda: b"not a pickle")
             assert service.query_stats(query_id).errors == 1
             assert service.live_workers == 1
@@ -785,9 +696,9 @@ class TestUndecodableRequest:
             request = frame[:-8] if bad == "truncated frame" else b"\x80junk"
             # The worker's FrameError / pickle error, by name.
             with pytest.raises((RuntimeError, ValueError)) as refused:
-                service._request(0, request)
+                service._backend._request(0, request)
             assert not isinstance(refused.value, WorkerCrashError)
-            assert service._workers[0].process.is_alive()
+            assert service._backend._workers[0].process.is_alive()
             assert service.live_workers == 2
             assert service.stats.errored_queries == 0
             # The refused request touched nothing on the shard.
@@ -910,7 +821,8 @@ class TestRegistrationSurface:
                 service.register(AB_QUERY, AB_LABELS, engine="nope",
                                  query_id="q")
             assert "q" not in service
-            assert "q" not in service._interest and not len(service._interest)
+            interest = service.registry.interest
+            assert "q" not in interest and not len(interest)
             # The failed placement slot was released: the next two
             # registrations still spread across both shards.
             a = service.register(AB_QUERY, AB_LABELS)
@@ -923,13 +835,22 @@ class TestRegistrationSurface:
                 service.unregister("ghost")
 
     def test_closed_service_rejects_operations(self):
+        """Closed is one front rule: no query call makes up a crash."""
         service = ShardedMatchService(10, workers=1)
+        q = service.register(AB_QUERY, AB_LABELS)
+        service.ingest(ab_edges(1))
         service.close()
         service.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            service.ingest(ab_edges(1))
-        with pytest.raises(RuntimeError, match="closed"):
-            service.register(AB_QUERY, AB_LABELS)
+        assert service.health()["status"] == "closed"
+        for call, *args in [(service.ingest, ab_edges(1, start=2)),
+                            (service.register, AB_QUERY, AB_LABELS),
+                            (service.advance_to, 5), (service.drain,),
+                            (service.all_query_stats,),
+                            (service.query_stats, q), (service.get, q),
+                            (service.unregister, q),
+                            (service.subscribe, q, print)]:
+            with pytest.raises(RuntimeError, match="service is closed"):
+                call(*args)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="delta"):
@@ -949,7 +870,7 @@ class TestRegistrationSurface:
             # inserted at registration and popped at unregister, and
             # neither a migration nor a crash recovery re-inserts it.
             service.migrate(ids[0])
-            handle = service._workers[service.shard_of(ids[1])]
+            handle = service._backend._workers[service.shard_of(ids[1])]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(1))
@@ -972,6 +893,14 @@ class TestRegistrationSurface:
             service.add_worker()
             service.register(AB_QUERY, AB_LABELS)
             assert roundtrips(registry, 3) == [2, 1, 1]
+
+    def test_a_worker_refuses_a_ticket_of_another_format(self):
+        worker = ShardWorker(10)
+        ticket = protocol.MigrationTicket(
+            QueryRegistry().new(AB_QUERY, AB_LABELS), 0, format="x/0")
+        with pytest.raises(ValueError, match="not a migration ticket"):
+            worker.dispatch(protocol.MIGRATE_IN, ticket)
+        assert not len(worker.service.registry)
 
     def test_every_verb_has_a_handler_and_a_sender(self):
         """A verb constant nothing sends is dead protocol surface that

@@ -502,7 +502,7 @@ class TestCrashRecovery:
             service.ingest(ab_edges(4))
             source = service.shard_of("q")
             target = next(s for s in range(3) if s != source)
-            victim = service._workers[target]
+            victim = service._backend._workers[target]
             victim.process.kill()
             victim.process.join()
             record = service.migrate("q", target)
@@ -523,7 +523,7 @@ class TestCrashRecovery:
             stats_before = {s.query_id: s.events_processed
                             for s in service.all_query_stats()}
             victim = service.shard_of("q0")
-            handle = service._workers[victim]
+            handle = service._backend._workers[victim]
             handle.process.kill()
             handle.process.join()
             service.ingest(stream.edges[BATCH:2 * BATCH])
@@ -534,7 +534,7 @@ class TestCrashRecovery:
             for record in records:
                 entry = service.get(record.query_id)
                 assert entry.active
-                assert entry.shard != victim
+                assert service.shard_of(record.query_id) != victim
                 # Pre-crash counters survive via the coordinator cache.
                 assert (entry.stats.events_processed
                         >= stats_before[record.query_id])
@@ -547,14 +547,14 @@ class TestCrashRecovery:
             service.register(AB_QUERY, AB_LABELS, query_id="q")
             service.ingest(ab_edges(3))
             victim = service.shard_of("q")
-            handle = service._workers[victim]
+            handle = service._backend._workers[victim]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(3, start=4))  # detects the crash
             service.ingest(ab_edges(3, start=7))  # recovers, then runs
             entry = service.get("q")
             assert entry.active
-            assert entry.shard != victim
+            assert service.shard_of("q") != victim
             reasons = [r.reason for r in service.migration_history]
             assert "recover" in reasons
 

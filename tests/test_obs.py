@@ -384,6 +384,23 @@ class TestIntegration:
 
         assert run(None) == run(MetricsRegistry())
 
+    def test_exchange_histogram_counts_only_the_calls(self):
+        """Control round trips (STATS, a snapshot's) are not exchanges
+        of an ingest / advance / drain call: the two counts agree."""
+        from repro.cluster.checkpoint import snapshot
+        reg = MetricsRegistry()
+        with ShardedMatchService(10, workers=2, metrics=reg) as service:
+            service.register(AB_QUERY, AB_LABELS, "tcm", query_id="q0")
+            for lo in range(1, 51, 10):
+                service.ingest(ab_edges(10, start=lo))
+            service.all_query_stats()
+            snapshot(service)
+            service.metrics_snapshot()
+            service.drain()
+        counts = {reg.histogram(f"cluster_{name}_seconds").count
+                  for name in ("ingest", "exchange")}
+        assert counts == {6}
+
     def test_cluster_snapshot_merges_worker_series_by_shard(self):
         reg = MetricsRegistry()
         with ShardedMatchService(10, workers=2, metrics=reg) as service:
@@ -432,7 +449,7 @@ class TestIntegration:
             before = {q: service.query_stats(q) for q in qids}
             assert all(s.events_processed == 6 for s in before.values())
             assert all(s.elapsed_seconds > 0 for s in before.values())
-            handle = service._workers[0]
+            handle = service._backend._workers[0]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(2, start=7))  # detect the crash
@@ -458,7 +475,7 @@ class TestIntegration:
             qids = [service.register(AB_QUERY, AB_LABELS, "tcm")
                     for _ in range(2)]
             service.ingest(ab_edges(4))
-            handle = service._workers[0]
+            handle = service._backend._workers[0]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(2, start=5))

@@ -250,7 +250,7 @@ def crash_script(service, collected, before=None):
 
 
 def kill(service, shard):
-    handle = service._workers[shard]
+    handle = service._backend._workers[shard]
     handle.process.kill()
     handle.process.join(timeout=10)
     assert not handle.process.is_alive()
@@ -279,7 +279,7 @@ class TestAutoRecovery:
             if step == lost:
                 # The shard of the first query to report in that call.
                 victim = service.shard_of(calls[lost][0].query_id)
-                stranded.update(service._placement.members(victim))
+                stranded.update(service._backend._placement.members(victim))
                 kill(service, victim)
 
         got = []
@@ -309,7 +309,7 @@ class TestAutoRecovery:
 
         def before(step, service):
             if step == 3:
-                victim = service._placement.members(0)[0]
+                victim = service._backend._placement.members(0)[0]
                 kill(service, 0)
                 assert service.query_stats(victim).errors == 1
                 assert service.live_workers == 1

@@ -22,9 +22,9 @@ arrival to carry the clock).
 A second script adds a "restore here" step: at a batch boundary with
 live edges in the window and the mid-stream query already registered,
 the service is checkpointed, thrown away and rebuilt from the JSON —
-in process, cluster to cluster on another worker count, cluster to one
-process — and the whole lifetime must still equal the reference, which
-knows nothing of the interruption.  (A snapshot refuses the callable
+from and onto one process or 1, 2 or 4 workers, every pair — and the
+whole lifetime must still equal the reference, which knows nothing of
+the interruption.  (A snapshot refuses the callable
 factory's query, so that script retires it first.)
 """
 
@@ -37,7 +37,6 @@ import pytest
 
 from repro.baselines import SymBiEngine, TimingEngine
 from repro.cluster import ShardedMatchService
-from repro.cluster import checkpoint as cluster_checkpoint
 from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge
 from repro.query import TemporalQuery
@@ -217,41 +216,41 @@ def through_json(document):
     return json.loads(json.dumps(document))
 
 
-def test_restored_in_process_service_equals_reference(expected_restored):
-    def restore(service):
-        return service_checkpoint.restore(
-            through_json(service_checkpoint.snapshot(service)),
-            edge_label_fns=LABEL_FNS)
+#: Where a lifetime is snapshotted and where it is rebuilt: in one
+#: process, or on that many workers.
+SIDES = ["in-process", 1, 2, 4]
 
-    _, notes = drive(MatchService(DELTA), "ingest", RESTORE_SPECS, restore)
-    assert notes == expected_restored
+
+def build(side, delta=DELTA):
+    return (MatchService(delta) if side == "in-process"
+            else ShardedMatchService(delta, workers=side))
+
+
+def restored_lifetime(snapshot_side, restore_side):
+    """The restore script snapshotted on one side and rebuilt on the
+    other through the one restore, from the JSON."""
+    def restore(service):
+        data = through_json(service_checkpoint.snapshot(service))
+        service.close()
+        return service_checkpoint.rebuild(
+            data.get("service", data), lambda delta: build(restore_side,
+                                                           delta),
+            LABEL_FNS)
+
+    service, notes = drive(build(snapshot_side), "ingest", RESTORE_SPECS,
+                           restore)
+    service.close()
+    return notes
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_restored_cluster_equals_reference(expected_restored, workers):
-    """Onto a worker count that is not the snapshot's."""
-    def restore(service):
-        data = through_json(cluster_checkpoint.snapshot(service))
-        assert data["workers"] == 3
-        service.close()
-        return cluster_checkpoint.restore(data, workers=workers,
-                                          edge_label_fns=LABEL_FNS)
-
-    service, notes = drive(ShardedMatchService(DELTA, workers=3), "ingest",
-                           RESTORE_SPECS, restore)
-    service.close()
-    assert notes == expected_restored
+    """Onto a worker count, from every side."""
+    for side in SIDES:
+        assert restored_lifetime(side, workers) == expected_restored
 
 
-def test_cluster_restored_in_one_process_equals_reference(
-        expected_restored):
-    def restore(service):
-        data = through_json(cluster_checkpoint.snapshot(service))
-        service.close()
-        return service_checkpoint.restore(
-            cluster_checkpoint.as_service_snapshot(data),
-            edge_label_fns=LABEL_FNS)
-
-    _, notes = drive(ShardedMatchService(DELTA, workers=2), "ingest",
-                     RESTORE_SPECS, restore)
-    assert notes == expected_restored
+def test_restored_in_process_service_equals_reference(expected_restored):
+    """Into one process, from every side."""
+    for side in SIDES:
+        assert restored_lifetime(side, "in-process") == expected_restored

@@ -8,14 +8,15 @@ import pytest
 
 from repro.bench import make_engine
 from repro.cluster import ShardedMatchService
+from repro.cluster import checkpoint as cluster_checkpoint
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import Edge, TemporalGraph
 from repro.query import TemporalQuery
 from repro.service import (
     MatchService, Notifications, OutOfOrderError, QueryRegistry,
-    QueryStatus, load_checkpoint, restore, resume_edges, save_checkpoint,
-    snapshot,
+    QueryStatus, restore, resume_edges, save_checkpoint, snapshot,
 )
+from repro.service.checkpoint import read_checkpoint
 from repro.streaming import MatchBlock, StreamDriver
 from repro.streaming.engine import MatchEngine
 from repro.workloads import make_query_set
@@ -28,6 +29,23 @@ AB_LABELS = {0: "A", 1: "B"}
 def ab_edges(n, start=1):
     """n parallel A-B edges at timestamps start, start+1, ..."""
     return [Edge.make(0, 1, t) for t in range(start, start + n)]
+
+
+def tcm_factory(query, labels, edge_label_fn=None):
+    """A custom factory a worker can unpickle."""
+    return make_engine("tcm", query, labels, edge_label_fn)
+
+
+def no_edge_label(edge):
+    return None
+
+
+def each_service(delta):
+    """An in-process service, then a sharded one (closed after its
+    turn), each with the restore that reads the document it writes."""
+    yield MatchService(delta), restore
+    with ShardedMatchService(delta) as service:
+        yield service, cluster_checkpoint.restore
 
 
 @pytest.fixture(params=[MatchService, ShardedMatchService],
@@ -317,20 +335,21 @@ class TestAgreementWithStreamDriver:
 
 class TestMidStreamLifecycle:
     def test_late_query_sees_only_post_registration_matches(self):
-        service = MatchService(100)
-        early = service.register(AB_QUERY, AB_LABELS)
-        service.ingest(ab_edges(5))                  # t = 1..5
-        late = service.register(AB_QUERY, AB_LABELS)
-        service.ingest(ab_edges(5, start=6))         # t = 6..10
-        service.drain()
-        assert service.query_stats(early).occurred == 10
-        assert service.query_stats(late).occurred == 5
-        # The late query never receives expirations of pre-join edges
-        # (its engine would KeyError on removing an edge it never saw).
-        assert service.query_stats(late).expired == 5
-        assert service.query_stats(late).errors == 0
-        occurred = service.registry.get(late).result.occurred
-        assert min(event.edge.t for event, _ in occurred) == 6
+        for service, _ in each_service(100):
+            early = service.register(AB_QUERY, AB_LABELS)
+            service.ingest(ab_edges(5))                  # t = 1..5
+            late = service.register(AB_QUERY, AB_LABELS)
+            service.ingest(ab_edges(5, start=6))         # t = 6..10
+            service.drain()
+            assert service.query_stats(early).occurred == 10
+            # The late query never receives expirations of pre-join
+            # edges (its engine would KeyError on removing an edge it
+            # never saw).
+            stats = service.query_stats(late)
+            assert (stats.occurred, stats.expired, stats.errors) == \
+                (5, 5, 0)
+            occurred = service.get(late).result.occurred
+            assert min(event.edge.t for event, _ in occurred) == 6
 
     def test_register_from_subscriber_callback_joins_at_batch_boundary(
             self, open_service):
@@ -388,17 +407,17 @@ class TestMidStreamLifecycle:
             service.query_stats(victim_id)
 
     def test_unregister_stops_delivery(self):
-        service = MatchService(100)
-        qid = service.register(AB_QUERY, AB_LABELS)
-        keep = service.register(AB_QUERY, AB_LABELS)
-        service.ingest(ab_edges(4))
-        entry = service.unregister(qid)
-        service.ingest(ab_edges(4, start=5))
-        service.drain()
-        assert entry.stats.occurred == 4      # frozen at unregistration
-        assert service.query_stats(keep).occurred == 8
-        assert qid not in service.registry
-        assert service.stats.unregistered_total == 1
+        for service, _ in each_service(100):
+            qid = service.register(AB_QUERY, AB_LABELS)
+            keep = service.register(AB_QUERY, AB_LABELS)
+            service.ingest(ab_edges(4))
+            entry = service.unregister(qid)
+            service.ingest(ab_edges(4, start=5))
+            service.drain()
+            assert entry.stats.occurred == 4  # frozen at unregistration
+            assert service.query_stats(keep).occurred == 8
+            assert qid not in service.registry
+            assert service.stats.unregistered_total == 1
 
 
 class TestRouting:
@@ -487,8 +506,10 @@ class TestErrorIsolation:
 
 
 class TestCheckpoint:
-    def make_service(self):
-        service = MatchService(4)
+    """Over both back-ends: one writer, one restore through the front's
+    one host path (cross-back-end restores: tests/test_reference.py)."""
+
+    def make_service(self, service):
         service.register(AB_QUERY, AB_LABELS, "tcm", query_id="fraud")
         service.register(
             TemporalQuery(labels=["A", "B", "A"], edges=[(0, 1), (1, 2)],
@@ -497,79 +518,76 @@ class TestCheckpoint:
         return service
 
     def test_round_trip_preserves_registry(self, tmp_path):
-        service = self.make_service()
-        service.ingest(ab_edges(6))
         path = str(tmp_path / "service.json")
-        save_checkpoint(service, path)
-        restored = load_checkpoint(path)
-
-        assert restored.delta == service.delta
-        assert restored.now == service.now
-        assert restored.seq == service.seq
-        assert restored.stats.edges_ingested == 6
-        assert restored.stats.registered_total == 2
-        assert [e.query_id for e in restored.registry.list()] == \
-            ["fraud", "ddos"]
-        for original, rebuilt in zip(service.registry.list(),
-                                     restored.registry.list()):
-            assert rebuilt.engine_kind == original.engine_kind
-            assert rebuilt.labels == original.labels
-            assert rebuilt.query.labels == original.query.labels
-            assert (rebuilt.query.order.pairs()
-                    == original.query.order.pairs())
-            assert rebuilt.stats.occurred == original.stats.occurred
+        for service, restore_from in each_service(4):
+            self.make_service(service).ingest(ab_edges(6))
+            save_checkpoint(service, path)
+            with restore_from(read_checkpoint(path)) as restored:
+                assert (restored.delta, restored.now, restored.seq) == \
+                    (service.delta, service.now, service.seq) == (4, 6, 6)
+                assert restored.stats == service.stats
+                assert [e.query_id for e in restored.registry.list()] \
+                    == ["fraud", "ddos"]
+                for original, rebuilt in zip(service.registry.list(),
+                                             restored.registry.list()):
+                    assert rebuilt.engine_kind == original.engine_kind
+                    assert rebuilt.labels == original.labels
+                    assert rebuilt.query.labels == original.query.labels
+                    assert (rebuilt.query.order.pairs()
+                            == original.query.order.pairs())
+                    assert (restored.query_stats(rebuilt.query_id)
+                            == service.query_stats(original.query_id))
 
     def test_restored_service_resumes_ingestion(self, tmp_path):
         edges = ab_edges(10)
-        service = self.make_service()
-        service.ingest(edges[:6])
         path = str(tmp_path / "service.json")
-        save_checkpoint(service, path)
-
-        restored = load_checkpoint(path)
-        remaining = list(resume_edges(restored, edges))
-        assert [e.t for e in remaining] == [7, 8, 9, 10]
-        restored.ingest(remaining)
-        restored.drain()
-        stats = restored.query_stats("fraud")
-        # 6 pre-checkpoint + 4 post-restore occurrences.
-        assert stats.occurred == 10
-        # 2 edges expired pre-checkpoint; the 4 live at the checkpoint
-        # came back with the window and expire like the 4 later ones.
-        assert stats.expired == 10
+        for service, restore_from in each_service(4):
+            self.make_service(service).ingest(edges[:6])
+            save_checkpoint(service, path)
+            with restore_from(read_checkpoint(path)) as restored:
+                remaining = list(resume_edges(restored, edges))
+                assert [e.t for e in remaining] == [7, 8, 9, 10]
+                restored.ingest(remaining)
+                restored.drain()
+                stats = restored.query_stats("fraud")
+            # 6 pre-checkpoint + 4 post-restore occurrences; 2 edges
+            # expired pre-checkpoint, the 4 live at the checkpoint came
+            # back with the window and expire like the 4 later ones.
+            assert (stats.occurred, stats.expired) == (10, 10)
 
     def test_snapshot_is_json(self):
-        service = self.make_service()
-        data = json.loads(json.dumps(snapshot(service)))
-        assert data["format"].startswith("repro.service.checkpoint")
-        assert len(data["queries"]) == 2
+        for service, _ in each_service(4):
+            data = json.loads(json.dumps(snapshot(self.make_service(
+                service))))
+            document = data.get("service", data)  # a cluster's envelope
+            assert document["format"] == "repro.service.checkpoint/2"
+            assert len(document["queries"]) == 2
+            assert data.get("placement", {"fraud": 0, "ddos": 1}) == \
+                {"fraud": 0, "ddos": 1}
 
     def test_restore_rejects_other_formats(self):
-        with pytest.raises(ValueError, match="not a service checkpoint"):
-            restore({"format": "something/else"})
+        for _, restore_from in each_service(4):
+            with pytest.raises(ValueError, match="not a .* checkpoint"):
+                restore_from({"format": "something/else"})
 
     def test_custom_factory_not_checkpointable(self):
-        service = MatchService(4)
-        service.register(AB_QUERY, AB_LABELS,
-                         engine=lambda q, lb, elf=None:
-                         make_engine("tcm", q, lb, elf))
-        with pytest.raises(ValueError, match="custom factory"):
-            snapshot(service)
+        for service, _ in each_service(4):
+            service.register(AB_QUERY, AB_LABELS, engine=tcm_factory)
+            with pytest.raises(ValueError, match="custom factory"):
+                snapshot(service)
 
     def test_failed_save_preserves_existing_checkpoint(self, tmp_path):
         """A snapshot failure must not truncate a good checkpoint."""
         path = str(tmp_path / "service.json")
-        save_checkpoint(self.make_service(), path)
-        good = open(path).read()
-
-        broken = MatchService(4)
-        broken.register(AB_QUERY, AB_LABELS,
-                        engine=lambda q, lb, elf=None:
-                        make_engine("tcm", q, lb, elf))
-        with pytest.raises(ValueError, match="custom factory"):
-            save_checkpoint(broken, path)
-        assert open(path).read() == good
-        assert len(load_checkpoint(path).registry) == 2
+        for service, restore_from in each_service(4):
+            save_checkpoint(self.make_service(service), path)
+            good = open(path).read()
+            service.register(AB_QUERY, AB_LABELS, engine=tcm_factory)
+            with pytest.raises(ValueError, match="custom factory"):
+                save_checkpoint(service, path)
+            assert open(path).read() == good
+            with restore_from(read_checkpoint(path)) as restored:
+                assert len(restored.registry) == 2
 
     def test_custom_factory_named_like_engine_kind_still_rejected(self):
         """A factory whose __name__ collides with a registered kind
@@ -586,21 +604,22 @@ class TestCheckpoint:
     def test_snapshot_flags_subscribers(self):
         """Callbacks cannot be serialized; the snapshot must at least
         say which queries need re-subscribing after a restore."""
-        service = MatchService(4)
-        service.register(AB_QUERY, AB_LABELS, query_id="alerting",
-                         subscriber=lambda n: None)
-        service.register(AB_QUERY, AB_LABELS, query_id="quiet")
-        flags = {q["query_id"]: q["has_subscribers"]
-                 for q in snapshot(service)["queries"]}
-        assert flags == {"alerting": True, "quiet": False}
+        for service, _ in each_service(4):
+            service.register(AB_QUERY, AB_LABELS, query_id="alerting",
+                             subscriber=lambda n: None)
+            service.register(AB_QUERY, AB_LABELS, query_id="quiet")
+            data = snapshot(service)
+            flags = {q["query_id"]: q["has_subscribers"]
+                     for q in data.get("service", data)["queries"]}
+            assert flags == {"alerting": True, "quiet": False}
 
-    def test_edge_label_fn_requires_replacement(self, tmp_path):
-        service = MatchService(4)
-        service.register(AB_QUERY, AB_LABELS, query_id="labeled",
-                         edge_label_fn=lambda e: None)
-        data = snapshot(service)
-        with pytest.raises(ValueError, match="edge_label_fn"):
-            restore(data)
-        restored = restore(data,
-                           edge_label_fns={"labeled": lambda e: None})
-        assert "labeled" in restored.registry
+    def test_edge_label_fn_requires_replacement(self):
+        for service, restore_from in each_service(4):
+            service.register(AB_QUERY, AB_LABELS, query_id="labeled",
+                             edge_label_fn=no_edge_label)
+            data = snapshot(service)
+            with pytest.raises(ValueError, match="edge_label_fn"):
+                restore_from(data)
+            with restore_from(data, edge_label_fns={
+                    "labeled": no_edge_label}) as restored:
+                assert "labeled" in restored.registry
