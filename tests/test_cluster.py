@@ -4,8 +4,8 @@ The acceptance bar for the sharded service is *byte-identical output*:
 the merged notification stream (and therefore every per-query
 occurrence/expiration multiset) of a ``ShardedMatchService`` with 1, 2
 or 4 workers must equal the in-process ``MatchService`` on the same
-scripted scenario — every engine kind and mid-stream
-register/unregister included — and a Hypothesis property
+scripted scenario — every engine kind, mid-stream register/unregister,
+and a checkpoint/restore cycle included — and a Hypothesis property
 holds random control scripts (ingest, advance, register, unregister,
 migrate, add / drain a worker) to the same bar.  On top of that sit the
 cluster-only behaviours: which shards a clock advance contacts,
@@ -15,6 +15,7 @@ placement routing around dead shards.
 
 import inspect
 import itertools
+import json
 from dataclasses import astuple
 from pathlib import Path
 
@@ -36,6 +37,9 @@ from repro.query import TemporalQuery
 from repro.service import (
     MatchService, OutOfOrderError, QueryRegistry, QueryStatus,
     query_pattern_keys,
+)
+from repro.service.checkpoint import (
+    restore as restore_single, resume_edges, snapshot as single_snapshot,
 )
 from repro.workloads import make_mixed_query_set
 from tests.test_recovery import hard_timeout  # noqa: F401 - a fixture
@@ -529,6 +533,92 @@ class TestRoutingDecision:
                              for shard in stray}
             assert 0 in stray.values()
         assert sum(expected) > 0
+
+
+class TestCheckpoint:
+    def checkpointed_halves(self, workload):
+        stream, instances = workload
+        edges = stream.edges
+        return edges[:120], edges
+
+    def test_round_trip_matches_single_restore(self, workload, tmp_path):
+        stream, instances = workload
+        first_half, edges = self.checkpointed_halves(workload)
+
+        single = MatchService(DELTA)
+        for i in range(4):
+            single.register(instances[i].query, stream.labels,
+                            ENGINE_CYCLE[i], query_id=f"q{i}")
+        single.ingest(first_half)
+        single_restored = restore_single(
+            json.loads(json.dumps(single_snapshot(single))))
+        expected = single_restored.ingest(
+            list(resume_edges(single_restored, edges)))
+        expected += single_restored.drain()
+
+        with ShardedMatchService(DELTA, workers=2) as service:
+            for i in range(4):
+                service.register(instances[i].query, stream.labels,
+                                 ENGINE_CYCLE[i], query_id=f"q{i}")
+            service.ingest(first_half)
+            path = str(tmp_path / "cluster.json")
+            cluster_checkpoint.save_checkpoint(service, path)
+
+        # Restore onto a different worker count than the snapshot's.
+        for workers in (1, 3):
+            restored = cluster_checkpoint.load_checkpoint(path,
+                                                          workers=workers)
+            with restored:
+                notes = restored.ingest(
+                    list(resume_edges(restored, edges)))
+                notes += restored.drain()
+            assert notes == expected
+
+    def test_embedded_service_snapshot_is_restorable(self, workload,
+                                                     tmp_path):
+        """Scale-down restore: the embedded document rebuilds a plain
+        MatchService with the same queries and counters."""
+        stream, instances = workload
+        first_half, _ = self.checkpointed_halves(workload)
+        with ShardedMatchService(DELTA, workers=2) as service:
+            for i in range(4):
+                service.register(instances[i].query, stream.labels,
+                                 ENGINE_CYCLE[i], query_id=f"q{i}")
+            service.ingest(first_half)
+            data = json.loads(json.dumps(
+                cluster_checkpoint.snapshot(service)))
+            expected = {query_id: service.query_stats(query_id).occurred
+                        for query_id in ("q0", "q1", "q2", "q3")}
+        single = restore_single(
+            cluster_checkpoint.as_service_snapshot(data))
+        assert [e.query_id for e in single.registry.list()] == \
+            ["q0", "q1", "q2", "q3"]
+        for query_id, occurred in expected.items():
+            assert single.query_stats(query_id).occurred == occurred
+
+    def test_snapshot_preserves_stats_and_cursor(self, workload):
+        stream, instances = workload
+        with ShardedMatchService(DELTA, workers=2) as service:
+            service.register(instances[0].query, stream.labels, "tcm",
+                             query_id="q0")
+            service.ingest(stream.edges[:100])
+            data = cluster_checkpoint.snapshot(service)
+            assert data["format"].startswith("repro.cluster.checkpoint")
+            assert data["workers"] == 2
+            assert data["placement"] == {"q0": 0}
+            svc = data["service"]
+            assert svc["seq"] == 100
+            assert svc["now"] == service.now
+            restored = cluster_checkpoint.restore(data)
+            with restored:
+                assert restored.seq == 100
+                assert restored.now == service.now
+                assert (restored.stats.edges_ingested
+                        == service.stats.edges_ingested)
+
+    def test_restore_rejects_other_formats(self):
+        with pytest.raises(ValueError, match="not a cluster checkpoint"):
+            cluster_checkpoint.restore({"format": "something/else"})
 
 
 class TestWorkerCrash:

@@ -37,6 +37,7 @@ import pytest
 
 from repro.baselines import SymBiEngine, TimingEngine
 from repro.cluster import ShardedMatchService
+from repro.cluster import checkpoint as cluster_checkpoint
 from repro.core.tcm import TCMEngine
 from repro.graph.temporal_graph import Edge
 from repro.query import TemporalQuery
@@ -254,3 +255,17 @@ def test_restored_in_process_service_equals_reference(expected_restored):
     """Into one process, from every side."""
     for side in SIDES:
         assert restored_lifetime(side, "in-process") == expected_restored
+
+
+def test_cluster_restored_in_one_process_equals_reference(
+        expected_restored):
+    def restore(service):
+        data = through_json(cluster_checkpoint.snapshot(service))
+        service.close()
+        return service_checkpoint.restore(
+            cluster_checkpoint.as_service_snapshot(data),
+            edge_label_fns=LABEL_FNS)
+
+    _, notes = drive(ShardedMatchService(DELTA, workers=2), "ingest",
+                     RESTORE_SPECS, restore)
+    assert notes == expected_restored
