@@ -505,12 +505,13 @@ class ShardedBackend:
             raise
 
     def describe(self, entry: RegisteredQuery) -> RegisteredQuery:
-        """The owning worker's record of ``entry`` (its counters and
-        collected results); the front's own when the worker is lost."""
+        """``entry`` with the owning worker's outcome of it (status,
+        counters, collected results); the front's own when the worker is
+        lost."""
         try:
-            return self._request(self._placement.shard_of(entry.query_id),
-                                 (protocol.DESCRIBE, entry.query_id)
-                                 ).payload
+            return entry.with_outcome(self._request(
+                self._placement.shard_of(entry.query_id),
+                (protocol.DESCRIBE, entry.query_id)).payload)
         except WorkerCrashError:
             return entry
 
@@ -520,8 +521,8 @@ class ShardedBackend:
         is dead or no longer hosts it (lost in a failed migration)."""
         shard = self._placement.remove(entry.query_id)
         try:
-            return self._request(shard, (protocol.UNREGISTER,
-                                         entry.query_id)).payload
+            return entry.with_outcome(self._request(
+                shard, (protocol.UNREGISTER, entry.query_id)).payload)
         except (WorkerCrashError, KeyError):
             return entry
 
@@ -644,7 +645,6 @@ class ShardedBackend:
             return {}
         front = self.front
         final_seq = front.seq + len(pairs)
-        delta = front.delta
         live = [handle.index for handle in self._workers if handle.alive]
         routed: Dict[int, List[Tuple[Edge, int]]] = {s: [] for s in live}
         lookup = front.registry.interest.lookup_ids
@@ -664,8 +664,8 @@ class ShardedBackend:
         # was shipped to its holders, which are therefore not idle.
         idle = {shard for shard in live if not routed[shard]}
         get = front.registry.get
-        for edge, seq in front._live:
-            if not idle or edge.t + delta > final_now:
+        for edge, seq in front.falling_due(final_now):
+            if not idle:
                 break
             for query_id in lookup(edge):
                 if (not detached(query_id)

@@ -7,7 +7,7 @@ single-query **migration**:
 1. the coordinator cuts the query's engine window — the ``(edge,
    seq)`` pairs it holds — from the front's window and detaches the
    query from its source worker (``MIGRATE_OUT``), receiving the
-   worker's record of it (status, counters, collected results);
+   worker's outcome of it (status, counters, collected results);
 2. while the query is in flight, the coordinator buffers any routed
    event the query would have received in a bounded *tail* (staged
    migrations only; the atomic path never leaves the batch boundary);
@@ -28,7 +28,8 @@ QueryInterestIndex.window_of`; a checkpoint restore first refills that
 window from the document), so a registration, a checkpoint restore, a
 crash recovery and a migration differ only in who wrote the record the
 ticket carries: the front, fresh; the checkpoint; the front, from what
-it last knew; the source worker, on ``MIGRATE_OUT``.  The front trims
+it last knew; the front, with the source worker's outcome of
+``MIGRATE_OUT``.  The front trims
 its window only after the back-end's boundary hook — and so
 :meth:`~MigrationManager.before_batch` — had its chance to recover, so
 everything live when a lost exchange began is still held when the next
@@ -70,6 +71,7 @@ from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
 from repro.service.interest import query_pattern_keys
 from repro.service.registry import QueryStatus, RegisteredQuery
+from repro.streaming.driver import StreamResult
 
 #: Default bound on a staged migration's event tail; reaching it forces
 #: the migration to finish at the next batch boundary.
@@ -342,11 +344,11 @@ class MigrationManager:
             crashed = bool(info.error) and info.error.startswith(
                 f"worker {source} crashed")
             lost_seq, lost_now = svc._lost_from[source]
-            pairs = front.registry.interest.window_of(
-                info.query_id, info.joined_seq, front._live, front.delta,
-                lost_now)
+            pairs = front.window_at(info, lost_now)
             held = sum(1 for _, seq in pairs if seq < lost_seq)
-            record = replace(info, result=None)
+            # The lost worker's results are gone; collection goes on.
+            record = replace(info, result=(
+                None if info.result is None else StreamResult()))
             if crashed:
                 record.status, record.error = QueryStatus.ACTIVE, None
             self._pending[info.query_id] = _Pending(
@@ -397,16 +399,16 @@ class MigrationManager:
                 max_tail: int, root) -> _Pending:
         """Cut ``info``'s window from the front's and take the query off
         ``source`` (MIGRATE_OUT, traced under ``root`` when it is a live
-        span), keeping the source's record of it."""
+        span), keeping the front's record with the source's outcome."""
         svc = self._svc
         started = time.perf_counter()
         window = svc.front.export_query_window(info)
-        record = svc._request(source, svc._control_message(
+        outcome = svc._request(source, svc._control_message(
             protocol.MIGRATE_OUT, info.query_id, root)).payload
         return _Pending(
             query_id=info.query_id, source=source, target=target,
-            record=record, window=window, reason=reason, max_tail=max_tail,
-            started=started)
+            record=info.with_outcome(outcome), window=window,
+            reason=reason, max_tail=max_tail, started=started)
 
     def _land(self, info, pending: _Pending, root) -> List:
         """Ticket a detached query onto its target and record the hop;

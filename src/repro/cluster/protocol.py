@@ -24,7 +24,9 @@ ahead of a query: its wire code, its join cursor and its window — cut
 from the coordinator's — ride its ticket, and every routed frame
 carries the stream cursor it closes on.  No edge travels back: a
 worker answers ``UNREGISTER``, ``DESCRIBE`` and ``MIGRATE_OUT`` alike
-with its :class:`~repro.service.registry.RegisteredQuery` of the query.
+with the :meth:`~repro.service.registry.RegisteredQuery.outcome` of its
+record (status, error, counters, result); the coordinator holds the
+rest of the record.
 
 Replies piggyback only what the coordinator cannot work out from the
 registrations, the placement and the stream it already holds:
@@ -57,11 +59,11 @@ from repro.graph.temporal_graph import Edge
 from repro.service.registry import RegisteredQuery
 
 # Request verbs -------------------------------------------------------
-UNREGISTER = "unregister"    # payload: query_id -> its record
+UNREGISTER = "unregister"    # payload: query_id -> its outcome
 DESCRIBE = "describe"        # payload: query_id (non-destructive)
 QUERY_STATS = "query_stats"  # payload: query_id
 QUARANTINE = "quarantine"    # payload: (query_id, error message)
-MIGRATE_OUT = "migrate_out"  # payload: query_id -> its record
+MIGRATE_OUT = "migrate_out"  # payload: query_id -> its outcome
 MIGRATE_IN = "migrate_in"    # payload: MigrationTicket
 INGEST_BATCH = "ingest_batch"  # payload: edges (see wire.encode_ingest)
 INGEST_ROUTED = "ingest_routed"  # payload: RoutedBatch (interest-routed)

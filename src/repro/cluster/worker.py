@@ -38,7 +38,6 @@ from typing import Dict, Tuple
 from repro.cluster import protocol, wire
 from repro.cluster.protocol import Reply
 from repro.obs.trace import Tracer, pack_spans
-from repro.service.registry import RegisteredQuery
 from repro.service.service import MatchService
 
 #: Ingest-path verbs a worker wraps in a span when tracing is on (the
@@ -99,9 +98,9 @@ class ShardWorker:
         if verb == protocol.DRAIN:
             return service.drain()
         if verb == protocol.UNREGISTER:
-            return service.unregister(payload)
+            return service.unregister(payload).outcome()
         if verb == protocol.DESCRIBE:
-            return service.registry.get(payload)
+            return service.registry.get(payload).outcome()
         if verb == protocol.QUERY_STATS:
             return service.registry.get(payload).stats
         if verb == protocol.QUARANTINE:
@@ -118,17 +117,17 @@ class ShardWorker:
             return None
         raise ValueError(f"unknown request verb {verb!r}")
 
-    def _migrate_out(self, query_id: str) -> RegisteredQuery:
+    def _migrate_out(self, query_id: str) -> tuple:
         """Detach one query: drop it from the registry and return its
-        record (status, counters, collected result; pickling leaves the
-        engine here).  Its window is not sent back: the coordinator
-        cuts it from its own.  Registry-level removal (not
-        ``service.unregister``) keeps the service's registered /
-        unregistered counters untouched — a migration is not a
-        user-visible retire."""
+        record's :meth:`~repro.service.registry.RegisteredQuery.outcome`
+        (status, counters, collected result).  Its window is not sent
+        back: the coordinator cuts it from its own.  Registry-level
+        removal (not ``service.unregister``) keeps the service's
+        registered / unregistered counters untouched — a migration is
+        not a user-visible retire."""
         entry = self.service.registry.unregister(query_id)
         self._reported.discard(query_id)
-        return entry
+        return entry.outcome()
 
     def _migrate_in(self, ticket: protocol.MigrationTicket):
         """Host a query from its ticket (a registration, restore,

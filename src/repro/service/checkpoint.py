@@ -122,9 +122,9 @@ def rebuild(data: Dict[str, object], build: Callable[[int], object],
     try:
         label_maps = [{int(v): lab for v, lab in labels.items()}
                       for labels in data["label_maps"]]
-        service._live.extend((Edge(u, v, t), seq)
-                             for u, v, t, seq in data["window"])
-        service._now, service._seq = data["now"], int(data["seq"])
+        service.load([(Edge(u, v, t), seq)
+                      for u, v, t, seq in data["window"]],
+                     data["now"], int(data["seq"]))
         for spec in data["queries"]:
             service.host(_record(spec, label_maps, edge_label_fns))
         service.stats = ServiceStats(**data["stats"])

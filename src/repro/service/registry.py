@@ -7,7 +7,7 @@ or a custom factory), the stream sequence number at which the query
 joined (so mid-stream registrations only see post-registration events),
 its status, subscribers, counters and collected results.  A checkpoint
 serialises it, a migration ticket carries it, and a shard worker
-answers with its own copy of it.
+answers with its :meth:`~RegisteredQuery.outcome`.
 
 Engines are constructed lazily: registering a query is cheap, and the
 engine only materializes when the first event reaches it.  This also
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.query.temporal_query import TemporalQuery
 from repro.service.interest import QueryInterestIndex
@@ -90,6 +90,20 @@ class RegisteredQuery:
     def __getstate__(self) -> Dict[str, object]:
         return dict(self.__dict__, _engine=None, subscribers=[],
                     factory=self.factory if self.custom_factory else None)
+
+    def outcome(self) -> Tuple[str, Optional[str], QueryStats,
+                               Optional[StreamResult]]:
+        """What a host reports of this record to the front that holds
+        the rest of it: ``(status, error, stats, result)``.  The query
+        and its labels (a vertex-to-label map as large as the stream's)
+        stay behind."""
+        return self.status.value, self.error, self.stats, self.result
+
+    def with_outcome(self, outcome: tuple) -> "RegisteredQuery":
+        """A copy of this record carrying a host's :meth:`outcome`."""
+        status, error, stats, result = outcome
+        return replace(self, status=QueryStatus(status), error=error,
+                       stats=stats, result=result)
 
 
 class QueryRegistry:

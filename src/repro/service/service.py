@@ -308,14 +308,17 @@ class ServiceFront:
 
     def export_query_window(self, entry: RegisteredQuery
                             ) -> Tuple[Tuple[Edge, int], ...]:
+        """:meth:`window_at` the clock: the pairs ``entry``'s engine
+        holds (none once it is not active)."""
+        return self.window_at(entry, self._now) if entry.active else ()
+
+    def window_at(self, entry: RegisteredQuery, now: Optional[int]
+                  ) -> Tuple[Tuple[Edge, int], ...]:
         """``entry``'s :meth:`~repro.service.interest.QueryInterestIndex.
-        window_of` this front's window: the pairs its engine holds (none
-        once it is not active)."""
-        if not entry.active:
-            return ()
+        window_of` this front's window at the clock ``now`` — an earlier
+        one too, while the window still holds it (a recovery's)."""
         return self.registry.interest.window_of(
-            entry.query_id, entry.joined_seq, self._live, self.delta,
-            self._now)
+            entry.query_id, entry.joined_seq, self._live, self.delta, now)
 
     def window(self) -> List[Tuple[Edge, int]]:
         """The ``(edge, arrival seq)`` pairs inside the window at
@@ -323,6 +326,34 @@ class ServiceFront:
         now, delta = self._now, self.delta
         return [pair for pair in list(self._live)
                 if now is None or pair[0].t + delta > now]
+
+    def falling_due(self, t: float) -> Iterator[Tuple[Edge, int]]:
+        """The window's pairs whose window closes by ``t``, in seq
+        order (read while the window is trimmed: inside a call)."""
+        delta = self.delta
+        return itertools.takewhile(lambda pair: pair[0].t + delta <= t,
+                                   self._live)
+
+    def load(self, window: Iterable[Tuple[Edge, int]], now: Optional[int],
+             seq: int) -> None:
+        """Put a checkpoint's window and cursor on this fresh front."""
+        self._live.extend(window)
+        self._now, self._seq = now, seq
+
+    def merge_window(self, pairs: List[Tuple[Edge, int]],
+                     now: Optional[int]) -> None:
+        """Merge an adopted query's open ``pairs`` into the window in
+        seq order, skipping seqs it already holds (edges received for
+        other queries: none may expire twice), and move the clock up to
+        ``now``."""
+        if pairs:
+            present = {seq for _, seq in self._live}
+            fresh = [pair for pair in pairs if pair[1] not in present]
+            if fresh:
+                self._live = deque(sorted([*self._live, *fresh],
+                                          key=lambda pair: pair[1]))
+        if now is not None and (self._now is None or now > self._now):
+            self._now = now
 
     # ------------------------------------------------------------------
     # Registration
@@ -684,13 +715,6 @@ class LocalBackend:
             self._fanout_batch(events, runs, trace_parent=root)
         return Notifications(runs)
 
-    def host(self, entry: RegisteredQuery,
-             window: Tuple[Tuple[Edge, int], ...],
-             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int],
-             drained: bool) -> Notifications:
-        return self.adopt_query(entry, window, tail, final_now=final_now,
-                                drain_tail=drained)
-
     # -- the fan-out ---------------------------------------------------
     def _fanout_batch(self, events: List[Tuple[Event, int]],
                       out: List[Run], trace_parent=None,
@@ -800,11 +824,10 @@ class LocalBackend:
         if obs is not None:
             self._h_notify.observe(time.perf_counter() - notify_start)
 
-    def adopt_query(self, entry: RegisteredQuery,
-                    window: Tuple[Tuple[Edge, int], ...],
-                    tail: Tuple[Tuple[Edge, int], ...] = (), *,
-                    final_now: Optional[int] = None,
-                    drain_tail: bool = False) -> Notifications:
+    def host(self, entry: RegisteredQuery,
+             window: Tuple[Tuple[Edge, int], ...],
+             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int],
+             drained: bool) -> Notifications:
         """Adopt a registered query that lived elsewhere: rebuild its
         engine window, replay the in-flight tail, and merge what is
         still live into the front's window.
@@ -816,14 +839,13 @@ class LocalBackend:
         while the query was detached) becomes one private event list
         over a private copy of the window — each arrival preceded by
         the expirations due at its timestamp, then whatever fell due by
-        ``final_now`` (everything, with ``drain_tail``) — and goes
+        ``final_now`` (everything, when ``drained``) — and goes
         through the same batch fan-out as any other event list,
         restricted to ``entry``: dispatched, counted and recorded the
         same way, and an engine that fails on it quarantines the query
         with nothing emitted for the tail.  The remaining pairs are
-        merged seq-ordered into the front's window, skipping seqs it
-        already holds (edges this service received for its other
-        queries) so no edge ever expires twice.
+        merged into the front's window (:meth:`ServiceFront.
+        merge_window`).
 
         Double-expiration safety: every expiration due at or before
         ``final_now`` has left the front's window (:meth:`ServiceFront.
@@ -851,21 +873,12 @@ class LocalBackend:
         given = [pair for pair in tail if entry.query_id in lookup(pair[0])]
         events, still_open = _event_list(
             itertools.chain(window, given), tail, front.delta,
-            math.inf if drain_tail else final_now)
+            math.inf if drained else final_now)
         runs: List[Run] = []
         if events:
             self._fanout_batch(events, runs, entries=[entry])
-        if drain_tail or not entry.active:
-            return Notifications(runs)
-        if still_open:
-            present = {seq for _, seq in front._live}
-            fresh = [pair for pair in still_open if pair[1] not in present]
-            if fresh:
-                front._live = deque(sorted([*front._live, *fresh],
-                                           key=lambda pair: pair[1]))
-        if final_now is not None and (front._now is None
-                                      or final_now > front._now):
-            front._now = final_now
+        if not drained and entry.active:
+            front.merge_window(still_open, final_now)
         return Notifications(runs)
 
     # -- metrics export ------------------------------------------------
@@ -992,7 +1005,6 @@ class MatchService(ServiceFront):
                     tail: Tuple[Tuple[Edge, int], ...] = (), *,
                     final_now: Optional[int] = None,
                     drain_tail: bool = False) -> Notifications:
-        """:meth:`LocalBackend.adopt_query` of a registered ``entry``."""
-        return self._backend.adopt_query(entry, window, tail,
-                                         final_now=final_now,
-                                         drain_tail=drain_tail)
+        """:meth:`LocalBackend.host` of a registered ``entry``."""
+        return self._backend.host(entry, window, tail, final_now,
+                                  drain_tail)

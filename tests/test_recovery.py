@@ -323,6 +323,9 @@ class TestAutoRecovery:
         assert [key(n) for n in got] == [key(n) for n in want]
 
     def test_target_dying_mid_recovery_is_retried(self, never_crashed):
+        """And the recovered query collects results again: the lost
+        worker's are gone, what it reports from the recovery on is
+        kept."""
         _, want = never_crashed
         spec = CRASH_SPECS[0]
         got = []
@@ -335,11 +338,16 @@ class TestAutoRecovery:
             service.ingest(script.BATCHES[0])
             kill(service, 0)
             service.ingest(script.BATCHES[1])       # the lost exchange
+            recovered = len(got)
             kill(service, 1)                        # the policy's pick
             service.ingest(script.BATCHES[2])       # recovers, retried
             assert service.shard_of(spec.query_id) == 2
             assert service.live_workers == 1
             service.ingest(script.BATCHES[3])
+            result = service.get(spec.query_id).result
+        assert result is not None and len(got) > recovered
+        assert Counter(result.occurred + result.expired) \
+            == Counter((n.event, n.match) for n in got[recovered:])
         upto = script.BATCHES[3][-1].t
         assert Counter(map(key, got)) == Counter(
             key(n) for n in want

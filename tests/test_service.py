@@ -566,8 +566,9 @@ class TestCheckpoint:
                 {"fraud": 0, "ddos": 1}
 
     def test_restore_rejects_other_formats(self):
-        for _, restore_from in each_service(4):
-            with pytest.raises(ValueError, match="not a .* checkpoint"):
+        for (_, restore_from), kind in zip(each_service(4),
+                                           ["service", "cluster"]):
+            with pytest.raises(ValueError, match=f"not a {kind} checkpoint"):
                 restore_from({"format": "something/else"})
 
     def test_custom_factory_not_checkpointable(self):
