@@ -41,15 +41,13 @@ class MultiQueryConfig:
     window_fraction: float = 0.3
     seed: int = 0
     workers: int = 1
-    #: Shard placement policy ("least_loaded" or "interest").
-    placement: str = "least_loaded"
     #: Attach a :class:`~repro.obs.MetricsRegistry` to the service (and,
     #: when sharded, to every worker).  The run's merged snapshot lands
     #: in :attr:`MultiQueryRun.metrics`.  Off by default: the
     #: uninstrumented hot path is the benchmarked artifact.
     metrics: bool = False
-    #: Sharded runs only: live-migrate the first registered query to a
-    #: policy-chosen shard after this many batches (0 = never).
+    #: Sharded runs only: live-migrate the first registered query to the
+    #: least-loaded other shard after this many batches (0 = never).
     #: Exercises the migration path under load; merged output is
     #: unchanged by construction.
     migrate_at: int = 0
@@ -154,8 +152,7 @@ def build_service(config: MultiQueryConfig, engine: str = "tcm",
     if config.workers > 1:
         from repro.cluster import ShardedMatchService
         service = ShardedMatchService(
-            config.delta, workers=config.workers,
-            placement=config.placement, metrics=registry,
+            config.delta, workers=config.workers, metrics=registry,
             tracer=tracer)
     else:
         service = MatchService(config.delta, metrics=registry,

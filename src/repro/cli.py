@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "in-process service; >1 = the sharded "
                          "multi-process service); with --scaling, "
                          "multiple values sweep the worker count")
-    pm.add_argument("--placement", default="least-loaded",
-                    choices=["least-loaded", "interest"],
-                    help="shard placement policy for --workers >1: "
-                         "spread evenly, or co-locate queries with "
-                         "overlapping label interests to shrink "
-                         "per-batch shard fan-out")
     pm.add_argument("--migrate-at", type=int, default=0, metavar="N",
                     help="with --workers >1: live-migrate the first "
                          "registered query to another shard after N "
@@ -339,7 +333,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             window_fraction=args.window_fraction,
             seed=args.seed,
             workers=args.workers[0],
-            placement=args.placement.replace("-", "_"),
             metrics=args.metrics,
             migrate_at=args.migrate_at,
             rebalance_every=args.rebalance_every,

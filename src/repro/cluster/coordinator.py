@@ -74,15 +74,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import protocol, wire
-from repro.cluster.migration import (
-    DEFAULT_MAX_TAIL, MigrationManager, MigrationRecord,
-)
+from repro.cluster.migration import MigrationManager, MigrationRecord
 from repro.cluster.placement import ShardPlacement
 from repro.cluster.protocol import Reply, make_exception
 from repro.cluster.worker import shard_worker_main
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span, unpack_spans
-from repro.service.interest import query_pattern_keys
 from repro.service.registry import RegisteredQuery
 from repro.service.service import Notifications, ServiceFront
 from repro.service.stats import QueryStats
@@ -150,13 +147,12 @@ class ShardedMatchService(ServiceFront):
     """
 
     def __init__(self, delta: int, *, workers: int = 2,
-                 start_method: Optional[str] = None,
-                 placement: str = "least_loaded", metrics=None,
+                 start_method: Optional[str] = None, metrics=None,
                  tracer=None, auto_recover: bool = False):
         if workers < 1:
             raise ValueError("need at least one worker")
         super().__init__(delta, ShardedBackend(
-            workers, start_method, placement, auto_recover),
+            workers, start_method, auto_recover),
             metrics=metrics, tracer=tracer)
 
     def process_batch(self, edges) -> Notifications:
@@ -222,41 +218,22 @@ class ShardedMatchService(ServiceFront):
     def migrate(self, query_id: str, target: Optional[int] = None, *,
                 reason: str = "manual") -> MigrationRecord:
         """Move one query to another worker inside the current batch
-        boundary.  ``target`` defaults to the placement policy's pick.
-        The merged notification stream is byte-identical to a
+        boundary.  ``target`` defaults to the least-loaded other live
+        shard.  The merged notification stream is byte-identical to a
         never-migrated run (see :mod:`repro.cluster.migration`)."""
         self._ensure_open()
         return self._backend._migrations.migrate(query_id, target,
                                                  reason=reason)
 
-    def begin_migrate(self, query_id: str,
-                      target: Optional[int] = None, *,
-                      max_tail: int = DEFAULT_MAX_TAIL,
-                      reason: str = "staged") -> int:
-        """Start a staged migration: detach the query now, buffer its
-        routed events (bounded by ``max_tail``), restore later via
-        :meth:`finish_migrate`.  Returns the planned target shard."""
-        self._ensure_open()
-        return self._backend._migrations.begin(
-            query_id, target, max_tail=max_tail, reason=reason)
-
-    def finish_migrate(self, query_id: str) -> Notifications:
-        """Complete a staged migration; returns the tail-replay
-        notifications (already delivered to subscribers)."""
-        self._ensure_open()
-        return self._backend._migrations.finish(query_id)
-
     def rebalance(self, *, tolerance: float = 0.1,
-                  max_moves: Optional[int] = None,
-                  signal: str = "events") -> List[MigrationRecord]:
-        """Even out per-shard load by migrating queries off hot
-        workers (load signal: per-query events processed, or engine
-        busy-seconds with ``signal="busy"``).  Returns the completed
-        migration records — empty when the cluster is already within
-        ``tolerance`` of balanced."""
+                  max_moves: Optional[int] = None) -> List[MigrationRecord]:
+        """Even out per-shard load, counted in events processed per
+        query, by migrating queries off hot workers.  Returns the
+        completed migration records — empty when the cluster is already
+        within ``tolerance`` of balanced."""
         self._ensure_open()
         return self._backend._migrations.rebalance(
-            tolerance=tolerance, max_moves=max_moves, signal=signal)
+            tolerance=tolerance, max_moves=max_moves)
 
     def recover_quarantined(self, shard: Optional[int] = None
                             ) -> List[MigrationRecord]:
@@ -299,9 +276,6 @@ class ShardedMatchService(ServiceFront):
         handle = backend._workers[shard]
         if not handle.alive:
             raise ValueError(f"shard {shard} is not live")
-        # Staged migrations may target (or source from) this shard;
-        # land them first so the member list below is final.
-        backend.settle()
         placement = backend._placement
         hosted = placement.members(shard)
         if hosted and not [s for s in placement.live_shards()
@@ -318,12 +292,13 @@ class ShardedMatchService(ServiceFront):
 
     @property
     def migration_history(self) -> List[MigrationRecord]:
-        """Every completed migration, in completion order."""
+        """The last 32 completed migrations, in completion order
+        (``migration_state()["completed"]`` counts them all)."""
         return list(self._backend._migrations.history)
 
     def migration_state(self) -> Dict[str, object]:
-        """A JSON-ready view of in-flight and completed migrations
-        (served on ``/varz`` and in the CLI report)."""
+        """A JSON-ready view of the completed migrations (served on
+        ``/varz`` and in the CLI report)."""
         return self._backend._migrations.state()
 
     def placement_snapshot(self) -> Dict[str, object]:
@@ -340,7 +315,7 @@ class ShardedMatchService(ServiceFront):
                 "queries": placement.members(shard),
             }
         return {
-            "policy": placement.policy,
+            "policy": "least_loaded",
             "workers": len(self._backend._workers),
             "assignments": {query_id: placement.shard_of(query_id)
                             for query_id in self.registered_ids()},
@@ -380,13 +355,13 @@ class ShardedBackend:
     SPANS = ("cluster_ingest", "cluster_advance", "cluster_drain")
 
     def __init__(self, workers: int, start_method: Optional[str],
-                 placement: str, auto_recover: bool):
+                 auto_recover: bool):
         self.events_unshipped = 0
         self.shard_shipped = [0] * workers
         self.shard_unshipped = [0] * workers
         self.shard_routed = [0] * workers
         self.shard_skipped = [0] * workers
-        self._placement = ShardPlacement(workers, policy=placement)
+        self._placement = ShardPlacement(workers)
         #: Interned query-id table (codes index _intern_names); a
         #: query's code reaches its worker on the query's ticket.
         self._intern_codes: Dict[str, int] = {}
@@ -445,14 +420,6 @@ class ShardedBackend:
         exchange began."""
         self._migrations.before_batch()
 
-    def settle(self, query_id: Optional[str] = None) -> None:
-        """Land the staged migration of ``query_id`` (of every query
-        when ``None``), so the query is hosted somewhere."""
-        if query_id is None:
-            self._migrations.finish_all()
-        elif self._migrations.is_pending(query_id):
-            self._migrations.finish(query_id)
-
     def serve(self, pairs: List[Tuple[Edge, int]], horizon: Optional[float],
               root) -> Notifications:
         """Ship the pairs to the shards that need them (every live
@@ -461,16 +428,10 @@ class ShardedBackend:
         obs = self.metrics
         tracer = self.tracer
         if horizon == math.inf:
-            # Staged migrations must flush their private windows
-            # entirely at finish — the cluster-wide windows empty here.
-            self._migrations.note_drain()
             message = self._control_message(protocol.DRAIN, None, root)
             messages = {handle.index: message for handle in self._workers
                         if handle.alive}
         else:
-            # Queries paused mid-migration buffer their share of the
-            # batch for replay at finish.
-            self._migrations.buffer(pairs)
             ctx = ((root.trace_id, root.span_id) if tracer is not None
                    else None)
             route_start = time.perf_counter() if obs is not None else 0.0
@@ -487,16 +448,15 @@ class ShardedBackend:
 
     def host(self, entry: RegisteredQuery,
              window: Tuple[Tuple[Edge, int], ...],
-             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int],
-             drained: bool) -> Notifications:
+             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int]
+             ) -> Notifications:
         """Place a query the front registered (fresh, or a checkpoint
         record) and send it to its shard as a ticket."""
         query_id = entry.query_id
         if query_id not in self._intern_codes:
             self._intern_codes[query_id] = len(self._intern_names)
             self._intern_names.append(query_id)
-        shard = self._placement.place(
-            query_id, interest=query_pattern_keys(entry.query))
+        shard = self._placement.place(query_id)
         try:
             return self._request(shard, wire.encode_migrate_in(
                 self._migrations.ticket(entry, window=window))).payload
@@ -627,15 +587,13 @@ class ShardedBackend:
         closing on the clock ``final_now``.
 
         An edge goes to the live shards the placement gives for the
-        queries the interest index names — leaving out a query detached
-        by a staged migration, whose share is buffered in the
-        migration's tail instead; uninterested (edge, shard) pairs are
-        counted in ``events_unshipped`` and never serialized.  A shard
-        whose sub-batch is empty still gets a clock-advance frame when
-        one of its queries holds an edge expiring by ``final_now`` — an
-        edge at the front of the front's window (trimmed to the clock
-        before the call) that the query is routed, is not detached
-        from, and arrived at or after its join cursor.  That keeps the
+        queries the interest index names; uninterested (edge, shard)
+        pairs are counted in ``events_unshipped`` and never serialized.
+        A shard whose sub-batch is empty still gets a clock-advance
+        frame when one of its queries holds an edge expiring by
+        ``final_now`` — an edge at the front of the front's window
+        (trimmed to the clock before the call) that the query is routed
+        and that arrived at or after its join cursor.  That keeps the
         expirations inside the same call (and therefore at the same
         position in the merged stream) as a single-process service
         would emit them.  Empty ``pairs`` is a pure clock advance
@@ -649,10 +607,8 @@ class ShardedBackend:
         routed: Dict[int, List[Tuple[Edge, int]]] = {s: [] for s in live}
         lookup = front.registry.interest.lookup_ids
         shard_of = self._placement.shard_of
-        detached = self._migrations.is_pending
         for pair in pairs:
-            interested = {shard_of(query_id) for query_id in lookup(pair[0])
-                          if not detached(query_id)}
+            interested = {shard_of(query_id) for query_id in lookup(pair[0])}
             for shard in live:
                 if shard in interested:
                     routed[shard].append(pair)
@@ -668,8 +624,7 @@ class ShardedBackend:
             if not idle:
                 break
             for query_id in lookup(edge):
-                if (not detached(query_id)
-                        and get(query_id).joined_seq <= seq):
+                if get(query_id).joined_seq <= seq:
                     idle.discard(shard_of(query_id))
         return {shard: wire.encode_routed(sub_batch, final_now, final_seq,
                                           trace=ctx)

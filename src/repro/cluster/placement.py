@@ -1,55 +1,37 @@
 """Shard placement: which worker hosts which query.
 
-Two policies, both deterministic (important for the equivalence tests
-and for reproducible benchmarks):
-
-* ``least_loaded`` (default) — least-loaded-first with the lowest shard
-  index as the tie break, spreading a dynamically registered/retired
-  query population evenly;
-* ``interest`` — interest-aware co-location: a query lands on the live
-  shard whose hosted queries share the most interest keys with it (the
-  ``(src_label, dst_label, edge_label)`` patterns of
-  :func:`repro.service.interest.query_pattern_keys`), falling back to
-  least-loaded among equally overlapping shards.  Clustering
-  label-overlapping queries shrinks the coordinator's per-batch fan-out
-  (fewer shards are interested in any one event) at the cost of less
-  even load when the workload is skewed toward one label region.
+One deterministic policy (important for the equivalence tests and for
+reproducible benchmarks): least-loaded-first, the lowest shard index
+breaking ties, which spreads a dynamically registered/retired query
+population evenly.
 
 Quarantined shards stop receiving placements but keep their membership
 records, so the coordinator can still enumerate (and unregister) the
 queries that were lost with a crashed worker.
 
-Since the live-migration refactor the placement is a *live* policy
-object, not a registration-time constant: assignments move
-(:meth:`ShardPlacement.move`), shards appear (:meth:`~ShardPlacement.
-add_shard`) and retire gracefully (:meth:`~ShardPlacement.retire`,
-distinct from a crash quarantine), targets can be chosen without
-mutating (:meth:`~ShardPlacement.select_target`), and
-:meth:`~ShardPlacement.plan_rebalance` turns per-query load figures
-into a deterministic list of migrations.  Every decision breaks ties on
-the lowest shard index over the *sorted* live-shard list, so placements
-— and therefore migration plans — are reproducible across runs
-regardless of add/retire churn.
+The placement is a *live* object, not a registration-time constant:
+assignments move (:meth:`ShardPlacement.move`), shards appear
+(:meth:`~ShardPlacement.add_shard`) and retire gracefully
+(:meth:`~ShardPlacement.retire`, distinct from a crash quarantine),
+targets can be chosen without mutating (:meth:`~ShardPlacement.
+select_target`), and :meth:`~ShardPlacement.plan_rebalance` turns
+per-query load figures into a deterministic list of migrations.  Every
+decision breaks ties on the lowest shard index over the *sorted*
+live-shard list, so placements — and therefore migration plans — are
+reproducible across runs regardless of add/retire churn.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-#: Valid placement policies.
-POLICIES = ("least_loaded", "interest")
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class ShardPlacement:
     """Tracks query -> shard assignments across ``num_shards`` shards."""
 
-    def __init__(self, num_shards: int, policy: str = "least_loaded"):
+    def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown placement policy {policy!r}; "
-                             f"known: {list(POLICIES)}")
-        self.policy = policy
         # Ordered membership per shard (dict-as-ordered-set keeps
         # enumeration deterministic).
         self._members: Dict[int, Dict[str, None]] = {
@@ -57,11 +39,6 @@ class ShardPlacement:
         self._shard_of: Dict[str, int] = {}
         self._quarantined: set = set()
         self._retired: set = set()
-        #: Interest keys recorded per query (interest policy only).
-        self._keys: Dict[str, FrozenSet] = {}
-        #: Per-shard multiset of hosted interest keys.
-        self._shard_keys: Dict[int, Dict[object, int]] = {
-            shard: {} for shard in range(num_shards)}
 
     @property
     def num_shards(self) -> int:
@@ -69,46 +46,29 @@ class ShardPlacement:
 
     def live_shards(self) -> List[int]:
         """Shards still eligible for placement, in ascending index
-        order — explicitly sorted, so every policy's lowest-index tie
-        break stays deterministic no matter how shards were added,
+        order — explicitly sorted, so the lowest-index tie break stays deterministic no matter how shards were added,
         quarantined or retired."""
         return sorted(s for s in self._members
                       if s not in self._quarantined
                       and s not in self._retired)
 
-    def select_target(self, interest: Optional[FrozenSet] = None, *,
-                      exclude: Iterable[int] = ()) -> int:
-        """The live shard the active policy would pick right now,
-        without recording a placement (used to choose migration
-        targets).  ``exclude`` removes candidate shards (typically the
-        migration source)."""
+    def select_target(self, *, exclude: Iterable[int] = ()) -> int:
+        """The least-loaded live shard right now, without recording a
+        placement (used to choose migration targets).  ``exclude``
+        removes candidate shards (typically the migration source)."""
         banned = set(exclude)
         live = [s for s in self.live_shards() if s not in banned]
         if not live:
             raise RuntimeError("no live shards left to place queries on")
-        if self.policy == "interest" and interest:
-            return min(live, key=lambda s: (
-                -self._overlap(s, interest), len(self._members[s]), s))
         return min(live, key=lambda s: (len(self._members[s]), s))
 
-    def place(self, query_id: str,
-              interest: Optional[FrozenSet] = None) -> int:
-        """Assign ``query_id`` to a live shard per the active policy.
-
-        ``interest`` is the query's pattern-key set (ignored by the
-        ``least_loaded`` policy; an empty/None set under ``interest``
-        degrades to least-loaded).
-        """
+    def place(self, query_id: str) -> int:
+        """Assign ``query_id`` to the least-loaded live shard."""
         if query_id in self._shard_of:
             raise ValueError(f"query {query_id!r} already placed")
-        shard = self.select_target(interest)
+        shard = self.select_target()
         self._members[shard][query_id] = None
         self._shard_of[query_id] = shard
-        if interest:
-            self._keys[query_id] = frozenset(interest)
-            counts = self._shard_keys[shard]
-            for key in interest:
-                counts[key] = counts.get(key, 0) + 1
         return shard
 
     def move(self, query_id: str, target: int) -> int:
@@ -126,16 +86,6 @@ class ShardPlacement:
         self._members[source].pop(query_id, None)
         self._members[target][query_id] = None
         self._shard_of[query_id] = target
-        keys = self._keys.get(query_id)
-        if keys:
-            for shard, step in ((source, -1), (target, +1)):
-                counts = self._shard_keys[shard]
-                for key in keys:
-                    remaining = counts.get(key, 0) + step
-                    if remaining > 0:
-                        counts[key] = remaining
-                    else:
-                        counts.pop(key, None)
         return source
 
     def add_shard(self) -> int:
@@ -145,7 +95,6 @@ class ShardPlacement:
         coordinator's worker list."""
         index = len(self._members)
         self._members[index] = {}
-        self._shard_keys[index] = {}
         return index
 
     def retire(self, shard: int) -> None:
@@ -205,24 +154,10 @@ class ShardPlacement:
             loads[target] += load
         return moves
 
-    def _overlap(self, shard: int, interest: FrozenSet) -> int:
-        """How many of ``interest``'s keys the shard already hosts."""
-        counts = self._shard_keys[shard]
-        return sum(1 for key in interest if key in counts)
-
     def remove(self, query_id: str) -> int:
         """Drop ``query_id``; returns the shard that hosted it."""
         shard = self._shard_of.pop(query_id)
         self._members[shard].pop(query_id, None)
-        keys = self._keys.pop(query_id, None)
-        if keys:
-            counts = self._shard_keys[shard]
-            for key in keys:
-                remaining = counts.get(key, 0) - 1
-                if remaining > 0:
-                    counts[key] = remaining
-                else:
-                    counts.pop(key, None)
         return shard
 
     def shard_of(self, query_id: str) -> int:

@@ -107,17 +107,14 @@ class MigrationTicket:
     coordinator's (:mod:`repro.cluster.migration`, "How every query
     reaches a worker").  A query that is not active ships no window and
     no tail.  ``code`` is the query id's interned code on the reply
-    wire.  ``tail`` carries the events that arrived (and matched the
-    query's interest) while the query was nowhere — detached by a
-    staged migration, or stranded on a worker whose reply was lost;
-    empty on the atomic migration path, where the hop completes inside
+    wire.  ``tail`` is a crash recovery's: the events routed to the
+    query (those matching its interest) after the worker hosting it
+    was lost; every other ticket's is empty, its hop completing inside
     one batch boundary.  ``final_now`` is the global clock at restore
     time, so the target can privately expire any window/tail edge whose
-    window closed in the meantime; ``drained`` records that the stream
-    was drained mid-flight (the private window must be flushed
-    completely and nothing re-enters the live window).  The ticket is
-    idempotent and retryable: if the target dies mid-restore the
-    coordinator re-sends the same ticket to another healthy worker.
+    window closed in the meantime.  The ticket is idempotent and
+    retryable: if the target dies mid-restore the coordinator re-sends
+    the same ticket to another healthy worker.
     """
 
     record: RegisteredQuery
@@ -125,7 +122,6 @@ class MigrationTicket:
     window: Tuple[Tuple[Edge, int], ...] = ()
     tail: Tuple[Tuple[Edge, int], ...] = ()
     final_now: Optional[int] = None
-    drained: bool = False
     #: The layout tag: a worker refuses any other (the class default).
     format: str = "repro.cluster.ticket/1"
 

@@ -144,7 +144,7 @@ class ShardWorker:
         self.shapes[record.query_id] = wire.reply_shape(ticket.code,
                                                         record.query)
         notes = self.service.host(record, ticket.window, ticket.tail,
-                                  ticket.final_now, ticket.drained)
+                                  ticket.final_now)
         if not record.active:
             self._reported.add(record.query_id)
         return notes

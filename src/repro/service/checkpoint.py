@@ -47,13 +47,11 @@ FORMAT = "repro.service.checkpoint/2"
 
 def snapshot(service) -> Dict[str, object]:
     """The checkpoint document of ``service``, either kind — the one
-    writer of a query record.  Staged work is landed first and every
-    record's counters are fetched from its host
-    (:meth:`~repro.service.service.ServiceFront.all_query_stats`); the
-    window is the front's live one.  A sharded service wraps the
+    writer of a query record.  Every record's counters are fetched
+    from its host (:meth:`~repro.service.service.ServiceFront.
+    all_query_stats`); the window is the front's live one.  A sharded service wraps the
     document in the cluster envelope (:mod:`repro.cluster.checkpoint`).
     Raises ``ValueError`` for a custom-factory query."""
-    service._backend.settle()
     entries = service.registry.list()
     label_maps: List[Dict[int, object]] = []
     queries: List[Dict[str, object]] = []

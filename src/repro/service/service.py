@@ -189,19 +189,6 @@ def _runs_of(notes) -> List[Run]:
     return [Run(n.query_id, n.event, n.seq, (n.match,)) for n in notes]
 
 
-def _run_batch(engine, events: List[Event]) -> List[List[Match]]:
-    """Feed ``events`` to ``engine`` in one batch.
-
-    Duck-typed engines written against the per-event interface (custom
-    factories without ``on_batch``) get the equivalent per-event loop.
-    """
-    on_batch = getattr(engine, "on_batch", None)
-    if on_batch is not None:
-        return on_batch(events)
-    return [engine.on_edge_insert(ev.edge) if ev.is_arrival
-            else engine.on_edge_expire(ev.edge) for ev in events]
-
-
 def _event_list(held: Iterable[Tuple[Edge, int]],
                 arrivals: Sequence[Tuple[Edge, int]], delta: int,
                 horizon: Optional[float]
@@ -382,8 +369,7 @@ class ServiceFront:
     def host(self, entry: RegisteredQuery,
              window: Optional[Tuple[Tuple[Edge, int], ...]] = None,
              tail: Tuple[Tuple[Edge, int], ...] = (),
-             final_now: Optional[int] = None,
-             drained: bool = False) -> Notifications:
+             final_now: Optional[int] = None) -> Notifications:
         """Host ``entry`` — a registration, a checkpoint record or a
         migration ticket's — and return its tail replay's notifications
         (not delivered).  ``window`` defaults to the entry's cut of this
@@ -407,7 +393,7 @@ class ServiceFront:
             window = self.export_query_window(entry)
         try:
             return notes + self._backend.host(entry, window, tail,
-                                              final_now, drained)
+                                              final_now)
         except Exception:
             self.registry.unregister(entry.query_id)
             raise
@@ -612,9 +598,8 @@ class ServiceFront:
                 entry.stats.elapsed_seconds += time.perf_counter() - began
 
     def _checked(self, query_id: str) -> RegisteredQuery:
-        """A registered query's record, its host settled."""
+        """A registered query's record (the service must be open)."""
         self._ensure_open()
-        self._backend.settle(query_id)
         return self.registry.get(query_id)
 
     def _ensure_open(self) -> None:
@@ -678,9 +663,6 @@ class LocalBackend:
 
     def boundary(self) -> None:
         """Nothing is pending between calls."""
-
-    def settle(self, query_id: Optional[str] = None) -> None:
-        """Nothing is in flight."""
 
     def stop(self, entry: RegisteredQuery) -> None:
         """The registry's status already stops the fan-out."""
@@ -773,7 +755,7 @@ class LocalBackend:
             stats = entry.stats
             began = time.perf_counter()
             try:
-                lists = _run_batch(entry.engine, [ev for ev, _ in eligible])
+                lists = entry.engine.on_batch([ev for ev, _ in eligible])
                 stats.events_processed += len(eligible)
                 stats.batches_processed += 1
                 stats.note_structure_size(
@@ -826,20 +808,20 @@ class LocalBackend:
 
     def host(self, entry: RegisteredQuery,
              window: Tuple[Tuple[Edge, int], ...],
-             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int],
-             drained: bool) -> Notifications:
+             tail: Tuple[Tuple[Edge, int], ...], final_now: Optional[int]
+             ) -> Notifications:
         """Adopt a registered query that lived elsewhere: rebuild its
-        engine window, replay the in-flight tail, and merge what is
-        still live into the front's window.
+        engine window, replay the tail, and merge what is still live
+        into the front's window.
 
         ``window`` is replayed *silently* — the source already
         dispatched those arrivals, accounted them in the stats shipped
         with the query, and emitted their notifications, so here they
-        only rebuild derived engine state.  ``tail`` (arrivals buffered
-        while the query was detached) becomes one private event list
-        over a private copy of the window — each arrival preceded by
-        the expirations due at its timestamp, then whatever fell due by
-        ``final_now`` (everything, when ``drained``) — and goes
+        only rebuild derived engine state.  ``tail`` (the arrivals a
+        recovery owes the query: routed after its worker was lost)
+        becomes one private event list over a private copy of the
+        window — each arrival preceded by the expirations due at its
+        timestamp, then whatever fell due by ``final_now`` — and goes
         through the same batch fan-out as any other event list,
         restricted to ``entry``: dispatched, counted and recorded the
         same way, and an engine that fails on it quarantines the query
@@ -860,9 +842,8 @@ class LocalBackend:
             return Notifications()
         if window:
             try:
-                _run_batch(entry.engine,
-                           [Event(edge, edge.t, EventKind.ARRIVAL)
-                            for edge, _ in window])
+                entry.engine.on_batch([Event(edge, edge.t, EventKind.ARRIVAL)
+                                       for edge, _ in window])
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 front.quarantine(entry, f"{type(exc).__name__}: {exc}")
                 return Notifications()
@@ -872,12 +853,11 @@ class LocalBackend:
         lookup = front.registry.interest.lookup_ids
         given = [pair for pair in tail if entry.query_id in lookup(pair[0])]
         events, still_open = _event_list(
-            itertools.chain(window, given), tail, front.delta,
-            math.inf if drained else final_now)
+            itertools.chain(window, given), tail, front.delta, final_now)
         runs: List[Run] = []
         if events:
             self._fanout_batch(events, runs, entries=[entry])
-        if not drained and entry.active:
+        if entry.active:
             front.merge_window(still_open, final_now)
         return Notifications(runs)
 
@@ -1003,8 +983,6 @@ class MatchService(ServiceFront):
     def adopt_query(self, entry: RegisteredQuery,
                     window: Tuple[Tuple[Edge, int], ...],
                     tail: Tuple[Tuple[Edge, int], ...] = (), *,
-                    final_now: Optional[int] = None,
-                    drain_tail: bool = False) -> Notifications:
+                    final_now: Optional[int] = None) -> Notifications:
         """:meth:`LocalBackend.host` of a registered ``entry``."""
-        return self._backend.host(entry, window, tail, final_now,
-                                  drain_tail)
+        return self._backend.host(entry, window, tail, final_now)

@@ -41,6 +41,7 @@ from repro.service import (
 from repro.service.checkpoint import (
     restore as restore_single, resume_edges, snapshot as single_snapshot,
 )
+from repro.streaming.engine import MatchEngine
 from repro.workloads import make_mixed_query_set
 from tests.test_recovery import hard_timeout  # noqa: F401 - a fixture
 
@@ -306,18 +307,8 @@ class TestClockAdvanceFrames:
 
 
 class TestRouting:
-    """Shard routing under each placement policy, disjoint interests
-    and label-function failures reproduces the single-process output."""
-
-    def test_interest_placement_identical(self, workload,
-                                          single_outcome):
-        stream, instances = workload
-        expected_notes, expected_stats, _ = single_outcome
-        with ShardedMatchService(DELTA, workers=3,
-                                 placement="interest") as service:
-            notes, stats, _ = drive_scenario(service, stream, instances)
-        assert notes == expected_notes
-        assert stats == expected_stats
+    """Shard routing under disjoint interests and label-function
+    failures reproduces the single-process output."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_split_batches_with_interest_mutation(self, workers):
@@ -437,16 +428,14 @@ class TestRoutingDecision:
             return None in (src, dst) or (src, dst, None) in keys
         return wants
 
-    def elided(self, service, wants_of, edges, detached=()):
+    def elided(self, service, wants_of, edges):
         """Per shard the coordinator holds live: how many of ``edges``
-        no query placed there (and not detached) wants."""
+        no query placed there wants."""
         live = [shard["shard"] for shard in service.health()["shards"]
                 if shard["alive"]]
         hosted = {shard: [] for shard in range(service.num_workers)}
         for query_id in service.registered_ids():
-            if query_id not in detached:
-                hosted[service.shard_of(query_id)].append(
-                    wants_of[query_id])
+            hosted[service.shard_of(query_id)].append(wants_of[query_id])
         return {shard: sum(1 for edge in edges
                            if not any(wants(edge)
                                       for wants in hosted[shard]))
@@ -468,8 +457,8 @@ class TestRoutingDecision:
         expected = [0] * workers
 
         with ShardedMatchService(30, workers=workers) as service:
-            def ingest(edges, detached=()):
-                elided = self.elided(service, wants_of, edges, detached)
+            def ingest(edges):
+                elided = self.elided(service, wants_of, edges)
                 for shard, count in elided.items():
                     expected[shard] += count
                 service.ingest(edges)
@@ -497,23 +486,11 @@ class TestRoutingDecision:
             assert ingest(self.stream(28))[always] == 0
             service.unregister("bad")
 
-            # Detached by a staged migration: its share of the batch
-            # goes to the tail, not to the shard it left.
+            # Migrated: the router follows the placement.
             source = service.shard_of("ab")
-            shipped = service.shard_shipped[source]
-            service.begin_migrate("ab")
-            batch = self.stream(37)
-            ingest(batch, detached={"ab"})
-            (pending,) = service.migration_state()["pending"]
-            assert pending["tail_events"] == sum(
-                map(wants_of["ab"], batch)) == 3
-            others = [wants for name, wants in wants_of.items()
-                      if name in service and name != "ab"
-                      and service.shard_of(name) == source]
-            assert service.shard_shipped[source] - shipped == sum(
-                1 for edge in batch if any(w(edge) for w in others))
-            service.finish_migrate("ab")
+            service.migrate("ab")
             assert service.shard_of("ab") != source
+            ingest(self.stream(37))
             ingest(self.stream(46))
 
             # A worker dies: the batch that finds out was routed while
@@ -861,13 +838,10 @@ class TestSubscribers:
             assert service.stats.errored_queries == 1
 
 
-class _FailingEngine:
+class _FailingEngine(MatchEngine):
     """Blows up on the first insert (crash-isolation fixture)."""
 
     name = "failing"
-
-    class stats:  # noqa: D106 - engine stats shim
-        peak_structure_entries = 0
 
     def on_edge_insert(self, edge):
         raise RuntimeError("engine blew up")
@@ -878,7 +852,7 @@ class _FailingEngine:
 
 def failing_factory(query, labels, edge_label_fn=None):
     """Module-level so it pickles by reference across the worker pipe."""
-    return _FailingEngine()
+    return _FailingEngine(query, labels, edge_label_fn)
 
 
 class TestErrorIsolationAcrossShards:

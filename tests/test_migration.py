@@ -5,9 +5,8 @@ notification stream of a ``ShardedMatchService`` must stay
 *byte-identical* to the in-process ``MatchService`` even when queries
 live-migrate between workers mid-stream, workers are added (shard
 split) or gracefully drained (shard merge) while the stream runs.  On
-top sit the staged (paused + buffered tail) migration path, crash
-recovery during and after migration, rebalancing, and the
-observability surfaces (placement snapshot, migration history,
+top sit crash recovery during and after migration, rebalancing, and
+the observability surfaces (placement snapshot, migration history,
 ``/varz``).
 """
 
@@ -77,9 +76,7 @@ def workload():
 
 def drive(service, stream, instances, hooks=None):
     """The cluster suite's scripted lifetime, with per-batch hook
-    points: ``hooks[i]`` runs after batch ``i`` is ingested (its
-    returned notifications, if any, extend the stream — the staged
-    finish path delivers tail replays that way)."""
+    points: ``hooks[i]`` runs after batch ``i`` is ingested."""
     hooks = hooks or {}
     edges = stream.edges
     batches = [edges[lo:lo + BATCH] for lo in range(0, len(edges), BATCH)]
@@ -99,9 +96,7 @@ def drive(service, stream, instances, hooks=None):
                              ENGINE_CYCLE[5], query_id="q5")
         hook = hooks.get(index)
         if hook is not None:
-            extra = hook(service)
-            if extra:
-                notes += extra
+            hook(service)
     notes += service.drain()
     stats = {}
     for query_id in ("q0", "q2", "q3", "q4", "q5"):
@@ -115,13 +110,6 @@ def drive(service, stream, instances, hooks=None):
 def single_outcome(workload):
     stream, instances = workload
     return drive(MatchService(DELTA), stream, instances)
-
-
-def content(notes):
-    """Order-insensitive view of a notification stream (the staged
-    migration path is content-complete but delivers the paused query's
-    tail late)."""
-    return sorted(notes, key=repr)
 
 
 class TestByteIdenticalMigration:
@@ -273,136 +261,19 @@ class TestByteIdenticalMigration:
             with pytest.raises(KeyError):
                 service.migrate("ghost")
 
-
-class TestStagedMigration:
-    """begin/finish with a buffered tail: content-complete output."""
-
-    def test_staged_tail_replay_content_complete(self, workload,
-                                                 single_outcome):
-        stream, instances = workload
-        expected_notes, expected_stats = single_outcome
-
-        def begin(service):
-            service.begin_migrate("q0")
-            state = service.migration_state()
-            assert state["pending"][0]["query_id"] == "q0"
-
-        def finish(service):
-            return service.finish_migrate("q0")
-
-        with ShardedMatchService(DELTA, workers=3) as service:
-            notes, stats = drive(service, stream, instances,
-                                 {1: begin, 3: finish})
-            record = service.migration_history[-1]
-            assert record.tail_events > 0
-        assert content(notes) == content(expected_notes)
-        assert stats == expected_stats
-
-    def test_tail_overflow_forces_finish(self):
-        with ShardedMatchService(5, workers=2) as service:
-            service.register(AB_QUERY, AB_LABELS, query_id="q0")
-            service.ingest(ab_edges(10))
-            service.begin_migrate("q0", max_tail=1)
-            service.ingest(ab_edges(10, start=11))  # overflows the tail
-            # The next batch boundary force-finishes the migration.
-            service.ingest(ab_edges(10, start=21))
-            assert not service.migration_state()["pending"]
-            assert service.migration_history[-1].query_id == "q0"
-            entry = service.get("q0")
-            assert entry.active
-            assert entry.stats.occurred == 30
-
-    def test_drain_during_staged_migration(self):
-        """A drain while a query is paused must still deliver the
-        buffered tail's matches and flush its private window — same
-        content as never migrating."""
-        edges = ab_edges(30)
-        single = MatchService(5)
-        single.register(AB_QUERY, AB_LABELS, query_id="q")
-        expected = []
-        for lo in range(0, 30, 10):
-            expected += single.ingest(edges[lo:lo + 10])
-        expected += single.drain()
-        expected_stats = single.query_stats("q")
-        with ShardedMatchService(5, workers=2) as service:
-            service.register(AB_QUERY, AB_LABELS, query_id="q")
-            notes = list(service.ingest(edges[:10]))
-            service.begin_migrate("q")
-            notes += service.ingest(edges[10:20])
-            notes += service.ingest(edges[20:30])
-            notes += service.drain()
-            notes += service.finish_migrate("q")
-            assert not service.migration_state()["pending"]
-            stats = service.query_stats("q")
-        assert content(notes) == content(expected)
-        assert (stats.occurred, stats.expired, stats.events_processed) \
-            == (expected_stats.occurred, expected_stats.expired,
-                expected_stats.events_processed)
-
-    def test_engine_failing_mid_tail_quarantines_only_its_query(self):
-        """The replayed tail is one batch like any other: an engine
-        that raises part-way through it quarantines its query with
-        nothing emitted for the tail — not the tail's first half — and
-        the target shard's other queries report what they would have
-        reported had nothing migrated."""
-        edges = ab_edges(30)
-        single = MatchService(5)
-        single.register(AB_QUERY, AB_LABELS, query_id="good")
-        expected = [single.ingest(edges[lo:lo + 10])
-                    for lo in range(0, 30, 10)] + [single.drain()]
-        with ShardedMatchService(5, workers=2) as service:
-            service.register(AB_QUERY, AB_LABELS, query_id="good")
-            service.register(AB_QUERY, AB_LABELS, poisoned_factory,
-                             query_id="bad")
-            assert service.shard_of("good") != service.shard_of("bad")
-            first = service.ingest(edges[:10])
-            assert sum(n.query_id == "bad" for n in first) == 10 + 5
-            service.begin_migrate("bad", service.shard_of("good"))
-            # The tail: arrivals 11..20, the poisoned one in the middle.
-            second = service.ingest(edges[10:20])
-            replayed = service.finish_migrate("bad")
-            assert replayed == []
-            entry = service.get("bad")
-            assert entry.status.value == "errored"
-            assert "poisoned edge" in entry.error
-            assert entry.stats.occurred == 10
-            assert service.live_workers == 2
-            rest = [service.ingest(edges[20:]), service.drain()]
-        assert [n for n in first if n.query_id == "good"] == expected[0]
-        # Paused, then quarantined: nothing of "bad" after batch one.
-        assert [second, *rest] == expected[1:]
-
-    def test_unregister_lands_pending_migration(self):
-        with ShardedMatchService(5, workers=2) as service:
-            service.register(AB_QUERY, AB_LABELS, query_id="q")
-            service.ingest(ab_edges(4))
-            service.begin_migrate("q")
-            entry = service.unregister("q")
-            assert entry.stats.occurred == 4
-            assert not service.migration_state()["pending"]
-
-    def test_begin_with_nowhere_to_go_raises_before_detaching(self):
-        """Like ``migrate``: a ``MigrationError``, and the query is
-        still hosted where it was, active and not pending."""
+    def test_migrate_with_nowhere_to_go_raises_before_detaching(self):
+        """A ``MigrationError``, and the query is still hosted where it
+        was, active, with its counters."""
         with ShardedMatchService(5, workers=1) as service:
             service.register(AB_QUERY, AB_LABELS, query_id="q")
             service.ingest(ab_edges(3))
             with pytest.raises(MigrationError, match="no live shards"):
-                service.begin_migrate("q")
-            assert not service.migration_state()["pending"]
+                service.migrate("q")
+            assert service.migration_state()["completed"] == 0
             assert service.shard_of("q") == 0
             entry = service.get("q")
             assert entry.active and entry.stats.occurred == 3
             assert len(service.ingest(ab_edges(1, start=4))) == 1
-
-    def test_finish_without_begin_raises(self):
-        with ShardedMatchService(5, workers=2) as service:
-            service.register(AB_QUERY, AB_LABELS, query_id="q")
-            with pytest.raises(MigrationError, match="no migration"):
-                service.finish_migrate("q")
-            with pytest.raises(MigrationError, match="already"):
-                service.begin_migrate("q")
-                service.begin_migrate("q")
 
 
 class TestAdoptQuery:
@@ -468,18 +339,6 @@ class TestAdoptQuery:
         assert (stats.occurred, stats.expired, stats.events_processed) \
             == (expected_stats.occurred, expected_stats.expired,
                 expected_stats.events_processed)
-
-    def test_drain_tail_flushes_the_private_window_only(self):
-        expected, _ = self.reference()
-        upto_18 = [n for n in expected if n.seq < 18]
-        notes, old, window = self.detach_after_first_batch()
-        target = MatchService(self.DELTA)
-        entry = self.attach(target, old)
-        notes += target.adopt_query(
-            entry, window, tuple(self.batch(1) + self.batch(2)),
-            drain_tail=True)
-        assert notes == upto_18
-        assert not target._live and target.now is None
 
     def test_failing_window_rebuild_is_silent(self):
         _, old, _ = self.detach_after_first_batch()
@@ -674,6 +533,19 @@ class TestObservability:
             assert entry["query_id"] == "q"
             assert entry["reason"] == "manual"
             assert entry["window_edges"] == 4
+
+    def test_history_keeps_the_last_32_and_counts_every_hop(self):
+        with ShardedMatchService(5, workers=2) as service:
+            service.register(AB_QUERY, AB_LABELS, query_id="q")
+            service.ingest(ab_edges(4))
+            records = [service.migrate("q") for _ in range(40)]
+            history = service.migration_history
+            assert len(history) == 32
+            assert history == records[-32:]
+            state = service.migration_state()
+            assert state["completed"] == 40
+            assert len(state["history"]) == 32
+            assert service.get("q").stats.occurred == 4
 
     def test_varz_serves_placement_and_migrations(self):
         import json

@@ -354,6 +354,45 @@ class TestAutoRecovery:
             if n.query_id == spec.query_id and n.event.time <= upto)
 
 
+    def test_engine_failing_mid_tail_quarantines_only_its_query(self):
+        """The recovered tail is one batch like any other: an engine
+        that raises part-way through it quarantines its query with
+        nothing emitted for the tail — not the tail's first half — and
+        the target shard's other queries report what they would have
+        reported had nothing crashed."""
+        query = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
+        labels = {0: "A", 1: "B"}
+        edges = [Edge.make(0, 1, t) for t in range(1, 31)]
+        single = MatchService(5)
+        single.register(query, labels, query_id="good")
+        expected = [single.ingest(edges[lo:lo + 10])
+                    for lo in range(0, 30, 10)] + [single.drain()]
+        bad_notes = []
+        with ShardedMatchService(5, workers=2,
+                                 auto_recover=True) as service:
+            service.register(query, labels, query_id="good")
+            service.register(query, labels, poisoned_factory,
+                             query_id="bad", subscriber=bad_notes.append)
+            good = service.shard_of("good")
+            assert service.shard_of("bad") != good
+            first = service.ingest(edges[:10])
+            assert len(bad_notes) == 10 + 5
+            kill(service, service.shard_of("bad"))
+            # The lost exchange: arrivals 11..20, the poisoned one in
+            # the middle, become the recovery's tail.
+            second = service.ingest(edges[10:20])
+            rest = [service.ingest(edges[20:]), service.drain()]
+            assert service.shard_of("bad") == good
+            assert [r.tail_events for r in service.migration_history] \
+                == [10]
+            entry = service.get("bad")
+            assert entry.status.value == "errored"
+            assert "poisoned edge" in entry.error
+            assert len(bad_notes) == 10 + 5
+        assert [n for n in first if n.query_id == "good"] == expected[0]
+        assert [second, *rest] == expected[1:]
+
+
 @pytest.mark.usefixtures("hard_timeout")
 class TestDocumentedLosses:
     """What ``MigrationManager.recover`` says it cannot give back."""

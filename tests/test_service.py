@@ -459,6 +459,23 @@ class FailingEngine(MatchEngine):
         return []
 
 
+class _PerEventOnly:
+    """Answers the per-event methods only: no ``on_batch``."""
+
+    name = "per-event-only"
+
+    def on_edge_insert(self, edge):
+        return []
+
+    def on_edge_expire(self, edge):
+        return []
+
+
+def per_event_only_factory(query, labels, edge_label_fn=None):
+    """Module-level so it pickles by reference across the worker pipe."""
+    return _PerEventOnly()
+
+
 class TestErrorIsolation:
     def test_failing_engine_quarantined(self):
         service = MatchService(100)
@@ -479,6 +496,26 @@ class TestErrorIsolation:
         assert service.query_stats(good).occurred == 6
         assert service.query_stats(good).expired == 6
         assert service.stats.errored_queries == 1
+
+    def test_an_engine_without_on_batch_is_quarantined_at_first_dispatch(
+            self, open_service):
+        """Both back-ends hand every dispatch to ``engine.on_batch``
+        (subclassing ``MatchEngine`` provides it): an engine without one
+        fails its first dispatch with an error naming the method, and
+        only its own query stops."""
+        service = open_service(100)
+        bad = service.register(AB_QUERY, AB_LABELS, per_event_only_factory)
+        good = service.register(AB_QUERY, AB_LABELS)
+        assert service.get(bad).active
+        notes = service.ingest(ab_edges(3))
+        assert {n.query_id for n in notes} == {good}
+        entry = service.get(bad)
+        assert entry.status is QueryStatus.ERRORED
+        assert "on_batch" in entry.error
+        assert service.stats.errored_queries == 1
+        notes = service.ingest(ab_edges(3, start=4)) + service.drain()
+        assert {n.query_id for n in notes} == {good}
+        assert service.query_stats(good).occurred == 6
 
     def test_failing_subscriber_quarantines_only_its_query(
             self, open_service):

@@ -17,6 +17,7 @@ from repro.query import TemporalQuery
 from repro.service import MatchService
 from repro.service.service import MatchNotification, Notifications, Run
 from repro.streaming import StreamDriver, build_event_list
+from repro.streaming.engine import MatchEngine
 from repro.streaming.events import Event, EventKind
 from repro.streaming.match import Match, MatchBlock
 from tests.test_backtrack import GOLDEN, multigraph_stream
@@ -308,14 +309,11 @@ def tracked_under(root):
     return sum(map(gc.is_tracked, seen.values()))
 
 
-class _OffMapEngine:
+class _OffMapEngine(MatchEngine):
     """Reports each event as a match whose image is not the edge its
     vertex map and timestamp name: only pickle can carry it."""
 
     name = "off-map"
-
-    class stats:  # noqa: D106 - engine stats shim
-        peak_structure_entries = 0
 
     def on_edge_insert(self, edge):
         image = Edge(edge.u + 100, edge.v, edge.t)
@@ -326,7 +324,7 @@ class _OffMapEngine:
 
 def off_map_factory(query, labels, edge_label_fn=None):
     """Module-level so it pickles by reference across the worker pipe."""
-    return _OffMapEngine()
+    return _OffMapEngine(query, labels, edge_label_fn)
 
 
 class TestReplyFrames:
