@@ -18,13 +18,15 @@ sweep fractions keep the same relative spread.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from statistics import mean
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.runner import QueryResult, run_query
+from repro.bench.runner import QueryResult, make_engine, run_query
 from repro.datasets import DATASET_SPECS, generate_stream
 from repro.graph.temporal_graph import TemporalGraph
+from repro.streaming.events import build_event_list
 from repro.workloads import make_query_set
 
 
@@ -217,28 +219,50 @@ def filtering_power_table(config: Optional[ExperimentConfig] = None,
                           ) -> List[Dict[str, float]]:
     """Table V: per dataset and query size, the ratio of (a) DCS edges
     and (b) DCS vertices remaining after filtering, with vs without the
-    TC-matchable edge."""
+    TC-matchable edge (TCM vs SymBi, Figure 7's cells).  The two engines
+    take each event in turn, so a run the time limit cuts leaves both
+    sums over the same prefix of the stream."""
     config = config or ExperimentConfig()
-    cells = query_size_sweep(("tcm", "symbi"), config, sizes)
-    by_key = {(c.engine, c.dataset, c.x): c for c in cells}
+    delta = max(2, int(config.stream_edges * config.default_window_fraction))
     rows: List[Dict[str, float]] = []
     for dataset in config.datasets:
+        stream, graph = _dataset_stream(dataset, config)
+        events = build_event_list(stream.edges, delta)
         for size in sizes:
-            with_tc = by_key.get(("tcm", dataset, size))
-            without = by_key.get(("symbi", dataset, size))
-            if with_tc is None or without is None:
+            queries = make_query_set(graph, size=size,
+                                     count=config.queries_per_cell,
+                                     density=config.default_density,
+                                     seed=config.seed)
+            if not queries:
                 continue
-            denom_e = without.extras.get("dcs_edges_sum", 0.0)
-            denom_v = without.extras.get("dcs_vertices_sum", 0.0)
-            rows.append({
-                "dataset": dataset,
-                "size": size,
-                "edge_ratio": (with_tc.extras.get("dcs_edges_sum", 0.0)
-                               / denom_e if denom_e else float("nan")),
-                "vertex_ratio": (with_tc.extras.get("dcs_vertices_sum", 0.0)
-                                 / denom_v if denom_v else float("nan")),
-            })
+            runs = [_filter_sums(qi.query, stream, events, config.time_limit)
+                    for qi in queries]
+            row: Dict[str, float] = {"dataset": dataset, "size": size}
+            for key, name in (("dcs_edges_sum", "edge_ratio"),
+                              ("dcs_vertices_sum", "vertex_ratio")):
+                with_tc = mean(tcm[key] for tcm, _ in runs)
+                without = mean(symbi[key] for _, symbi in runs)
+                row[name] = with_tc / without if without else float("nan")
+            rows.append(row)
     return rows
+
+
+def _filter_sums(query, stream, events, time_limit: Optional[float]):
+    """TCM's and SymBi's ``stats.extra`` after the events both processed
+    one at a time, in lockstep, until ``time_limit`` seconds passed."""
+    engines = [make_engine(name, query, stream.labels,
+                           stream.edge_label_fn())
+               for name in ("tcm", "symbi")]
+    start = time.perf_counter()
+    for event in events:
+        if time_limit is not None and time.perf_counter() - start > time_limit:
+            break
+        for engine in engines:
+            if event.is_arrival:
+                engine.on_edge_insert(event.edge)
+            else:
+                engine.on_edge_expire(event.edge)
+    return [engine.stats.extra for engine in engines]
 
 
 # ----------------------------------------------------------------------

@@ -152,10 +152,10 @@ class MigrationManager:
             window = svc.front.export_query_window(info)
             outcome = svc._request(source, svc._control_message(
                 protocol.MIGRATE_OUT, query_id, root)).payload
-            record, notes = self._land(
+            record, reply = self._land(
                 info, self.ticket(info.with_outcome(outcome), window=window),
                 source, target, reason, started, root)
-        svc.front._deliver(notes)
+        svc.front._deliver(reply.payload)
         return record
 
     def before_batch(self) -> None:
@@ -233,14 +233,19 @@ class MigrationManager:
             with maybe_span(svc.tracer, "migration", query=info.query_id,
                             reason="recover",
                             tail=len(pairs) - held) as root:
-                hop, notes = self._land(
+                hop, reply = self._land(
                     info, self.ticket(record, window=pairs[:held],
                                       tail=pairs[held:]),
                     source, None, "recover", started, root)
-            front._deliver(notes)
+            front._deliver(reply.payload)
             if crashed:
                 info.status = QueryStatus.ACTIVE
                 info.error = None
+                # A tail that failed on the target was reported while
+                # the record still read crashed, which quarantine skips.
+                for query_id, error in reply.errors:
+                    if query_id == info.query_id:
+                        front.quarantine(info, error)
             records.append(hop)
         return records
 
@@ -274,20 +279,21 @@ class MigrationManager:
 
     def _land(self, info, ticket: MigrationTicket, source: int,
               target: Optional[int], reason: str, started: float,
-              root) -> Tuple[MigrationRecord, List]:
+              root) -> Tuple[MigrationRecord, protocol.Reply]:
         """Ticket a detached query onto its target and record the hop;
-        returns the record and the tail-replay notifications."""
+        returns the record and the target's reply (the tail-replay
+        notifications, and what the worker quarantined)."""
         svc = self._svc
         ctx = ((root.trace_id, root.span_id)
                if svc.tracer is not None else None)
-        target, notes = self._restore(info, ticket, target, ctx)
+        target, reply = self._restore(info, ticket, target, ctx)
         record = MigrationRecord(
             query_id=info.query_id, source=source, target=target,
             reason=reason, window_edges=len(ticket.window),
             tail_events=len(ticket.tail), seq=svc.front.seq,
             elapsed_seconds=time.perf_counter() - started)
         self._completed(record)
-        return record, notes
+        return record, reply
 
     def ticket(self, record: RegisteredQuery, *,
                window: Tuple[Tuple[Edge, int], ...] = (),
@@ -304,7 +310,7 @@ class MigrationManager:
             window=window, tail=tail, final_now=self._svc.front.now)
 
     def _restore(self, info, ticket: MigrationTicket,
-                 target: Optional[int], ctx) -> Tuple[int, List]:
+                 target: Optional[int], ctx) -> Tuple[int, protocol.Reply]:
         """MIGRATE_IN with crash retry: the ticket is self-contained,
         so if the chosen target dies mid-restore the same ticket is
         re-sent to the next least-loaded healthy shard (never the shard
@@ -331,7 +337,7 @@ class MigrationManager:
                 continue
             svc._placement.move(info.query_id, target)
             self.permuted = True
-            return target, reply.payload
+            return target, reply
 
     def _lost(self, info) -> None:
         """Every candidate target died mid-restore: the query's state

@@ -143,11 +143,10 @@ class ShardWorker:
         record = ticket.record
         self.shapes[record.query_id] = wire.reply_shape(ticket.code,
                                                         record.query)
-        notes = self.service.host(record, ticket.window, ticket.tail,
-                                  ticket.final_now)
-        if not record.active:
+        if not record.active:   # errored before it came: nothing new
             self._reported.add(record.query_id)
-        return notes
+        return self.service.host(record, ticket.window, ticket.tail,
+                                 ticket.final_now)
 
     def _quarantine(self, payload: Tuple[str, str]) -> None:
         """Coordinator-initiated quarantine (a subscriber failed on the

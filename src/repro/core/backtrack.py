@@ -74,9 +74,11 @@ The image of a query edge is fixed by the vertex map up to its
 timestamp, so the edge half of the state is a row of timestamps: ``ECM``
 bisects against them, a leaf reports ``(vertex map, timestamp row)``,
 rule 1 clones rows by slicing, and no :class:`Edge` exists during the
-search.  ``find_matches`` groups the rows by vertex map, sorts the
-vertex maps and each group's rows, and returns that as a
-:class:`~repro.streaming.match.MatchBlock`.  This *is* the canonical
+search.  :meth:`Backtracker.block` groups the rows by vertex map, sorts
+the vertex maps and each group's rows, and returns that as a
+:class:`~repro.streaming.match.MatchBlock` — for ``find_matches``, and
+for the expirations TCM's batched path answers from the rows it kept.
+This *is* the canonical
 ``Match`` order: matches compare by vertex map first, and equal vertex
 maps give every query edge the same endpoints, so their edge maps order
 exactly as their timestamp rows do.  Reading the block builds the
@@ -202,10 +204,15 @@ class Backtracker:
             emap[e] = t
             self._explore(self._seeds[e])
             used.clear()
-        stats = self.stats
-        stats.backtrack_nodes += self._nodes
-        stats.candidates_pruned += self._pruned
-        stats.matches_emitted += len(out)
+        self.stats.backtrack_nodes += self._nodes
+        self.stats.candidates_pruned += self._pruned
+        return self.block(out)
+
+    def block(self, out: List[Tuple[tuple, tuple]]) -> MatchBlock:
+        """The canonical block of ``(vertex map, timestamp row)`` pairs
+        (see "The output"), counted in ``matches_emitted`` /
+        ``match_groups``: what the search reports, and what the engine
+        answers an expiration with from the embeddings it holds."""
         if not out:
             return _NOTHING
         groups: Dict[tuple, List[tuple]] = defaultdict(list)
@@ -213,6 +220,8 @@ class Backtracker:
             groups[vertex_map].append(row)
         for rows in groups.values():
             rows.sort()
+        stats = self.stats
+        stats.matches_emitted += len(out)
         stats.match_groups += len(groups)
         return MatchBlock(self._ends, self._undirected,
                           sorted(groups.items()), len(out))

@@ -27,7 +27,8 @@ Steps 2-3 dominate the per-event cost, and a heavy stream touches the
 same data pairs over and over.  ``on_batch`` therefore *defers* filter
 maintenance and runs it once per flush point instead of once per event:
 
-* an **expiration** backtracks first (exactly as per-event), removes its
+* an **expiration** reports first (from the ledger below, or by
+  backtracking exactly as per-event), removes its
   edge from the graph and purges its own DCS entries, but leaves the
   max-min tables and D1/D2 untouched — between flushes those tables
   still count the edges that expired since the last one, a *superset*
@@ -67,6 +68,22 @@ what Fig 7-11 / Table V run.  Table V's per-event sums are sampled at
 stale states on the batched path — for deferred arrivals now as for
 expirations before.
 
+The live-match ledger.  Per-event, an embedding is enumerated twice:
+when its last edge arrives and, by backtracking, when its first edge
+leaves.  ``on_batch`` files every block an arrival's search returns by
+each row's smallest timestamp (in ``(vertex map, rows)`` chunks), and
+an expiring edge takes its timestamp's bucket and answers with the rows
+it is an image in, as the block the search would have returned
+(``Backtracker.block``).  Exact: an embedding is found when its last
+edge arrives (that arrival passes the gate; replayed windows come
+through ``on_batch`` too) and leaves with its first removed edge, which
+is in the bucket of its smallest timestamp while removals come in
+timestamp order.  The ledger holds reported embeddings only (``stats.
+ledger_rows``), no partial ones, and is not in ``structure_entries()``.
+It is dropped for the engine's life — expirations then backtrack — on a
+per-event call (whose arrivals it does not see), on a removal while an
+older bucket is held (out of timestamp order), and if a batch raises.
+
 Two switches produce the paper's ablations (Section VI-B): with
 ``use_pruning=False`` the engine is the paper's ``TCM-Pruning`` variant
 (TC-matchable filtering only); with ``use_tc_filter=False`` filtering
@@ -76,7 +93,8 @@ stays on (an extra ablation used in the benchmarks).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backtrack import Backtracker
 from repro.core.dag import QueryDag, build_best_dag
@@ -86,7 +104,7 @@ from repro.graph.temporal_graph import Edge
 from repro.query.temporal_query import TemporalQuery
 from repro.streaming.engine import MatchEngine
 from repro.streaming.events import Event
-from repro.streaming.match import Match
+from repro.streaming.match import Match, MatchBlock
 
 # A candidate *pair*: (query edge index, image of qe.u, image of qe.v).
 # All parallel data edges between the pair share the same max-min bounds
@@ -130,6 +148,13 @@ class TCMEngine(MatchEngine):
         # newest edge of the window, which is what the order test of the
         # flush gate assumes.
         self._newest = float("-inf")
+        # The live-match ledger (module docstring), None once dropped:
+        # ``(vertex map, rows)`` chunks by smallest timestamp, and a
+        # heap of those timestamps.
+        self._ledger: Optional[Dict[int, list]] = {}
+        self._ledger_keys: List[int] = []
+        self._ends = tuple((qe.u, qe.v) for qe in query.edges)
+        self._undirected = not query.directed
         self.stats.extra.update(
             events=0, dcs_edges_sum=0, dcs_vertices_sum=0)
 
@@ -166,6 +191,8 @@ class TCMEngine(MatchEngine):
     # Event handling
     # ------------------------------------------------------------------
     def on_edge_insert(self, edge: Edge) -> Sequence[Match]:
+        if self._ledger is not None:
+            self._drop_ledger()
         if not self.graph.insert_edge(edge, label=self._edge_label(edge)):
             self._note_event()
             return []  # not admitted, or a duplicate (u, v, t)
@@ -179,6 +206,8 @@ class TCMEngine(MatchEngine):
         return self.backtracker.find_matches(edge, cands)
 
     def on_edge_expire(self, edge: Edge) -> Sequence[Match]:
+        if self._ledger is not None:
+            self._drop_ledger()
         if not self.graph.has_edge(edge):
             self._note_event()
             return []  # an edge the engine does not hold
@@ -233,6 +262,9 @@ class TCMEngine(MatchEngine):
         glabel, rows_of = graph.label, self._rows.__getitem__
         find_matches = self.backtracker.find_matches
         edges_sum = vertices_sum = 0             # Table V, folded below
+        # Put back at the end: a batch that raises drops the ledger.
+        ledger, self._ledger = self._ledger, None
+        held, peak = stats.ledger_rows, stats.peak_ledger_rows
         for event in events:
             edge = event.edge
             u, v, t = edge
@@ -249,11 +281,22 @@ class TCMEngine(MatchEngine):
                     if self._may_report(u, v, rows, in_order):
                         self._flush(pairs, affected, seeds)
                         matches = find_matches(edge, cands)
+                        if matches and ledger is not None:
+                            self._file(ledger, matches)
+                            held += len(matches)
+                            if held > peak:
+                                peak = held
                     else:
                         stats.arrivals_deferred += 1
             elif graph.has_edge(edge):
                 cands = self._event_edge_candidates(edge)
-                matches = find_matches(edge, cands)
+                if ledger is not None and self._oldest_key(ledger) < t:
+                    ledger = None   # removed out of timestamp order
+                if ledger is None:
+                    matches = find_matches(edge, cands)
+                else:
+                    matches = self._expire_from(ledger, edge)
+                    held -= len(matches)
                 graph.remove_edge(edge)
                 # The DCS must never admit a dead edge into backtracking,
                 # even while the refresh is deferred; only an emptied
@@ -269,6 +312,13 @@ class TCMEngine(MatchEngine):
             out.append(matches)
         if pairs:   # whatever is pending came with its data pair
             self._flush(pairs, affected, seeds)
+        if ledger is None:
+            self._drop_ledger()
+        else:
+            self._ledger = ledger
+            if not ledger:
+                self._ledger_keys.clear()
+            stats.ledger_rows, stats.peak_ledger_rows = held, peak
         stats.events_processed += len(events)
         extra = stats.extra
         extra["events"] += len(events)
@@ -276,6 +326,66 @@ class TCMEngine(MatchEngine):
         extra["dcs_vertices_sum"] += vertices_sum
         stats.batches_processed += 1
         return out
+
+    # ------------------------------------------------------------------
+    # The live-match ledger
+    # ------------------------------------------------------------------
+    def _drop_ledger(self) -> None:
+        """From now on expirations search (see "Batched ingestion")."""
+        self._ledger = None
+        self._ledger_keys = []
+        self.stats.ledger_rows = 0
+
+    def _file(self, ledger: Dict[int, list], block: MatchBlock) -> None:
+        """File an arrival's block: each group's rows under their
+        smallest timestamp, one chunk per (group, timestamp)."""
+        for vertex_map, rows in block.groups:
+            by_low: Dict[int, list] = {}
+            for row in rows:
+                by_low.setdefault(min(row), []).append(row)
+            for low, part in by_low.items():
+                if low not in ledger:
+                    ledger[low] = []
+                    heappush(self._ledger_keys, low)
+                ledger[low].append((vertex_map, part))
+
+    def _oldest_key(self, ledger: Dict[int, list]) -> float:
+        """The smallest timestamp the ledger holds rows under."""
+        keys = self._ledger_keys
+        while keys and keys[0] not in ledger:
+            heappop(keys)
+        return keys[0] if keys else float("inf")
+
+    def _expire_from(self, ledger: Dict[int, list],
+                     edge: Edge) -> MatchBlock:
+        """The embeddings that expire with ``edge``, taken out of its
+        timestamp's bucket.  In a chunk at most one query edge has
+        ``edge``'s endpoints as images (the vertex map is injective and
+        the query simple), so a row holds ``edge`` iff its timestamp
+        there is ``edge.t`` — another query edge at that timestamp (a
+        tie) has other endpoints."""
+        u, v, t = edge
+        hits: List[Tuple[tuple, tuple]] = []
+        keep = []
+        for vertex_map, rows in ledger.pop(t, ()):
+            for e, (x, y) in enumerate(self._ends):
+                a, b = vertex_map[x], vertex_map[y]
+                if a == u and b == v or self._undirected and a == v and b == u:
+                    break
+            else:
+                keep.append((vertex_map, rows))
+                continue
+            rest = []
+            for row in rows:
+                if row[e] == t:
+                    hits.append((vertex_map, row))
+                else:
+                    rest.append(row)
+            if rest:
+                keep.append((vertex_map, rest))
+        if keep:
+            ledger[t] = keep
+        return self.backtracker.block(hits)
 
     def _may_report(self, u: int, v: int, rows, in_order: bool) -> bool:
         """The flush gate: can the arriving edge ``(u, v)`` be the

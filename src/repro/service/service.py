@@ -929,6 +929,12 @@ class LocalBackend:
             obs.counter("engine_arrivals_deferred_total",
                         "relevant arrivals answered without a flush",
                         **labels).set_total(estats.arrivals_deferred)
+            obs.gauge("engine_ledger_rows",
+                      "embeddings held to answer expirations from",
+                      **labels).set(estats.ledger_rows)
+            obs.gauge("engine_peak_ledger_rows",
+                      "high-water mark of engine_ledger_rows",
+                      **labels).set(estats.peak_ledger_rows)
             obs.gauge("engine_peak_structure_entries",
                       "high-water mark of stored index entries",
                       **labels).set(estats.peak_structure_entries)

@@ -47,6 +47,10 @@ class EngineStats:
     counts the distinct vertex maps per reporting event, summed:
     ``matches_emitted / match_groups`` is the parallel-edge multiplicity
     of the output (TCM only; the baselines leave it 0).
+    ``ledger_rows`` / ``peak_ledger_rows`` are the embeddings a batched
+    TCM engine holds to answer expirations from, now and at most (0
+    once it dropped them; not part of ``structure_entries()``, the
+    filter's space).
     """
 
     matches_emitted: int = 0
@@ -58,6 +62,8 @@ class EngineStats:
     batches_processed: int = 0
     filter_flushes: int = 0
     arrivals_deferred: int = 0
+    ledger_rows: int = 0
+    peak_ledger_rows: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
     def note_structure_size(self, entries: int) -> None:

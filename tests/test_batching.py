@@ -217,23 +217,183 @@ def test_order_test_applies_to_chronological_arrivals_only(first_per_event):
     assert engine.stats.arrivals_deferred == (not first_per_event)
 
 
+# ----------------------------------------------------------------------
+# The live-match ledger: expirations answer from what arrivals found
+# ----------------------------------------------------------------------
+#: Queries whose embeddings can have two edges at their smallest
+#: timestamp: an unordered triangle, a directed anti-parallel pair and
+#: an edge-labelled path.
+LEDGER_QUERIES = [
+    TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2), (0, 2)], []),
+    TemporalQuery(["A", "B", "C"], [(0, 1), (1, 0), (1, 2)], [(0, 2)],
+                  directed=True),
+    TemporalQuery(["A", "B", "A"], [(0, 1), (1, 2)], [],
+                  edge_labels=["x", None]),
+]
+
+
+@st.composite
+def tied_instances(draw):
+    """A query of :data:`LEDGER_QUERIES` and a chronological event list
+    on 3-5 vertices in which timestamps tie constantly: arrivals at one
+    timestamp come in drawn order, and so do their expirations, which
+    keep timestamp order otherwise."""
+    query = draw(st.sampled_from(LEDGER_QUERIES))
+    num_vertices = draw(st.integers(min_value=3, max_value=5))
+    labels = {v: draw(st.sampled_from("ABC")) for v in range(num_vertices)}
+    make = Edge.make_directed if query.directed else Edge.make
+    vertex = st.integers(min_value=0, max_value=num_vertices - 1)
+    t, edges = 0, []
+    for _ in range(draw(st.integers(min_value=4, max_value=30))):
+        t += draw(st.integers(0, 1))
+        u, v = draw(vertex), draw(vertex)
+        if u != v and make(u, v, t) not in edges:
+            edges.append(make(u, v, t))
+    delta = draw(st.integers(min_value=1, max_value=4))
+    ranks = draw(st.permutations(range(len(edges))))
+    events = [(edge.t, True, i, Event(edge, edge.t, EventKind.ARRIVAL))
+              for i, edge in enumerate(edges)]
+    events += [(edge.t + delta, False, (edge.t, rank),
+                Event(edge, edge.t + delta, EventKind.EXPIRATION))
+               for edge, rank in zip(edges, ranks)]
+    events.sort(key=lambda item: item[:3])
+    elf = _edge_label_of if any(query.edge_labels) else None
+    return query, labels, [event for *_, event in events], elf
+
+
+@pytest.mark.parametrize("engine_name", ["tcm", "tcm-pruning"])
+@settings(max_examples=200, deadline=None)
+@given(instance=tied_instances(), batch_size=st.sampled_from(BATCH_SIZES))
+def test_ledger_answers_what_the_search_and_the_oracle_answer(
+        engine_name, instance, batch_size):
+    """Expirations answered from the ledger are, per event, what
+    Algorithm 1 as printed and the brute-force oracle report, ties at
+    the smallest timestamp included; the ledger is held to the end and
+    drained with the window."""
+    query, labels, events, elf = instance
+    expected = _per_event(OracleEngine(query, labels, elf), events)
+    assert _per_event(make_engine(engine_name, query, labels, elf),
+                      events) == expected
+    engine = make_engine(engine_name, query, labels, elf)
+    got = []
+    for lo in range(0, len(events), batch_size):
+        got += engine.on_batch(events[lo:lo + batch_size])
+    assert got == expected
+    assert engine._ledger == {} and engine.stats.ledger_rows == 0
+    assert engine.stats.peak_ledger_rows <= sum(map(len, expected)) // 2
+
+
+def _ledger_case():
+    """Triangles on a small stream: ``(query, labels, events, oracle
+    output, cut)``, ``cut`` the first arrival past the middle that
+    reports while other embeddings are live."""
+    labels, events = _seeded_events(seed=3, n=120, num_vertices=6,
+                                    delta=12)
+    query = TemporalQuery(["A", "B", "C"], [(0, 1), (1, 2), (0, 2)], [])
+    labels = {v: "ABC"[v % 3] for v in labels}
+    expected = _per_event(OracleEngine(query, labels), events)
+    live = 0
+    for cut, (event, matches) in enumerate(zip(events, expected)):
+        if cut > len(events) // 2 and event.is_arrival and live and matches:
+            return query, labels, events, expected, cut
+        live += len(matches) if event.is_arrival else -len(matches)
+    raise AssertionError("no arrival reports past the middle")
+
+
+def test_ledger_is_dropped_for_good_by_a_per_event_call():
+    """A per-event arrival finds embeddings the ledger never sees:
+    from then on every expiration searches, and the output stays
+    exact."""
+    query, labels, events, expected, cut = _ledger_case()
+    engine = TCMEngine(query, labels)
+    got = engine.on_batch(events[:cut])
+    assert engine.stats.ledger_rows > 0
+    got += _per_event(engine, events[cut:cut + 1])
+    assert engine._ledger is None and engine.stats.ledger_rows == 0
+    for lo in range(cut + 1, len(events), 8):
+        got += engine.on_batch(events[lo:lo + 8])
+    assert engine._ledger is None
+    assert got == expected
+    assert engine.stats.peak_ledger_rows > 0
+
+
+def test_ledger_is_dropped_for_good_by_an_out_of_order_expiration():
+    """An expiration while an older bucket is held may end embeddings
+    filed under that older timestamp: the engine searches it, and every
+    later one, instead."""
+    query = TemporalQuery(["A", "B", "A"], [(0, 1), (1, 2)], [(0, 1)])
+    labels = {0: "A", 1: "B", 2: "A"}
+    older, newer = Edge.make(0, 1, 1), Edge.make(1, 2, 2)
+    events = [Event(older, 1, EventKind.ARRIVAL),
+              Event(newer, 2, EventKind.ARRIVAL),
+              Event(newer, 3, EventKind.EXPIRATION),   # before `older`
+              Event(older, 4, EventKind.EXPIRATION)]
+    expected = _per_event(OracleEngine(query, labels), events)
+    assert [len(matches) for matches in expected] == [0, 1, 1, 0]
+    engine = TCMEngine(query, labels)
+    assert engine.on_batch(events[:2]) == expected[:2]
+    assert engine.stats.ledger_rows == 1
+    assert engine.on_batch(events[2:]) == expected[2:]
+    assert engine._ledger is None and engine.stats.ledger_rows == 0
+
+
+def test_migrated_query_rebuilds_its_ledger_from_the_window():
+    """A hop mid-stream: the target engine's window replay files the
+    embeddings still live at the cut, so the migrate-then-drain run
+    reports exactly what the never-migrated run does."""
+    query, labels, events, _, cut = _ledger_case()
+    edges = [event.edge for event in events if event.is_arrival]
+    cut = sum(event.is_arrival for event in events[:cut])
+    single = MatchService(12)
+    single.register(query, labels, query_id="q")
+    expected = single.ingest(edges) + single.drain()
+
+    source = MatchService(12)
+    source.register(query, labels, query_id="q")
+    notes = source.ingest(edges[:cut])
+    entry = source.registry.get("q")
+    window = source.export_query_window(entry)
+    held = entry.engine.stats.ledger_rows
+    assert held > 0
+    now = edges[cut - 1].t
+    target = MatchService(12)
+    target.ingest_routed([], now, cut)
+    moved = target.registry.register(query, labels, "tcm", query_id="q",
+                                     joined_seq=entry.joined_seq)
+    moved.stats = entry.stats
+    notes += target.adopt_query(moved, window, final_now=now)
+    assert moved.engine.stats.ledger_rows == held
+    notes += target.ingest_routed(
+        list(zip(edges[cut:], range(cut, len(edges)))), edges[-1].t,
+        len(edges))
+    notes += target.drain()
+    assert notes == expected
+
+
 class _GateSpy(TCMEngine):
     """Records what the gate answered for which arrival, and how often
-    the search ran."""
+    the search ran for an arrival (right after the gate let it through)
+    and for an expiration."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.answers = []
-        self.searches = 0
+        self.arrival_searches = self.expiration_searches = 0
+        self._let_through = False
         search = self.backtracker.find_matches
 
         def counted(*a, **kw):
-            self.searches += 1
+            if self._let_through:
+                self.arrival_searches += 1
+                self._let_through = False
+            else:
+                self.expiration_searches += 1
             return search(*a, **kw)
         self.backtracker.find_matches = counted
 
     def _may_report(self, u, v, rows, in_order):
-        answer = super()._may_report(u, v, rows, in_order)
+        answer = self._let_through = super()._may_report(u, v, rows,
+                                                         in_order)
         self.answers.append((self.labels[u], self.labels[v], answer))
         return answer
 
@@ -249,14 +409,17 @@ def _seeded_events(seed=7, n=400, num_vertices=16, delta=30):
     return labels, build_event_list(edges, delta)
 
 
-@pytest.mark.parametrize("order, flushes, deferred, searches", [
-    ([(0, 1), (1, 2)], 81, 128, 202),   # total
-    ([(0, 1)], 98, 107, 223),           # partial
-    ([], 127, 73, 257),                 # empty
+@pytest.mark.parametrize("order, flushes, deferred, arrival_searches", [
+    ([(0, 1), (1, 2)], 81, 128, 37),    # total
+    ([(0, 1)], 98, 107, 58),            # partial
+    ([], 127, 73, 92),                  # empty
 ])
-def test_gate_decisions_are_pinned(order, flushes, deferred, searches):
+def test_gate_decisions_are_pinned(order, flushes, deferred,
+                                   arrival_searches):
     """The decision, pinned the way ``test_search_tree_counts_are_pinned``
-    pins the tree: a change to what flushes shows up here first."""
+    pins the tree: a change to what flushes shows up here first.  Every
+    arrival the gate lets through searches; no expiration does, since
+    each answers from the embeddings its arrivals found."""
     query = TemporalQuery(["A", "B", "C", "A"], [(0, 1), (1, 2), (2, 3)],
                           order)
     labels, events = _seeded_events()
@@ -265,7 +428,8 @@ def test_gate_decisions_are_pinned(order, flushes, deferred, searches):
         engine.on_batch(events[lo:lo + 16])
     stats = engine.stats
     assert (stats.filter_flushes, stats.arrivals_deferred,
-            engine.searches) == (flushes, deferred, searches)
+            engine.arrival_searches, engine.expiration_searches) \
+        == (flushes, deferred, arrival_searches, 0)
     assert stats.arrivals_deferred == sum(
         not answer for _, _, answer in engine.answers)
     if len(order) == 2:
@@ -379,6 +543,10 @@ def test_drained_engine_holds_no_entries(engine_name, batch_size):
         StreamDriver(engine, batch_size=batch_size).run_edges(edges, delta)
         assert engine.graph.num_edges() == 0
         assert engine.structure_entries() == 0, query
+        assert engine.stats.ledger_rows == 0
+        if engine_name != "symbi":
+            # Held to the end on the batched path, and emptied.
+            assert engine._ledger == ({} if batch_size else None)
 
 
 @pytest.mark.parametrize("engine_name", engine_names())

@@ -340,7 +340,8 @@ class TestIntegration:
                      "query_matches_total", "engine_matches_emitted_total",
                      "engine_match_groups_total",
                      "engine_filter_flushes_total",
-                     "engine_arrivals_deferred_total"):
+                     "engine_arrivals_deferred_total",
+                     "engine_ledger_rows", "engine_peak_ledger_rows"):
             assert name in snap, name
         # matches / groups is the parallel-edge multiplicity of a
         # query's output: 1 here, a one-edge query reports one match
@@ -356,6 +357,14 @@ class TestIntegration:
         flushes = {s["labels"]["query"]: s["value"] for s in
                    snap["engine_filter_flushes_total"]["series"]}
         assert flushes["q0"] >= 4 and flushes["q1"] == 0
+        # TCM's ledger held a window of embeddings (ten one-edge ones)
+        # and is empty once drained; SymBi keeps none.
+        rows, peak = ({s["labels"]["query"]: s["value"] for s in
+                       snap[name]["series"]}
+                      for name in ("engine_ledger_rows",
+                                   "engine_peak_ledger_rows"))
+        assert rows == {"q0": 0, "q1": 0}
+        assert peak == {"q0": 10, "q1": 0}
         engine_series = snap["service_engine_seconds"]["series"]
         assert {s["labels"]["query"] for s in engine_series} == \
             {"q0", "q1"}

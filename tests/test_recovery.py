@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.runner import ENGINE_FACTORIES
-from repro.cluster import ShardedMatchService
+from repro.cluster import MigrationError, ShardedMatchService
 from repro.cluster import checkpoint as cluster_checkpoint
 from repro.graph.temporal_graph import Edge
 from repro.oracle import OracleEngine
@@ -354,12 +354,18 @@ class TestAutoRecovery:
             if n.query_id == spec.query_id and n.event.time <= upto)
 
 
-    def test_engine_failing_mid_tail_quarantines_only_its_query(self):
+    def test_engine_failing_mid_tail_quarantines_only_its_query(
+            self, monkeypatch):
         """The recovered tail is one batch like any other: an engine
         that raises part-way through it quarantines its query with
-        nothing emitted for the tail — not the tail's first half — and
-        the target shard's other queries report what they would have
-        reported had nothing crashed."""
+        nothing emitted for the tail — not the tail's first half — on
+        the worker and on the front (its record, ``health()`` and a
+        checkpoint all say errored), and the target shard's other
+        queries report what they would have reported had nothing
+        crashed."""
+        # A named kind, so that the service can be checkpointed; the
+        # forked workers inherit it.
+        monkeypatch.setitem(ENGINE_FACTORIES, "poisoned", poisoned_factory)
         query = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
         labels = {0: "A", 1: "B"}
         edges = [Edge.make(0, 1, t) for t in range(1, 31)]
@@ -371,7 +377,7 @@ class TestAutoRecovery:
         with ShardedMatchService(5, workers=2,
                                  auto_recover=True) as service:
             service.register(query, labels, query_id="good")
-            service.register(query, labels, poisoned_factory,
+            service.register(query, labels, "poisoned",
                              query_id="bad", subscriber=bad_notes.append)
             good = service.shard_of("good")
             assert service.shard_of("bad") != good
@@ -389,8 +395,35 @@ class TestAutoRecovery:
             assert entry.status.value == "errored"
             assert "poisoned edge" in entry.error
             assert len(bad_notes) == 10 + 5
+            assert service.health()["errored_queries"] == 1
+            document = cluster_checkpoint.snapshot(service)["service"]
+            assert {(record["query_id"], record["status"])
+                    for record in document["queries"]} \
+                == {("good", "active"), ("bad", "errored")}
+            assert "poisoned edge" in document["queries"][1]["error"]
         assert [n for n in first if n.query_id == "good"] == expected[0]
         assert [second, *rest] == expected[1:]
+
+
+    def test_query_lost_with_no_target_stays_recoverable(self):
+        """With no live shard to land on, ``recover()`` raises and the
+        query keeps its crash error — which is what marks it for the
+        next recovery, once a worker was added."""
+        query = TemporalQuery(labels=["A", "B"], edges=[(0, 1)])
+        with ShardedMatchService(5, workers=1) as service:
+            service.register(query, {0: "A", 1: "B"}, query_id="q")
+            service.ingest([Edge.make(0, 1, 1)])
+            kill(service, 0)
+            service.ingest([Edge.make(0, 1, 2)])
+            with pytest.raises(MigrationError):
+                service.recover_quarantined()
+            assert service.get("q").error.startswith("worker 0 crashed")
+            assert service.health()["errored_queries"] == 1
+            service.add_worker()
+            (record,) = service.recover_quarantined()
+            assert (record.source, record.target) == (0, 1)
+            assert service.get("q").active
+            assert service.health()["errored_queries"] == 0
 
 
 @pytest.mark.usefixtures("hard_timeout")
