@@ -64,9 +64,10 @@ class CellResult:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
-def _dataset_stream(name: str, config: ExperimentConfig):
-    stream = generate_stream(
-        DATASET_SPECS[name], config.stream_edges, seed=config.seed)
+def dataset_stream(name: str, stream_edges: int, seed: int):
+    """The generated stream of dataset ``name`` plus its full data
+    graph (query workloads are random-walked on the latter)."""
+    stream = generate_stream(DATASET_SPECS[name], stream_edges, seed=seed)
     graph = TemporalGraph(labels=stream.labels, directed=stream.directed)
     elabels = stream.edge_labels or {}
     for e in stream.edges:
@@ -108,7 +109,8 @@ def _sweep(engines: Sequence[str], config: ExperimentConfig,
     engine on the same query set."""
     cells: List[CellResult] = []
     for dataset in config.datasets:
-        stream, graph = _dataset_stream(dataset, config)
+        stream, graph = dataset_stream(dataset, config.stream_edges,
+                                       config.seed)
         for x in x_values:
             queries = cell_queries(graph, x, config)
             if not queries:
@@ -226,7 +228,8 @@ def filtering_power_table(config: Optional[ExperimentConfig] = None,
     delta = max(2, int(config.stream_edges * config.default_window_fraction))
     rows: List[Dict[str, float]] = []
     for dataset in config.datasets:
-        stream, graph = _dataset_stream(dataset, config)
+        stream, graph = dataset_stream(dataset, config.stream_edges,
+                                       config.seed)
         events = build_event_list(stream.edges, delta)
         for size in sizes:
             queries = make_query_set(graph, size=size,
@@ -272,12 +275,8 @@ def dataset_table(stream_edges: int = 2000,
                   seed: int = 0) -> List[Dict[str, float]]:
     """Table III: measured characteristics of the generated stand-ins."""
     rows = []
-    for name, spec in DATASET_SPECS.items():
-        stream = generate_stream(spec, stream_edges, seed=seed)
-        graph = TemporalGraph(labels=stream.labels,
-                              directed=stream.directed)
-        for e in stream.edges:
-            graph.insert_edge(e)
+    for name in DATASET_SPECS:
+        stream, graph = dataset_stream(name, stream_edges, seed)
         pairs = sum(graph.neighbor_count(v) for v in graph.vertices()) / 2
         num_elabels = (len(set(stream.edge_labels.values()))
                        if stream.edge_labels else 0)

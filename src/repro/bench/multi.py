@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.datasets import DATASET_SPECS, generate_stream
+from repro.bench.experiments import dataset_stream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.query.temporal_query import TemporalQuery
 from repro.service import MatchService, QueryStats, save_checkpoint
@@ -99,19 +99,6 @@ class MultiQueryRun:
     migrations: Optional[Dict[str, object]] = None
 
 
-def dataset_workload(config: MultiQueryConfig) -> Tuple[object,
-                                                        TemporalGraph]:
-    """The generated stream for ``config`` plus its full data graph
-    (the query workload is random-walked on the latter)."""
-    stream = generate_stream(DATASET_SPECS[config.dataset],
-                             config.stream_edges, seed=config.seed)
-    graph = TemporalGraph(labels=stream.labels, directed=stream.directed)
-    elabels = stream.edge_labels or {}
-    for e in stream.edges:
-        graph.insert_edge(e, label=elabels.get(e))
-    return stream, graph
-
-
 def build_service(config: MultiQueryConfig, engine: str = "tcm",
                   stream=None, graph: Optional[TemporalGraph] = None,
                   tracer=None,
@@ -136,7 +123,8 @@ def build_service(config: MultiQueryConfig, engine: str = "tcm",
     """
     if queries is None:
         if stream is None or graph is None:
-            stream, graph = dataset_workload(config)
+            stream, graph = dataset_stream(config.dataset,
+                                           config.stream_edges, config.seed)
         queries = [instance.query for instance in make_mixed_query_set(
             graph, config.num_queries, sizes=tuple(config.query_sizes),
             density=config.density, seed=config.seed)]
@@ -294,7 +282,8 @@ def multi_query_scaling(engines: Sequence[str],
     # One stream and data graph serve every cell: generation is outside
     # the timed ingest region, so rebuilding it per cell only wastes
     # sweep wall-clock.
-    stream, graph = dataset_workload(base)
+    stream, graph = dataset_stream(base.dataset, base.stream_edges,
+                                   base.seed)
     runs: List[MultiQueryRun] = []
     for engine in engines:
         for workers in worker_counts:

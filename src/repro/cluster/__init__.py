@@ -26,9 +26,8 @@ service checkpoint in the cluster envelope (worker count, placement)
 and restores it across worker counts.
 """
 
-from repro.cluster.coordinator import (
-    ShardedMatchService, ShardedQueryEntry, WorkerCrashError,
-)
+from repro.cluster.coordinator import ShardedMatchService, ShardedQueryEntry
+from repro.cluster.transport import WorkerCrashError
 from repro.cluster.migration import (
     MigrationError, MigrationRecord,
 )

@@ -11,8 +11,8 @@ FORMAT = "repro.cluster.checkpoint/2"  # /1 had no window: refused
 
 def envelope(backend, document):
     """``document`` under ``backend``'s worker count and placement."""
-    shard_of = backend._placement.shard_of
-    return {"format": FORMAT, "workers": len(backend._workers),
+    shard_of = backend.placement.shard_of
+    return {"format": FORMAT, "workers": backend.placement.num_shards,
             "placement": {entry.query_id: shard_of(entry.query_id)
                           for entry in backend.front.registry.entries()},
             "service": document}
@@ -26,13 +26,12 @@ def as_service_snapshot(data):
     return data["service"]
 
 
-def restore(data, *, workers=None, edge_label_fns=None, start_method=None):
+def restore(data, *, workers=None, edge_label_fns=None):
     """Rebuild a sharded service, re-placed on ``workers`` (N -> M)."""
     document = as_service_snapshot(data)
     workers = int(data["workers"] if workers is None else workers)
     return service_checkpoint.rebuild(document, lambda delta: (
-        ShardedMatchService(delta, workers=workers,
-                            start_method=start_method)), edge_label_fns)
+        ShardedMatchService(delta, workers=workers)), edge_label_fns)
 
 
 def load_checkpoint(path, **options):

@@ -1,7 +1,10 @@
 """Live query migration and elastic resharding for the cluster.
 
 This module is the control plane that turns the coordinator's static
-query->shard assignment into a live mapping.  The primitive is a
+query->shard assignment into a live mapping.  It works through the
+back-end's public parts: the placement (where a query lives, which
+shards are live), the transport (requests to workers, their records)
+and the front (window, cursor, records).  The primitive is a
 single-query **migration**, run inside one batch boundary:
 
 1. the coordinator cuts the query's engine window — the ``(edge,
@@ -62,6 +65,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster import protocol, wire
 from repro.cluster.protocol import MigrationTicket
+from repro.cluster.transport import WorkerCrashError
 from repro.graph.temporal_graph import Edge
 from repro.obs.trace import maybe_span
 from repro.service.registry import QueryStatus, RegisteredQuery
@@ -102,10 +106,8 @@ class MigrationRecord:
 class MigrationManager:
     """The sharded back-end's migration control plane.
 
-    A friend object of :class:`~repro.cluster.coordinator.
-    ShardedBackend` (it drives the back-end's private RPC plane and reads
-    its front's window and records); the service re-exports the public
-    operations.
+    Built by the :class:`~repro.cluster.coordinator.ShardedBackend` it
+    works through; the service re-exports the public operations.
     """
 
     def __init__(self, backend):
@@ -150,12 +152,12 @@ class MigrationManager:
         with maybe_span(svc.tracer, "migration", query=query_id,
                         reason=reason) as root:
             window = svc.front.export_query_window(info)
-            outcome = svc._request(source, svc._control_message(
+            outcome = svc.transport.request(source, svc.control_message(
                 protocol.MIGRATE_OUT, query_id, root)).payload
             record, reply = self._land(
                 info, self.ticket(info.with_outcome(outcome), window=window),
                 source, target, reason, started, root)
-        svc.front._deliver(reply.payload)
+        svc.front.deliver(reply.payload)
         return record
 
     def before_batch(self) -> None:
@@ -186,7 +188,7 @@ class MigrationManager:
         load = {info.query_id: float(by_id[info.query_id].events_processed)
                 for info in svc.front.registry.list()
                 if info.active and info.query_id in by_id}
-        plan = svc._placement.plan_rebalance(
+        plan = svc.placement.plan_rebalance(
             load, tolerance=tolerance, max_moves=max_moves)
         return [self.migrate(query_id, target, reason="rebalance")
                 for query_id, _, target in plan]
@@ -213,16 +215,17 @@ class MigrationManager:
         :class:`MigrationError` when no healthy target exists."""
         svc = self._svc
         front = svc.front
+        placement = svc.placement
         records: List[MigrationRecord] = []
         for info in front.registry.list():
-            source = svc._placement.shard_of(info.query_id)
+            source = placement.shard_of(info.query_id)
             if ((shard is not None and source != shard)
-                    or source not in svc._lost_from):
+                    or not placement.is_quarantined(source)):
                 continue
             started = time.perf_counter()
             crashed = bool(info.error) and info.error.startswith(
                 f"worker {source} crashed")
-            lost_seq, lost_now = svc._lost_from[source]
+            lost_seq, lost_now = svc.transport.workers[source].lost_from
             pairs = front.window_at(info, lost_now)
             held = sum(1 for _, seq in pairs if seq < lost_seq)
             # The lost worker's results are gone; collection goes on.
@@ -237,7 +240,7 @@ class MigrationManager:
                     info, self.ticket(record, window=pairs[:held],
                                       tail=pairs[held:]),
                     source, None, "recover", started, root)
-            front._deliver(reply.payload)
+            front.deliver(reply.payload)
             if crashed:
                 info.status = QueryStatus.ACTIVE
                 info.error = None
@@ -259,21 +262,20 @@ class MigrationManager:
         would be lost.  Returns ``(info, source, target)``."""
         svc = self._svc
         info = svc.front.registry.get(query_id)
-        source = svc._placement.shard_of(query_id)
-        if not svc._workers[source].alive:
+        source = svc.placement.shard_of(query_id)
+        if not svc.placement.is_live(source):
             raise MigrationError(
                 f"query {query_id!r} is stranded on dead shard "
                 f"{source}; use recover_quarantined()")
         if target is None:
             try:
-                target = svc._placement.select_target(exclude={source})
+                target = svc.placement.select_target(exclude={source})
             except RuntimeError as exc:
                 raise MigrationError(str(exc)) from None
         elif target == source:
             raise ValueError(
                 f"query {query_id!r} already lives on shard {target}")
-        elif not (0 <= target < len(svc._workers)
-                  and svc._workers[target].alive):
+        elif not svc.placement.is_live(target):
             raise ValueError(f"target shard {target} is not live")
         return info, source, target
 
@@ -306,7 +308,7 @@ class MigrationManager:
         if not record.active:
             window = tail = ()
         return MigrationTicket(
-            record=record, code=self._svc._intern_codes[record.query_id],
+            record=record, code=self._svc.transport.codes[record.query_id],
             window=window, tail=tail, final_now=self._svc.front.now)
 
     def _restore(self, info, ticket: MigrationTicket,
@@ -316,26 +318,25 @@ class MigrationManager:
         re-sent to the next least-loaded healthy shard (never the shard
         the query is still placed on, its source).  Updates placement —
         what the router reads — on success."""
-        from repro.cluster.coordinator import WorkerCrashError
-        svc = self._svc
-        banned = {svc._placement.shard_of(info.query_id)}
+        placement = self._svc.placement
+        banned = {placement.shard_of(info.query_id)}
         while True:
-            if target is None or not svc._workers[target].alive:
+            if target is None or not placement.is_live(target):
                 try:
-                    target = svc._placement.select_target(exclude=banned)
+                    target = placement.select_target(exclude=banned)
                 except RuntimeError:
                     self._lost(info)
                     raise MigrationError(
                         f"no live worker left to host "
                         f"{info.query_id!r}") from None
             try:
-                reply = svc._request(
+                reply = self._svc.transport.request(
                     target, wire.encode_migrate_in(ticket, trace=ctx))
             except WorkerCrashError:
                 banned.add(target)
                 target = None
                 continue
-            svc._placement.move(info.query_id, target)
+            placement.move(info.query_id, target)
             self.permuted = True
             return target, reply
 
@@ -363,6 +364,5 @@ class MigrationManager:
             obs.counter("cluster_migration_tail_events_total",
                         "events a recovery replayed on the new shard"
                         ).inc(record.tail_events)
-
 
 __all__ = ["MigrationError", "MigrationManager", "MigrationRecord"]

@@ -1,13 +1,15 @@
-"""Shard placement: which worker hosts which query.
+"""Shard placement: which worker hosts which query, and which shards
+are live.
 
 One deterministic policy (important for the equivalence tests and for
 reproducible benchmarks): least-loaded-first, the lowest shard index
 breaking ties, which spreads a dynamically registered/retired query
 population evenly.
 
-Quarantined shards stop receiving placements but keep their membership
-records, so the coordinator can still enumerate (and unregister) the
-queries that were lost with a crashed worker.
+The placement is the one record of a shard's liveness: live,
+quarantined (its worker was lost), retired (drained) or stopped (the
+service closed).  Quarantined shards keep their membership records, so
+the queries lost with a crashed worker stay enumerable.
 
 The placement is a *live* object, not a registration-time constant:
 assignments move (:meth:`ShardPlacement.move`), shards appear
@@ -25,6 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+LIVE, QUARANTINED, RETIRED, STOPPED = (
+    "live", "quarantined", "retired", "stopped")
+
 
 class ShardPlacement:
     """Tracks query -> shard assignments across ``num_shards`` shards."""
@@ -37,8 +42,8 @@ class ShardPlacement:
         self._members: Dict[int, Dict[str, None]] = {
             shard: {} for shard in range(num_shards)}
         self._shard_of: Dict[str, int] = {}
-        self._quarantined: set = set()
-        self._retired: set = set()
+        #: Per shard, LIVE, QUARANTINED, RETIRED or STOPPED.
+        self._state: Dict[int, str] = dict.fromkeys(self._members, LIVE)
 
     @property
     def num_shards(self) -> int:
@@ -46,11 +51,14 @@ class ShardPlacement:
 
     def live_shards(self) -> List[int]:
         """Shards still eligible for placement, in ascending index
-        order — explicitly sorted, so the lowest-index tie break stays deterministic no matter how shards were added,
-        quarantined or retired."""
-        return sorted(s for s in self._members
-                      if s not in self._quarantined
-                      and s not in self._retired)
+        order — explicitly sorted, so the lowest-index tie break stays
+        deterministic no matter how shards were added, quarantined or
+        retired."""
+        return sorted(s for s, state in self._state.items() if state == LIVE)
+
+    def is_live(self, shard: int) -> bool:
+        """Whether ``shard`` exists and its worker is serving."""
+        return self._state.get(shard) == LIVE
 
     def select_target(self, *, exclude: Iterable[int] = ()) -> int:
         """The least-loaded live shard right now, without recording a
@@ -78,7 +86,7 @@ class ShardPlacement:
         shard is not."""
         if target not in self._members:
             raise KeyError(f"no shard {target}")
-        if target in self._quarantined or target in self._retired:
+        if not self.is_live(target):
             raise ValueError(f"shard {target} is not live")
         source = self._shard_of[query_id]
         if source == target:
@@ -90,11 +98,11 @@ class ShardPlacement:
 
     def add_shard(self) -> int:
         """Grow the placement by one (empty, live) shard; returns its
-        index.  Indices are never reused — retired and quarantined
-        shards keep theirs — so they stay aligned with the
-        coordinator's worker list."""
+        index.  Indices are never reused: retired and quarantined
+        shards keep theirs."""
         index = len(self._members)
         self._members[index] = {}
+        self._state[index] = LIVE
         return index
 
     def retire(self, shard: int) -> None:
@@ -105,10 +113,16 @@ class ShardPlacement:
             raise ValueError(
                 f"shard {shard} still hosts "
                 f"{len(self._members[shard])} queries; move them first")
-        self._retired.add(shard)
+        self._state[shard] = RETIRED
 
     def is_retired(self, shard: int) -> bool:
-        return shard in self._retired
+        return self._state[shard] == RETIRED
+
+    def stop_all(self) -> None:
+        """Every live shard stops: the service closed its workers."""
+        for shard, state in self._state.items():
+            if state == LIVE:
+                self._state[shard] = STOPPED
 
     def plan_rebalance(self, query_load: Dict[str, float], *,
                        tolerance: float = 0.1,
@@ -174,11 +188,11 @@ class ShardPlacement:
         Membership is kept so the stranded queries remain enumerable
         (their entries survive coordinator-side with errored status).
         """
-        self._quarantined.add(shard)
+        self._state[shard] = QUARANTINED
         return list(self._members[shard])
 
     def is_quarantined(self, shard: int) -> bool:
-        return shard in self._quarantined
+        return self._state[shard] == QUARANTINED
 
     def loads(self) -> Dict[int, int]:
         """Current per-shard query counts (all shards, dead included)."""

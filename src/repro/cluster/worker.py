@@ -98,6 +98,7 @@ class ShardWorker:
         if verb == protocol.DRAIN:
             return service.drain()
         if verb == protocol.UNREGISTER:
+            self._forget(payload)
             return service.unregister(payload).outcome()
         if verb == protocol.DESCRIBE:
             return service.registry.get(payload).outcome()
@@ -126,8 +127,13 @@ class ShardWorker:
         registered / unregistered counters untouched — a migration is
         not a user-visible retire."""
         entry = self.service.registry.unregister(query_id)
-        self._reported.discard(query_id)
+        self._forget(query_id)
         return entry.outcome()
+
+    def _forget(self, query_id: str) -> None:
+        """Drop what this worker keeps per hosted query."""
+        self._reported.discard(query_id)
+        self.shapes.pop(query_id, None)
 
     def _migrate_in(self, ticket: protocol.MigrationTicket):
         """Host a query from its ticket (a registration, restore,
@@ -141,12 +147,15 @@ class ShardWorker:
             raise ValueError(f"not a migration ticket: format "
                              f"{ticket.format!r} (expected {expected!r})")
         record = ticket.record
+        # Errored before it came: nothing new to report.
+        arrived_errored = not record.active
+        notes = self.service.host(record, ticket.window, ticket.tail,
+                                  ticket.final_now)
         self.shapes[record.query_id] = wire.reply_shape(ticket.code,
                                                         record.query)
-        if not record.active:   # errored before it came: nothing new
+        if arrived_errored:
             self._reported.add(record.query_id)
-        return self.service.host(record, ticket.window, ticket.tail,
-                                 ticket.final_now)
+        return notes
 
     def _quarantine(self, payload: Tuple[str, str]) -> None:
         """Coordinator-initiated quarantine (a subscriber failed on the

@@ -88,7 +88,7 @@ Two switches produce the paper's ablations (Section VI-B): with
 ``use_pruning=False`` the engine is the paper's ``TCM-Pruning`` variant
 (TC-matchable filtering only); with ``use_tc_filter=False`` filtering
 degrades to label-compatibility while the time-constrained backtracking
-stays on (an extra ablation used in the benchmarks).
+stays on (an extra ablation; only the tests run it).
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ def snapshot(service) -> Dict[str, object]:
             "label_map": index,
             "stats": stats.to_dict(),
         })
-    return service._backend.envelope({
+    return service.backend.envelope({
         "format": FORMAT,
         "delta": service.delta,
         "now": service.now,

@@ -79,8 +79,7 @@ def query_pattern_keys(query: TemporalQuery) -> FrozenSet[Tuple]:
 
     Undirected queries admit both endpoint orders.  An unlabeled query
     edge contributes a key with ``None`` in the edge-label slot (the
-    wildcard).  Used both for the interest index itself and for
-    interest-aware shard placement (overlap of key sets).
+    wildcard).  The interest index's keys for the query.
     """
     keys: Set[Tuple] = set()
     for meta in query.edge_meta():

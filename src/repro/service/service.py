@@ -239,11 +239,11 @@ class ServiceFront:
     ``now`` / ``seq`` cursor, the registry (one record per query, one id
     allocator, one subscriber list), the per-call rules — order
     validation, call accounting, subscriber delivery after the call,
-    quarantine — and the checkpoint.  The back-end owns how a call's
-    events reach the engines: :class:`LocalBackend` fans them out to
-    engines in this process, :class:`~repro.cluster.coordinator.
-    ShardedBackend` routes them to shard workers.  Neither the front nor
-    its callers ask which one they hold.
+    quarantine — and the checkpoint.  The back-end (``backend``) owns
+    how a call's events reach the engines: :class:`LocalBackend` fans
+    them out to engines in this process, :class:`~repro.cluster.
+    coordinator.ShardedBackend` routes them to shard workers.  The front
+    never asks which one it holds.
 
     The window is trimmed at one point: the top of every ``ingest`` /
     ``advance_to`` / ``drain``, after the back-end's :meth:`boundary`
@@ -271,7 +271,7 @@ class ServiceFront:
         self._now: Optional[int] = None
         self._seq = 0
         self._closed = False
-        self._backend = backend
+        self.backend = backend
         self._h_call = None
         if metrics is not None:
             self._h_call = metrics.histogram(
@@ -392,7 +392,7 @@ class ServiceFront:
         if window is None:
             window = self.export_query_window(entry)
         try:
-            return notes + self._backend.host(entry, window, tail,
+            return notes + self.backend.host(entry, window, tail,
                                               final_now)
         except Exception:
             self.registry.unregister(entry.query_id)
@@ -404,7 +404,7 @@ class ServiceFront:
         entry = self._checked(query_id)
         self.registry.unregister(query_id)
         self.stats.unregistered_total += 1
-        return self._backend.retire(entry)
+        return self.backend.retire(entry)
 
     def subscribe(self, query_id: str,
                   callback: Callable[[MatchNotification], None]) -> None:
@@ -416,7 +416,7 @@ class ServiceFront:
         """One query's record as its host knows it (counters and
         collected results)."""
         entry = self._checked(query_id)
-        found = self._backend.describe(entry)
+        found = self.backend.describe(entry)
         entry.stats = found.stats
         return found
 
@@ -424,7 +424,7 @@ class ServiceFront:
         """The :class:`QueryStats` of one registered query: the host's,
         or — when the host cannot answer — the last ones it gave."""
         entry = self._checked(query_id)
-        entry.stats = self._backend.fetch_stats(entry).get(
+        entry.stats = self.backend.fetch_stats(entry).get(
             query_id, entry.stats)
         return entry.stats
 
@@ -433,7 +433,7 @@ class ServiceFront:
         registration order (one fetch per host)."""
         self._ensure_open()
         entries = self.registry.list()
-        fetched = self._backend.fetch_stats()
+        fetched = self.backend.fetch_stats()
         for entry in entries:
             entry.stats = fetched.get(entry.query_id, entry.stats)
         return [entry.stats for entry in entries]
@@ -459,7 +459,7 @@ class ServiceFront:
                   "queries": len(entries),
                   "errored_queries": sum(1 for e in entries if not e.active),
                   "live_edges": len(self.window())}
-        report.update(self._backend.health())
+        report.update(self.backend.health())
         if self._closed:
             report["status"] = "closed"
         return report
@@ -469,7 +469,7 @@ class ServiceFront:
         later call but :meth:`health` raises.  Idempotent."""
         if not self._closed:
             self._closed = True
-            self._backend.close()
+            self.backend.close()
 
     def __enter__(self):
         return self
@@ -502,11 +502,11 @@ class ServiceFront:
         """
         self._ensure_open()
         edges = list(edges)
-        self._backend.admit(edges)
+        self.backend.admit(edges)
         prefix, failure = validated_prefix(edges, self._now)
         seq = self._seq
         notifications = self._call(
-            self._backend.SPANS[0], list(zip(prefix, range(seq, seq + len(
+            self.backend.SPANS[0], list(zip(prefix, range(seq, seq + len(
                 prefix)))), prefix[-1].t if prefix else self._now)
         if failure is not None:
             raise OutOfOrderError(failure, notifications)
@@ -521,7 +521,7 @@ class ServiceFront:
         ingesting edges, expiring every edge whose window has closed."""
         self._ensure_open()
         t = t if self._now is None else max(t, self._now)
-        return self._call(self._backend.SPANS[1], [], t, is_batch=False)
+        return self._call(self.backend.SPANS[1], [], t, is_batch=False)
 
     def drain(self) -> Notifications:
         """Expire every remaining live edge (end of stream).
@@ -532,7 +532,7 @@ class ServiceFront:
         still resumes from the last edge actually ingested.
         """
         self._ensure_open()
-        return self._call(self._backend.SPANS[2], [], math.inf,
+        return self._call(self.backend.SPANS[2], [], math.inf,
                           is_batch=False)
 
     def _call(self, span: str, pairs: List[Tuple[Edge, int]],
@@ -547,11 +547,11 @@ class ServiceFront:
         start = time.perf_counter()
         try:
             with maybe_span(self.tracer, span, events=len(pairs)) as root:
-                self._backend.boundary()
+                self.backend.boundary()
                 live, delta, now = self._live, self.delta, self._now
                 while now is not None and live and live[0][0].t + delta <= now:
                     live.popleft()
-                notifications = self._backend.serve(pairs, horizon, root)
+                notifications = self.backend.serve(pairs, horizon, root)
                 if horizon == math.inf:
                     live.clear()
                 else:
@@ -562,7 +562,7 @@ class ServiceFront:
                 self._seq = (self._seq + len(pairs) if final_seq is None
                              else final_seq)
                 self.stats.edges_ingested += len(pairs)
-                self._deliver(notifications)
+                self.deliver(notifications)
         finally:
             if is_batch:
                 self.stats.batches += 1
@@ -572,7 +572,7 @@ class ServiceFront:
                 self._h_call.observe(spent)
         return notifications
 
-    def _deliver(self, notifications: Notifications) -> None:
+    def deliver(self, notifications: Notifications) -> None:
         """Run subscribers over a call's runs in their order, building
         notifications only for a query that has some.  What the engines
         reported is the call's output whatever a callback does: one that
@@ -593,7 +593,7 @@ class ServiceFront:
             except Exception as exc:  # noqa: BLE001 - isolation boundary
                 del subscribed[run.query_id]
                 self.quarantine(entry, f"{type(exc).__name__}: {exc}")
-                self._backend.stop(entry)
+                self.backend.stop(entry)
             finally:
                 entry.stats.elapsed_seconds += time.perf_counter() - began
 
@@ -611,7 +611,7 @@ class ServiceFront:
         into the metrics registry under the back-end's prefix (the hot
         path pays nothing for them), then the back-end's own."""
         obs, stats = self.metrics, self.stats
-        prefix = self._backend.PREFIX
+        prefix = self.backend.PREFIX
         for name, value, help_text in (
                 ("edges_ingested_total", stats.edges_ingested,
                  "edges ingested"),
@@ -631,7 +631,7 @@ class ServiceFront:
                       len(self.window()))
         obs.gauge(f"{prefix}_registered_queries",
                   "queries currently registered").set(len(self.registry))
-        self._backend.export_metrics(obs)
+        self.backend.export_metrics(obs)
 
 
 class LocalBackend:
@@ -983,7 +983,7 @@ class MatchService(ServiceFront):
             raise OutOfOrderError(
                 f"out-of-order routed batch: t={pairs[0][0].t} after "
                 f"now={self._now}", Notifications())
-        return self._call(self._backend.SPANS[0], list(pairs), final_now,
+        return self._call(self.backend.SPANS[0], list(pairs), final_now,
                           final_seq)
 
     def adopt_query(self, entry: RegisteredQuery,
@@ -991,4 +991,4 @@ class MatchService(ServiceFront):
                     tail: Tuple[Tuple[Edge, int], ...] = (), *,
                     final_now: Optional[int] = None) -> Notifications:
         """:meth:`LocalBackend.host` of a registered ``entry``."""
-        return self._backend.host(entry, window, tail, final_now)
+        return self.backend.host(entry, window, tail, final_now)

@@ -16,6 +16,10 @@ placement routing around dead shards.
 import inspect
 import itertools
 import json
+import multiprocessing
+import os
+import pickle
+import signal
 from dataclasses import astuple
 from pathlib import Path
 
@@ -496,7 +500,7 @@ class TestRoutingDecision:
             # A worker dies: the batch that finds out was routed while
             # it still counted as live; the next one is not.
             victim = service.shard_of("cd")
-            handle = service._backend._workers[victim]
+            handle = service.backend.transport.workers[victim]
             handle.process.kill()
             handle.process.join()
             assert victim in ingest(self.stream(55))
@@ -604,7 +608,7 @@ class TestWorkerCrash:
         qids = [service.register(AB_QUERY, AB_LABELS, "tcm")
                 for _ in range(n_queries)]
         service.ingest(ab_edges(4))
-        handle = service._backend._workers[0]
+        handle = service.backend.transport.workers[0]
         handle.process.kill()
         handle.process.join()
         return service, qids
@@ -675,8 +679,8 @@ class TestWorkerCrash:
         service = ShardedMatchService(100, workers=1)
         try:
             service.register(AB_QUERY, AB_LABELS)
-            service._backend._workers[0].process.kill()
-            service._backend._workers[0].process.join()
+            service.backend.transport.workers[0].process.kill()
+            service.backend.transport.workers[0].process.join()
             with pytest.raises((WorkerCrashError, RuntimeError)):
                 service.register(AB_QUERY, AB_LABELS)
             # The stream interface stays up (and returns nothing).
@@ -728,7 +732,7 @@ class TestUndecodableReply:
         finally:
             service.close()
         assert not any(handle.process.is_alive()
-                       for handle in service._backend._workers)
+                       for handle in service.backend.transport.workers)
 
     def test_unpicklable_control_reply_is_a_lost_shard(self, monkeypatch):
         """Same rule on the one-shard request path, for the pickled
@@ -736,7 +740,7 @@ class TestUndecodableReply:
         with ShardedMatchService(100, workers=2) as service:
             query_id = service.register(AB_QUERY, AB_LABELS)
             shard = service.shard_of(query_id)
-            conn = service._backend._workers[shard].conn
+            conn = service.backend.transport.workers[shard].conn
             monkeypatch.setattr(conn, "recv_bytes", lambda: b"not a pickle")
             assert service.query_stats(query_id).errors == 1
             assert service.live_workers == 1
@@ -763,9 +767,9 @@ class TestUndecodableRequest:
             request = frame[:-8] if bad == "truncated frame" else b"\x80junk"
             # The worker's FrameError / pickle error, by name.
             with pytest.raises((RuntimeError, ValueError)) as refused:
-                service._backend._request(0, request)
+                service.backend.transport.request(0, request)
             assert not isinstance(refused.value, WorkerCrashError)
-            assert service._backend._workers[0].process.is_alive()
+            assert service.backend.transport.workers[0].process.is_alive()
             assert service.live_workers == 2
             assert service.stats.errored_queries == 0
             # The refused request touched nothing on the shard.
@@ -934,7 +938,8 @@ class TestRegistrationSurface:
             # inserted at registration and popped at unregister, and
             # neither a migration nor a crash recovery re-inserts it.
             service.migrate(ids[0])
-            handle = service._backend._workers[service.shard_of(ids[1])]
+            handle = service.backend.transport.workers[
+                service.shard_of(ids[1])]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(1))
@@ -991,6 +996,148 @@ class TestRegistrationSurface:
         # resolves ``wire.encode_ingest`` by name: ROADMAP "Ledger v2"
         # (1) deletes the verb, its frame and this entry.
         assert unsent == ["INGEST_BATCH"]
+
+
+class TestTablesStayBounded:
+    """What the coordinator and a worker keep per query leaves with the
+    query: k register/unregister cycles with fresh ids leave every
+    table the size one cycle leaves."""
+
+    @staticmethod
+    def codes(service):
+        transport = service.backend.transport
+        assert all(transport.names[code] == query_id
+                   for query_id, code in transport.codes.items())
+        return len(transport.codes), len(transport.names)
+
+    def test_churn_reuses_the_codes_it_frees(self):
+        with ShardedMatchService(5, workers=2) as service:
+            service.register(AB_QUERY, AB_LABELS, query_id="kept")
+            sizes = []
+            for cycle in range(30):
+                query_id = service.register(AB_QUERY, AB_LABELS,
+                                            query_id=f"q{cycle}")
+                notes = service.ingest(ab_edges(2, start=2 * cycle + 1))
+                assert {n.query_id for n in notes} == {"kept", query_id}
+                if cycle % 2:
+                    service.migrate(query_id)
+                service.unregister(query_id)
+                # A factory the pipe cannot carry fails the hosting.
+                with pytest.raises((pickle.PicklingError, AttributeError)):
+                    service.register(AB_QUERY, AB_LABELS,
+                                     engine=lambda *args: None,
+                                     query_id=f"refused{cycle}")
+                sizes.append(self.codes(service))
+            assert sizes == [sizes[0]] * 30
+
+    def test_a_lost_querys_code_stays_until_it_is_recovered(self):
+        with ShardedMatchService(5, workers=2) as service:
+            service.register(AB_QUERY, AB_LABELS, query_id="lost")
+            service.register(AB_QUERY, AB_LABELS, query_id="kept")
+            transport = service.backend.transport
+            code = transport.codes["lost"]
+            victim = transport.workers[service.shard_of("lost")].process
+            victim.kill()
+            victim.join()
+            service.ingest(ab_edges(2))
+            for cycle in range(3):
+                service.unregister(service.register(
+                    AB_QUERY, AB_LABELS, query_id=f"q{cycle}"))
+            assert transport.codes["lost"] == code
+            service.recover_quarantined()
+            notes = service.ingest(ab_edges(2, start=3))
+            assert {n.query_id for n in notes} == {"lost", "kept"}
+
+    @pytest.mark.parametrize("leave", [protocol.UNREGISTER,
+                                       protocol.MIGRATE_OUT])
+    def test_a_worker_forgets_a_query_that_leaves(self, leave):
+        worker = ShardWorker(10)
+        sizes = []
+        for cycle in range(20):
+            record = QueryRegistry().new(AB_QUERY, AB_LABELS,
+                                         query_id=f"q{cycle}")
+            if cycle % 2:
+                record.status, record.error = QueryStatus.ERRORED, "gone"
+            worker.dispatch(protocol.MIGRATE_IN,
+                            protocol.MigrationTicket(record, cycle))
+            worker.new_errors()
+            worker.dispatch(leave, record.query_id)
+            sizes.append((len(worker.shapes), len(worker._reported),
+                          len(worker.service.registry)))
+        assert sizes == [(0, 0, 0)] * 20
+
+
+def shard_table(service):
+    """Per shard, as ``placement_snapshot()`` and ``health()`` give it:
+    ``(alive, retired, quarantined, queries, errored_queries)``."""
+    snapshot = service.placement_snapshot()["shards"]
+    health = service.health()
+    rows = {}
+    for row in health["shards"]:
+        listed = snapshot[str(row["shard"])]
+        assert listed["alive"] == row["alive"]
+        assert listed["retired"] == row["retired"]
+        assert len(listed["queries"]) == row["queries"]
+        rows[row["shard"]] = (row["alive"], row["retired"],
+                              listed["quarantined"], listed["queries"],
+                              row["errored_queries"])
+    assert sorted(rows) == sorted(map(int, snapshot))
+    return (health["status"], health["live_workers"],
+            health["retired_workers"], service.num_workers,
+            service.live_workers, rows)
+
+
+class TestShardLifecycle:
+    def test_every_stage_of_a_shards_life_is_reported(self):
+        """Start, a worker killed, its queries recovered, a worker
+        added, one drained, the service closed: the placement snapshot,
+        ``health()`` and the worker counts at each stage.  The worker is
+        killed through the OS, by its process name."""
+        before = set(multiprocessing.active_children())
+        service = ShardedMatchService(5, workers=3)
+        workers = {p.name: p for p in multiprocessing.active_children()
+                   if p not in before}
+        for i in range(6):
+            service.register(AB_QUERY, AB_LABELS, query_id=f"q{i}")
+        service.ingest(ab_edges(3))
+        live, dead, retired = (True, False, False), (False, False, True), \
+            (False, True, False)
+        stages = [shard_table(service)]
+        os.kill(workers["repro-shard-0"].pid, signal.SIGKILL)
+        workers["repro-shard-0"].join()
+        service.ingest(ab_edges(3, start=4))   # finds it lost
+        stages.append(shard_table(service))
+        service.recover_quarantined()
+        stages.append(shard_table(service))
+        assert service.add_worker() == 3
+        stages.append(shard_table(service))
+        service.drain_worker(1)
+        stages.append(shard_table(service))
+        service.close()
+        stages.append(shard_table(service))
+        stopped = (False, False, False)
+        assert stages == [
+            ("ok", 3, 0, 3, 3, {
+                0: (*live, ["q0", "q3"], 0), 1: (*live, ["q1", "q4"], 0),
+                2: (*live, ["q2", "q5"], 0)}),
+            ("degraded", 2, 0, 3, 2, {
+                0: (*dead, ["q0", "q3"], 2), 1: (*live, ["q1", "q4"], 0),
+                2: (*live, ["q2", "q5"], 0)}),
+            ("degraded", 2, 0, 3, 2, {
+                0: (*dead, [], 0), 1: (*live, ["q1", "q4", "q0"], 0),
+                2: (*live, ["q2", "q5", "q3"], 0)}),
+            ("degraded", 3, 0, 4, 3, {
+                0: (*dead, [], 0), 1: (*live, ["q1", "q4", "q0"], 0),
+                2: (*live, ["q2", "q5", "q3"], 0), 3: (*live, [], 0)}),
+            ("degraded", 2, 1, 4, 2, {
+                0: (*dead, [], 0), 1: (*retired, [], 0),
+                2: (*live, ["q2", "q5", "q3"], 0),
+                3: (*live, ["q1", "q4", "q0"], 0)}),
+            ("closed", 0, 1, 4, 0, {
+                0: (*dead, [], 0), 1: (*retired, [], 0),
+                2: (*stopped, ["q2", "q5", "q3"], 0),
+                3: (*stopped, ["q1", "q4", "q0"], 0)}),
+        ]
 
 
 class TestPlacement:

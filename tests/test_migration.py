@@ -361,7 +361,7 @@ class TestCrashRecovery:
             service.ingest(ab_edges(4))
             source = service.shard_of("q")
             target = next(s for s in range(3) if s != source)
-            victim = service._backend._workers[target]
+            victim = service.backend.transport.workers[target]
             victim.process.kill()
             victim.process.join()
             record = service.migrate("q", target)
@@ -382,7 +382,7 @@ class TestCrashRecovery:
             stats_before = {s.query_id: s.events_processed
                             for s in service.all_query_stats()}
             victim = service.shard_of("q0")
-            handle = service._backend._workers[victim]
+            handle = service.backend.transport.workers[victim]
             handle.process.kill()
             handle.process.join()
             service.ingest(stream.edges[BATCH:2 * BATCH])
@@ -406,7 +406,7 @@ class TestCrashRecovery:
             service.register(AB_QUERY, AB_LABELS, query_id="q")
             service.ingest(ab_edges(3))
             victim = service.shard_of("q")
-            handle = service._backend._workers[victim]
+            handle = service.backend.transport.workers[victim]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(3, start=4))  # detects the crash

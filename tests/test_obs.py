@@ -458,7 +458,7 @@ class TestIntegration:
             before = {q: service.query_stats(q) for q in qids}
             assert all(s.events_processed == 6 for s in before.values())
             assert all(s.elapsed_seconds > 0 for s in before.values())
-            handle = service._backend._workers[0]
+            handle = service.backend.transport.workers[0]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(2, start=7))  # detect the crash
@@ -484,7 +484,7 @@ class TestIntegration:
             qids = [service.register(AB_QUERY, AB_LABELS, "tcm")
                     for _ in range(2)]
             service.ingest(ab_edges(4))
-            handle = service._backend._workers[0]
+            handle = service.backend.transport.workers[0]
             handle.process.kill()
             handle.process.join()
             service.ingest(ab_edges(2, start=5))
