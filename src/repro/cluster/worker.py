@@ -125,8 +125,9 @@ class ShardWorker:
         back: the coordinator cuts it from its own.  Registry-level
         removal (not ``service.unregister``) keeps the service's
         registered / unregistered counters untouched — a migration is
-        not a user-visible retire."""
-        entry = self.service.registry.unregister(query_id)
+        not a user-visible retire; the back-end still forgets it."""
+        service = self.service
+        entry = service.backend.retire(service.registry.unregister(query_id))
         self._forget(query_id)
         return entry.outcome()
 

@@ -22,10 +22,11 @@ Batched maintenance
 Candidate-edge mutation and D1/D2 propagation are split: :meth:`stage`
 applies edge changes and accumulates the touched data vertices,
 :meth:`refresh` runs the worklist once for an arbitrary accumulation.
-The batched engines stage every event of an expiration run and refresh
-a single time (at the next arrival or batch end), so D1/D2 propagation
-over shared vertices runs once instead of per event; :meth:`apply`
-composes the two for the per-event path.  The D1/D2 tables are stored
+The batched engines discard an expired edge's candidates at once
+(:meth:`discard_edge`, seeding only an emptied list) and stage and
+refresh a single time per flush, so D1/D2 propagation over shared
+vertices runs once instead of per event; :meth:`apply` composes the
+two for the per-event path.  The D1/D2 tables are stored
 as one data-vertex dict per query vertex — the ``d2`` gate is probed on
 every backtracking extension, and an int-keyed dict probe beats tuple
 hashing.
@@ -112,10 +113,11 @@ class DCS:
         (its DAG-side endpoints at their images) — are accumulated into
         ``seeds``, the touched data vertices into ``vertices``; callers
         collect them across events and pass both to :meth:`refresh`
-        once.  Until then the D1/D2 tables are stale relative to a
-        *superset* state — a sound (over-approximate) filter, which is
-        exactly what the batched engines rely on between backtracking
-        flush points.
+        once.  Until then D1/D2 may still hold where an emptied list
+        no longer supports them — a sound (over-approximate) filter;
+        after the refresh they are exact for the candidate lists
+        stored, which may themselves be a superset of the exact ones
+        (``TCMEngine.on_batch``).
         """
         # D1/D2 read candidate lists only through their *nonemptiness*
         # (the any(...) gates of the recurrences), so only an
@@ -188,10 +190,6 @@ class DCS:
         slot.insert(idx, t)
         self._num_edges += 1
         return len(slot) == 1
-
-    def _delete(self, e: int, a: int, b: int, t: int) -> None:
-        if not self.discard_edge(e, a, b, t):
-            raise KeyError(f"DCS edge ({e}, {a}, {b}, {t}) not present")
 
     def has_edge(self, e: int, a: int, b: int, t: int) -> bool:
         """Membership test for an exact candidate edge."""

@@ -28,45 +28,57 @@ same data pairs over and over.  ``on_batch`` therefore *defers* filter
 maintenance and runs it once per flush point instead of once per event:
 
 * an **expiration** reports first (from the ledger below, or by
-  backtracking exactly as per-event), removes its
-  edge from the graph and purges its own DCS entries, but leaves the
-  max-min tables and D1/D2 untouched — between flushes those tables
-  still count the edges that expired since the last one, a *superset*
-  window, which keeps the filter sound (it may admit extra
-  exploration, never extra or missing matches: every match is verified
-  exactly by the backtracking itself, and a sound filter on a superset
-  graph still contains every true candidate);
-* an **arrival** inserts its edge and records its pairs the same way,
-  and flushes — one max-min propagation seeded with all accumulated
-  data pairs, one candidate diff over the accumulated affected pairs,
-  one D1/D2 worklist run — only if it *may report*.  An arriving edge
-  is the newest edge of the window, so in an embedding it can only be
-  the image of a query edge with no successor in the order (an arrival
-  older than the newest edge inserted, from an engine driven out of
-  order, skips this test), and the labels of that query edge's other
-  neighbours must occur among the other live neighbours of its images
-  (one label-index probe per needed label; direction and edge labels
-  ignored — a weaker test is still necessary; both read admitted edges
-  only, sound since every edge of an embedding is admitted).  Any other
-  arrival answers ``[]`` and its maintenance waits for the next flush;
-  the batch ends with one, so staleness never crosses a batch boundary.
+  backtracking exactly as per-event), removes its edge from the graph,
+  discards its own DCS entries (seeding D1/D2 only where a list
+  empties) and purges its endpoints if they died — and that is all: it
+  never feeds the max-min propagation or the candidate diff;
+* an **arrival** inserts its edge, records its data pair and candidate
+  pairs, and flushes — one max-min propagation seeded with all
+  accumulated data pairs, one candidate diff over the accumulated
+  affected pairs, one D1/D2 worklist run — only if it *may report*.  An
+  arriving edge is the newest edge of the window, so in an embedding it
+  can only be the image of a query edge with no successor in the order
+  (an arrival older than the newest edge inserted, from an engine
+  driven out of order, skips this test), and the labels of that query
+  edge's other neighbours must occur among the other live neighbours of
+  its images (one label-index probe per needed label; direction and
+  edge labels ignored — a weaker test is still necessary; both read
+  admitted edges only, sound since every edge of an embedding is
+  admitted).  Any other arrival answers ``[]`` and its maintenance
+  waits for the next flush; the batch ends with one while an arrival's
+  pair or a D1/D2 seed is pending.
+
+The filter is therefore a *sound superset* at every flush and batch
+end, not the exact one.  Equation (1) is monotone in the graph and in
+the child entries, and an expiration can only lower a gt bound, raise
+an lt bound or clear presence; so every stored max-min entry is looser
+than or equal to the one computed from scratch, and an entry that an
+arrival's propagation recomputes reads the current graph and catches
+up (from children that are themselves no tighter than exact).  The DCS
+holds what the stored windows admit — a superset of the exact
+candidates, minus the dead timestamps expirations discard — and D1/D2
+is exact for the DCS it reads.  Soundness is all the search needs: it
+verifies every embedding exactly.  The looseness is bounded by what is
+live, because dead endpoints are still purged: max-min and D1/D2 hold
+entries at live vertices only and the DCS live timestamps only (never
+more than a label-only filter; tests/test_invariants.py holds both).
 
 Why the output is unchanged: the last-arrived edge ``L`` of an embedding
 ``M`` in the window passes both tests (every other edge of ``M`` has
 ``t <= t(L)``; ``M`` itself supplies the neighbours, distinct by
 injectivity), so it flushed, and a flush is state-based and seeded with
 every deferred pair: from then on every edge of ``M`` is in the DCS with
-D2 true at its vertices, until an exact flush after one of them left.
-Deferred arrivals withhold only edges that lie in no embedding, so every
-search runs on a filter containing all edges that are in some match —
-all that rules 1-3 and the exact per-match verification need.  Output
-is byte-identical to the per-event path (both emit one canonical-order
-sequence per event — what ``find_matches`` returned, unread); only the
-maintenance *work* differs.  The per-event methods stay Algorithm 1 as
-printed: they are the reference the tests hold ``on_batch`` to and
-what Fig 7-11 / Table V run.  Table V's per-event sums are sampled at
-stale states on the batched path — for deferred arrivals now as for
-expirations before.
+D2 true at its vertices (a superset of the exact filter holds them),
+until one of them leaves.  Deferred arrivals withhold only edges that
+lie in no embedding, so every search runs on a filter containing all
+edges that are in some match — all that rules 1-3 and the exact
+per-match verification need.  Output is byte-identical to the
+per-event path (both emit one canonical-order sequence per event —
+what ``find_matches`` returned, unread); only the maintenance *work*
+and the filter's looseness differ.  The per-event methods stay
+Algorithm 1 as printed: they are the reference the tests hold
+``on_batch`` to and what Fig 7-11 / Table V run.  Table V's per-event
+sums are sampled at stale states on the batched path.
 
 The live-match ledger.  Per-event, an embedding is enumerated twice:
 when its last edge arrives and, by backtracking, when its first edge
@@ -238,9 +250,10 @@ class TCMEngine(MatchEngine):
 
     def _purge_dead_endpoints(self, edge: Edge) -> None:
         """Evict the max-min and D1/D2 entries of endpoints that just
-        left the window with a deferred expiration (no propagation
-        visits a vertex without edges; a stale entry must neither be
-        counted nor survive into the vertex's next window life)."""
+        left the window with a batched expiration, which propagates
+        nothing (this is what bounds the loose filter by what is live;
+        a stale entry must neither be counted nor survive into the
+        vertex's next window life)."""
         graph = self.graph
         for v in (edge.u, edge.v):
             if not graph.has_vertex(v):
@@ -298,19 +311,17 @@ class TCMEngine(MatchEngine):
                     matches = self._expire_from(ledger, edge)
                     held -= len(matches)
                 graph.remove_edge(edge)
-                # The DCS must never admit a dead edge into backtracking,
-                # even while the refresh is deferred; only an emptied
-                # list is visible to D1/D2.
+                # The DCS must never admit a dead edge into backtracking;
+                # only an emptied list is visible to D1/D2.  Nothing
+                # else tightens: the filter stays a sound superset.
                 for e, a, b in cands:
                     if dcs.discard_edge(e, a, b, t) == 2:
                         dcs.add_seeds(e, a, b, seeds)
-                pairs.add((u, v))
-                affected.update(cands)
                 self._purge_dead_endpoints(edge)
             edges_sum += dcs.num_edges()
             vertices_sum += dcs.num_d2_vertices()
             out.append(matches)
-        if pairs:   # whatever is pending came with its data pair
+        if pairs or seeds:
             self._flush(pairs, affected, seeds)
         if ledger is None:
             self._drop_ledger()

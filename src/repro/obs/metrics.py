@@ -244,6 +244,14 @@ class MetricsRegistry:
                 f"not a {_KINDS[cls]}")
         return instrument
 
+    def drop(self, label: str, value: str) -> None:
+        """Forget every series labelled ``label=value`` (a retired
+        query's ``query=<id>`` ones), so series stay bounded by what is
+        live; the family keeps its kind and help."""
+        for key in list(self._series):
+            if (label, value) in key[1]:
+                del self._series[key]
+
     def add_collector(self, collector: Callable[[], None]) -> None:
         """Register a callback run at the start of every snapshot."""
         self._collectors.append(collector)

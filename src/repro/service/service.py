@@ -655,7 +655,6 @@ class LocalBackend:
             self._h_batch_events = obs.histogram(
                 "service_batch_events", "events per fanned-out batch",
                 SIZE_BUCKETS)
-            self._query_hists: Dict[str, Tuple] = {}
 
     # -- what the front asks of every back-end -------------------------
     def admit(self, edges: List[Edge]) -> None:
@@ -676,7 +675,12 @@ class LocalBackend:
     def describe(self, entry: RegisteredQuery) -> RegisteredQuery:
         return entry
 
-    retire = describe
+    def retire(self, entry: RegisteredQuery) -> RegisteredQuery:
+        """The query left this process (unregistered or migrated out):
+        its record as is, and none of its metric series kept."""
+        if self._obs is not None:
+            self._obs.drop("query", entry.query_id)
+        return entry
 
     def fetch_stats(self, entry=None) -> Dict[str, QueryStats]:
         """The records hold the live counters: nothing to fetch."""
@@ -863,24 +867,21 @@ class LocalBackend:
 
     # -- metrics export ------------------------------------------------
     def _query_observers(self, query_id: str) -> Tuple:
-        """Per-query (engine-seconds, match-delta) histogram pair,
-        created on first use and cached (the fan-out loops observe into
-        these on every dispatch when metrics are enabled)."""
-        pair = self._query_hists.get(query_id)
-        if pair is None:
-            from repro.obs import SIZE_BUCKETS
-            pair = (
-                self._obs.histogram(
-                    "service_engine_seconds",
-                    "seconds spent inside one query's engine per "
-                    "dispatch", query=query_id),
-                self._obs.histogram(
-                    "service_match_delta",
-                    "matches (occurrences + expirations) reported per "
-                    "dispatch", SIZE_BUCKETS, query=query_id),
-            )
-            self._query_hists[query_id] = pair
-        return pair
+        """Per-query (engine-seconds, match-delta) histogram pair, got
+        from the registry (which creates it on first use, and drops it
+        when the query is retired) on every dispatch when metrics are
+        enabled."""
+        from repro.obs import SIZE_BUCKETS
+        return (
+            self._obs.histogram(
+                "service_engine_seconds",
+                "seconds spent inside one query's engine per dispatch",
+                query=query_id),
+            self._obs.histogram(
+                "service_match_delta",
+                "matches (occurrences + expirations) reported per "
+                "dispatch", SIZE_BUCKETS, query=query_id),
+        )
 
     def export_metrics(self, obs) -> None:
         """Mirror the per-query stats and the engine-stage

@@ -410,9 +410,9 @@ def _seeded_events(seed=7, n=400, num_vertices=16, delta=30):
 
 
 @pytest.mark.parametrize("order, flushes, deferred, arrival_searches", [
-    ([(0, 1), (1, 2)], 81, 128, 37),    # total
-    ([(0, 1)], 98, 107, 58),            # partial
-    ([], 127, 73, 92),                  # empty
+    ([(0, 1), (1, 2)], 77, 128, 37),    # total
+    ([(0, 1)], 96, 107, 58),            # partial
+    ([], 126, 73, 92),                  # empty
 ])
 def test_gate_decisions_are_pinned(order, flushes, deferred,
                                    arrival_searches):

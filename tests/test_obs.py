@@ -450,6 +450,49 @@ class TestIntegration:
         # Metrics snapshots must not disturb the service counters.
         assert service.stats.edges_ingested == 30
 
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["in-process", "sharded"])
+    def test_series_stay_bounded_by_the_live_queries(self, sharded):
+        """Register / ingest / unregister churn with fresh ids (on the
+        sharded service each query also migrates once): with nothing
+        registered, the snapshot holds the same series after every
+        cycle as after the first — no retired query's ``query=`` series
+        outlives it, on a worker either — while ``registered_total``
+        counts every registration."""
+        service = (ShardedMatchService(10, workers=2,
+                                       metrics=MetricsRegistry())
+                   if sharded else MatchService(10, metrics=MetricsRegistry()))
+        snapshot = (service.metrics_snapshot if sharded
+                    else service.metrics.snapshot)
+
+        def series():
+            return {(name, tuple(sorted(s["labels"].items())))
+                    for name, metric in snapshot().items()
+                    for s in metric["series"]}
+
+        first = None
+        with service:
+            for cycle in range(1, 7):
+                query_id = service.register(
+                    AB_QUERY, AB_LABELS, "tcm" if cycle % 2 else "symbi")
+                service.ingest(ab_edges(1, start=cycle))
+                if sharded:
+                    source = service.shard_of(query_id)
+                    service.migrate(query_id, 1 - source)
+                    service.ingest(ab_edges(1, start=cycle))
+                    labelled = {dict(labels).get("shard") for _, labels
+                                in series() if ("query", query_id) in labels}
+                    # Only the worker hosting it keeps its series.
+                    assert labelled == {str(1 - source)}, labelled
+                service.unregister(query_id)
+                assert service.stats.registered_total == cycle
+                now = series()
+                assert not any(("query", query_id) in labels
+                               for _, labels in now)
+                if first is None:
+                    first = now
+                assert now == first
+
     def test_crash_keeps_last_known_query_stats(self):
         with ShardedMatchService(100, workers=2) as service:
             qids = [service.register(AB_QUERY, AB_LABELS, "tcm")
