@@ -150,16 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "tree (coordinator stages + per-shard worker "
                          "spans when --workers >1); writes a Chrome "
                          "trace_event JSON (load at ui.perfetto.dev) "
-                         "and a slow-batch JSONL log to --metrics-dir")
-    pm.add_argument("--slow-ms", type=float, default=250.0,
-                    metavar="MS",
-                    help="with --trace, batches slower than this land "
-                         "in slow_batches.jsonl with their span tree "
-                         "inline (default 250)")
+                         "to --metrics-dir")
     pm.add_argument("--admin-port", type=int, default=None, metavar="N",
                     help="serve the live admin endpoint on "
                          "127.0.0.1:N while the stream ingests "
-                         "(/metrics /healthz /varz /tracez; 0 binds "
+                         "(/metrics /healthz /varz; 0 binds "
                          "an ephemeral port)")
     return parser
 
@@ -207,15 +202,11 @@ def _run_multi_single(args, mconfig) -> int:
 
     tracer = server = None
     if args.trace:
-        from repro.obs import SlowLog, Tracer
-        os.makedirs(args.metrics_dir, exist_ok=True)
-        slowlog = SlowLog(
-            args.slow_ms / 1000.0,
-            path=os.path.join(args.metrics_dir, "slow_batches.jsonl"))
-        tracer = Tracer(max_finished=50_000, slowlog=slowlog)
+        from repro.obs import Tracer
+        tracer = Tracer(max_finished=50_000)
     if args.admin_port is not None:
         from repro.obs.server import AdminServer
-        server = AdminServer(tracer=tracer, port=args.admin_port)
+        server = AdminServer(port=args.admin_port)
     table = _live_metrics_table() if args.metrics else None
 
     def progress(service, done: int, total: int) -> None:
@@ -258,14 +249,13 @@ def _run_multi_single(args, mconfig) -> int:
         for path in _write_metrics(run.metrics, args.metrics_dir):
             print(f"wrote {path}")
     if tracer is not None:
+        os.makedirs(args.metrics_dir, exist_ok=True)
         trace_path = os.path.join(args.metrics_dir, "trace.json")
         with open(trace_path, "w") as handle:
             json.dump(tracer.chrome_trace(), handle)
             handle.write("\n")
-        slow = tracer.slowlog.total
         print(f"wrote {trace_path} ({len(tracer.finished)} spans, "
-              f"{tracer.dropped} dropped, {slow} slow batches over "
-              f"{args.slow_ms:g} ms)")
+              f"{tracer.dropped} dropped)")
     if args.checkpoint:
         print(f"checkpoint saved to {args.checkpoint}")
     return 0

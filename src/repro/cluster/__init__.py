@@ -26,7 +26,7 @@ service checkpoint in the cluster envelope (worker count, placement)
 and restores it across worker counts.
 """
 
-from repro.cluster.coordinator import ShardedMatchService, ShardedQueryEntry
+from repro.cluster.coordinator import ShardedMatchService
 from repro.cluster.transport import WorkerCrashError
 from repro.cluster.migration import (
     MigrationError, MigrationRecord,
@@ -39,7 +39,7 @@ from repro.cluster.checkpoint import (
 )
 
 __all__ = [
-    "ShardedMatchService", "ShardedQueryEntry", "WorkerCrashError",
+    "ShardedMatchService", "WorkerCrashError",
     "MigrationError", "MigrationRecord",
     "ShardPlacement", "UnpackableEdgeError",
     "as_service_snapshot", "load_checkpoint", "restore",

@@ -87,11 +87,6 @@ _SHARD_COUNTERS = (
     ("skipped", "(event, query) interest skips the shard reported"),
 )
 
-#: What ``get`` / ``unregister`` return: the query's record, as its
-#: worker knew it (the front's own when the worker is lost).
-ShardedQueryEntry = RegisteredQuery
-
-
 class ShardedMatchService(ServiceFront):
     """Hosts N continuous queries across ``workers`` shard processes.
 
@@ -189,15 +184,13 @@ class ShardedMatchService(ServiceFront):
         return self.backend.migrations.migrate(query_id, target,
                                                reason=reason)
 
-    def rebalance(self, *, tolerance: float = 0.1,
-                  max_moves: Optional[int] = None) -> List[MigrationRecord]:
+    def rebalance(self) -> List[MigrationRecord]:
         """Even out per-shard load, counted in events processed per
         query, by migrating queries off hot workers.  Returns the
         completed migration records — empty when the cluster is already
-        within ``tolerance`` of balanced."""
+        within the placement's ``REBALANCE_TOLERANCE`` of balanced."""
         self._ensure_open()
-        return self.backend.migrations.rebalance(
-            tolerance=tolerance, max_moves=max_moves)
+        return self.backend.migrations.rebalance()
 
     def recover_quarantined(self, shard: Optional[int] = None
                             ) -> List[MigrationRecord]:

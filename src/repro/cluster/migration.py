@@ -176,20 +176,18 @@ class MigrationManager:
     # ------------------------------------------------------------------
     # Elastic operations
     # ------------------------------------------------------------------
-    def rebalance(self, *, tolerance: float = 0.1,
-                  max_moves: Optional[int] = None) -> List[MigrationRecord]:
+    def rebalance(self) -> List[MigrationRecord]:
         """Plan and execute migrations that even out per-shard load,
         a query's load being the events it processed.  Returns the
-        completed records (empty when the cluster is already within
-        ``tolerance``)."""
+        completed records (empty when the cluster is already
+        balanced)."""
         svc = self._svc
         by_id = {stats.query_id: stats
                  for stats in svc.front.all_query_stats()}
         load = {info.query_id: float(by_id[info.query_id].events_processed)
                 for info in svc.front.registry.list()
                 if info.active and info.query_id in by_id}
-        plan = svc.placement.plan_rebalance(
-            load, tolerance=tolerance, max_moves=max_moves)
+        plan = svc.placement.plan_rebalance(load)
         return [self.migrate(query_id, target, reason="rebalance")
                 for query_id, _, target in plan]
 

@@ -25,10 +25,14 @@ reproducible across runs regardless of add/retire churn.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 LIVE, QUARANTINED, RETIRED, STOPPED = (
     "live", "quarantined", "retired", "stopped")
+
+#: A rebalance stops once the heaviest/lightest shard gap is within this
+#: fraction of the mean shard load.
+REBALANCE_TOLERANCE = 0.1
 
 
 class ShardPlacement:
@@ -124,9 +128,7 @@ class ShardPlacement:
             if state == LIVE:
                 self._state[shard] = STOPPED
 
-    def plan_rebalance(self, query_load: Dict[str, float], *,
-                       tolerance: float = 0.1,
-                       max_moves: Optional[int] = None
+    def plan_rebalance(self, query_load: Dict[str, float]
                        ) -> List[Tuple[str, int, int]]:
         """A deterministic list of ``(query_id, source, target)`` moves
         that evens out per-shard load.
@@ -137,8 +139,8 @@ class ShardPlacement:
         heaviest viable query off the most loaded shard onto the least
         loaded one, where *viable* means the move strictly shrinks the
         gap between them, until the heaviest/lightest gap is within
-        ``tolerance`` of the mean shard load.  Planning only — the
-        caller performs the migrations.
+        :data:`REBALANCE_TOLERANCE` of the mean shard load.  Planning
+        only — the caller performs the migrations.
         """
         live = self.live_shards()
         if len(live) < 2:
@@ -150,11 +152,11 @@ class ShardPlacement:
         if mean <= 0.0:
             return []
         moves: List[Tuple[str, int, int]] = []
-        while max_moves is None or len(moves) < max_moves:
+        while True:
             source = max(live, key=lambda s: (loads[s], -s))
             target = min(live, key=lambda s: (loads[s], s))
             gap = loads[source] - loads[target]
-            if gap <= tolerance * mean:
+            if gap <= REBALANCE_TOLERANCE * mean:
                 break
             viable = [(query_load.get(q, 0.0), q) for q in members[source]
                       if 0.0 < query_load.get(q, 0.0) < gap]

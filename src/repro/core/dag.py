@@ -155,10 +155,6 @@ class QueryDag:
         p2 = self.edge_parent[e2]
         return c1 == p2 or c1 in self.vertex_ancestors[p2]
 
-    def is_temporal_ancestor(self, e1: int, e2: int) -> bool:
-        """True iff ``e1`` is a temporal ancestor of ``e2`` (Def. II.4)."""
-        return self.is_edge_ancestor(e1, e2) and self.query.related(e1, e2)
-
     def score(self) -> int:
         """Number of ordered temporal ancestor-descendant pairs (S_r)."""
         return sum(len(self.tdesc_gt[e]) + len(self.tdesc_lt[e])

@@ -166,15 +166,6 @@ class TemporalGraph:
         """
         raise KeyError(f"no labeling information for vertex {v}")
 
-    def set_label(self, v: int, label: object) -> None:
-        """Assign a label to vertex ``v`` (dict-backed graphs only)."""
-        if self._labels is None:
-            if self._label_fn is not None:
-                raise ValueError("cannot set labels on a label_fn graph")
-            self._labels = {}
-        self._labels[v] = label
-        self._bind_label()
-
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("label", None)  # bound builtin; rebuilt on unpickle

@@ -2,26 +2,24 @@
 
 ``repro.obs`` is the measurement substrate of the whole pipeline — a
 dependency-free metrics registry (monotonic counters, gauges, and
-fixed-bucket histograms with p50/p95/p99 summaries) plus a lightweight
-span-timer API, with two exporters: :meth:`MetricsRegistry.snapshot`
-renders a nested JSON-ready dict, and :func:`render_prometheus` the
-Prometheus text exposition format.
+fixed-bucket histograms with p50/p95/p99 summaries) with two exporters:
+:meth:`MetricsRegistry.snapshot` renders a nested JSON-ready dict, and
+:func:`render_prometheus` the Prometheus text exposition format
+(:mod:`repro.obs.validate` checks both, as CI's metrics gate).
 
-Three further layers ride on the same zero-cost pattern: a distributed
+Two further layers ride on the same zero-cost pattern: a distributed
 :class:`~repro.obs.trace.Tracer` (per-batch root spans with stage and
-per-shard children, Chrome ``trace_event`` export — see
-:mod:`repro.obs.trace`), the slow-batch structured log
-(:mod:`repro.obs.slowlog`), and the live admin/scrape HTTP endpoint
-(:class:`repro.obs.server.AdminServer`).
+per-shard children, exported as one Chrome ``trace_event`` document —
+see :mod:`repro.obs.trace`) and the live admin/scrape HTTP endpoint
+(:class:`repro.obs.server.AdminServer`: ``/metrics``, ``/healthz``,
+``/varz``).
 
-Every instrumented component (:class:`~repro.streaming.driver.
-StreamDriver`, :class:`~repro.service.MatchService`,
-:class:`~repro.cluster.ShardedMatchService`) takes an optional
-``metrics`` registry (and an optional ``tracer``) and defaults to
+Both services (:class:`~repro.service.MatchService`,
+:class:`~repro.cluster.ShardedMatchService`) take an optional
+``metrics`` registry and an optional ``tracer`` and default to
 ``None`` — with observability disabled the hot path performs no metric
 or span work at all (a handful of ``is None`` checks per *batch*,
-never per event), so the throughput trajectory pinned by the BENCH
-artifacts is unaffected.
+never per event).
 """
 
 from repro.obs.hostinfo import host_metadata, register_process_collectors
@@ -30,18 +28,17 @@ from repro.obs.metrics import (
     SIZE_BUCKETS, merge_snapshots,
 )
 from repro.obs.promtext import parse_prometheus, render_prometheus
-from repro.obs.slowlog import SlowLog
 from repro.obs.trace import Span, Tracer, maybe_span
-from repro.obs.validate import validate_snapshot
 
-# The admin HTTP endpoint lives in repro.obs.server (imported
-# explicitly — ``from repro.obs.server import AdminServer`` — so that
-# importing the metrics substrate never drags in http.server).
+# The admin HTTP endpoint lives in repro.obs.server and the CI gate in
+# repro.obs.validate, both imported explicitly: importing the metrics
+# substrate never drags in http.server, and ``python -m
+# repro.obs.validate`` runs a module the package has not imported.
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "LATENCY_BUCKETS",
-    "MetricsRegistry", "SIZE_BUCKETS", "SlowLog", "Span", "Tracer",
+    "MetricsRegistry", "SIZE_BUCKETS", "Span", "Tracer",
     "host_metadata", "maybe_span", "merge_snapshots",
     "parse_prometheus", "register_process_collectors",
-    "render_prometheus", "validate_snapshot",
+    "render_prometheus",
 ]

@@ -1,4 +1,4 @@
-"""Dependency-free metrics: counters, gauges, histograms, span timers.
+"""Dependency-free metrics: counters, gauges and histograms.
 
 One :class:`MetricsRegistry` holds every instrument of one process.
 Instruments are identified by ``(name, labels)``: the registry
@@ -28,7 +28,6 @@ Design constraints, in order:
 from __future__ import annotations
 
 import bisect
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bucket upper bounds for seconds-scale span histograms (10us..10s).
@@ -81,12 +80,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -159,22 +152,6 @@ class Histogram:
         return out
 
 
-class _SpanTimer:
-    """Context manager observing its elapsed wall-clock on exit."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-
-    def __enter__(self) -> "_SpanTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
-
-
 _KINDS = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
 
 
@@ -214,13 +191,6 @@ class MetricsRegistry:
                   buckets: Optional[Sequence[float]] = None,
                   **labels) -> Histogram:
         return self._get(Histogram, name, help, labels, buckets)
-
-    def timer(self, name: str, help: str = "",
-              buckets: Optional[Sequence[float]] = None,
-              **labels) -> _SpanTimer:
-        """A span timer: ``with registry.timer("stage_seconds"): ...``
-        observes the block's elapsed seconds into the histogram."""
-        return _SpanTimer(self.histogram(name, help, buckets, **labels))
 
     def _get(self, cls, name: str, help: str, labels: Dict[str, str],
              buckets: Optional[Sequence[float]] = None):

@@ -15,8 +15,6 @@ in flight*:
 * ``GET /varz`` — the full JSON snapshot plus host metadata, plus any
   extra sections an attached ``varz`` callable contributes (the
   sharded CLI adds the live placement map and migration state).
-* ``GET /tracez`` — recent completed traces from the attached tracer,
-  span trees inline; 404 when tracing is off.
 * ``GET /`` — an endpoint index.
 
 Concurrency model — why scraping a live run is safe without locks:
@@ -52,27 +50,24 @@ _ENDPOINTS = {
     "/metrics": "Prometheus text exposition",
     "/healthz": "liveness (200 ok, 503 degraded)",
     "/varz": "JSON metrics snapshot + host metadata",
-    "/tracez": "recent completed traces",
 }
 
 
 class AdminServer:
-    """Serves the admin endpoints for one registry/tracer/health triple.
+    """Serves the admin endpoints for one registry/health pair.
 
-    All attachments are optional and may be (re)assigned before
+    Both attachments are optional and may be (re)assigned before
     :meth:`start`: ``registry`` is a
-    :class:`~repro.obs.MetricsRegistry`, ``tracer`` a
-    :class:`~repro.obs.trace.Tracer`, ``health`` a zero-argument
+    :class:`~repro.obs.MetricsRegistry`, ``health`` a zero-argument
     callable returning a JSON-ready dict with a ``"status"`` key.
     ``port=0`` binds an ephemeral port (reported by :meth:`start` /
     :attr:`port`).
     """
 
-    def __init__(self, registry=None, tracer=None,
+    def __init__(self, registry=None,
                  health: Optional[Callable[[], Dict[str, object]]] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.registry = registry
-        self.tracer = tracer
         self.health = health
         #: Optional zero-argument callable returning extra JSON-ready
         #: sections merged into the ``/varz`` body (the sharded CLI
@@ -81,7 +76,6 @@ class AdminServer:
         #: — it runs on the server thread.
         self.varz = None
         self.host = host
-        self.requests_served = 0
         self._port = port
         self._published: Optional[Dict[str, object]] = None
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -166,10 +160,6 @@ class AdminServer:
     # Request handling (runs on the server thread)
     # ------------------------------------------------------------------
     def _handle(self, request: BaseHTTPRequestHandler) -> None:
-        # Counted before serving: a client that has read its response
-        # must already see the request reflected here (counting after
-        # the body flush races the client's next assertion).
-        self.requests_served += 1
         path = request.path.split("?", 1)[0]
         try:
             if path == "/metrics":
@@ -195,15 +185,6 @@ class AdminServer:
                 if self.varz is not None:
                     body.update(self.varz())
                 self._send_json(request, 200, body)
-            elif path == "/tracez":
-                tracer = self.tracer
-                if tracer is None:
-                    self._send(request, 404, "text/plain",
-                               "tracing disabled\n")
-                else:
-                    self._send_json(request, 200, {
-                        "traces": tracer.recent_traces(),
-                        "dropped_spans": tracer.dropped})
             elif path == "/":
                 self._send_json(request, 200, {"endpoints": _ENDPOINTS})
             else:

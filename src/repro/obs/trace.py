@@ -4,9 +4,8 @@ Metrics (:mod:`repro.obs.metrics`) answer *how much*; traces answer
 *which one*: which batch was slow, on which shard, in which stage.  A
 :class:`Tracer` mints 63-bit trace/span ids and records completed
 :class:`Span` objects; pipeline components open a **root span per
-batch** (``driver_batch``, ``service_batch``, ``cluster_ingest``) with
-child spans for their stages (route/ship/exchange/merge, per-shard
-engine work).
+batch** (``service_batch``, ``cluster_ingest``) with child spans for
+their stages (route/ship/exchange/merge, per-shard engine work).
 
 The cluster propagates context *across the process boundary* without
 new IPC verbs: the coordinator piggybacks ``(trace_id, parent_span_id)``
@@ -18,14 +17,11 @@ With tracing off, every frame is byte-identical to the untraced wire.
 
 Spans carry a wall-clock start (``time.time_ns``, so spans from
 coordinator and worker processes on the same host align on one
-timeline) and a monotonic duration (``perf_counter_ns``).  Export
-formats:
-
-* :meth:`Tracer.chrome_trace` — Chrome ``trace_event`` JSON, loadable
-  in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``; shard
-  spans render as separate tracks via their ``tid``;
-* :func:`span_tree` — a nested JSON-ready dict, inlined by the
-  slow-batch log (:mod:`repro.obs.slowlog`) and ``/tracez``.
+timeline) and a monotonic duration (``perf_counter_ns``).  The one
+export is :meth:`Tracer.chrome_trace` — Chrome ``trace_event`` JSON,
+loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
+shard spans render as separate tracks via their ``tid``, and every
+event's ``args`` carry its trace, span and parent ids.
 
 Everything is stdlib-only and costs nothing when absent: components
 take ``tracer=None`` and guard with ``is None`` (or go through
@@ -104,23 +100,8 @@ class Span:
         self.duration_ns = time.perf_counter_ns() - self._t0
         tracer, self._tracer = self._tracer, None
         if tracer is not None:
-            tracer._finish(self)
+            tracer.adopt(self)
         return False
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready flat form (used by /tracez and the slow log)."""
-        out: Dict[str, object] = {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_us": self.start_us,
-            "duration_ms": round(self.duration_ms, 3),
-            "tid": self.tid,
-        }
-        if self.args:
-            out["args"] = dict(self.args)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Span({self.name!r}, trace={self.trace_id:x}, "
@@ -168,16 +149,10 @@ class Tracer:
     signed 64-bit wire slot.  Finished spans land in a bounded deque —
     the oldest spans of a long run are dropped (counted in
     :attr:`dropped`), never the process's memory.
-
-    ``slowlog`` is an optional :class:`~repro.obs.slowlog.SlowLog`:
-    every finished **root** span is offered to it together with its
-    trace's spans, which is how slow batches get logged with their span
-    tree inline.
     """
 
-    def __init__(self, max_finished: int = 4096, slowlog=None) -> None:
+    def __init__(self, max_finished: int = 4096) -> None:
         self.finished: Deque[Span] = deque(maxlen=max_finished)
-        self.slowlog = slowlog
         self.pid = os.getpid()
         self.dropped = 0
         self._salt = (random.getrandbits(22) | 1) << 40
@@ -203,16 +178,9 @@ class Tracer:
         return Span(name, trace_id, self._new_id(), parent_id,
                     args=args or None, tracer=self)
 
-    def _finish(self, span: Span) -> None:
-        if len(self.finished) == self.finished.maxlen:
-            self.dropped += 1
-        self.finished.append(span)
-        if span.parent_id == 0 and self.slowlog is not None:
-            self.slowlog.offer(span, self.trace_spans(span.trace_id))
-
     def adopt(self, span: Span) -> None:
-        """Record a span completed elsewhere (unpacked from a worker
-        reply) without re-timing it."""
+        """Record a finished span: one this tracer timed, or one
+        completed elsewhere (unpacked from a worker reply)."""
         if len(self.finished) == self.finished.maxlen:
             self.dropped += 1
         self.finished.append(span)
@@ -223,10 +191,6 @@ class Tracer:
         out = list(self.finished)
         self.finished.clear()
         return out
-
-    def trace_spans(self, trace_id: int) -> List[Span]:
-        """Every recorded span of one trace, in finish order."""
-        return [s for s in self.finished if s.trace_id == trace_id]
 
     # ------------------------------------------------------------------
     # Export
@@ -270,53 +234,6 @@ class Tracer:
                          "args": {"name": name}})
         return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
-    def recent_traces(self, limit: int = 20) -> List[Dict[str, object]]:
-        """The most recent completed traces, newest first, each with
-        its spans nested as a tree (the ``/tracez`` payload)."""
-        by_trace: Dict[int, List[Span]] = {}
-        for span in self.finished:
-            by_trace.setdefault(span.trace_id, []).append(span)
-        out = []
-        for trace_id, spans in by_trace.items():
-            root = next((s for s in spans if s.parent_id == 0), None)
-            head = root if root is not None else spans[0]
-            out.append({
-                "trace_id": f"{trace_id:x}",
-                "name": head.name,
-                "start_us": min(s.start_us for s in spans),
-                "duration_ms": round(head.duration_ms, 3),
-                "span_count": len(spans),
-                "spans": span_tree(head, spans),
-            })
-        out.sort(key=lambda t: t["start_us"], reverse=True)
-        return out[:limit]
-
-
-def span_tree(root: Span, spans: Sequence[Span]) -> Dict[str, object]:
-    """Nest ``spans`` under ``root`` by parent links (JSON-ready).
-
-    Orphans (a dropped intermediate span) are attached to the root so
-    the tree never silently loses a recorded span.
-    """
-    known = {s.span_id for s in spans} | {root.span_id}
-    children: Dict[int, List[Span]] = {}
-    for span in spans:
-        if span.span_id == root.span_id:
-            continue
-        parent = (span.parent_id if span.parent_id in known
-                  else root.span_id)
-        children.setdefault(parent, []).append(span)
-
-    def node(span: Span) -> Dict[str, object]:
-        out = span.to_dict()
-        kids = sorted(children.get(span.span_id, ()),
-                      key=lambda s: (s.start_us, s.span_id))
-        if kids:
-            out["children"] = [node(k) for k in kids]
-        return out
-
-    return node(root)
-
 
 # ----------------------------------------------------------------------
 # Wire packing (worker -> coordinator, inside Reply.metrics)
@@ -359,5 +276,5 @@ def unpack_spans(values: Sequence[int], offset: int = 0) -> List[Span]:
 
 __all__ = [
     "NULL_SPAN", "Span", "Tracer", "WIRE_SPAN_NAMES", "WIRE_SPAN_WIDTH",
-    "maybe_span", "pack_spans", "span_tree", "unpack_spans",
+    "maybe_span", "pack_spans", "unpack_spans",
 ]

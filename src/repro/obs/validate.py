@@ -10,7 +10,7 @@
 * the optional ``.prom`` exposition parses cleanly and its sample set
   is consistent with the snapshot (every snapshot metric appears);
 * every ``--require`` name is present — CI pins the pipeline stages
-  (driver/service/cluster/engine) that must be covered.
+  (service/cluster/engine) that must be covered.
 
 Exit status 0 on success, 1 with one problem per line on failure.
 """

@@ -374,26 +374,15 @@ class ServiceFront:
         migration ticket's — and return its tail replay's notifications
         (not delivered).  ``window`` defaults to the entry's cut of this
         front's window (a restore: the front already holds the stream).
-
-        ``final_now`` is the clock a ticket was cut at: what the window
-        still holds that fell due by then expires first, before the
-        query joins — it never held those pairs.  The registration
+        ``final_now`` is the clock a ticket was cut at.  The registration
         counters stay untouched; a back-end that refuses the query
         leaves the registry as it was.
         """
-        notes = Notifications()
-        if final_now is not None:
-            now, delta = self._now, self.delta
-            opening = next((edge.t for edge, _ in self._live
-                            if now is None or edge.t + delta > now), None)
-            if opening is not None and opening + delta <= final_now:
-                notes = self.advance_to(final_now)
         self.registry.adopt(entry)
         if window is None:
             window = self.export_query_window(entry)
         try:
-            return notes + self.backend.host(entry, window, tail,
-                                              final_now)
+            return self.backend.host(entry, window, tail, final_now)
         except Exception:
             self.registry.unregister(entry.query_id)
             raise
@@ -833,13 +822,14 @@ class LocalBackend:
         merged into the front's window (:meth:`ServiceFront.
         merge_window`).
 
-        Double-expiration safety: every expiration due at or before
-        ``final_now`` has left the front's window (:meth:`ServiceFront.
-        host` flushes what a coordinator left overdue, and a trimmed
-        pair expired before), so the pairs it still serves expire
-        *after* ``final_now``, while the private replay only ever
-        expires pairs due at or before it; the two sets cannot
-        intersect.
+        Double-expiration safety: the merge moves the front's clock up to
+        ``final_now``, so every pair due at or before it leaves the
+        window at the next call's trim, with no event (a pair a
+        coordinator left overdue here was held by no query on this
+        front, or a clock-advance frame would have expired it on time).
+        The pairs the window still serves expire *after* ``final_now``,
+        while the private replay only ever expires pairs due at or
+        before it; the two sets cannot intersect.
         """
         front = self.front
         if not entry.active:

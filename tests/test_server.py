@@ -14,7 +14,7 @@ import urllib.request
 
 from repro.cluster import ShardedMatchService
 from repro.graph.temporal_graph import Edge
-from repro.obs import MetricsRegistry, Tracer, parse_prometheus
+from repro.obs import MetricsRegistry, parse_prometheus
 from repro.obs.server import AdminServer
 from repro.query import TemporalQuery
 
@@ -80,32 +80,15 @@ class TestRoutes:
         assert varz["host"]["python_version"]
         assert varz["metrics"]["depth"]["series"][0]["value"] == 3.0
 
-    def test_tracez_404_without_tracer(self):
-        with AdminServer() as server:
-            status, _, _ = fetch(server.url + "/tracez")
-        assert status == 404
-
-    def test_tracez_serves_recent_traces(self):
-        tracer = Tracer()
-        with tracer.span("service_batch") as root:
-            with tracer.span("route", parent=root):
-                pass
-        with AdminServer(tracer=tracer) as server:
-            status, _, body = fetch(server.url + "/tracez")
-        assert status == 200
-        payload = json.loads(body)
-        (trace,) = payload["traces"]
-        assert trace["name"] == "service_batch"
-        assert trace["span_count"] == 2
-        assert trace["spans"]["children"][0]["name"] == "route"
-
     def test_index_and_404(self):
         with AdminServer() as server:
             status, _, body = fetch(server.url + "/")
             assert status == 200
-            assert "/metrics" in json.loads(body)["endpoints"]
-            status, _, _ = fetch(server.url + "/nope")
-            assert status == 404
+            assert sorted(json.loads(body)["endpoints"]) == \
+                ["/healthz", "/metrics", "/varz"]
+            for path in ("/nope", "/tracez"):
+                status, _, _ = fetch(server.url + path)
+                assert status == 404, path
 
     def test_handler_errors_become_500(self):
         def broken_health():
@@ -138,13 +121,6 @@ class TestLifecycle:
         samples, _ = parse_prometheus(body)
         assert samples == {"published_total": 9.0}
 
-    def test_requests_served_counter(self):
-        with AdminServer() as server:
-            before = server.requests_served
-            fetch(server.url + "/healthz")
-            fetch(server.url + "/")
-            assert server.requests_served == before + 2
-
 
 class TestConcurrentScrapes:
     def test_scrapes_during_live_clustered_ingest(self):
@@ -152,7 +128,7 @@ class TestConcurrentScrapes:
         main thread drives a clustered ingest, publishing merged
         snapshots between batches — every response must parse clean."""
         reg = MetricsRegistry()
-        failures = []
+        failures, scraped = [], []
         stop = threading.Event()
 
         with ShardedMatchService(10, workers=2, metrics=reg) as service:
@@ -170,7 +146,8 @@ class TestConcurrentScrapes:
                             if status != 200:
                                 failures.append(f"/metrics {status}")
                                 continue
-                            parse_prometheus(body)
+                            samples, _ = parse_prometheus(body)
+                            scraped.append(len(samples))
                             status, _, body = fetch(url + "/healthz")
                             if status != 200:
                                 failures.append(f"/healthz {status}")
@@ -192,5 +169,5 @@ class TestConcurrentScrapes:
                     stop.set()
                     for thread in scrapers:
                         thread.join(timeout=10)
-                assert server.requests_served > 0
+        assert scraped  # the scrapers were served, not just started
         assert failures == []

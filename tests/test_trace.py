@@ -1,8 +1,8 @@
-"""Tests for the repro.obs tracing layer (trace.py + slowlog.py).
+"""Tests for the repro.obs tracing layer (trace.py).
 
 Covers the span/tracer primitives, the integer wire packing workers use
 to ship spans inside ``Reply.metrics``, the Chrome ``trace_event``
-export, the slow-batch log, and the pipeline integration: a traced
+export, and the pipeline integration: a traced
 clustered ingest must produce a span tree whose coordinator stages and
 per-shard worker spans link across the process boundary by
 parent/child ids — while leaving the match output identical to an
@@ -13,9 +13,9 @@ import json
 
 from repro.cluster import ShardedMatchService
 from repro.graph.temporal_graph import Edge
-from repro.obs import SlowLog, Span, Tracer, maybe_span
+from repro.obs import Span, Tracer, maybe_span
 from repro.obs.trace import (
-    NULL_SPAN, WIRE_SPAN_NAMES, pack_spans, span_tree, unpack_spans,
+    NULL_SPAN, WIRE_SPAN_NAMES, pack_spans, unpack_spans,
 )
 from repro.query import TemporalQuery
 from repro.service import MatchService
@@ -46,11 +46,8 @@ class TestSpanPrimitives:
         assert span.duration_ns >= 0
         assert span.start_us > 0
         assert span.is_root
-        assert tracer.trace_spans(span.trace_id) == [span]
-        as_dict = span.to_dict()
-        assert as_dict["name"] == "work"
-        assert as_dict["args"] == {"detail": 1}
-        json.dumps(as_dict)
+        assert list(tracer.finished) == [span]
+        assert span.args == {"detail": 1}
 
     def test_child_links_to_parent(self):
         tracer = Tracer()
@@ -141,7 +138,7 @@ class TestWirePacking:
 
 
 # ----------------------------------------------------------------------
-# Trees + exports
+# Export
 # ----------------------------------------------------------------------
 class TestExports:
     def make_trace(self):
@@ -151,22 +148,6 @@ class TestExports:
                 with tracer.span("leaf", parent=stage):
                     pass
         return tracer, root
-
-    def test_span_tree_nests_by_parent(self):
-        tracer, root = self.make_trace()
-        tree = span_tree(root, tracer.trace_spans(root.trace_id))
-        assert tree["name"] == "root"
-        (stage,) = tree["children"]
-        assert stage["name"] == "stage"
-        assert stage["children"][0]["name"] == "leaf"
-
-    def test_span_tree_attaches_orphans_to_root(self):
-        tracer, root = self.make_trace()
-        spans = [s for s in tracer.trace_spans(root.trace_id)
-                 if s.name != "stage"]  # drop the intermediate span
-        tree = span_tree(root, spans)
-        names = {child["name"] for child in tree["children"]}
-        assert names == {"leaf"}
 
     def test_chrome_trace_shape(self):
         tracer, root = self.make_trace()
@@ -188,52 +169,6 @@ class TestExports:
         leaf = next(e for e in xs if e["name"] == "leaf")
         assert leaf["tid"] == 0
         assert int(leaf["args"]["trace_id"], 16) == root.trace_id
-
-    def test_recent_traces_newest_first(self):
-        tracer = Tracer()
-        for name in ("first", "second"):
-            with tracer.span(name):
-                pass
-        traces = tracer.recent_traces()
-        assert [t["name"] for t in traces] == ["second", "first"]
-        assert all(t["span_count"] == 1 for t in traces)
-        json.dumps(traces)
-
-
-# ----------------------------------------------------------------------
-# Slow-batch log
-# ----------------------------------------------------------------------
-class TestSlowLog:
-    def test_fast_roots_are_ignored(self):
-        slowlog = SlowLog(threshold_seconds=10.0)
-        tracer = Tracer(slowlog=slowlog)
-        with tracer.span("service_batch"):
-            pass
-        assert slowlog.total == 0
-        assert slowlog.recent() == []
-
-    def test_slow_roots_are_recorded_with_tree(self, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        slowlog = SlowLog(threshold_seconds=0.0, path=str(path))
-        tracer = Tracer(slowlog=slowlog)
-        with tracer.span("service_batch", events=12) as root:
-            with tracer.span("route", parent=root):
-                pass
-        assert slowlog.total == 1
-        (entry,) = slowlog.recent()
-        assert entry["kind"] == "slow_batch"
-        assert entry["spans"]["name"] == "service_batch"
-        assert entry["spans"]["children"][0]["name"] == "route"
-        (line,) = path.read_text().splitlines()
-        assert json.loads(line) == entry
-
-    def test_child_spans_never_trigger(self):
-        slowlog = SlowLog(threshold_seconds=0.0)
-        tracer = Tracer(slowlog=slowlog)
-        with tracer.span("root") as root:
-            with tracer.span("child", parent=root):
-                pass
-        assert slowlog.total == 1  # the root, not the child
 
 
 # ----------------------------------------------------------------------
@@ -361,18 +296,12 @@ class TestCliTrace:
     def test_trace_without_metrics_or_workers(self, tmp_path, capsys):
         from repro.cli import main
         status = main(["multi", "--stream-edges", "100", "--queries", "2",
-                       "--batch-size", "25", "--trace", "--slow-ms", "0",
+                       "--batch-size", "25", "--trace",
                        "--metrics-dir", str(tmp_path)])
         assert status == 0
         doc = json.loads((tmp_path / "trace.json").read_text())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert "service_batch" in names
-        # --slow-ms 0 makes every batch slow: the JSONL log has entries.
-        lines = (tmp_path / "slow_batches.jsonl").read_text().splitlines()
-        assert lines
-        entry = json.loads(lines[0])
-        assert entry["kind"] == "slow_batch"
-        assert entry["spans"]["name"] == "service_batch"
 
     def test_trace_refused_with_scaling(self, capsys):
         from repro.cli import main
